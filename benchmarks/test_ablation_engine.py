@@ -1,18 +1,11 @@
-"""Ablation benches for the engine design choices DESIGN.md calls out.
-
-Three ablations, each isolating one knob of the simulated backends:
-
-* **join re-ordering** (the HyperSim-vs-DuckDBSim planner gap) on a
-  join-order-sensitive TPC-H query;
-* **morsel size** (the vectorized interpreter's batch granularity) on a
-  filter-heavy query;
-* **execution mode** (vectorized interpreter vs compiled whole-column) on
-  the same plan — the core DuckDB-vs-Hyper distinction.
+"""Ablation bench for the one engine knob that separates the simulated
+backends: **join re-ordering** (the HyperSim-vs-DuckDBSim planner gap) on a
+join-order-sensitive TPC-H query.
 """
 
 from dataclasses import replace
 
-from repro.backends import DuckDBSim, HyperSim
+from repro.backends import HyperSim
 from repro.bench import time_callable
 
 from conftest import REPEATS, save_series
@@ -38,39 +31,3 @@ def test_ablation_join_reorder(benchmark, tpch_bench):
             f"  syntactic order:     {without:8.2f}ms")
     save_series("ablation_join_reorder", text)
     assert with_reorder > 0 and without > 0
-
-
-def test_ablation_morsel_size(benchmark, tpch_bench):
-    sql = tpch_bench.sql_for(6, "pytond", "duckdb")
-
-    def run():
-        out = {}
-        for morsel in (256, 2048, 16384):
-            config = replace(DuckDBSim.config(), morsel_size=morsel)
-            out[morsel] = _time_sql(tpch_bench, sql, config)
-        return out
-
-    series = benchmark.pedantic(run, rounds=1, iterations=1)
-    lines = ["Ablation: vectorized morsel size (TPC-H Q6, DuckDB profile)"]
-    for morsel, ms in series.items():
-        lines.append(f"  morsel={morsel:<7} {ms:8.2f}ms")
-    save_series("ablation_morsel_size", "\n".join(lines))
-    # Smaller morsels mean more per-batch interpretation overhead.
-    assert series[256] >= series[16384] * 0.8
-
-
-def test_ablation_execution_mode(benchmark, tpch_bench):
-    sql = tpch_bench.sql_for(1, "pytond", "hyper")
-
-    def run():
-        compiled = _time_sql(tpch_bench, sql, HyperSim.config())
-        vectorized = _time_sql(
-            tpch_bench, sql, replace(HyperSim.config(), mode="vectorized", morsel_size=2048))
-        return compiled, vectorized
-
-    compiled, vectorized = benchmark.pedantic(run, rounds=1, iterations=1)
-    text = ("Ablation: compiled (fused) vs vectorized (morsel) execution (TPC-H Q1)\n"
-            f"  compiled:    {compiled:8.2f}ms\n"
-            f"  vectorized:  {vectorized:8.2f}ms")
-    save_series("ablation_execution_mode", text)
-    assert compiled > 0 and vectorized > 0

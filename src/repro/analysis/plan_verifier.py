@@ -783,7 +783,7 @@ class _Verifier:
 
     def _expand_items(self, select: Select,
                       rel: _RelInfo) -> Optional[list[SelectItem]]:
-        """Mirror Executor._expand_items over the synthesized schema."""
+        """Mirror ``plan._expand_items`` over the synthesized schema."""
         items: list[SelectItem] = []
         for item in select.items:
             if isinstance(item.expr, Star):
@@ -803,14 +803,6 @@ class _Verifier:
             else:
                 items.append(item)
         return items
-
-    @staticmethod
-    def _output_name(item: SelectItem, position: int) -> str:
-        if item.alias is not None:
-            return item.alias
-        if isinstance(item.expr, ColumnRef):
-            return item.expr.name
-        return f"col{position}"
 
     @staticmethod
     def _all_direct(rel: _RelInfo) -> bool:
@@ -853,7 +845,7 @@ class _Verifier:
         for i, it in enumerate(items):
             kind, nullable = _expr_kind(it.expr, rel.cols)
             _, direct = self._planner_kind(it.expr, rel.cols, all_direct)
-            cols.append(ColInfo(self._output_name(it, i), None, kind,
+            cols.append(ColInfo(p.output_name(it, i), None, kind,
                                 nullable, direct=direct))
         return _RelInfo(cols, opaque=rel.opaque)
 

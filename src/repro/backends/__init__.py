@@ -32,10 +32,7 @@ from .base import (
     rewrite_sql,
 )
 from .duckdb_real import DuckDBBackend, duckdb_available
-from .duckdb_sim import DuckDBSim
-from .hyper_sim import HyperSim
-from .lingodb_sim import LingoDBSim
-from .native import NativeBackend
+from .profiles import DuckDBSim, HyperSim, LingoDBSim, NativeBackend
 from .sqlite import SQLITE_DIALECT, SqliteBackend, load_sqlite, to_sqlite_sql
 
 __all__ = [

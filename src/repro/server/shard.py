@@ -61,6 +61,7 @@ from ..sqlengine.executor import EngineConfig, Executor
 from ..sqlengine.grouping import factorize_many, parallel_group_reduce
 from ..sqlengine.params import bind_parameters, signature_of
 from ..sqlengine.parser import parse
+from ..sqlengine.plan import output_name
 from ..sqlengine.sqlast import (
     AggCall,
     BetweenExpr,
@@ -162,16 +163,6 @@ def _has_forbidden(exprs) -> bool:
     return False
 
 
-def _output_name(item: SelectItem, position: int) -> str:
-    # Mirrors Executor._output_name so gathered columns line up with what
-    # the serial path would have called them.
-    if item.alias:
-        return item.alias
-    if isinstance(item.expr, ColumnRef):
-        return item.expr.name
-    return f"col{position}"
-
-
 def _expr_key(expr) -> str:
     from ..sqlengine.expressions import expr_key
 
@@ -205,7 +196,7 @@ def _inline_single_cte(query: Query) -> Select | None:
         return None
     if inner.order_by or inner.limit is not None:
         return None
-    cte_cols = cte.column_names or [_output_name(it, i)
+    cte_cols = cte.column_names or [output_name(it, i)
                                     for i, it in enumerate(inner.items)]
     if len(cte_cols) != len(inner.items):
         return None
@@ -220,7 +211,7 @@ def _inline_single_cte(query: Query) -> Select | None:
         if expr.name not in cte_cols:
             return None
         src = inner.items[cte_cols.index(expr.name)]
-        items.append(SelectItem(expr=src.expr, alias=_output_name(item, pos)))
+        items.append(SelectItem(expr=src.expr, alias=output_name(item, pos)))
     order_by: list[OrderItem] = []
     for oi in outer.order_by:
         expr = oi.expr
@@ -304,7 +295,7 @@ def analyze_shard_query(query: Query, stored: dict) -> ShardQuery | None:
         return None
 
     group_keys = [_expr_key(g) for g in select.group_by]
-    names = [_output_name(it, i) for i, it in enumerate(select.items)]
+    names = [output_name(it, i) for i, it in enumerate(select.items)]
 
     items: list[tuple[str, int]] = []
     agg_funcs: list[str] = []

@@ -3,7 +3,7 @@
 A pure-Python/NumPy analytical RDBMS: SQL parser, catalog with constraint
 metadata, a cost-aware physical planner (filter pushdown, projection
 pruning, cardinality-estimated join ordering) compiling to an explicit
-operator pipeline, vectorized and "compiled" execution modes, intra-query
+operator pipeline — the one execution path — with intra-query
 thread parallelism (filters, projections, hash-join probes, hash-aggregate
 reductions, partition-parallel window functions), and a per-connection
 plan cache.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -97,19 +97,17 @@ class Database:
 
         Keying on a *subset* of planning flags was a latent bug: two
         backend configs agreeing on that subset (e.g. profiles differing
-        only in execution mode or window support) would share one cache
-        entry, so the second backend executed a plan compiled for the
-        first — see :meth:`EngineConfig.plan_fingerprint`.
+        only in window support) would share one cache entry, so the second
+        backend executed a plan compiled for the first — see
+        :meth:`EngineConfig.plan_fingerprint`.
         """
         return (sql, config.plan_fingerprint())
 
-    def _plan_entry(self, sql: str, config: EngineConfig) -> Optional[PlanCacheEntry]:
-        """The cache entry for (sql, planning-relevant config), if caching
-        is enabled.  Stale entries (catalog changed) are rebuilt; the cache
-        is a bounded LRU (``EngineConfig.plan_cache_size`` on the
-        Database's own config) and safe for concurrent callers."""
-        if not config.plan_cache:
-            return None
+    def _plan_entry(self, sql: str, config: EngineConfig) -> PlanCacheEntry:
+        """The cache entry for (sql, planning-relevant config).  Stale
+        entries (catalog changed) are rebuilt; the cache is a bounded LRU
+        (``EngineConfig.plan_cache_size`` on the Database's own config) and
+        safe for concurrent callers."""
         key = self._cache_key(sql, config)
         version = self.catalog.version
         with self._cache_lock:
@@ -176,13 +174,6 @@ class Database:
                       deadline: float | None = None, stats=None) -> Chunk:
         cfg = config or self.config
         entry = self._plan_entry(sql, cfg)
-        if entry is None:
-            query = parse(sql)
-            bound = bind_parameters(signature_of(query), params)
-            executor = Executor(self.catalog, cfg, params=bound,
-                                cancel_event=cancel_event, deadline=deadline,
-                                stats=stats)
-            return executor.execute(query)
         bound = bind_parameters(entry.signature, params)
         executor = Executor(self.catalog, cfg, plans=entry.plans, params=bound,
                             cancel_event=cancel_event, deadline=deadline,
@@ -197,15 +188,9 @@ class Database:
         cfg = config or self.config
         entry = self._plan_entry(sql, cfg)
         trace: list[str] = []
-        if entry is None:
-            query = parse(sql)
-            bound = bind_parameters(signature_of(query), params)
-        else:
-            query = entry.query
-            bound = bind_parameters(entry.signature, params)
-        executor = Executor(self.catalog, cfg, trace=trace,
-                            plans=entry.plans if entry else None, params=bound)
-        executor.execute(query)
+        executor = Executor(self.catalog, cfg, trace=trace, plans=entry.plans,
+                            params=bind_parameters(entry.signature, params))
+        executor.execute(entry.query)
         return "\n".join(trace)
 
     def explain_analyze(self, sql: str, config: EngineConfig | None = None,
@@ -213,8 +198,8 @@ class Database:
         """EXPLAIN ANALYZE with runtime statistics: execute the query and
         render the executed plan tree annotated with per-operator estimated
         vs. actual row counts, inclusive elapsed milliseconds, and any
-        adaptive-execution events (re-plans, build-side swaps, morsel
-        re-tuning, subquery short-circuits)."""
+        adaptive-execution events (re-plans, build-side swaps, subquery
+        short-circuits)."""
         from .runtime_stats import RuntimeStats
 
         stats = RuntimeStats()
@@ -312,12 +297,7 @@ class PreparedStatement:
         self._db = db
         self.sql = sql
         self._config = config
-        entry = db._plan_entry(sql, config)
-        if entry is None:  # plan_cache disabled: private plan-once entry
-            query = parse(sql)
-            entry = PlanCacheEntry(query, catalog_version=db.catalog.version,
-                                   signature=signature_of(query))
-        self._entry = entry
+        self._entry = db._plan_entry(sql, config)
         self._refresh_lock = threading.Lock()
 
     @property
@@ -330,19 +310,12 @@ class PreparedStatement:
         if entry.catalog_version == self._db.catalog.version:
             return entry
         # DDL happened since compilation: re-resolve through the Database
-        # cache (which rebuilds stale entries) or rebuild the private entry.
+        # cache (which rebuilds stale entries).
         with self._refresh_lock:
             entry = self._entry
-            if entry.catalog_version == self._db.catalog.version:
-                return entry
-            fresh = self._db._plan_entry(self.sql, self._config)
-            if fresh is None:
-                query = parse(self.sql)
-                fresh = PlanCacheEntry(query,
-                                       catalog_version=self._db.catalog.version,
-                                       signature=signature_of(query))
-            self._entry = fresh
-            return fresh
+            if entry.catalog_version != self._db.catalog.version:
+                entry = self._entry = self._db._plan_entry(self.sql, self._config)
+            return entry
 
     def execute_chunk(self, params=None, *, cancel_event=None,
                       deadline: float | None = None,

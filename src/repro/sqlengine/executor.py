@@ -1,29 +1,21 @@
-"""The query executor: drives physical plans produced by the planner.
+"""The query driver: runs the physical plans the planner produces.
 
 Layering (see ``docs/ARCHITECTURE.md``): the :mod:`.planner` compiles each
-``SELECT`` body into a :class:`~.plan.PhysicalPlan` (pushdown, projection
-pruning, cardinality-estimated join ordering); this module executes those
-plans and owns the pieces that need run-time data — subquery evaluation and
-projection/aggregation expression evaluation.  Window functions are handled
-by the dedicated :class:`~.plan.Window` operator (kernels in
-:mod:`.window`), not here.
-
-Two execution modes distinguish the simulated backends (cf. DESIGN.md):
-
-* ``vectorized`` (DuckDBSim) — filters/projections are evaluated morsel at a
-  time (batch interpreter overhead per morsel);
-* ``compiled`` (HyperSim, LingoDBSim) — whole-column fused evaluation, plus
-  join re-ordering by estimated cardinality (a "more advanced planner",
-  which is how the paper explains Hyper's edge over DuckDB).
-
-Both modes parallelize filters, projections, hash-join probes, and
-hash-aggregate reductions across a shared thread pool.
+``SELECT`` body into a :class:`~.plan.PhysicalPlan`, and the operators in
+:mod:`.plan` carry it out — scans, joins, projection, aggregation, ordering
+and window functions all execute there.  What is left here is what needs a
+per-execution owner: the CTE environment, plan lookup (plus the static
+verifier on a miss), bound parameters, cancellation and deadline, the
+stats/trace sinks, and the residual-subquery callback — the one place that
+must plan and run a nested ``SELECT`` while an outer expression is being
+evaluated.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -32,17 +24,13 @@ from ..errors import (
     UnsupportedFeatureError,
 )
 from .catalog import Catalog
-from .expressions import Evaluator, Scope, expr_columns, expr_key
-from .grouping import factorize_many, parallel_group_reduce
+from .expressions import Evaluator, expr_columns
 from .joins import semi_join_mask
-from .parallel import parallel_arrays, parallel_map
-from .plan import ExecContext, PhysicalPlan
-from .planner import (
-    Planner, RelSchema, _conjoin, has_subquery, has_window, split_conjuncts,
-)
+from .plan import ExecContext, PhysicalPlan, values_chunk
+from .planner import Planner, RelSchema, _conjoin, split_conjuncts
 from .sqlast import (
-    AggCall, BinaryOp, ColumnRef, CompoundSelect, Expr, Query, Select,
-    SelectItem, Star, TableRef, ValuesClause, WindowCall,
+    BinaryOp, ColumnRef, CompoundSelect, Expr, Query, SelectItem, TableRef,
+    ValuesClause,
 )
 from .table import Chunk
 
@@ -54,22 +42,14 @@ class EngineConfig:
     """Static behaviour knobs for a simulated backend."""
 
     name: str = "engine"
-    mode: str = "compiled"  # "compiled" | "vectorized"
     threads: int = 1
     join_reorder: bool = True
     supports_window: bool = True
-    morsel_size: int = 2048
-    rejected_join_patterns: frozenset = frozenset()
-    # Physical-plan knobs: morsel-parallel join probe / aggregate reduction,
-    # whether Database may reuse compiled plans across executions, and
-    # whether ORDER BY + LIMIT fuses into the parallel TopK operator.
-    parallel_join: bool = True
-    parallel_agg: bool = True
-    plan_cache: bool = True
     # Maximum number of (sql, config) entries the Database-level plan cache
     # retains; least-recently-used entries are evicted beyond this bound
     # (a long-lived server must not let the cache grow with the query log).
     plan_cache_size: int = 256
+    # Whether ORDER BY + LIMIT fuses into the parallel TopK operator.
     topk_rewrite: bool = True
     # Whether the planner rewrites IN/NOT IN/EXISTS/NOT EXISTS and scalar
     # subqueries into SemiJoin/AntiJoin/MarkJoin/ScalarSubqueryScan plan
@@ -97,9 +77,9 @@ class EngineConfig:
     # when an observation diverges from the static estimate beyond
     # adaptive_ratio, re-runs the greedy join ordering over the remaining
     # joins mid-query (the rebuilt subtree is re-verified before it
-    # executes).  Also enables build-side-swap reporting, empty-outer
-    # semi-join short-circuits, and morsel-size auto-tuning.  Results are
-    # identical to static execution up to row order.
+    # executes).  Also enables build-side-swap reporting and empty-outer
+    # semi-join short-circuits.  Results are identical to static execution
+    # up to row order.
     adaptive_execution: bool = False
     # Divergence threshold for re-planning: the larger of actual/est and
     # est/actual must exceed this ratio before a re-plan fires.
@@ -114,45 +94,32 @@ class EngineConfig:
     def plan_fingerprint(self) -> tuple:
         """Canonical identity of this config for plan-cache keying.
 
-        Every backend-profile knob that can influence a compiled plan or
-        its admissibility is included; only runtime-scaling knobs that
-        plans are explicitly independent of (``threads``) and cache-policy
-        knobs (``plan_cache``/``plan_cache_size``) are excluded.  Two
-        different backend profiles therefore never share a cache entry —
-        reusing a plan compiled under another profile could smuggle in the
-        wrong join order, morsel shape, or a feature (window functions)
-        the executing backend must reject.
+        Every field is part of the key unless it is listed in
+        ``_NOT_IN_FINGERPRINT`` — ``threads`` (plans are explicitly
+        independent of it) and ``plan_cache_size`` (cache policy) — so a
+        new field can never be forgotten: two profiles that differ in
+        anything else never share a cache entry, and so cannot smuggle in
+        each other's join order, admission by the verifier, adaptive
+        behaviour, or a feature (window functions) the executing backend
+        must reject.
         """
-        return (
-            self.name, self.mode, self.join_reorder, self.supports_window,
-            self.morsel_size, tuple(sorted(self.rejected_join_patterns)),
-            self.parallel_join, self.parallel_agg, self.topk_rewrite,
-            self.subquery_decorrelate, self.memory_budget,
-            self.spill_partitions, self.zone_map_pruning,
-            # verify_plans changes no plan shape, but it gates whether a
-            # plan was admitted through the static verifier — a config
-            # that verifies must not silently adopt a plan cached by one
-            # that did not.
-            self.verify_plans,
-            # adaptive_execution changes the compiled shape (AdaptiveJoin
-            # vs a static join chain); adaptive_ratio changes when that
-            # operator re-plans, which is runtime behaviour a cached plan
-            # carries with it.
-            self.adaptive_execution, self.adaptive_ratio,
-            # shard_workers selects between the scatter/gather path and
-            # plain serial execution; a plan-analysis decision cached under
-            # one worker count must not be reused by another.
-            self.shard_workers,
-        )
+        return _fingerprint_of(self)
+
+
+_NOT_IN_FINGERPRINT = {"threads", "plan_cache_size"}
+# Built once: the fingerprint sits on every execution's plan-cache lookup.
+_fingerprint_of = attrgetter(*(f.name for f in fields(EngineConfig)
+                               if f.name not in _NOT_IN_FINGERPRINT))
 
 
 class Executor:
-    """Executes parsed queries against a catalog.
+    """Drives one execution of a parsed query against a catalog.
 
-    ``plans`` (optional) is a shared plan map — ``id(Select) -> PhysicalPlan``
-    — owned by a :class:`~.database.Database` plan-cache entry.  When absent,
-    a throwaway map scoped to one ``execute()`` call is used, so repeated
-    subquery bodies within a statement still plan once.
+    ``plans`` is the plan map — ``id(Select) -> PhysicalPlan`` — of the
+    :class:`~.database.Database` plan-cache entry that owns the parsed AST
+    (ids are only stable while the AST is alive, which the entry
+    guarantees).  Without one, a map scoped to this Executor is used, so
+    repeated subquery bodies within a statement still plan once.
     """
 
     def __init__(self, catalog: Catalog, config: EngineConfig | None = None,
@@ -164,7 +131,7 @@ class Executor:
         self.catalog = catalog
         self.config = config or EngineConfig()
         self.trace = trace
-        self.plans = plans
+        self.plans: dict[int, PhysicalPlan] = {} if plans is None else plans
         # Bound placeholder values for this execution ({index_or_name:
         # scalar}); reaches every Evaluator the operators construct.
         self.params = params
@@ -176,9 +143,8 @@ class Executor:
         # execution); operators record actual cardinalities and timings
         # into it through Operator.run.  None = zero-overhead execution.
         self.stats = stats
-        self._active_plans: dict[int, PhysicalPlan] = {}
 
-    def _note(self, message: str) -> None:
+    def note(self, message: str) -> None:
         if self.trace is not None:
             self.trace.append(message)
 
@@ -198,13 +164,9 @@ class Executor:
     # Entry points
     # ------------------------------------------------------------------
     def execute(self, query: Query) -> Chunk:
-        # A fresh local plan map per execution unless a Database-owned one
-        # was supplied (caching by id() is only safe while the parsed AST
-        # is kept alive, which the Database plan cache guarantees).
-        self._active_plans = self.plans if self.plans is not None else {}
         env: dict[str, Chunk] = {}
         for cte in query.ctes:
-            chunk = self._execute_body(cte.query, env)
+            chunk = self.execute_body(cte.query, env)
             if cte.column_names is not None:
                 if len(cte.column_names) != chunk.ncols:
                     raise SQLBindError(
@@ -212,41 +174,27 @@ class Executor:
                         f"but produces {chunk.ncols}"
                     )
                 chunk = Chunk(list(cte.column_names), chunk.arrays)
-            self._note(f"materialize CTE {cte.name} -> {chunk.nrows} rows x {chunk.ncols} cols")
+            self.note(f"materialize CTE {cte.name} -> {chunk.nrows} rows x {chunk.ncols} cols")
             env[cte.name] = chunk
         return self._execute_select(query.body, env)
 
-    def _execute_body(self, body, env: dict[str, Chunk]) -> Chunk:
+    def execute_body(self, body, env: dict[str, Chunk]) -> Chunk:
+        """Run a CTE or derived-table body: VALUES, SELECT or compound."""
         if isinstance(body, ValuesClause):
-            return self._execute_values(body)
+            return values_chunk(body, self.params)
         return self._execute_select(body, env)
 
-    def _execute_values(self, values: ValuesClause) -> Chunk:
-        dummy = Chunk(["__one"], [np.zeros(1, dtype=np.int64)])
-        evaluator = Evaluator(dummy, Scope(), params=self.params)
-        ncols = len(values.rows[0])
-        columns = [f"col{i}" for i in range(ncols)]
-        raw_cols: list[list] = [[] for _ in range(ncols)]
-        for row in values.rows:
-            if len(row) != ncols:
-                raise SQLBindError("VALUES rows have inconsistent arity")
-            for i, expr in enumerate(row):
-                raw_cols[i].append(evaluator.eval(expr))
-        from ..dataframe._common import coerce_array
-
-        return Chunk(columns, [coerce_array(np.array(c, dtype=object)) for c in raw_cols])
-
     # ------------------------------------------------------------------
-    # Plan-driven SELECT execution
+    # Plan lookup
     # ------------------------------------------------------------------
     def plan_for(self, select, env: dict[str, Chunk],
                  cacheable: bool = True) -> PhysicalPlan:
         """Fetch (or build and remember) the physical plan for a body
         (a plain SELECT or a compound select)."""
-        plan = self._active_plans.get(id(select))
+        plan = self.plans.get(id(select))
         if plan is not None:
             plan.cache_hits += 1
-            self._note("plan cache hit: reusing compiled plan")
+            self.note("plan cache hit: reusing compiled plan")
             return plan
         env_schemas = {
             name: RelSchema(list(c.columns), float(c.nrows))
@@ -261,11 +209,11 @@ class Executor:
 
             verify_plan(plan, self.catalog, self.config, env)
         if cacheable:
-            self._active_plans[id(select)] = plan
+            self.plans[id(select)] = plan
             # Derived-table bodies were planned as part of this plan; register
             # their subplans so SubqueryScan execution reuses them.
             for body, subplan in plan.subquery_plans():
-                self._active_plans.setdefault(id(body), subplan)
+                self.plans.setdefault(id(body), subplan)
         return plan
 
     def _execute_select(self, select, env: dict[str, Chunk],
@@ -277,259 +225,9 @@ class Executor:
         return plan.execute(ExecContext(self, env))
 
     # ------------------------------------------------------------------
-    # Projection
-    # ------------------------------------------------------------------
-    def _output_name(self, item: SelectItem, position: int) -> str:
-        if item.alias:
-            return item.alias
-        if isinstance(item.expr, ColumnRef):
-            return item.expr.name
-        return f"col{position}"
-
-    def _expand_items(self, select: Select, chunk: Chunk, scope: Scope) -> list[SelectItem]:
-        items: list[SelectItem] = []
-        for item in select.items:
-            if isinstance(item.expr, Star):
-                for col in chunk.columns:
-                    if col.startswith(("__mark_", "__scalar_")):
-                        continue  # planner-introduced mark/scalar columns
-                    if item.expr.table is not None:
-                        slot = scope.qualified.get((item.expr.table, col))
-                        if slot is None:
-                            continue
-                    items.append(SelectItem(expr=ColumnRef(name=col, table=item.expr.table), alias=col))
-            else:
-                items.append(item)
-        return items
-
-    def _project_plain(self, select: Select, chunk: Chunk, scope: Scope, subquery_cb, window_values):
-        items = self._expand_items(select, chunk, scope)
-        names = [self._output_name(it, i) for i, it in enumerate(items)]
-        n = chunk.nrows
-        threads = self.config.threads
-        params = self.params
-        morsel = self.config.morsel_size if self.config.mode == "vectorized" else None
-        simple = not window_values and not any(has_subquery(it.expr) for it in items)
-
-        if simple and n > 1:
-            def make_arrays(start: int, stop: int) -> list[np.ndarray]:
-                if morsel is None:
-                    sub = chunk.slice(start, stop)
-                    ev = Evaluator(sub, scope, subquery_executor=subquery_cb,
-                                   params=params)
-                    return [ev.eval_array(it.expr) for it in items]
-                parts: list[list[np.ndarray]] = []
-                pos = start
-                while pos < stop:
-                    end = min(pos + morsel, stop)
-                    sub = chunk.slice(pos, end)
-                    ev = Evaluator(sub, scope, subquery_executor=subquery_cb,
-                                   params=params)
-                    parts.append([ev.eval_array(it.expr) for it in items])
-                    pos = end
-                if not parts:
-                    ev = Evaluator(chunk.slice(0, 0), scope,
-                                   subquery_executor=subquery_cb, params=params)
-                    return [ev.eval_array(it.expr) for it in items]
-                if len(parts) == 1:
-                    return parts[0]
-                return [np.concatenate([p[i] for p in parts]) for i in range(len(items))]
-
-            arrays = parallel_arrays(n, threads, make_arrays)
-            evaluator = Evaluator(chunk, scope, subquery_executor=subquery_cb,
-                                  params=params)
-        else:
-            evaluator = Evaluator(chunk, scope, subquery_executor=subquery_cb,
-                                  params=params)
-            evaluator.precomputed = window_values  # type: ignore[attr-defined]
-            arrays = [self._eval_with_windows(evaluator, it.expr, window_values) for it in items]
-        return Chunk(names, arrays), evaluator
-
-    def _eval_with_windows(self, evaluator: Evaluator, expr: Expr, window_values) -> np.ndarray:
-        if isinstance(expr, WindowCall):
-            return window_values[id(expr)]
-        if window_values and has_window(expr):
-            # Rebuild expression bottom-up substituting window arrays.
-            import copy
-
-            def substitute(e):
-                if isinstance(e, WindowCall):
-                    marker = ColumnRef(name=f"__win_{id(e)}")
-                    return marker
-                e2 = copy.copy(e)
-                for attr in ("left", "right", "operand", "low", "high"):
-                    child = getattr(e2, attr, None)
-                    if isinstance(child, Expr):
-                        setattr(e2, attr, substitute(child))
-                if getattr(e2, "args", None):
-                    e2.args = [substitute(a) if isinstance(a, Expr) else a for a in e2.args]
-                if getattr(e2, "branches", None):
-                    e2.branches = [(substitute(c), substitute(v)) for c, v in e2.branches]
-                    if e2.default is not None:
-                        e2.default = substitute(e2.default)
-                return e2
-
-            new_expr = substitute(expr)
-            chunk2 = Chunk(
-                list(evaluator.chunk.columns) + [f"__win_{k}" for k in window_values],
-                list(evaluator.chunk.arrays) + list(window_values.values()),
-            )
-            scope2 = Scope()
-            scope2.qualified = dict(evaluator.scope.qualified)
-            scope2.unqualified = dict(evaluator.scope.unqualified)
-            scope2.ambiguous = set(evaluator.scope.ambiguous)
-            base = evaluator.chunk.ncols
-            for i, k in enumerate(window_values):
-                scope2.add(None, f"__win_{k}", base + i)
-            ev2 = Evaluator(chunk2, scope2,
-                            subquery_executor=evaluator.subquery_executor,
-                            params=evaluator.params)
-            return ev2.eval_array(new_expr)
-        return evaluator.eval_array(expr)
-
-    # ------------------------------------------------------------------
-    # Aggregation
-    # ------------------------------------------------------------------
-    _PARALLEL_AGG_FUNCS = {"SUM": "sum", "AVG": "mean", "MIN": "min",
-                           "MAX": "max", "COUNT": "count"}
-
-    def _parallel_aggregate(self, expr: Expr, evaluator: Evaluator,
-                            gids: np.ndarray, ngroups: int) -> np.ndarray | None:
-        """Morsel-parallel partial reduction for a bare aggregate item.
-
-        Returns ``None`` when *expr* isn't a plain partial-mergeable
-        aggregate; the caller falls back to the grouped evaluator.
-        """
-        if not isinstance(expr, AggCall) or expr.distinct:
-            return None
-        func = self._PARALLEL_AGG_FUNCS.get(expr.func)
-        if func is None:
-            return None
-        if expr.arg is None:
-            if expr.func != "COUNT":
-                return None
-            return parallel_group_reduce(None, gids, ngroups, "size",
-                                         self.config.threads)
-        if has_subquery(expr.arg) or has_window(expr.arg):
-            return None
-        saved = (evaluator.gids, evaluator.ngroups, evaluator.group_first)
-        evaluator.gids = None
-        try:
-            arg = evaluator.eval_array(expr.arg)
-        finally:
-            evaluator.gids, evaluator.ngroups, evaluator.group_first = saved
-        return parallel_group_reduce(arg, gids, ngroups, func,
-                                     self.config.threads,
-                                     sql_null_empty=(func == "sum"))
-
-    def _project_grouped(self, select: Select, chunk: Chunk, scope: Scope, subquery_cb, window_values):
-        items = self._expand_items(select, chunk, scope)
-        names = [self._output_name(it, i) for i, it in enumerate(items)]
-
-        evaluator = Evaluator(chunk, scope, subquery_executor=subquery_cb,
-                              params=self.params)
-        if select.group_by:
-            key_arrays = [evaluator.eval_array(g) for g in select.group_by]
-            gids, key_uniques, ngroups = factorize_many(key_arrays)
-        else:
-            # A global aggregate always yields exactly one row (NULL/0 on
-            # empty input), matching SQL semantics.
-            gids = np.zeros(chunk.nrows, dtype=np.int64)
-            ngroups = 1
-            key_uniques = []
-        group_first = np.zeros(ngroups, dtype=np.int64)
-        if chunk.nrows:
-            # First occurrence of each group id: assign positions in reverse
-            # order so the smallest position is written last and wins.
-            positions = np.arange(chunk.nrows - 1, -1, -1, dtype=np.int64)
-            group_first = np.zeros(ngroups, dtype=np.int64)
-            group_first[gids[positions]] = positions
-        self._note(f"hash aggregate: {len(select.group_by)} key(s), "
-                   f"{chunk.nrows} rows -> {ngroups} groups")
-        evaluator.gids = gids
-        evaluator.ngroups = ngroups
-        evaluator.group_first = group_first
-        for gexpr, uniq in zip(select.group_by, key_uniques):
-            evaluator.group_key_values[expr_key(gexpr)] = uniq
-
-        parallel = (self.config.parallel_agg and self.config.threads > 1
-                    and chunk.nrows >= 4096)
-        arrays: list[np.ndarray | None] = [None] * len(items)
-        pending: list[tuple[int, SelectItem]] = []
-        serial: list[tuple[int, SelectItem]] = []
-        for i, it in enumerate(items):
-            if parallel:
-                arrays[i] = self._parallel_aggregate(it.expr, evaluator, gids, ngroups)
-            if arrays[i] is None:
-                # Items with subqueries must stay off the worker pool: the
-                # nested query runs its own parallel operators on the same
-                # pool, and a worker blocking on futures queued behind
-                # itself deadlocks.
-                (serial if has_subquery(it.expr) else pending).append((i, it))
-
-        if parallel and len(pending) > 1:
-            # Remaining expressions are independent: evaluate them across
-            # the worker pool (NumPy reductions release the GIL).
-            def eval_item(it):
-                ev = Evaluator(chunk, scope, subquery_executor=subquery_cb,
-                               params=self.params)
-                ev.gids = gids
-                ev.ngroups = ngroups
-                ev.group_first = group_first
-                ev.group_key_values = evaluator.group_key_values
-                return ev.eval_array(it.expr)
-
-            results = parallel_map(self.config.threads, eval_item,
-                                   [it for _, it in pending])
-            for (i, _), arr in zip(pending, results):
-                arrays[i] = arr
-        else:
-            serial = pending + serial
-        for i, it in serial:
-            arrays[i] = evaluator.eval_array(it.expr)
-        out = Chunk(names, arrays)
-
-        if select.having is not None:
-            mask = evaluator.eval_mask(select.having)
-            out = out.mask(mask)
-            evaluator._having_mask = mask  # type: ignore[attr-defined]
-        return out, evaluator
-
-    # ------------------------------------------------------------------
-    # ORDER BY / LIMIT
-    # ------------------------------------------------------------------
-    def _order_arrays(self, order_by, out_chunk: Chunk,
-                      order_eval: Evaluator | None):
-        """Evaluate ORDER BY keys over the projected output, falling back
-        to the pre-projection evaluator for non-projected expressions.
-        Shared by the Sort and TopK operators; returns
-        ``(arrays, ascendings)``."""
-        arrays: list[np.ndarray] = []
-        ascendings: list[bool] = []
-        out_names = {c: i for i, c in enumerate(out_chunk.columns)}
-        for item in order_by:
-            expr = item.expr
-            arr = None
-            if isinstance(expr, ColumnRef) and expr.table is None and expr.name in out_names:
-                arr = out_chunk.arrays[out_names[expr.name]]
-            elif order_eval is not None:
-                try:
-                    arr = order_eval.eval_array(expr)
-                    having_mask = getattr(order_eval, "_having_mask", None)
-                    if having_mask is not None and len(arr) == len(having_mask):
-                        arr = arr[having_mask]
-                except SQLBindError:
-                    arr = None
-            if arr is None or len(arr) != out_chunk.nrows:
-                raise SQLBindError(f"cannot evaluate ORDER BY expression {expr!r}")
-            arrays.append(arr)
-            ascendings.append(item.ascending)
-        return arrays, ascendings
-
-    # ------------------------------------------------------------------
     # Subqueries
     # ------------------------------------------------------------------
-    def _subquery(self, kind: str, select: Select, env, outer_eval: Evaluator, operand):
+    def subquery(self, kind: str, select, env, outer_eval: Evaluator, operand):
         if kind == "scalar":
             chunk = self._execute_select(select, env)
             if chunk.nrows > 1:

@@ -1,7 +1,7 @@
 """Expression evaluation over runtime chunks.
 
 The evaluator resolves column references through a :class:`Scope` (alias ->
-slot mapping built by the executor), applies SQL null semantics (comparisons
+slot mapping built by the operators), applies SQL null semantics (comparisons
 with NULL are false, arithmetic propagates NULL via NaN/None), and delegates
 subquery forms back to the executor through a callback.
 """
@@ -23,7 +23,8 @@ from .sqlast import (
 )
 from .table import Chunk
 
-__all__ = ["Scope", "Evaluator", "expr_columns", "contains_aggregate", "expr_key"]
+__all__ = ["Scope", "Evaluator", "expr_columns", "contains_aggregate",
+           "has_subquery", "has_window", "expr_key"]
 
 
 class Scope:
@@ -153,6 +154,53 @@ def aggregates_of(expr: Expr):
         yield from aggregates_of(child)
 
 
+def has_subquery(expr: Expr) -> bool:
+    """Does *expr* contain an IN/EXISTS/scalar subquery anywhere?"""
+    if isinstance(expr, (InSubquery, ExistsExpr, ScalarSubquery)):
+        return True
+    for attr in ("left", "right", "operand", "low", "high", "arg"):
+        child = getattr(expr, attr, None)
+        if isinstance(child, Expr) and has_subquery(child):
+            return True
+    for attr in ("args", "items"):
+        children = getattr(expr, attr, None)
+        if children:
+            if any(isinstance(c, Expr) and has_subquery(c) for c in children):
+                return True
+    branches = getattr(expr, "branches", None)
+    if branches:
+        for cond, value in branches:
+            if has_subquery(cond) or has_subquery(value):
+                return True
+        default = getattr(expr, "default", None)
+        if default is not None and has_subquery(default):
+            return True
+    return False
+
+
+def has_window(expr: Expr) -> bool:
+    """Does *expr* contain a window call anywhere (CASE branches and
+    BETWEEN bounds included)?"""
+    if isinstance(expr, WindowCall):
+        return True
+    for attr in ("left", "right", "operand", "low", "high"):
+        child = getattr(expr, attr, None)
+        if isinstance(child, Expr) and has_window(child):
+            return True
+    children = getattr(expr, "args", None)
+    if children and any(isinstance(c, Expr) and has_window(c) for c in children):
+        return True
+    branches = getattr(expr, "branches", None)
+    if branches:
+        for cond, value in branches:
+            if has_window(cond) or has_window(value):
+                return True
+        default = getattr(expr, "default", None)
+        if default is not None and has_window(default):
+            return True
+    return False
+
+
 def expr_key(expr: Expr) -> str:
     """A structural key used to match SELECT items against GROUP BY exprs."""
     if isinstance(expr, ColumnRef):
@@ -274,17 +322,15 @@ class Evaluator:
         chunk: Chunk,
         scope: Scope,
         subquery_executor: Callable | None = None,
-        correlated_resolver: Callable | None = None,
         params: dict | None = None,
     ):
         self.chunk = chunk
         self.scope = scope
         self.subquery_executor = subquery_executor
-        self.correlated_resolver = correlated_resolver
         # Bound parameter values ({index_or_name: scalar}) for statements
         # with placeholders; None for parameterless statements.
         self.params = params
-        # grouped-mode state, set by executor when aggregating
+        # grouped-mode state, set by plan.aggregate when aggregating
         self.gids: np.ndarray | None = None
         self.ngroups: int | None = None
         self.group_first: np.ndarray | None = None  # first row position per group
@@ -371,10 +417,6 @@ class Evaluator:
                 return self.group_key_values[key]
         slot = self.scope.resolve(expr)
         if slot is None:
-            if self.correlated_resolver is not None:
-                resolved = self.correlated_resolver(expr)
-                if resolved is not None:
-                    return resolved
             raise SQLBindError(f"cannot resolve column {expr!r}")
         return self._column(slot)
 

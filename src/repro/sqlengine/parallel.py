@@ -1,6 +1,6 @@
-"""Intra-query parallelism: morsel-driven filter/projection evaluation.
+"""Intra-query parallelism: row-partitioned operator evaluation.
 
-The two simulated backends both parallelize scans/filters/projections across
+Every backend profile parallelizes scans/filters/projections across
 a thread pool (NumPy kernels release the GIL on large arrays, so the
 speedups are real, mirroring the scalability analysis of Section V-C).
 """

@@ -8,35 +8,46 @@ A :class:`PhysicalPlan` is a tree of composable operators produced by
 
 The split mirrors production engines: the planner makes every decision that
 can be made statically (pushdown, projection pruning, join order from
-cardinality estimates), while operators only carry out those decisions.
-Data-dependent work — subquery execution, projection/aggregation expression
-evaluation — is delegated back to the :class:`~.executor.Executor` through
-:class:`ExecContext`; window functions are evaluated by the dedicated
-:class:`Window` operator over the kernels in :mod:`.window`.
+cardinality estimates), and the operators here are the only thing that
+carries those decisions out.  Projection (:class:`Project`), grouped
+aggregation (:func:`aggregate`, also called per partition by the spilling
+path in :mod:`repro.storage.spill`), ORDER BY key evaluation
+(:func:`order_arrays`, shared by ``Sort`` and ``TopK``) and ``VALUES``
+materialisation (:func:`values_chunk`) live in this module next to the
+operators that run them; window functions are evaluated by the
+:class:`Window` operator over the kernels in :mod:`.window`.  What an
+operator needs from the per-execution driver (:class:`~.executor.Executor`)
+goes through :class:`ExecContext`: the trace note, the cancellation check,
+running a derived-table body, and the residual-subquery callback.
 
-``HashJoin`` probes, ``HashAggregate`` reductions, and ``Window`` partition
-reductions are morsel-parallel across the shared :mod:`.parallel` pool
-(NumPy kernels release the GIL), extending the seed engine's
-filter/projection parallelism to the operators that dominate analytical
-workloads.
+Filter masks, projections, ``HashJoin`` probes, ``HashAggregate``
+reductions, and ``Window`` partition reductions are partitioned across the
+shared :mod:`.parallel` pool when ``config.threads > 1`` (NumPy kernels
+release the GIL).
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..errors import SQLExecutionError, UnsupportedFeatureError
-from .expressions import Evaluator, Scope
+from ..dataframe._common import coerce_array
+from ..errors import SQLBindError, SQLExecutionError, UnsupportedFeatureError
+from .expressions import (
+    Evaluator, Scope, expr_key, has_subquery, has_window,
+)
+from .grouping import factorize_many, parallel_group_reduce
 from .joins import combine_chunks, join_positions
-from .parallel import parallel_map, parallel_masks
+from .parallel import parallel_arrays, parallel_map, parallel_masks
 from .sqlast import (
     AggCall, BetweenExpr, BinaryOp, CaseExpr, CastExpr, ColumnRef, ExistsExpr,
     Expr, FuncCall, InList, InSubquery, IsNull, LikeExpr, Literal, OrderItem,
-    Parameter, ScalarSubquery, Select, Star, UnaryOp, WindowCall, WindowFrame,
+    Parameter, ScalarSubquery, Select, SelectItem, Star, UnaryOp,
+    ValuesClause, WindowCall, WindowFrame,
 )
 from .table import Chunk
 
@@ -52,6 +63,7 @@ __all__ = [
     "SemiJoin", "AntiJoin", "MarkJoin", "ScalarSubqueryScan",
     "AdaptiveSource", "AdaptiveJoin", "Materialized",
     "PhysicalPlan", "expr_to_str", "window_to_str", "frame_to_str",
+    "output_name", "aggregate", "order_arrays", "values_chunk",
 ]
 
 
@@ -177,18 +189,22 @@ class ExecContext:
         return self.executor.params
 
     def note(self, message: str) -> None:
-        self.executor._note(message)
+        self.executor.note(message)
 
     def checkpoint(self) -> None:
         """Cooperative cancellation/timeout check at an operator boundary."""
         self.executor.check_runtime()
+
+    def execute_body(self, body: object) -> Chunk:
+        """Run a derived-table body (VALUES, SELECT or compound select)."""
+        return self.executor.execute_body(body, self.env)
 
     def subquery_cb(self) -> "Callable[..., object]":
         env = self.env
 
         def cb(kind: str, sub_select: object, outer_eval: object,
                operand: object = None) -> object:
-            return self.executor._subquery(kind, sub_select, env, outer_eval, operand)
+            return self.executor.subquery(kind, sub_select, env, outer_eval, operand)
 
         return cb
 
@@ -205,6 +221,17 @@ class OpResult:
     # Window-call results computed by a Window operator below, keyed by
     # id(WindowCall); consumed by the Project above it.
     window_values: Optional[dict[int, np.ndarray]] = None
+    # The HAVING mask a HashAggregate applied to its output: order_eval
+    # still covers every group, so Sort/TopK filter its arrays by this.
+    having_mask: Optional[np.ndarray] = None
+
+
+def _copy_scope(src: Scope) -> Scope:
+    scope = Scope()
+    scope.qualified = dict(src.qualified)
+    scope.unqualified = dict(src.unqualified)
+    scope.ambiguous = set(src.ambiguous)
+    return scope
 
 
 def _single_scope(binding: str, chunk: Chunk) -> Scope:
@@ -318,7 +345,7 @@ class SubqueryScan(Operator):
 
     def execute(self, ctx: ExecContext) -> OpResult:
         ctx.checkpoint()
-        chunk = ctx.executor._execute_body(self.body, ctx.env)
+        chunk = ctx.execute_body(self.body)
         if self.column_names is not None:
             chunk = Chunk(list(self.column_names), chunk.arrays)
         if self.keep_columns is not None:
@@ -340,12 +367,26 @@ class DualScan(Operator):
         return OpResult(chunk, Scope())
 
 
+def values_chunk(values: ValuesClause, params: object) -> Chunk:
+    """Materialize a ``VALUES`` body: one ``colN`` column per position."""
+    one_row = Chunk(["__one"], [np.zeros(1, dtype=np.int64)])
+    evaluator = Evaluator(one_row, Scope(), params=params)
+    ncols = len(values.rows[0])
+    raw_cols: list[list[object]] = [[] for _ in range(ncols)]
+    for row in values.rows:
+        if len(row) != ncols:
+            raise SQLBindError("VALUES rows have inconsistent arity")
+        for i, expr in enumerate(row):
+            raw_cols[i].append(evaluator.eval(expr))
+    return Chunk([f"col{i}" for i in range(ncols)],
+                 [coerce_array(np.array(c, dtype=object)) for c in raw_cols])
+
+
 @dataclass
 class Filter(Operator):
     """Pushed-down filter directly above a scan (no subqueries allowed).
 
-    Morsel-parallel: the mask is evaluated over row partitions on the shared
-    pool; vectorized mode additionally chops each partition into morsels.
+    The mask is evaluated over row partitions on the shared pool.
     """
 
     child: Operator
@@ -367,47 +408,14 @@ class Filter(Operator):
         config = ctx.config
         params = ctx.params
         n = chunk.nrows
-        morsel = config.morsel_size if config.mode == "vectorized" else None
-        if morsel is not None and config.adaptive_execution and n > 0:
-            # Auto-tune the morsel size from the observed input cardinality:
-            # aim for ~8 morsels per worker partition so the pool stays busy
-            # without per-morsel overhead dominating tiny inputs.  Mask
-            # evaluation concatenates per-morsel results, so the output is
-            # independent of the morsel size chosen.
-            per_thread = max(1, n // max(1, config.threads))
-            ideal = max(256, min(65536, per_thread // 8))
-            if ideal >= 2 * morsel or morsel >= 2 * ideal:
-                stats = ctx.executor.stats
-                if stats is not None:
-                    stats.event(
-                        f"filter {self.binding}: morsel size auto-tuned "
-                        f"{morsel} -> {ideal} for {n} input rows"
-                    )
-                ctx.note(f"adaptive: filter {self.binding} morsel size "
-                         f"{morsel} -> {ideal}")
-                morsel = ideal
         exprs = self.predicates
 
         def make_mask(start: int, stop: int) -> np.ndarray:
-            if morsel is None:
-                sub = chunk.slice(start, stop)
-                ev = Evaluator(sub, scope, params=params)
-                mask = np.ones(stop - start, dtype=bool)
-                for e in exprs:
-                    mask &= ev.eval_mask(e)
-                return mask
-            parts = [np.zeros(0, dtype=bool)]
-            pos = start
-            while pos < stop:
-                end = min(pos + morsel, stop)
-                sub = chunk.slice(pos, end)
-                ev = Evaluator(sub, scope, params=params)
-                mask = np.ones(end - pos, dtype=bool)
-                for e in exprs:
-                    mask &= ev.eval_mask(e)
-                parts.append(mask)
-                pos = end
-            return np.concatenate(parts) if len(parts) > 2 else parts[-1]
+            ev = Evaluator(chunk.slice(start, stop), scope, params=params)
+            mask = np.ones(stop - start, dtype=bool)
+            for e in exprs:
+                mask &= ev.eval_mask(e)
+            return mask
 
         mask = parallel_masks(n, config.threads, make_mask)
         if config.threads > 1 and n >= 4096:
@@ -426,10 +434,7 @@ class Filter(Operator):
 
 
 def _merge_scopes(left: Scope, right_binding: str, right_chunk: Chunk, offset: int) -> Scope:
-    scope = Scope()
-    scope.qualified = dict(left.qualified)
-    scope.unqualified = dict(left.unqualified)
-    scope.ambiguous = set(left.ambiguous)
+    scope = _copy_scope(left)
     for k, col in enumerate(right_chunk.columns):
         scope.add(right_binding, col, offset + k)
     return scope
@@ -505,7 +510,7 @@ class HashJoin(Operator):
         right_eval = Evaluator(right_chunk, rres.scope, params=ctx.params)
         lkeys = [left_eval.eval_array(le) for le, _ in self.pairs]
         rkeys = [right_eval.eval_array(re_) for _, re_ in self.pairs]
-        threads = ctx.config.threads if ctx.config.parallel_join else 1
+        threads = ctx.config.threads
         spilled = None
         budget = ctx.config.memory_budget
         if budget is not None and left_chunk.nrows and right_chunk.nrows:
@@ -946,10 +951,7 @@ def _append_column(res: OpResult, name: str, array: np.ndarray) -> OpResult:
     """A new OpResult with one extra (unqualified) column appended."""
     chunk = Chunk(list(res.chunk.columns) + [name],
                   list(res.chunk.arrays) + [array])
-    scope = Scope()
-    scope.qualified = dict(res.scope.qualified)
-    scope.unqualified = dict(res.scope.unqualified)
-    scope.ambiguous = set(res.scope.ambiguous)
+    scope = _copy_scope(res.scope)
     scope.add(None, name, chunk.ncols - 1)
     return OpResult(chunk, scope, order_eval=res.order_eval,
                     window_values=res.window_values)
@@ -1095,6 +1097,77 @@ class Window(Operator):
                         window_values=values)
 
 
+# ---------------------------------------------------------------------------
+# Projection and aggregation
+# ---------------------------------------------------------------------------
+
+def output_name(item: SelectItem, position: int) -> str:
+    """Result-column name of a select item: its alias, else the bare column
+    name, else ``col<position>``."""
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, ColumnRef):
+        return item.expr.name
+    return f"col{position}"
+
+
+def _expand_items(select: Select, chunk: Chunk, scope: Scope) -> list[SelectItem]:
+    """The select list with each ``*`` / ``t.*`` replaced by one item per
+    visible input column."""
+    items: list[SelectItem] = []
+    for item in select.items:
+        if isinstance(item.expr, Star):
+            for col in chunk.columns:
+                if col.startswith(("__mark_", "__scalar_")):
+                    continue  # planner-introduced mark/scalar columns
+                if item.expr.table is not None:
+                    slot = scope.qualified.get((item.expr.table, col))
+                    if slot is None:
+                        continue
+                items.append(SelectItem(expr=ColumnRef(name=col, table=item.expr.table), alias=col))
+        else:
+            items.append(item)
+    return items
+
+
+def _eval_with_windows(evaluator: Evaluator, expr: Expr,
+                       window_values: dict[int, np.ndarray]) -> np.ndarray:
+    """Evaluate a select item whose window calls were computed by the
+    :class:`Window` operator below."""
+    if isinstance(expr, WindowCall):
+        return window_values[id(expr)]
+    if not window_values or not has_window(expr):
+        return evaluator.eval_array(expr)
+
+    # Rebuild the expression bottom-up, substituting each window call by a
+    # reference to a column carrying its precomputed array.
+    def substitute(e: Expr) -> Expr:
+        if isinstance(e, WindowCall):
+            return ColumnRef(name=f"__win_{id(e)}")
+        e2 = copy.copy(e)
+        for attr in ("left", "right", "operand", "low", "high"):
+            child = getattr(e2, attr, None)
+            if isinstance(child, Expr):
+                setattr(e2, attr, substitute(child))
+        if getattr(e2, "args", None):
+            e2.args = [substitute(a) if isinstance(a, Expr) else a for a in e2.args]
+        if getattr(e2, "branches", None):
+            e2.branches = [(substitute(c), substitute(v)) for c, v in e2.branches]
+            if e2.default is not None:
+                e2.default = substitute(e2.default)
+        return e2
+
+    chunk = evaluator.chunk
+    scope = _copy_scope(evaluator.scope)
+    for i, k in enumerate(window_values):
+        scope.add(None, f"__win_{k}", chunk.ncols + i)
+    widened = Chunk(list(chunk.columns) + [f"__win_{k}" for k in window_values],
+                    list(chunk.arrays) + list(window_values.values()))
+    return Evaluator(widened, scope,
+                     subquery_executor=evaluator.subquery_executor,
+                     params=evaluator.params).eval_array(substitute(expr))
+
+
 @dataclass
 class Project(Operator):
     """Plain projection; window arrays arrive precomputed from a Window child."""
@@ -1113,20 +1186,146 @@ class Project(Operator):
     def execute(self, ctx: ExecContext) -> OpResult:
         res = self.child.run(ctx)
         ctx.checkpoint()
-        executor = ctx.executor
+        chunk, scope = res.chunk, res.scope
+        window_values = res.window_values or {}
         cb = ctx.subquery_cb()
-        chunk, order_eval = executor._project_plain(
-            self.select, res.chunk, res.scope, cb, res.window_values or {}
-        )
-        return OpResult(chunk, res.scope, order_eval=order_eval)
+        params = ctx.params
+        items = _expand_items(self.select, chunk, scope)
+        evaluator = Evaluator(chunk, scope, subquery_executor=cb, params=params)
+        # Items with subqueries stay off the worker pool (see aggregate()).
+        if (chunk.nrows > 1 and not window_values
+                and not any(has_subquery(it.expr) for it in items)):
+            def make_arrays(start: int, stop: int) -> list[np.ndarray]:
+                ev = Evaluator(chunk.slice(start, stop), scope,
+                               subquery_executor=cb, params=params)
+                return [ev.eval_array(it.expr) for it in items]
+
+            arrays = parallel_arrays(chunk.nrows, ctx.config.threads, make_arrays)
+        else:
+            arrays = [_eval_with_windows(evaluator, it.expr, window_values)
+                      for it in items]
+        names = [output_name(it, i) for i, it in enumerate(items)]
+        return OpResult(Chunk(names, arrays), scope, order_eval=evaluator)
+
+
+_PARTIAL_AGG_FUNCS = {"SUM": "sum", "AVG": "mean", "MIN": "min",
+                      "MAX": "max", "COUNT": "count"}
+
+
+def _partial_aggregate(expr: Expr, evaluator: Evaluator, gids: np.ndarray,
+                       ngroups: int, threads: int) -> np.ndarray | None:
+    """Partition-parallel partial reduction for a bare aggregate item.
+
+    Returns ``None`` when *expr* isn't a plain partial-mergeable
+    aggregate; the caller falls back to the grouped evaluator.
+    """
+    if not isinstance(expr, AggCall) or expr.distinct:
+        return None
+    func = _PARTIAL_AGG_FUNCS.get(expr.func)
+    if func is None:
+        return None
+    if expr.arg is None:
+        if expr.func != "COUNT":
+            return None
+        return parallel_group_reduce(None, gids, ngroups, "size", threads)
+    if has_subquery(expr.arg) or has_window(expr.arg):
+        return None
+    evaluator.gids = None  # evaluate the argument per input row
+    try:
+        arg = evaluator.eval_array(expr.arg)
+    finally:
+        evaluator.gids = gids
+    return parallel_group_reduce(arg, gids, ngroups, func, threads,
+                                 sql_null_empty=(func == "sum"))
+
+
+def aggregate(ctx: ExecContext, select: Select, chunk: Chunk,
+              scope: Scope) -> tuple[Chunk, Evaluator, np.ndarray | None]:
+    """Grouped projection of *chunk*: factorize the GROUP BY keys, reduce
+    every select item per group, apply HAVING.
+
+    Returns ``(output, evaluator, having_mask)``: the grouped-mode evaluator
+    still covers every group (ORDER BY may name a non-projected aggregate),
+    so ``having_mask`` — ``None`` without HAVING — says which of its rows
+    made it into ``output``.  :class:`HashAggregate` runs this over its
+    whole input, the spilling path once per grace partition.
+    """
+    cb = ctx.subquery_cb()
+    params = ctx.params
+    threads = ctx.config.threads
+    items = _expand_items(select, chunk, scope)
+
+    evaluator = Evaluator(chunk, scope, subquery_executor=cb, params=params)
+    if select.group_by:
+        key_arrays = [evaluator.eval_array(g) for g in select.group_by]
+        gids, key_uniques, ngroups = factorize_many(key_arrays)
+    else:
+        # A global aggregate always yields exactly one row (NULL/0 on
+        # empty input), matching SQL semantics.
+        gids = np.zeros(chunk.nrows, dtype=np.int64)
+        ngroups = 1
+        key_uniques = []
+    group_first = np.zeros(ngroups, dtype=np.int64)
+    if chunk.nrows:
+        # First occurrence of each group id: assign positions in reverse
+        # order so the smallest position is written last and wins.
+        positions = np.arange(chunk.nrows - 1, -1, -1, dtype=np.int64)
+        group_first[gids[positions]] = positions
+    ctx.note(f"hash aggregate: {len(select.group_by)} key(s), "
+             f"{chunk.nrows} rows -> {ngroups} groups")
+    evaluator.gids = gids
+    evaluator.ngroups = ngroups
+    evaluator.group_first = group_first
+    for gexpr, uniq in zip(select.group_by, key_uniques):
+        evaluator.group_key_values[expr_key(gexpr)] = uniq
+
+    parallel = threads > 1 and chunk.nrows >= 4096
+    arrays: list[np.ndarray | None] = [None] * len(items)
+    pending: list[tuple[int, SelectItem]] = []
+    serial: list[tuple[int, SelectItem]] = []
+    for i, it in enumerate(items):
+        if parallel:
+            arrays[i] = _partial_aggregate(it.expr, evaluator, gids, ngroups, threads)
+        if arrays[i] is None:
+            # Items with subqueries must stay off the worker pool: the
+            # nested query runs its own parallel operators on the same
+            # pool, and a worker blocking on futures queued behind
+            # itself deadlocks.
+            (serial if has_subquery(it.expr) else pending).append((i, it))
+
+    if parallel and len(pending) > 1:
+        # Remaining expressions are independent: evaluate them across
+        # the worker pool (NumPy reductions release the GIL).
+        def eval_item(it: SelectItem) -> np.ndarray:
+            ev = Evaluator(chunk, scope, subquery_executor=cb, params=params)
+            ev.gids = gids
+            ev.ngroups = ngroups
+            ev.group_first = group_first
+            ev.group_key_values = evaluator.group_key_values
+            return ev.eval_array(it.expr)
+
+        results = parallel_map(threads, eval_item, [it for _, it in pending])
+        for (i, _), arr in zip(pending, results):
+            arrays[i] = arr
+    else:
+        serial = pending + serial
+    for i, it in serial:
+        arrays[i] = evaluator.eval_array(it.expr)
+    out = Chunk([output_name(it, i) for i, it in enumerate(items)], arrays)
+
+    having_mask = None
+    if select.having is not None:
+        having_mask = evaluator.eval_mask(select.having)
+        out = out.mask(having_mask)
+    return out, evaluator, having_mask
 
 
 @dataclass
 class HashAggregate(Operator):
     """Grouped projection: factorize keys, reduce aggregates, apply HAVING.
 
-    Reductions over large inputs run morsel-parallel (partial per-partition
-    reductions merged by the combinators in :mod:`.grouping`).
+    Reductions over large inputs run partition-parallel (partial
+    per-partition reductions merged by the combinators in :mod:`.grouping`).
     """
 
     child: Operator
@@ -1147,17 +1346,14 @@ class HashAggregate(Operator):
     def execute(self, ctx: ExecContext) -> OpResult:
         res = self.child.run(ctx)
         ctx.checkpoint()
-        executor = ctx.executor
-        cb = ctx.subquery_cb()
         budget = ctx.config.memory_budget
-        if (budget is not None and self.select.group_by and res.chunk.nrows
-                and res.chunk.nrows > 1):
+        if budget is not None and self.select.group_by and res.chunk.nrows > 1:
             from ..storage.spill import chunk_nbytes, grace_aggregate
 
             input_bytes = chunk_nbytes(res.chunk)
             if input_bytes > budget:
                 spilled = grace_aggregate(
-                    executor, self.select, res.chunk, res.scope, cb,
+                    ctx, self.select, res.chunk, res.scope,
                     nparts=max(2, ctx.config.spill_partitions),
                 )
                 if spilled is not None:
@@ -1169,10 +1365,10 @@ class HashAggregate(Operator):
                         f"partition(s), {stats.bytes_spilled} bytes to disk"
                     )
                     return OpResult(chunk, res.scope, order_eval=order_eval)
-        chunk, order_eval = executor._project_grouped(
-            self.select, res.chunk, res.scope, cb, {}
-        )
-        return OpResult(chunk, res.scope, order_eval=order_eval)
+        chunk, order_eval, having_mask = aggregate(
+            ctx, self.select, res.chunk, res.scope)
+        return OpResult(chunk, res.scope, order_eval=order_eval,
+                        having_mask=having_mask)
 
 
 @dataclass
@@ -1204,6 +1400,35 @@ class Distinct(Operator):
         return OpResult(chunk, res.scope, order_eval=None)
 
 
+def order_arrays(order_by: list[OrderItem],
+                 res: OpResult) -> tuple[list[np.ndarray], list[bool]]:
+    """ORDER BY keys of *res* as ``(arrays, ascendings)`` for Sort/TopK.
+
+    A key naming an output column is that column; any other expression is
+    evaluated by the pre-projection evaluator the Project/HashAggregate
+    below left in ``res.order_eval`` (and filtered by its HAVING mask).
+    """
+    out_chunk, order_eval, mask = res.chunk, res.order_eval, res.having_mask
+    arrays: list[np.ndarray] = []
+    out_names = {c: i for i, c in enumerate(out_chunk.columns)}
+    for item in order_by:
+        expr = item.expr
+        arr = None
+        if isinstance(expr, ColumnRef) and expr.table is None and expr.name in out_names:
+            arr = out_chunk.arrays[out_names[expr.name]]
+        elif order_eval is not None:
+            try:
+                arr = order_eval.eval_array(expr)
+                if mask is not None and len(arr) == len(mask):
+                    arr = arr[mask]
+            except SQLBindError:
+                arr = None
+        if arr is None or len(arr) != out_chunk.nrows:
+            raise SQLBindError(f"cannot evaluate ORDER BY expression {expr!r}")
+        arrays.append(arr)
+    return arrays, [item.ascending for item in order_by]
+
+
 def _order_keys_str(order_by: list[OrderItem]) -> str:
     return ", ".join(
         expr_to_str(o.expr) + ("" if o.ascending else " DESC")
@@ -1228,9 +1453,7 @@ class Sort(Operator):
     def execute(self, ctx: ExecContext) -> OpResult:
         res = self.child.run(ctx)
         ctx.checkpoint()
-        arrays, ascendings = ctx.executor._order_arrays(
-            self.order_by, res.chunk, res.order_eval
-        )
+        arrays, ascendings = order_arrays(self.order_by, res)
         from .window import sort_positions
 
         chunk = res.chunk.take(sort_positions(arrays, ascendings))
@@ -1264,9 +1487,7 @@ class TopK(Operator):
 
         res = self.child.run(ctx)
         ctx.checkpoint()
-        arrays, ascendings = ctx.executor._order_arrays(
-            self.order_by, res.chunk, res.order_eval
-        )
+        arrays, ascendings = order_arrays(self.order_by, res)
         positions = topk_positions(arrays, ascendings, self.n,
                                    threads=ctx.config.threads)
         chunk = res.chunk.take(positions)

@@ -31,15 +31,17 @@ from .plan import (
     AdaptiveJoin, AdaptiveSource, AntiJoin, CrossJoin, Distinct, DualScan,
     Filter, HashAggregate, HashJoin, Limit, MarkJoin, Operator, PhysicalPlan,
     Project, ResidualFilter, Scan, ScalarSubqueryScan, SemiJoin, SetOp, Sort,
-    SubqueryScan, TopK, Window,
+    SubqueryScan, TopK, Window, output_name,
 )
-from .expressions import aggregates_of, contains_aggregate, expr_columns
+from .expressions import (
+    aggregates_of, contains_aggregate, expr_columns, has_subquery, has_window,
+)
 from .table import Table
 from .sqlast import (
     AggCall, BetweenExpr, BinaryOp, ColumnRef, CompoundSelect, ExistsExpr,
-    Expr, InList, InSubquery, IsNull, LikeExpr, Literal, ScalarSubquery,
-    Select, SelectItem, Star, SubqueryRef, TableRef, UnaryOp, ValuesClause,
-    WindowCall,
+    Expr, InList, InSubquery, IsNull, LikeExpr, Literal, OrderItem,
+    ScalarSubquery, Select, SelectItem, Star, SubqueryRef, TableRef, UnaryOp,
+    ValuesClause, WindowCall,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,30 +69,6 @@ def split_conjuncts(expr: Expr | None) -> list[Expr]:
     if isinstance(expr, BinaryOp) and expr.op == "AND":
         return split_conjuncts(expr.left) + split_conjuncts(expr.right)
     return [expr]
-
-
-def has_subquery(expr: Expr) -> bool:
-    """Does *expr* contain an IN/EXISTS/scalar subquery anywhere?"""
-    if isinstance(expr, (InSubquery, ExistsExpr, ScalarSubquery)):
-        return True
-    for attr in ("left", "right", "operand", "low", "high", "arg"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr) and has_subquery(child):
-            return True
-    for attr in ("args", "items"):
-        children = getattr(expr, attr, None)
-        if children:
-            if any(isinstance(c, Expr) and has_subquery(c) for c in children):
-                return True
-    branches = getattr(expr, "branches", None)
-    if branches:
-        for cond, value in branches:
-            if has_subquery(cond) or has_subquery(value):
-                return True
-        default = getattr(expr, "default", None)
-        if default is not None and has_subquery(default):
-            return True
-    return False
 
 
 def subqueries_of(expr: Expr) -> Iterator[Select | CompoundSelect]:
@@ -134,29 +112,6 @@ def match_subquery_form(conj: Expr) -> tuple[str, bool, Expr] | None:
     if isinstance(e, ExistsExpr):
         return "exists", negated != e.negated, e
     return None
-
-
-def has_window(expr: Expr) -> bool:
-    """Does *expr* contain a window call anywhere (CASE branches and
-    BETWEEN bounds included)?"""
-    if isinstance(expr, WindowCall):
-        return True
-    for attr in ("left", "right", "operand", "low", "high"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr) and has_window(child):
-            return True
-    children = getattr(expr, "args", None)
-    if children and any(isinstance(c, Expr) and has_window(c) for c in children):
-        return True
-    branches = getattr(expr, "branches", None)
-    if branches:
-        for cond, value in branches:
-            if has_window(cond) or has_window(value):
-                return True
-        default = getattr(expr, "default", None)
-        if default is not None and has_window(default):
-            return True
-    return False
 
 
 def collect_windows(select: Select) -> list[WindowCall]:
@@ -239,6 +194,53 @@ def collect_needed_columns(select: Select) -> tuple[set, bool]:
 
     walk_select(select)
     return refs, star
+
+
+def _ordinal(expr: Expr, count: int, clause: str) -> int | None:
+    """The 0-based select-list position an integer-literal ``ORDER BY`` /
+    ``GROUP BY`` item names (``ORDER BY 2``), or ``None`` for any other
+    expression.  Positions outside the select list are a bind error."""
+    if not isinstance(expr, Literal) or type(expr.value) is not int:
+        return None
+    if not 1 <= expr.value <= count:
+        raise SQLBindError(
+            f"{clause} position {expr.value} is not in the select list "
+            f"(1..{count})"
+        )
+    return expr.value - 1
+
+
+def _resolve_order_ordinals(order_by: list[OrderItem],
+                            columns: list[str]) -> list[OrderItem]:
+    """Rewrite ``ORDER BY <n>`` into a reference to output column *n*."""
+    resolved = []
+    for item in order_by:
+        pos = _ordinal(item.expr, len(columns), "ORDER BY")
+        if pos is not None:
+            if columns.count(columns[pos]) > 1:
+                raise SQLBindError(
+                    f"ORDER BY position {pos + 1} names output column "
+                    f"{columns[pos]!r}, which is ambiguous")
+            item = replace(item, expr=ColumnRef(name=columns[pos]))
+        resolved.append(item)
+    return resolved
+
+
+def _resolve_group_ordinals(select: Select) -> list[Expr]:
+    """Rewrite ``GROUP BY <n>`` into the *n*-th select-list expression."""
+    resolved = []
+    for expr in select.group_by:
+        pos = _ordinal(expr, len(select.items), "GROUP BY")
+        if pos is not None:
+            if any(isinstance(it.expr, Star) for it in select.items[:pos + 1]):
+                raise SQLBindError(
+                    f"GROUP BY position {pos + 1} cannot be resolved through *")
+            expr = select.items[pos].expr
+            if contains_aggregate(expr):
+                raise SQLBindError(
+                    f"GROUP BY position {pos + 1} names an aggregate")
+        resolved.append(expr)
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +596,8 @@ class Planner:
         root: Operator = SetOp(lop, rop, comp.op, comp.all, columns,
                                est_rows=est)
 
-        root, est = self._attach_order_limit(root, comp.order_by, comp.limit, est)
+        order_by = _resolve_order_ordinals(comp.order_by, columns)
+        root, est = self._attach_order_limit(root, order_by, comp.limit, est)
         return PhysicalPlan(root, columns, est_rows=est)
 
     def _attach_order_limit(self, root: Operator, order_by: list, limit: int | None, est: float) -> tuple[Operator, float]:
@@ -781,6 +784,13 @@ class Planner:
             est = max(1.0, est * 0.5 ** len(residual))
             root = ResidualFilter(root, residual, est_rows=est)
 
+        # Positional ORDER BY / GROUP BY items are resolved once, here, so
+        # every operator (and its EXPLAIN label) sees real expressions.
+        out_columns = self._output_columns(select, acc_columns, binding_columns)
+        select = replace(
+            select, group_by=_resolve_group_ordinals(select),
+            order_by=_resolve_order_ordinals(select.order_by, out_columns))
+
         has_agg = bool(select.group_by) or any(
             contains_aggregate(item.expr) for item in select.items
         ) or (select.having is not None and contains_aggregate(select.having))
@@ -810,7 +820,6 @@ class Planner:
         root, est = self._attach_order_limit(root, select.order_by,
                                              select.limit, est)
 
-        out_columns = self._output_columns(select, acc_columns, binding_columns)
         return PhysicalPlan(root, out_columns, est_rows=est)
 
     # -- FROM sources -------------------------------------------------------
@@ -1482,25 +1491,13 @@ class Planner:
     # -- output schema -------------------------------------------------------
     def _output_columns(self, select: Select, acc_columns: list[str],
                         binding_columns: dict[str, list[str]]) -> list[str]:
-        expanded: list[tuple[Expr | None, str | None]] = []
+        names: list[str] = []
         for item in select.items:
             if isinstance(item.expr, Star):
-                if item.expr.table is not None:
-                    owned = set(binding_columns.get(item.expr.table, []))
-                    for col in acc_columns:
-                        if col in owned:
-                            expanded.append((None, col))
-                else:
-                    for col in acc_columns:
-                        expanded.append((None, col))
+                owned = (None if item.expr.table is None
+                         else set(binding_columns.get(item.expr.table, [])))
+                names.extend(c for c in acc_columns
+                             if owned is None or c in owned)
             else:
-                expanded.append((item.expr, item.alias))
-        names: list[str] = []
-        for i, (expr, alias) in enumerate(expanded):
-            if alias:
-                names.append(alias)
-            elif isinstance(expr, ColumnRef):
-                names.append(expr.name)
-            else:
-                names.append(f"col{i}")
+                names.append(output_name(item, len(names)))
         return names

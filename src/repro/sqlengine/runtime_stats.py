@@ -5,8 +5,8 @@ A :class:`RuntimeStats` object rides along one execution (attached to the
 :meth:`~.plan.Operator.run` records its actual output cardinality and
 elapsed wall time here, keyed by node identity.  The adaptive-execution
 machinery (:class:`~.plan.AdaptiveJoin` and friends) additionally appends
-human-readable *events* — mid-query re-plans, build-side swaps, morsel
-re-tuning, semi-join short-circuits — and counts the re-plans.
+human-readable *events* — mid-query re-plans, build-side swaps, semi-join
+short-circuits — and counts the re-plans.
 
 :meth:`render` produces the EXPLAIN ANALYZE text: the executed plan tree
 with ``est`` vs ``actual`` rows and inclusive elapsed milliseconds per

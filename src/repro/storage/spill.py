@@ -5,7 +5,7 @@ fit, the operator grace-partitions its input by a hash of the key columns,
 spills each partition to temporary ``.npy`` files, and processes partitions
 one at a time — each small enough that the existing in-memory kernels
 (:func:`~repro.sqlengine.joins.join_positions`,
-``Executor._project_grouped``) apply unchanged.  Equal keys always hash to
+:func:`~repro.sqlengine.plan.aggregate`) apply unchanged.  Equal keys always hash to
 the same partition, so per-partition results compose exactly:
 
 * **join**: local match positions are mapped back through the partition's
@@ -39,6 +39,7 @@ import numpy as np
 from ..errors import SQLBindError
 from ..sqlengine.expressions import Evaluator, expr_key
 from ..sqlengine.joins import join_positions
+from ..sqlengine.plan import aggregate
 from ..sqlengine.table import Chunk
 
 __all__ = ["chunk_nbytes", "spillable_keys", "grace_join_positions",
@@ -258,8 +259,8 @@ class _SpilledOrderEval:
 
     A spilled aggregate has no single evaluator covering all output rows,
     so ORDER BY expressions that were evaluable per partition are
-    pre-computed and concatenated here, keyed by :func:`expr_key`.  HAVING
-    filtering is already applied, so no ``_having_mask`` is exposed.
+    pre-computed and concatenated here, keyed by :func:`expr_key`, with
+    each partition's HAVING mask already applied.
     """
 
     def __init__(self, values: dict[str, np.ndarray]):
@@ -286,13 +287,12 @@ def _concat_promote(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([p.astype(target) for p in parts])
 
 
-def grace_aggregate(executor, select, chunk: Chunk, scope, subquery_cb,
-                    nparts: int = 8):
+def grace_aggregate(ctx, select, chunk: Chunk, scope, nparts: int = 8):
     """Spill-to-disk grouped aggregation.
 
     Partitions *chunk* rows by group-key hash, spills the partitions, and
-    runs the executor's in-memory grouped projection over one partition at
-    a time.  Every group lands wholly inside one partition, so the
+    runs the in-memory :func:`~repro.sqlengine.plan.aggregate` over one
+    partition at a time.  Every group lands wholly inside one partition, so the
     concatenated per-partition outputs are exactly the in-memory result
     rows (in partition order; any final ORDER BY re-sorts them).
 
@@ -300,8 +300,8 @@ def grace_aggregate(executor, select, chunk: Chunk, scope, subquery_cb,
     group keys cannot be hashed consistently (non-string object values) —
     the caller then falls back to the in-memory path.
     """
-    evaluator = Evaluator(chunk, scope, subquery_executor=subquery_cb,
-                          params=executor.params)
+    evaluator = Evaluator(chunk, scope, subquery_executor=ctx.subquery_cb(),
+                          params=ctx.params)
     keys = [np.asarray(evaluator.eval_array(g)) for g in select.group_by]
     if any(_key_class(k) is None for k in keys):
         return None
@@ -329,8 +329,7 @@ def grace_aggregate(executor, select, chunk: Chunk, scope, subquery_cb,
             arrays = [spill.load(f"p{p}.c{ci}")
                       for ci in range(len(chunk.columns))]
             part_chunk = Chunk(list(chunk.columns), arrays)
-            out_p, eval_p = executor._project_grouped(
-                select, part_chunk, scope, subquery_cb, {})
+            out_p, eval_p, hmask = aggregate(ctx, select, part_chunk, scope)
             outs.append(out_p)
             for item in order_items:
                 okey = expr_key(item.expr)
@@ -342,7 +341,6 @@ def grace_aggregate(executor, select, chunk: Chunk, scope, subquery_cb,
                     failed_order.add(okey)
                     order_vals.pop(okey, None)
                     continue
-                hmask = getattr(eval_p, "_having_mask", None)
                 if hmask is not None and len(arr) == len(hmask):
                     arr = arr[hmask]
                 if len(arr) != out_p.nrows:

@@ -3,8 +3,7 @@ EXPLAIN ANALYZE.
 
 The contract under test: with ``EngineConfig.adaptive_execution`` on, the
 engine may re-order not-yet-started joins, swap hash-join build sides,
-short-circuit subqueries on empty outer inputs, and re-tune morsel sizes —
-but the *results* must be bit-identical to static execution, every re-plan
+and short-circuit subqueries on empty outer inputs — but the *results* must be bit-identical to static execution, every re-plan
 must be recorded in :class:`~repro.sqlengine.RuntimeStats`, and re-planned
 subtrees must still satisfy the static plan verifier's invariants.
 """
@@ -132,13 +131,6 @@ class TestReplanning:
         assert normalized(chunk) == normalized(
             skew_db.execute_chunk(SKEW_SQL, STATIC, SKEW_PARAMS))
 
-    def test_fingerprint_distinguishes_adaptive_knobs(self):
-        base = EngineConfig()
-        assert base.plan_fingerprint() != \
-            EngineConfig(adaptive_execution=True).plan_fingerprint()
-        assert EngineConfig(adaptive_ratio=4.0).plan_fingerprint() != \
-            base.plan_fingerprint()
-
 
 class TestExplainAnalyze:
     def test_reports_est_and_actual_rows(self, skew_db):
@@ -241,23 +233,6 @@ class TestAdaptiveShortCircuits:
         ):
             assert normalized(db.execute_chunk(sql, ADAPTIVE)) == \
                 normalized(db.execute_chunk(sql, STATIC)), sql
-
-    def test_morsel_autotune_records_event_and_matches_static(self):
-        rng = np.random.default_rng(5)
-        n = 200_000
-        db = connect()
-        db.register("t", {"k": np.arange(n, dtype=np.int64),
-                          "v": rng.uniform(0.0, 1.0, n)},
-                    primary_key="k")
-        sql = "SELECT COUNT(*) AS n FROM t WHERE v < 0.25"
-        cfg = EngineConfig(threads=4, mode="vectorized",
-                           adaptive_execution=True, morsel_size=1024)
-        stats = RuntimeStats()
-        chunk = db.execute_chunk(sql, cfg, stats=stats)
-        assert any("morsel size auto-tuned" in e for e in stats.events)
-        assert normalized(chunk) == normalized(
-            db.execute_chunk(sql, EngineConfig(threads=4, mode="vectorized",
-                                               morsel_size=1024)))
 
 
 class TestServerIntegration:

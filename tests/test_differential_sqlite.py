@@ -8,14 +8,19 @@ operator bug that changes results diverges from an independent engine.
 
 from __future__ import annotations
 
+import sqlite3
+
 import numpy as np
 import pytest
 
 from repro import connect
 from repro.backends import get_backend
+from repro.backends.rows import chunk_rows, norm_cell, rows_equal
 from repro.bench.differential import (
     assert_matches_backend, assert_same_results, load_sqlite, to_sqlite_sql,
 )
+from repro.errors import SQLBindError
+from repro.sqlengine import EngineConfig
 from repro.workloads.tpch import QUERIES
 
 
@@ -173,6 +178,75 @@ def test_generated_query_matches_sqlite_parallel(i, threads, corpus):
     config = get_backend("hyper").config(threads=threads)
     assert_same_results(db, conn, CORPUS[i], config=config,
                         context=f"corpus[{i}][threads={threads}]")
+
+
+# Positional ORDER BY / GROUP BY: the planner resolves an integer literal to
+# the select-list position it names (it used to be evaluated as a constant,
+# so ORDER BY 2 sorted nothing and GROUP BY 1 collapsed to one group).
+# Every ORDER BY here is a total order, so rows compare *in order*.
+ORDINAL_CORPUS = [
+    "SELECT tag, SUM(amt) AS total FROM sales GROUP BY tag ORDER BY 2 DESC",
+    "SELECT cust, SUM(amt) AS total FROM sales GROUP BY cust "
+    "ORDER BY 2 DESC, 1 LIMIT 5",
+    "SELECT tag, COUNT(*) AS n FROM sales GROUP BY 1 ORDER BY 1",
+    "SELECT cust % 4 AS bucket, tag, SUM(qty) AS q FROM sales "
+    "GROUP BY 1, 2 ORDER BY 1, 2 DESC",
+    "SELECT tag, SUM(qty) AS q FROM sales GROUP BY 1 HAVING SUM(qty) > 100 "
+    "ORDER BY 2 LIMIT 3",
+    "SELECT * FROM regions ORDER BY 2 DESC, 1",
+    "SELECT id, amt FROM sales WHERE qty = 7 ORDER BY 2 DESC, 1 LIMIT 4",
+    "SELECT DISTINCT tag, qty FROM sales WHERE qty < 3 ORDER BY 2 DESC, 1",
+    "SELECT cust FROM sales WHERE amt > 400.0 "
+    "UNION SELECT cust FROM customers WHERE credit > 9.0 ORDER BY 1 DESC LIMIT 4",
+    "SELECT tag AS k, qty AS v FROM sales WHERE qty > 17 "
+    "UNION SELECT region, bonus FROM regions ORDER BY 2 DESC, 1",
+]
+
+ORDINAL_CONFIGS = {
+    "default": EngineConfig(),
+    "threads4": EngineConfig(threads=4),
+    "no-topk": EngineConfig(topk_rewrite=False),
+    # Smaller than any input here: every grouped query grace-partitions.
+    "spill": EngineConfig(memory_budget=1024, spill_partitions=3),
+}
+
+
+@pytest.mark.parametrize("i", range(len(ORDINAL_CORPUS)))
+@pytest.mark.parametrize("profile", sorted(ORDINAL_CONFIGS))
+def test_ordinal_query_matches_sqlite_in_order(i, profile, corpus):
+    db, conn = corpus
+    sql = ORDINAL_CORPUS[i]
+    chunk = db.execute_chunk(sql, ORDINAL_CONFIGS[profile])
+    ours = [tuple(map(norm_cell, row)) for row in chunk_rows(chunk)]
+    theirs = [tuple(map(norm_cell, row))
+              for row in conn.execute(to_sqlite_sql(sql)).fetchall()]
+    ok, detail = rows_equal(ours, theirs)
+    assert ok, f"ordinal[{i}][{profile}] diverged from sqlite3: {detail}\nsql: {sql}"
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT id, amt FROM sales ORDER BY 5",
+    "SELECT id, amt FROM sales ORDER BY 0",
+    "SELECT tag, COUNT(*) FROM sales GROUP BY 3",
+    "SELECT tag, COUNT(*) FROM sales GROUP BY 2",  # position names an aggregate
+    "SELECT cust FROM sales UNION SELECT cust FROM customers ORDER BY 2",
+])
+def test_out_of_range_ordinal_is_a_bind_error(sql, corpus):
+    db, conn = corpus
+    with pytest.raises(SQLBindError):
+        db.execute(sql)
+    with pytest.raises(sqlite3.Error):  # the oracle rejects them too
+        conn.execute(to_sqlite_sql(sql)).fetchall()
+
+
+def test_ordinal_naming_a_duplicated_output_column_is_a_bind_error(corpus):
+    """ORDER BY positions resolve to output-column *names*; when two output
+    columns share the name, a typed error beats silently sorting by the
+    wrong one (sqlite accepts this, so it is not a differential case)."""
+    db, _ = corpus
+    with pytest.raises(SQLBindError, match="ambiguous"):
+        db.execute("SELECT s.cust, c.cust FROM sales AS s, customers AS c "
+                   "WHERE s.cust = c.cust ORDER BY 1")
 
 
 def _all_variant_oracle(op: str, cols: str, left: str, right: str) -> str:

@@ -73,8 +73,8 @@ class TestEmptyInputs:
         out = db.execute("SELECT a FROM one WHERE a IN (SELECT a FROM empty)")
         assert len(out) == 0
 
-    def test_empty_vectorized_threads(self, db):
-        config = EngineConfig(mode="vectorized", threads=4, morsel_size=2)
+    def test_empty_threads(self, db):
+        config = EngineConfig(threads=4)
         out = db.execute("SELECT a * 2 AS d FROM empty WHERE a > 1", config=config)
         assert len(out) == 0
 

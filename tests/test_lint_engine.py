@@ -5,7 +5,7 @@ allowlist and stale-entry behaviour are exercised through ``main``.
 Fragments are parsed directly and visited with the real ``_Linter``
 against a *virtual* repo path, so path-scoped rules (ENG001 only in
 ``sqlengine/plan.py``, ENG002 only in engine packages, ENG007 relative
-import resolution) see the same inputs they do in production.
+import resolution, ENG008 only in ``sqlengine/`` and ``storage/``) see the same inputs they do in production.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import lint_engine  # noqa: E402
 
 PLAN = REPO / "src/repro/sqlengine/plan.py"
 ENGINE = REPO / "src/repro/sqlengine/somemodule.py"
+STORAGE = REPO / "src/repro/storage/somemodule.py"
 CORE = REPO / "src/repro/core/somemodule.py"
 TONDIR = REPO / "src/repro/core/tondir/optimize.py"
 
@@ -173,6 +174,28 @@ class TestEagerAnalysisImport:
         # core/tondir has its own analysis module; "from .analysis import"
         # there resolves to repro.core.tondir.analysis, not repro.analysis.
         assert lint("from .analysis import references\n", TONDIR) == []
+
+
+class TestExecutorPrivateAccess:
+    def test_private_reach_in_from_operator_code(self):
+        src = "def f(ctx):\n    return ctx.executor._project_plain()\n"
+        (finding,) = lint(src, PLAN)
+        assert finding.rule == "ENG008"
+        assert finding.symbol == "f"
+
+    def test_bare_executor_name_in_storage(self):
+        src = "def g(executor):\n    executor._note('x')\n"
+        assert rules(lint(src, STORAGE)) == ["ENG008"]
+
+    def test_public_surface_passes(self):
+        src = ("def f(ctx):\n    ctx.executor.note('x')\n"
+               "    return ctx.executor.stats\n")
+        assert lint(src, PLAN) == []
+
+    def test_executor_module_and_other_packages_exempt(self):
+        src = "def f(executor):\n    return executor._processes\n"
+        assert lint(src, REPO / "src/repro/sqlengine/executor.py") == []
+        assert lint(src, REPO / "src/repro/server/shard.py") == []
 
 
 class TestRunner:

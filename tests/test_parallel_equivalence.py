@@ -1,4 +1,4 @@
-"""Parallel-equivalence: every (threads, morsel_size) configuration must
+"""Parallel-equivalence: every ``threads`` configuration must
 produce the same rows as serial whole-column execution, including the
 empty-table and single-row edge cases that stress ``partition_bounds``."""
 
@@ -13,7 +13,6 @@ from repro.sqlengine import EngineConfig
 from repro.sqlengine.parallel import partition_bounds, shutdown_pools
 
 THREADS = [1, 2, 4]
-MORSELS = [7, 2048]
 
 QUERIES = [
     "SELECT id, val * 2.0 AS v2 FROM data WHERE val > 0.5",
@@ -99,9 +98,8 @@ def _rows(chunk):
     return out
 
 
-def _config(mode: str, threads: int, morsel: int) -> EngineConfig:
-    return EngineConfig(name="test", mode=mode, threads=threads,
-                        morsel_size=morsel, join_reorder=True)
+def _config(threads: int) -> EngineConfig:
+    return EngineConfig(name="test", threads=threads, join_reorder=True)
 
 
 @pytest.fixture(scope="module")
@@ -111,19 +109,17 @@ def big_db():
 
 
 def _assert_equivalent(db, sql):
-    serial = _rows(db.execute_chunk(sql, _config("compiled", 1, 2048)))
-    for mode in ("compiled", "vectorized"):
-        for threads in THREADS:
-            for morsel in MORSELS:
-                got = _rows(db.execute_chunk(sql, _config(mode, threads, morsel)))
-                assert len(got) == len(serial), (mode, threads, morsel)
-                for a, b in zip(got, serial):
-                    for x, y in zip(a, b):
-                        if isinstance(x, float) and isinstance(y, float):
-                            assert x == pytest.approx(y, rel=1e-9, abs=1e-9), \
-                                (mode, threads, morsel, sql)
-                        else:
-                            assert x == y, (mode, threads, morsel, sql)
+    serial = _rows(db.execute_chunk(sql, _config(1)))
+    for threads in THREADS:
+        got = _rows(db.execute_chunk(sql, _config(threads)))
+        assert len(got) == len(serial), threads
+        for a, b in zip(got, serial):
+            for x, y in zip(a, b):
+                if isinstance(x, float) and isinstance(y, float):
+                    assert x == pytest.approx(y, rel=1e-9, abs=1e-9), \
+                        (threads, sql)
+                else:
+                    assert x == y, (threads, sql)
 
 
 @pytest.mark.parametrize("sql", QUERIES)
@@ -139,10 +135,9 @@ def test_edge_cardinalities(nrows):
 
 
 @pytest.mark.parametrize("threads", THREADS)
-@pytest.mark.parametrize("morsel", MORSELS)
-def test_global_aggregate_over_empty_table(threads, morsel):
+def test_global_aggregate_over_empty_table(threads):
     db = _make_db(0)
-    cfg = _config("vectorized", threads, morsel)
+    cfg = _config(threads)
     got = db.execute_chunk("SELECT COUNT(*) AS n, SUM(val) AS s FROM data", cfg)
     assert got.arrays[0][0] == 0
     assert np.isnan(got.arrays[1][0])  # SUM of nothing is NULL
@@ -163,10 +158,10 @@ class TestPartitionBoundsEdges:
 
 def test_shutdown_pools_allows_reuse(big_db):
     sql = QUERIES[0]
-    before = _rows(big_db.execute_chunk(sql, _config("compiled", 4, 2048)))
+    before = _rows(big_db.execute_chunk(sql, _config(4)))
     shutdown_pools()
     # pools are lazily recreated after shutdown
-    after = _rows(big_db.execute_chunk(sql, _config("compiled", 4, 2048)))
+    after = _rows(big_db.execute_chunk(sql, _config(4)))
     assert before == after
 
 

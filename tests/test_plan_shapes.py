@@ -417,13 +417,6 @@ class TestPlanCache:
         assert first == second
         assert db.plan_cache_stats["hits"] >= 1
 
-    def test_plan_cache_disabled(self, db):
-        cfg = EngineConfig(plan_cache=False)
-        sql = "SELECT a FROM t"
-        db.execute(sql, config=cfg)
-        db.execute(sql, config=cfg)
-        assert db.plan_cache_stats["entries"] == 0
-
     def test_results_unchanged_after_data_replacement(self, db):
         sql = "SELECT SUM(a) AS s FROM t"
         assert db.execute(sql).to_dict() == {"s": [10]}

@@ -182,18 +182,16 @@ class TestEngineVsFrames:
 
     @settings(max_examples=15, deadline=None)
     @given(key_lists)
-    def test_modes_and_threads_agree(self, ks):
+    def test_threads_agree(self, ks):
         if not ks:
             return
         db = connect()
         db.register("t", {"k": np.array(ks, dtype=np.int64)})
         sql = "SELECT k, COUNT(*) AS n FROM t GROUP BY k ORDER BY k"
-        ref = db.execute(sql, config=EngineConfig(mode="compiled", threads=1)).to_dict()
-        for mode in ("compiled", "vectorized"):
-            for threads in (2, 3):
-                got = db.execute(sql, config=EngineConfig(mode=mode, threads=threads,
-                                                          morsel_size=3)).to_dict()
-                assert got == ref
+        ref = db.execute(sql, config=EngineConfig(threads=1)).to_dict()
+        for threads in (2, 3):
+            got = db.execute(sql, config=EngineConfig(threads=threads)).to_dict()
+            assert got == ref
 
 
 class TestCompoundSelectProperties:

@@ -312,11 +312,10 @@ class TestCTEsValuesWindows:
             db.execute("SELECT ROW_NUMBER() OVER () AS rn FROM t", config=config)
 
 
-class TestEngineModes:
-    @pytest.mark.parametrize("mode", ["compiled", "vectorized"])
+class TestEngineConfigs:
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_modes_agree(self, db, mode, threads):
-        config = EngineConfig(mode=mode, threads=threads, morsel_size=2)
+    def test_threads_agree(self, db, threads):
+        config = EngineConfig(threads=threads)
         out = db.execute(
             "SELECT b, SUM(a * c) AS s FROM t WHERE a > 1 GROUP BY b ORDER BY b",
             config=config)

@@ -42,17 +42,14 @@ def test_intermediate_levels_on_subquery_heavy_queries(q, level, tpch_db, tpch_f
 
 
 @pytest.mark.parametrize("q", [1, 6, 13])
-def test_duckdb_small_morsels(q, tpch_db, tpch_frames):
-    """Vectorized mode with an unusually small morsel size must still agree."""
-    from dataclasses import replace
-
+def test_duckdb_profile_multithreaded(q, tpch_db, tpch_frames):
+    """The DuckDB profile's SQL under its own config at threads=4 must agree."""
     from repro.backends import DuckDBSim
 
     fn = QUERIES[q]
     py = fn(*[tpch_frames[t] for t in QUERY_TABLES[q]])
     sql = fn.sql("duckdb", db=tpch_db)
-    config = replace(DuckDBSim.config(), morsel_size=7)
-    res = tpch_db.execute(sql, config=config)
+    res = tpch_db.execute(sql, config=DuckDBSim.config(threads=4))
     compare(py, res, q in SCALAR_QUERIES)
 
 

@@ -122,11 +122,6 @@ class TestBackendProfiles:
         with pytest.raises(BackendError, match="available:"):
             get_backend("oracle")
 
-    def test_execution_paradigms(self):
-        assert DuckDBSim.engine_config.mode == "vectorized"
-        assert HyperSim.engine_config.mode == "compiled"
-        assert LingoDBSim.engine_config.mode == "compiled"
-
     def test_duckdb_keeps_syntactic_join_order(self):
         assert not DuckDBSim.engine_config.join_reorder
         assert HyperSim.engine_config.join_reorder

@@ -43,6 +43,13 @@ ENG007 eager-analysis-import
     it).  A module-level import reintroduces the cycle
     ``analysis → core → backends → …``.
 
+ENG008 executor-private-access
+    Operators (``sqlengine/``) and the spill path (``storage/``) talk to
+    the per-execution driver through its public surface (``note``,
+    ``check_runtime``, ``execute_body``, ``subquery``, ``stats`` …).  An
+    ``executor._x`` / ``<expr>.executor._x`` attribute access outside
+    ``sqlengine/executor.py`` grows the operator→interpreter cycle back.
+
 Findings are identified as ``path:RULE:symbol`` (symbol = nearest
 enclosing ``Class.function``, or ``<module>``); adding that line to
 ``tools/lint_engine_allow.txt`` suppresses the finding.  Run:
@@ -71,6 +78,10 @@ BUILTIN_EXCEPTIONS = {
 # Operators whose execute does O(1) work; a checkpoint would be pure noise.
 CHECKPOINT_EXEMPT = {"DualScan", "Limit"}
 BROAD_EXCEPTS = {"Exception", "BaseException"}
+# Packages that must not reach into Executor privates, and the one module
+# that owns them.
+EXECUTOR_CLIENT_PACKAGES = ("sqlengine", "storage")
+EXECUTOR_MODULE = "src/repro/sqlengine/executor.py"
 
 
 class Finding:
@@ -115,6 +126,8 @@ class _Linter(ast.NodeVisitor):
         self.rel = path.relative_to(REPO).as_posix()
         self.in_engine = any(f"repro/{pkg}/" in self.rel
                              for pkg in TYPED_ERROR_PACKAGES)
+        self.executor_client = self.rel != EXECUTOR_MODULE and any(
+            f"repro/{pkg}/" in self.rel for pkg in EXECUTOR_CLIENT_PACKAGES)
 
     def emit(self, rule: str, node: ast.AST, message: str) -> None:
         self.findings.append(Finding(rule, self.path, node.lineno,
@@ -225,6 +238,17 @@ class _Linter(ast.NodeVisitor):
                     _symbol_of(self.stack + [node.name]),
                     "mutable literal as parameter default is shared "
                     "across calls"))
+
+    # -- ENG008 -----------------------------------------------------------
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if self.executor_client and node.attr.startswith("_") \
+                and not node.attr.startswith("__") \
+                and _is_name(node.value, "executor"):
+            self.emit("ENG008", node,
+                      f"executor.{node.attr} — private Executor member "
+                      f"reached from outside sqlengine/executor.py; use "
+                      f"the driver's public surface")
+        self.generic_visit(node)
 
     # -- ENG007 -----------------------------------------------------------
     def _resolved_module(self, module: str, level: int) -> str:

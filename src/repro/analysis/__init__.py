@@ -23,6 +23,5 @@ verification".
 
 from .ir_checker import check_program
 from .plan_verifier import ColInfo, verify_plan
-from .shard_rules import verify_shard_query
 
-__all__ = ["ColInfo", "check_program", "verify_plan", "verify_shard_query"]
+__all__ = ["ColInfo", "check_program", "verify_plan"]

@@ -33,7 +33,13 @@ from ..errors import PlanInvariantError
 from ..sqlengine import plan as p
 from ..sqlengine.expressions import expr_columns
 from ..sqlengine.functions import FUNCTION_ALIASES
-from ..sqlengine.planner import RelSchema, _chunk_may_match, has_subquery
+from ..sqlengine.planner import (
+    _MAX_TOPK_LIMIT,
+    MERGEABLE_AGGS,
+    RelSchema,
+    _chunk_may_match,
+    has_subquery,
+)
 from ..sqlengine.sqlast import (
     AggCall,
     BetweenExpr,
@@ -923,6 +929,83 @@ class _Verifier:
         if not isinstance(op.n, int) or op.n < 0:
             self.fail("limit.n", f"invalid limit {op.n!r}", path)
         return _RelInfo(rel.cols, opaque=rel.opaque)
+
+    # -- distribution -----------------------------------------------------
+
+    def visit_Exchange(self, op: p.Exchange, path: str) -> _RelInfo:
+        """The ``shard.*`` rules: everything the merge-identity argument
+        (docs/ARCHITECTURE.md "Sharded execution") leans on."""
+        rel = self.child(op.child, path)
+        expect = 0
+        for lo, hi in op.ranges:
+            if lo >= hi:
+                self.fail("shard.partition.nonempty",
+                          f"empty partition range [{lo}, {hi})", path)
+            if lo != expect:
+                self.fail("shard.partition.cover",
+                          f"range [{lo}, {hi}) breaks coverage at chunk "
+                          f"{expect} (a gap drops rows; an overlap "
+                          f"double-counts them)", path)
+            expect = hi
+        nchunks = expect  # unknown without a catalog
+        if self.catalog is not None and self.catalog.has(op.table):
+            nchunks = self.catalog.get(op.table).nchunks
+        if not op.ranges or expect != nchunks:
+            self.fail("shard.partition.cover",
+                      f"ranges cover {expect} of {nchunks} chunk(s) of "
+                      f"{op.table!r}", path)
+
+        stage = op.child
+        if isinstance(stage, p.HashAggregate):
+            exprs = [it.expr for it in stage.select.items]
+            if stage.select.having is not None:
+                exprs.append(stage.select.having)
+            for expr in exprs:
+                for sub in _walk_exprs(expr):
+                    if isinstance(sub, AggCall) and (
+                            sub.distinct or sub.func not in MERGEABLE_AGGS):
+                        self.fail("shard.agg.mergeable",
+                                  f"partial stage computes "
+                                  f"{p.expr_to_str(sub)}, which has no "
+                                  f"partial/final decomposition", path)
+            below = stage.child
+        elif isinstance(stage, p.TopK) and isinstance(stage.child, p.Project):
+            keys_ok = all(
+                isinstance(o.expr, ColumnRef) and o.expr.table is None
+                and (rel.opaque or _resolve(rel.cols, o.expr) is not None)
+                for o in stage.order_by)
+            if stage.n > _MAX_TOPK_LIMIT or not keys_ok:
+                self.fail("shard.topk.bounded",
+                          f"partial Top-K must keep at most "
+                          f"{_MAX_TOPK_LIMIT} rows ordered by output "
+                          f"columns, got {stage.label()}", path)
+            below = stage.child.child
+        else:
+            self.fail("shard.subtree",
+                      f"{type(stage).__name__} is not a partial stage "
+                      f"(HashAggregate, or TopK over Project)", path)
+
+        scans = p.Exchange.input_scans(below)
+        if scans is None:
+            self.fail("shard.subtree",
+                      "an operator below the partial stage cannot run in a "
+                      "shard worker", path)
+        for scan in scans:
+            if scan.table in self.env or (
+                    self.catalog is not None and not (
+                        self.catalog.has(scan.table)
+                        and self.catalog.get(scan.table).stored)):
+                self.fail("shard.subtree",
+                          f"scan of {scan.table!r}, which is not a stored "
+                          f"table every worker can open", path)
+        partition_scans = sum(scan.table == op.table for scan in scans)
+        if partition_scans != 1:
+            self.fail("shard.subtree",
+                      f"partition table {op.table!r} is scanned "
+                      f"{partition_scans} time(s) below the Exchange "
+                      f"(must be exactly once)", path)
+        return _RelInfo([ColInfo(c.name, None, c.kind, c.nullable)
+                         for c in rel.cols], opaque=rel.opaque)
 
     def visit_SetOp(self, op: p.SetOp, path: str) -> _RelInfo:
         left = self.child(op.left, path)

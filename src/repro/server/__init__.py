@@ -12,9 +12,10 @@ package is what sits between that engine and *many* concurrent callers:
   asyncio TCP server speaking length-prefixed JSON frames (sessions,
   prepared handles, streamed results, in-flight cancellation, a
   ``metrics`` endpoint) and its blocking client;
-* :class:`ShardedDatabase` — scatter/gather execution of shardable
-  queries across N ``multiprocessing`` engine workers over a column
-  store, gated by ``EngineConfig.shard_workers``;
+* :class:`ShardedDatabase` / :class:`ShardPool` — run the ``Exchange``
+  operators the planner places under ``EngineConfig.shard_workers > 0``
+  across N ``multiprocessing`` engine workers over a column store (this
+  package ships plans to workers; it never decides what is distributed);
 * :func:`run_load` / :func:`run_net_load` — the load generators behind
   ``python -m repro.bench serve``: N clients replaying a parameterized
   TPC-H mix in-process or over real sockets, reporting QPS and tail
@@ -37,7 +38,7 @@ from .loadgen import (
 from .netserver import NetServer
 from .scheduler import QueryScheduler, QueryTicket
 from .session import Session, percentile
-from .shard import ShardedDatabase, ShardPool, ShardQuery, analyze_shard_query
+from .shard import ShardedDatabase, ShardPool
 from .wire import MAX_FRAME, NetClient, NetResult
 
 __all__ = [
@@ -58,6 +59,4 @@ __all__ = [
     "MAX_FRAME",
     "ShardedDatabase",
     "ShardPool",
-    "ShardQuery",
-    "analyze_shard_query",
 ]

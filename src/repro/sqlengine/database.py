@@ -173,11 +173,22 @@ class Database:
                       params=None, *, cancel_event=None,
                       deadline: float | None = None, stats=None) -> Chunk:
         cfg = config or self.config
-        entry = self._plan_entry(sql, cfg)
-        bound = bind_parameters(entry.signature, params)
-        executor = Executor(self.catalog, cfg, plans=entry.plans, params=bound,
-                            cancel_event=cancel_event, deadline=deadline,
-                            stats=stats)
+        return self._run(self._plan_entry(sql, cfg), cfg, params,
+                         cancel_event=cancel_event, deadline=deadline,
+                         stats=stats)
+
+    def _run(self, entry: PlanCacheEntry, config: EngineConfig, params,
+             **runtime) -> Chunk:
+        """Bind *params* and drive one execution of a cached statement.
+
+        Every execution — ad-hoc, prepared, EXPLAIN — comes through here
+        with a private :class:`Executor`; *runtime* is its per-execution
+        state (``cancel_event``, ``deadline``, ``trace``, ``stats``,
+        ``exchange``).
+        """
+        executor = Executor(self.catalog, config, plans=entry.plans,
+                            params=bind_parameters(entry.signature, params),
+                            **runtime)
         return executor.execute(entry.query)
 
     def explain(self, sql: str, config: EngineConfig | None = None,
@@ -186,11 +197,8 @@ class Database:
         trace (scans with pushed-down filters, join order and cardinalities,
         aggregation, sort/limit) instead of the result."""
         cfg = config or self.config
-        entry = self._plan_entry(sql, cfg)
         trace: list[str] = []
-        executor = Executor(self.catalog, cfg, trace=trace, plans=entry.plans,
-                            params=bind_parameters(entry.signature, params))
-        executor.execute(entry.query)
+        self._run(self._plan_entry(sql, cfg), cfg, params, trace=trace)
         return "\n".join(trace)
 
     def explain_analyze(self, sql: str, config: EngineConfig | None = None,
@@ -320,12 +328,9 @@ class PreparedStatement:
     def execute_chunk(self, params=None, *, cancel_event=None,
                       deadline: float | None = None,
                       trace: list[str] | None = None, stats=None) -> Chunk:
-        entry = self._current_entry()
-        bound = bind_parameters(entry.signature, params)
-        executor = Executor(self._db.catalog, self._config, plans=entry.plans,
-                            params=bound, cancel_event=cancel_event,
-                            deadline=deadline, trace=trace, stats=stats)
-        return executor.execute(entry.query)
+        return self._db._run(self._current_entry(), self._config, params,
+                             cancel_event=cancel_event, deadline=deadline,
+                             trace=trace, stats=stats)
 
     def execute(self, params=None, *, cancel_event=None,
                 deadline: float | None = None) -> DataFrame:

@@ -84,11 +84,12 @@ class EngineConfig:
     # Divergence threshold for re-planning: the larger of actual/est and
     # est/actual must exceed this ratio before a re-plan fires.
     adaptive_ratio: float = 8.0
-    # Multi-process sharded execution (repro.server.shard): when > 0, a
-    # ShardedDatabase scatters shardable aggregate/Top-K queries over this
-    # many engine worker processes (stored-table chunks range-partitioned,
-    # partials gathered with the partial-merge kernels) and falls back to
-    # serial in-process execution for every other shape.  0 = serial.
+    # Distributed execution: when > 0 the planner splits mergeable
+    # aggregates and Top-K over stored tables into partial ← Exchange ←
+    # final stages, the largest table range-partitioned by chunk into at
+    # most this many ranges.  A ShardedDatabase (repro.server.shard) runs
+    # each range in a worker process; any other Database runs the same plan
+    # in-process.  0 = no Exchange is ever planned.
     shard_workers: int = 0
 
     def plan_fingerprint(self) -> tuple:
@@ -127,7 +128,7 @@ class Executor:
                  plans: dict[int, PhysicalPlan] | None = None,
                  params: dict | None = None,
                  cancel_event=None, deadline: float | None = None,
-                 stats=None):
+                 stats=None, exchange=None):
         self.catalog = catalog
         self.config = config or EngineConfig()
         self.trace = trace
@@ -143,6 +144,9 @@ class Executor:
         # execution); operators record actual cardinalities and timings
         # into it through Operator.run.  None = zero-overhead execution.
         self.stats = stats
+        # Scatter hook for Exchange operators (see ExecContext.exchange);
+        # None = every Exchange runs its child in this process.
+        self.exchange = exchange
 
     def note(self, message: str) -> None:
         if self.trace is not None:

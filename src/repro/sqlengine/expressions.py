@@ -8,6 +8,7 @@ subquery forms back to the executor through a callback.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ from .sqlast import (
 from .table import Chunk
 
 __all__ = ["Scope", "Evaluator", "expr_columns", "contains_aggregate",
-           "has_subquery", "has_window", "expr_key"]
+           "has_subquery", "has_window", "expr_key", "map_children"]
 
 
 class Scope:
@@ -199,6 +200,26 @@ def has_window(expr: Expr) -> bool:
         if default is not None and has_window(default):
             return True
     return False
+
+
+def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """A shallow copy of *expr* with *fn* applied to each direct
+    sub-expression — the rebuild step of every bottom-up expression
+    rewrite.  Aggregate arguments and subquery bodies are not entered."""
+    out = copy.copy(expr)
+    for attr in ("left", "right", "operand", "low", "high"):
+        child = getattr(out, attr, None)
+        if isinstance(child, Expr):
+            setattr(out, attr, fn(child))
+    if getattr(out, "args", None):
+        out.args = [fn(a) if isinstance(a, Expr) else a for a in out.args]
+    if isinstance(out, InList):
+        out.items = [fn(i) for i in out.items]
+    if getattr(out, "branches", None):
+        out.branches = [(fn(c), fn(v)) for c, v in out.branches]
+        if out.default is not None:
+            out.default = fn(out.default)
+    return out
 
 
 def expr_key(expr: Expr) -> str:

@@ -3,12 +3,17 @@ the SQL engine's hash aggregate."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..dataframe._common import isna_array
 from .parallel import run_partitions
 
 __all__ = ["factorize", "factorize_many", "parallel_group_reduce"]
+
+# Composite keys pack into one int64 code only below this many combinations.
+_MAX_PACKED = 2**62
 
 
 def factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,6 +53,9 @@ def factorize_many(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
         gids, uniques = factorize(arrays[0])
         return gids, [uniques], len(uniques)
     per_col: list[tuple[np.ndarray, np.ndarray]] = [factorize(a) for a in arrays]
+    sizes = [max(len(u), 1) for _, u in per_col]
+    if math.prod(sizes) >= _MAX_PACKED:
+        return _factorize_wide(per_col, sizes)
     codes = np.zeros(len(arrays[0]), dtype=np.int64)
     multiplier = 1
     for gids, uniques in reversed(per_col):
@@ -70,6 +78,28 @@ def factorize_many(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
         remaining = remaining % mult
         key_cols.append(uniques[idx])
     return combined_uniques.astype(np.int64), key_cols, ngroups
+
+
+def _factorize_wide(per_col: list[tuple[np.ndarray, np.ndarray]],
+                    sizes: list[int]) -> tuple[np.ndarray, list[np.ndarray], int]:
+    """:func:`factorize_many` for keys whose packed code does not fit int64.
+
+    Folds the columns in left to right; whenever the next column would
+    push the code range past ``_MAX_PACKED`` the prefix codes are compacted
+    to their dense ranks, which keeps their order — so groups still come
+    out in lexicographic per-column-id order.  Packed codes can no longer
+    be decoded by division, so each group's key is read at its first row.
+    """
+    codes, span = per_col[0][0], sizes[0]
+    for (gids, _), size in zip(per_col[1:], sizes[1:]):
+        if span * size >= _MAX_PACKED:
+            ranks, codes = np.unique(codes, return_inverse=True)
+            span = max(len(ranks), 1)
+        codes = codes * size + gids
+        span *= size
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    key_cols = [uniques[gids[first]] for gids, uniques in per_col]
+    return inverse.astype(np.int64), key_cols, len(first)
 
 
 def parallel_group_reduce(

@@ -18,7 +18,10 @@ operators that run them; window functions are evaluated by the
 :class:`Window` operator over the kernels in :mod:`.window`.  What an
 operator needs from the per-execution driver (:class:`~.executor.Executor`)
 goes through :class:`ExecContext`: the trace note, the cancellation check,
-running a derived-table body, and the residual-subquery callback.
+running a derived-table body, the residual-subquery callback, and the
+scatter hook of :class:`Exchange` — the partition boundary the planner
+places between a partial and a final ``HashAggregate``/``TopK`` stage when
+``EngineConfig.shard_workers > 0``.
 
 Filter masks, projections, ``HashJoin`` probes, ``HashAggregate``
 reductions, and ``Window`` partition reductions are partitioned across the
@@ -28,7 +31,7 @@ release the GIL).
 
 from __future__ import annotations
 
-import copy
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
@@ -38,7 +41,7 @@ import numpy as np
 from ..dataframe._common import coerce_array
 from ..errors import SQLBindError, SQLExecutionError, UnsupportedFeatureError
 from .expressions import (
-    Evaluator, Scope, expr_key, has_subquery, has_window,
+    Evaluator, Scope, expr_key, has_subquery, has_window, map_children,
 )
 from .grouping import factorize_many, parallel_group_reduce
 from .joins import combine_chunks, join_positions
@@ -59,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ExecContext", "OpResult", "Operator", "Scan", "SubqueryScan", "DualScan",
     "Filter", "CrossJoin", "HashJoin", "ResidualFilter", "Window", "Project",
-    "HashAggregate", "Distinct", "Sort", "TopK", "Limit", "SetOp",
+    "HashAggregate", "Distinct", "Sort", "TopK", "Limit", "Exchange", "SetOp",
     "SemiJoin", "AntiJoin", "MarkJoin", "ScalarSubqueryScan",
     "AdaptiveSource", "AdaptiveJoin", "Materialized",
     "PhysicalPlan", "expr_to_str", "window_to_str", "frame_to_str",
@@ -187,6 +190,13 @@ class ExecContext:
         """Bound placeholder values of this execution (None when the
         statement has no parameters)."""
         return self.executor.params
+
+    @property
+    def exchange(self) -> "Callable[..., list[Chunk]] | None":
+        """Where an :class:`Exchange` sends its partitions: ``(payload,
+        table, ranges, params, config) -> one Chunk per range``, or None
+        when this execution has no worker pool (the child runs in-process)."""
+        return self.executor.exchange
 
     def note(self, message: str) -> None:
         self.executor.note(message)
@@ -1144,18 +1154,7 @@ def _eval_with_windows(evaluator: Evaluator, expr: Expr,
     def substitute(e: Expr) -> Expr:
         if isinstance(e, WindowCall):
             return ColumnRef(name=f"__win_{id(e)}")
-        e2 = copy.copy(e)
-        for attr in ("left", "right", "operand", "low", "high"):
-            child = getattr(e2, attr, None)
-            if isinstance(child, Expr):
-                setattr(e2, attr, substitute(child))
-        if getattr(e2, "args", None):
-            e2.args = [substitute(a) if isinstance(a, Expr) else a for a in e2.args]
-        if getattr(e2, "branches", None):
-            e2.branches = [(substitute(c), substitute(v)) for c, v in e2.branches]
-            if e2.default is not None:
-                e2.default = substitute(e2.default)
-        return e2
+        return map_children(e, substitute)
 
     chunk = evaluator.chunk
     scope = _copy_scope(evaluator.scope)
@@ -1515,6 +1514,88 @@ class Limit(Operator):
         chunk = res.chunk.head(self.n)
         ctx.note(f"limit: {self.n}")
         return OpResult(chunk, res.scope)
+
+
+@dataclass
+class Exchange(Operator):
+    """Partition boundary: *child* runs once per chunk range of *table*,
+    and the per-range outputs are concatenated in range order.
+
+    The planner places it (``EngineConfig.shard_workers > 0`` only) between
+    a partial and a final stage of the same operator —
+    ``HashAggregate ← Exchange ← HashAggregate`` or
+    ``TopK ← Exchange ← TopK ← Project`` — over a subtree
+    :meth:`input_scans` accepts that scans the partitioned table once.
+    With :attr:`ExecContext.exchange` set the pickled child goes to the
+    worker pool, one task per range, and each worker runs it through
+    :meth:`run_partition`; without it the child runs once, unpartitioned,
+    in this process.  Either way the parent sees the child's output columns
+    under a fresh unqualified scope.
+    """
+
+    child: Operator
+    table: str
+    ranges: list[tuple[int, int]] = field(default_factory=list)
+    est_rows: float | None = None
+
+    def children(self) -> list[Operator]:
+        return [self.child]
+
+    def label(self) -> str:
+        spans = " ".join(f"[{lo},{hi})" for lo, hi in self.ranges)
+        return (f"Exchange {self.table} {len(self.ranges)} partition(s) "
+                f"chunks={spans}")
+
+    def execute(self, ctx: ExecContext) -> OpResult:
+        ctx.checkpoint()
+        scatter = ctx.exchange
+        if scatter is None:
+            chunk = self.child.run(ctx).chunk
+        else:
+            parts = scatter(pickle.dumps(self.child), self.table, self.ranges,
+                            ctx.params, ctx.config)
+            # An empty partition's columns carry no dtype information.
+            chunk = Chunk.concat([c for c in parts if c.nrows] or parts[:1])
+            ctx.note(f"exchange {self.table}: {len(parts)} partition(s) "
+                     f"-> {chunk.nrows} rows")
+        return OpResult(chunk, _single_scope(None, chunk))
+
+    @staticmethod
+    def input_scans(root: Operator) -> list[Scan] | None:
+        """The Scans under *root* if every operator there can run in a
+        shard worker, which has the stored tables and the bound parameters
+        and nothing else (no CTE env, no planner): scans, filters and
+        inner/cross joins, residual predicates subquery-free.  Else None."""
+        scans: list[Scan] = []
+        stack = [root]
+        while stack:
+            op = stack.pop()
+            if not isinstance(op, (Scan, Filter, ResidualFilter, HashJoin,
+                                   CrossJoin)) \
+                    or (isinstance(op, HashJoin) and op.how != "inner") \
+                    or (isinstance(op, ResidualFilter)
+                        and any(has_subquery(e) for e in op.predicates)):
+                return None
+            if isinstance(op, Scan):
+                scans.append(op)
+            stack.extend(op.children())
+        return scans
+
+    @staticmethod
+    def run_partition(payload: bytes, table: str, lo: int, hi: int,
+                      executor: "Executor") -> Chunk:
+        """Worker side: run a pickled child over chunks ``[lo, hi)`` of
+        *table* (the Scan keeps whatever zone-map pruning it was planned
+        with, clipped to the range)."""
+        child: Operator = pickle.loads(payload)
+        stack = [child]
+        while stack:
+            op = stack.pop()
+            if isinstance(op, Scan) and op.table == table:
+                ids = range(lo, hi) if op.chunk_ids is None else op.chunk_ids
+                op.chunk_ids = [cid for cid in ids if lo <= cid < hi]
+            stack.extend(op.children())
+        return child.run(ExecContext(executor, {})).chunk
 
 
 _SET_OP_SQL = {"union": "UNION", "intersect": "INTERSECT", "except": "EXCEPT"}

@@ -17,7 +17,13 @@ Decisions made here:
   post-filter cardinalities (selectivity heuristics below), generalizing the
   seed's inline ``join_reorder`` flag;
 * **operator selection** — HashAggregate vs Project, Window placement for
-  select lists containing window calls, Distinct, Sort, Limit.
+  select lists containing window calls, Distinct, Sort/TopK, Limit, SetOp;
+* **distribution** — with ``EngineConfig.shard_workers > 0``, a mergeable
+  aggregate or a bounded Top-K over stored tables is split into a partial
+  and a final stage around an :class:`~.plan.Exchange` whose chunk ranges
+  are fixed here, so the plan cache, EXPLAIN, the verifier and runtime
+  stats see a distributed plan like any other.  This is the only place
+  that decides what is distributed.
 """
 
 from __future__ import annotations
@@ -29,12 +35,13 @@ from ..errors import SQLBindError, UnsupportedFeatureError
 from .catalog import Catalog
 from .plan import (
     AdaptiveJoin, AdaptiveSource, AntiJoin, CrossJoin, Distinct, DualScan,
-    Filter, HashAggregate, HashJoin, Limit, MarkJoin, Operator, PhysicalPlan,
-    Project, ResidualFilter, Scan, ScalarSubqueryScan, SemiJoin, SetOp, Sort,
-    SubqueryScan, TopK, Window, output_name,
+    Exchange, Filter, HashAggregate, HashJoin, Limit, MarkJoin, Operator,
+    PhysicalPlan, Project, ResidualFilter, Scan, ScalarSubqueryScan, SemiJoin,
+    SetOp, Sort, SubqueryScan, TopK, Window, output_name,
 )
 from .expressions import (
-    aggregates_of, contains_aggregate, expr_columns, has_subquery, has_window,
+    aggregates_of, contains_aggregate, expr_columns, expr_key, has_subquery,
+    has_window, map_children,
 )
 from .table import Table
 from .sqlast import (
@@ -56,6 +63,12 @@ __all__ = ["Planner", "RelSchema", "split_conjuncts", "has_subquery",
 
 
 _SET_OP_NAMES = {"union": "UNION", "intersect": "INTERSECT", "except": "EXCEPT"}
+
+# Aggregates whose value over a table merges from per-partition partials.
+MERGEABLE_AGGS = frozenset({"SUM", "COUNT", "MIN", "MAX", "AVG"})
+# A distributed Top-K gathers up to k rows per partition; beyond this the
+# gather is a full materialization and one process is the honest plan.
+_MAX_TOPK_LIMIT = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +254,77 @@ def _resolve_group_ordinals(select: Select) -> list[Expr]:
                     f"GROUP BY position {pos + 1} names an aggregate")
         resolved.append(expr)
     return resolved
+
+
+class _NotMergeable(Exception):
+    """An aggregate select with no partial/final decomposition."""
+
+
+def _split_aggregate(select: Select,
+                     out_columns: list[str]) -> tuple[Select, Select] | None:
+    """Rewrite an aggregate *select* into ``(partial, final)`` stages.
+
+    *partial* (run per partition) projects the group keys as ``__k<i>`` and
+    one ``__p<j>`` column per distinct aggregate call (AVG as SUM + COUNT).
+    *final* (run once over the concatenated partials) is *select* with
+    every group expression replaced by its key column and every aggregate
+    call by the merge of its partial column(s) — SUM of SUMs and COUNTs,
+    MIN of MINs, MAX of MAXes, SUM/SUM for AVG — so whatever surrounds the
+    calls (COALESCE fills, arithmetic, HAVING, ORDER BY on an aggregate
+    that is not projected) is evaluated by the ordinary operator.  A NULL
+    partial is an all-NULL partition and is skipped by the merge like any
+    NULL input.  Returns None when some call does not merge (DISTINCT,
+    STDDEV, ...) or an expression reads a column that is not a group key.
+    """
+    keys = {expr_key(g): ColumnRef(name=f"__k{i}")
+            for i, g in enumerate(select.group_by)}
+    partial = [SelectItem(g, f"__k{i}") for i, g in enumerate(select.group_by)]
+    columns: dict[str, ColumnRef] = {}
+
+    def partial_column(func: str, arg: Expr | None) -> ColumnRef:
+        call = AggCall(func, arg)
+        key = expr_key(call)
+        if key not in columns:
+            columns[key] = ColumnRef(name=f"__p{len(partial)}")
+            partial.append(SelectItem(call, columns[key].name))
+        return columns[key]
+
+    def rewrite(e: Expr) -> Expr:
+        key = expr_key(e)
+        if key in keys:
+            return keys[key]
+        if isinstance(e, AggCall):
+            if e.distinct or e.func not in MERGEABLE_AGGS or (
+                    e.arg is not None and has_subquery(e.arg)):
+                raise _NotMergeable
+            if e.func == "AVG":
+                return BinaryOp(
+                    "/", AggCall("SUM", partial_column("SUM", e.arg)),
+                    AggCall("SUM", partial_column("COUNT", e.arg)))
+            return AggCall("SUM" if e.func == "COUNT" else e.func,
+                           partial_column(e.func, e.arg))
+        if isinstance(e, (ColumnRef, Star, WindowCall, InSubquery,
+                          ExistsExpr, ScalarSubquery)):
+            raise _NotMergeable
+        return map_children(e, rewrite)
+
+    try:
+        if any(has_subquery(g) for g in select.group_by):
+            raise _NotMergeable
+        items = [SelectItem(rewrite(it.expr), name)
+                 for it, name in zip(select.items, out_columns)]
+        having = None if select.having is None else rewrite(select.having)
+        # A key naming an output column sorts that column (plan.order_arrays).
+        order_by = [o if isinstance(o.expr, ColumnRef) and o.expr.table is None
+                    and o.expr.name in out_columns
+                    else replace(o, expr=rewrite(o.expr))
+                    for o in select.order_by]
+    except _NotMergeable:
+        return None
+    final = Select(items=items, group_by=list(keys.values()), having=having,
+                   order_by=order_by, limit=select.limit,
+                   distinct=select.distinct)
+    return Select(items=partial, group_by=select.group_by), final
 
 
 # ---------------------------------------------------------------------------
@@ -808,11 +892,14 @@ class Planner:
                     est = max(1.0, est * 0.5)
             else:
                 est = 1.0
-            root = HashAggregate(root, select, est_rows=est)
+            root, select = self._plan_aggregate(root, select, out_columns,
+                                                env, est)
         else:
             if windows:
                 root = Window(root, windows, est_rows=est)
-            root = Project(root, select, est_rows=est)
+            project = Project(root, select, est_rows=est)
+            root, select = self._exchange_topk(project, select, out_columns,
+                                               env, est)
 
         if select.distinct:
             est = max(1.0, est * 0.9)
@@ -821,6 +908,89 @@ class Planner:
                                              select.limit, est)
 
         return PhysicalPlan(root, out_columns, est_rows=est)
+
+    # -- distribution -------------------------------------------------------
+    #
+    # Both shapes put two stages of an *ordinary* operator around an
+    # Exchange; what differs per stage is only the Select / ORDER BY it is
+    # given.  Concatenating the partial outputs in chunk-range order keeps
+    # first-appearance order of string group keys and original row order of
+    # Top-K ties, which is what makes the final stage's answer the serial
+    # one (docs/ARCHITECTURE.md "Sharded execution").
+
+    def _partition(self, root: Operator, env: dict[str, RelSchema]
+                   ) -> tuple[str, list[tuple[int, int]]] | None:
+        """Where an Exchange above *root* cuts: the largest scanned table
+        and its contiguous chunk ranges.  None when the subtree could not
+        run in a shard worker (see :meth:`~.plan.Exchange.input_scans`),
+        reads anything but stored tables, or scans that table more than
+        once (a self-join's rows would pair within partitions only)."""
+        scans = Exchange.input_scans(root)
+        if scans is None or any(
+                s.table in env or not self.catalog.get(s.table).stored
+                for s in scans):
+            return None
+        table = max((self.catalog.get(s.table) for s in scans),
+                    key=lambda t: t.nrows)
+        if table.nchunks == 0 or \
+                sum(1 for s in scans if s.table == table.name) != 1:
+            return None
+        step = -(-table.nchunks // min(self.config.shard_workers, table.nchunks))
+        return table.name, [(lo, min(lo + step, table.nchunks))
+                            for lo in range(0, table.nchunks, step)]
+
+    def _plan_aggregate(self, root: Operator, select: Select,
+                        out_columns: list[str], env: dict[str, RelSchema],
+                        est: float) -> tuple[Operator, Select]:
+        """The aggregation stage over *root*, and the Select whose ORDER BY
+        / DISTINCT / LIMIT the operators above it must use: one
+        HashAggregate, or ``final ← Exchange ← partial`` when sharding is
+        on and the aggregate splits."""
+        if self.config.shard_workers > 0:
+            stages = _split_aggregate(select, out_columns)
+            cut = self._partition(root, env) if stages is not None else None
+            if cut is not None:
+                partial, final = stages
+                root = HashAggregate(root, partial, est_rows=est)
+                root = Exchange(root, *cut, est_rows=est * len(cut[1]))
+                return HashAggregate(root, final, est_rows=est), final
+        return HashAggregate(root, select, est_rows=est), select
+
+    def _exchange_topk(self, project: Project, select: Select,
+                       out_columns: list[str], env: dict[str, RelSchema],
+                       est: float) -> tuple[Operator, Select]:
+        """``Exchange ← TopK ← project`` (the caller's ORDER BY/LIMIT tail
+        adds the final TopK) when sharding is on and every ORDER BY key is
+        an output column; else *project* unchanged.  Keys are rewritten to
+        name that column, so both stages sort what the Project produced."""
+        if not (self.config.shard_workers > 0 and self.config.topk_rewrite
+                and select.order_by and select.limit is not None
+                and select.limit <= _MAX_TOPK_LIMIT and not select.distinct
+                and not any(has_subquery(it.expr) for it in select.items)):
+            return project, select
+        by_expr: dict[str, str] = {}
+        if not any(isinstance(it.expr, Star) for it in select.items):
+            by_expr = {expr_key(it.expr): name
+                       for it, name in zip(select.items, out_columns)}
+        order_by = []
+        for item in select.order_by:
+            expr = item.expr
+            if isinstance(expr, ColumnRef) and expr.table is None \
+                    and expr.name in out_columns:
+                name = expr.name
+            else:
+                name = by_expr.get(expr_key(expr))
+            if name is None or out_columns.count(name) != 1:
+                return project, select
+            order_by.append(replace(item, expr=ColumnRef(name=name)))
+        cut = self._partition(project.child, env)
+        if cut is None:
+            return project, select
+        k = float(select.limit)
+        root: Operator = TopK(project, order_by, select.limit,
+                              est_rows=min(est, k))
+        root = Exchange(root, *cut, est_rows=min(est, k * len(cut[1])))
+        return root, replace(select, order_by=order_by)
 
     # -- FROM sources -------------------------------------------------------
     def _make_source(self, rel: TableRef | SubqueryRef, env: dict[str, RelSchema], refs: set, star: bool) -> _Source:
@@ -1212,8 +1382,6 @@ class Planner:
         column references.  Returns ``(rewritten, factories)`` where each
         factory wraps the current root in the MarkJoin/ScalarSubqueryScan
         that produces one referenced column."""
-        import copy
-
         factories: list = []
 
         def rewrite(e: Expr) -> Expr:
@@ -1255,22 +1423,7 @@ class Planner:
                                        est_rows=_est_or_default(root.est_rows))
                 )
                 return ColumnRef(name=name)
-            e2 = copy.copy(e)
-            for attr in ("left", "right", "operand", "low", "high"):
-                child = getattr(e2, attr, None)
-                if isinstance(child, Expr):
-                    setattr(e2, attr, rewrite(child))
-            if getattr(e2, "args", None):
-                e2.args = [rewrite(a) if isinstance(a, Expr) else a
-                           for a in e2.args]
-            if getattr(e2, "items", None) and isinstance(e2, InList):
-                e2.items = [rewrite(i) for i in e2.items]
-            if getattr(e2, "branches", None):
-                e2.branches = [(rewrite(c), rewrite(v))
-                               for c, v in e2.branches]
-                if e2.default is not None:
-                    e2.default = rewrite(e2.default)
-            return e2
+            return map_children(e, rewrite)
 
         return rewrite(conj), factories
 

@@ -84,6 +84,10 @@ class Table:
 
     # Storage metadata defaults: a RAM-resident table is one implicit chunk
     # with no zone maps; the stored-table subclass overrides these.
+    # ``stored`` says the data lives in a column store another process can
+    # open (what the planner needs to know before it places an Exchange).
+    stored = False
+
     @property
     def nchunks(self) -> int:
         return 1 if self.nrows else 0

@@ -30,6 +30,8 @@ __all__ = ["StoredTable"]
 class StoredTable(Table):
     """A table backed by a :class:`~repro.storage.format.ColumnStore`."""
 
+    stored = True
+
     def __init__(self, root: Path, name: str, meta: dict):
         # Deliberately no super().__init__: the base constructor coerces an
         # in-memory mapping; here everything comes from the manifest.

@@ -74,3 +74,65 @@ class TestExplain:
         before = db.execute(sql).to_dict()
         db.explain(sql)
         assert db.execute(sql).to_dict() == before
+
+
+class TestExplainDistributed:
+    """EXPLAIN surfaces of a plan that contains an ``Exchange``."""
+
+    SQL = "SELECT k, SUM(v) AS s, COUNT(*) AS n FROM facts GROUP BY k ORDER BY k"
+
+    @pytest.fixture()
+    def store_root(self, tmp_path):
+        from repro.storage import ColumnStore
+
+        store = ColumnStore(tmp_path / "store")
+        store.write_table(
+            "facts", {"id": list(range(600)), "k": [i % 7 for i in range(600)],
+                      "v": [float(i % 13) for i in range(600)]},
+            primary_key="id", chunk_rows=100)
+        return store.root
+
+    def test_explain_plan_renders_partitions(self, store_root):
+        from repro.storage import open_store
+
+        db = connect(EngineConfig(shard_workers=4))
+        open_store(store_root).attach(db)
+        plan = db.explain_plan(self.SQL)
+        assert ("Exchange facts 3 partition(s) chunks=[0,2) [2,4) [4,6)"
+                in plan)
+        assert "Exchange" not in db.explain_plan(
+            self.SQL, EngineConfig(shard_workers=0))
+
+    def test_plain_database_runs_the_exchange_in_process(self, store_root):
+        # No pool behind a plain Database: the Exchange runs its child once,
+        # unpartitioned, and the answer is the serial one.
+        from repro.storage import open_store
+
+        db = connect()
+        open_store(store_root).attach(db)
+        sharded_cfg = EngineConfig(shard_workers=2)
+        assert "Exchange" in db.explain_plan(self.SQL, sharded_cfg)
+        assert db.execute(self.SQL, sharded_cfg).to_dict() == \
+            db.execute(self.SQL).to_dict()
+        report = db.explain_analyze(self.SQL, sharded_cfg)
+        exchange_line, partial_line = [
+            ln for ln in report.splitlines()
+            if "Exchange" in ln or "keys=[k]" in ln]
+        assert "actual=7 rows" in exchange_line
+        assert "actual=7 rows" in partial_line  # ran here, not in a worker
+        assert "shard: scattered" not in report
+
+    def test_explain_analyze_on_a_sharded_database(self, store_root):
+        from repro.server import ShardedDatabase
+
+        db = ShardedDatabase(store_root, workers=2)
+        try:
+            report = db.explain_analyze(self.SQL)
+        finally:
+            db.close_pools()
+        exchange_line = next(ln for ln in report.splitlines()
+                             if "Exchange" in ln)
+        # 7 groups gathered from each of the 2 partitions, with wall time.
+        assert "Exchange facts 2 partition(s) chunks=[0,3) [3,6)" in exchange_line
+        assert "actual=14 rows" in exchange_line and " ms]" in exchange_line
+        assert "shard: scattered facts over 2 worker partition(s)" in report

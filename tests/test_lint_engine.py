@@ -5,7 +5,8 @@ allowlist and stale-entry behaviour are exercised through ``main``.
 Fragments are parsed directly and visited with the real ``_Linter``
 against a *virtual* repo path, so path-scoped rules (ENG001 only in
 ``sqlengine/plan.py``, ENG002 only in engine packages, ENG007 relative
-import resolution, ENG008 only in ``sqlengine/`` and ``storage/``) see the same inputs they do in production.
+import resolution, ENG008 only in ``sqlengine/`` and ``storage/``, ENG009
+only in ``server/``) see the same inputs they do in production.
 """
 
 from __future__ import annotations
@@ -196,6 +197,35 @@ class TestExecutorPrivateAccess:
         src = "def f(executor):\n    return executor._processes\n"
         assert lint(src, REPO / "src/repro/sqlengine/executor.py") == []
         assert lint(src, REPO / "src/repro/server/shard.py") == []
+
+
+class TestDistributionInPlanner:
+    SERVER = REPO / "src/repro/server/somemodule.py"
+
+    @pytest.mark.parametrize("src", [
+        "from ..sqlengine.parser import parse\n",
+        "from repro.sqlengine.sqlast import Select, AggCall\n",
+        "from ..sqlengine import parser\n",
+        "import repro.sqlengine.sqlast\n",
+        # Lazy imports count too: the worker path must not parse either.
+        "def run(task):\n    from ..sqlengine.parser import parse\n"
+        "    return parse(task)\n",
+    ])
+    def test_server_module_importing_parser_or_ast(self, src):
+        (finding,) = lint(src, self.SERVER)
+        assert finding.rule == "ENG009"
+
+    def test_plans_and_executor_are_the_serving_tiers_interface(self):
+        src = ("from ..sqlengine.plan import Exchange\n"
+               "from ..sqlengine.executor import EngineConfig, Executor\n"
+               "from ..sqlengine.database import Database\n"
+               "from ..sqlengine import EngineConfig\n")
+        assert lint(src, self.SERVER) == []
+
+    def test_other_packages_may_import_the_ast(self):
+        src = "from .sqlast import Select\nfrom .parser import parse\n"
+        assert lint(src, ENGINE) == []
+        assert lint("from ..sqlengine.sqlast import Select\n", STORAGE) == []
 
 
 class TestRunner:

@@ -106,6 +106,45 @@ class TestFactorize:
         for level, col in enumerate(cols):
             assert keys[level][gids].tolist() == col.tolist()
 
+    @staticmethod
+    def _assert_groups_like_dict(cols):
+        """gids/key columns agree with a python dict of row tuples, and
+        int-only keys come out in lexicographic order."""
+        gids, keys, ngroups = factorize_many(cols)
+        rows = list(zip(*(c.tolist() for c in cols)))
+        groups: dict = {}
+        for row in rows:
+            groups.setdefault(row, len(groups))
+        assert ngroups == len(groups)
+        decoded = list(zip(*(k[gids].tolist() for k in keys)))
+        assert decoded == rows
+        by_gid = list(zip(*(k.tolist() for k in keys)))
+        assert len(set(by_gid)) == ngroups
+        return by_gid
+
+    def test_factorize_many_seven_keys_do_not_wrap(self):
+        # 600**7 > 2**63: the packed code wrapped silently (TPC-H Q10's
+        # wrong groups from SF 0.025).
+        rng = np.random.default_rng(0)
+        cols = [rng.integers(0, 600, 3000) for _ in range(7)]
+        by_gid = self._assert_groups_like_dict(cols)
+        assert by_gid == sorted(by_gid)
+
+    def test_factorize_many_wide_keys_do_not_overflow(self):
+        # ~3000 distinct values per column: the multiplier itself left
+        # int64 and raised OverflowError.
+        rng = np.random.default_rng(1)
+        cols = [rng.integers(0, 2**40, 3000) for _ in range(7)]
+        by_gid = self._assert_groups_like_dict(cols)
+        assert by_gid == sorted(by_gid)
+
+    def test_factorize_many_mixed_object_int_seven_keys(self):
+        rng = np.random.default_rng(2)
+        names = np.array([f"n{i}" for i in range(700)], dtype=object)
+        cols = [rng.choice(names, 3000) if i % 2 else rng.integers(0, 700, 3000)
+                for i in range(7)]
+        self._assert_groups_like_dict(cols)
+
 
 class TestSortPrimitives:
     def test_mixed_direction_multi_key(self):

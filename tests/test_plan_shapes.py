@@ -245,6 +245,84 @@ class TestZoneMapPlanShape:
             sql, config=EngineConfig(zone_map_pruning=False)).to_dict()
 
 
+class TestDistributedPlanShape:
+    """Goldens under ``shard_workers=2``: which statements of the serving
+    mix and of TPC-H get an ``Exchange``, and between which stages.  The
+    set of distributed statements may only grow — a template that loses
+    its Exchange silently falls back to one process."""
+
+    @pytest.fixture(scope="class")
+    def tpch_stored(self, tpch_dataset, tmp_path_factory):
+        from repro.bench.storage import store_tpch
+        from repro.storage import ColumnStore
+
+        store = ColumnStore(tmp_path_factory.mktemp("plan-shape-store"))
+        store_tpch(store, tpch_dataset, chunk_rows=2048)
+        db = connect(EngineConfig(shard_workers=2))
+        store.attach(db)
+        return db
+
+    @staticmethod
+    def _ops(plan: str) -> list[str]:
+        return [ln.split()[0] for ln in plan.splitlines()]
+
+    @staticmethod
+    def _mix_sql(name: str) -> str:
+        from repro.server import tpch_mix
+
+        return next(t.sql for t in tpch_mix() if t.name == name)
+
+    def test_lineitem_agg_splits_around_exchange(self, tpch_stored):
+        plan = tpch_stored.explain_plan(self._mix_sql("lineitem_agg"))
+        assert self._ops(plan) == ["Sort", "HashAggregate", "Exchange",
+                                   "HashAggregate", "Filter", "Scan"]
+        assert "HashAggregate keys=[__k0] items=3" in plan
+        assert "Exchange lineitem 2 partition(s) chunks=[0,3) [3,6)" in plan
+        assert "HashAggregate keys=[l_returnflag] items=3" in plan
+
+    def test_customer_join_splits_topk_over_the_larger_table(self, tpch_stored):
+        plan = tpch_stored.explain_plan(self._mix_sql("customer_join"))
+        assert self._ops(plan) == ["TopK", "Exchange", "TopK", "Project",
+                                   "HashJoin", "Scan", "Filter", "Scan"]
+        # ORDER BY o.o_totalprice names an output column in both stages.
+        assert plan.count("TopK 10 by o_totalprice DESC") == 2
+        assert "Exchange orders 2 partition(s) chunks=[0,1) [1,2)" in plan
+
+    @pytest.mark.parametrize("name", ["order_lookup", "customer_orders"])
+    def test_point_lookups_stay_in_one_process(self, tpch_stored, name):
+        assert "Exchange" not in tpch_stored.explain_plan(self._mix_sql(name))
+
+    def test_q1_distributes_inside_its_cte(self, tpch_stored):
+        from repro.workloads.tpch import QUERIES
+
+        sql = QUERIES[1].sql("duckdb", level="O4", db=tpch_stored)
+        plan = tpch_stored.explain_plan(sql)
+        assert self._ops(plan) == [
+            "CTE", "HashAggregate", "Exchange", "HashAggregate", "Filter",
+            "Scan", "Sort", "Project", "Scan"]
+        assert "HashAggregate keys=[__k0, __k1] items=10" in plan
+        assert "Exchange lineitem 2 partition(s) chunks=[0,3) [3,6)" in plan
+        # 2 keys + one partial per distinct call (three AVGs share the SUMs
+        # and the COUNT the select list already has).
+        assert ("HashAggregate keys=[r1.l_returnflag, r1.l_linestatus] "
+                "items=10") in plan
+
+    def test_q6_global_aggregate_keeps_zone_map_pruning(self, tpch_stored):
+        from repro.workloads.tpch import QUERIES
+
+        sql = QUERIES[6].sql("duckdb", level="O4", db=tpch_stored)
+        plan = tpch_stored.explain_plan(sql)
+        assert self._ops(plan) == ["HashAggregate", "Exchange",
+                                   "HashAggregate", "Filter", "Scan"]
+        assert "Exchange lineitem 2 partition(s)" in plan
+        assert "zonemap=2/6 chunks" in plan
+
+    def test_no_exchange_without_shard_workers(self, tpch_stored):
+        plan = tpch_stored.explain_plan(self._mix_sql("lineitem_agg"),
+                                        EngineConfig(shard_workers=0))
+        assert self._ops(plan) == ["Sort", "HashAggregate", "Filter", "Scan"]
+
+
 class TestSpillPlanShape:
     """EXPLAIN ANALYZE goldens for the memory-budget spill paths."""
 

@@ -479,6 +479,106 @@ class TestSetOps:
                ["a"], db)
 
 
+class TestExchange:
+    """The ``shard.*`` rules, each violated by mutating a tree the planner
+    really built (table ``s``: 1000 rows in 8 chunks, 2 partitions)."""
+
+    CONFIG = EngineConfig(shard_workers=2)
+    AGG = "SELECT COUNT(*) AS n, SUM(val) AS v FROM s WHERE id > 10"
+    TOPK = "SELECT id, val FROM s ORDER BY val DESC, id LIMIT 5"
+
+    def planned(self, db, sql):
+        from repro.sqlengine.parser import parse
+        from repro.sqlengine.planner import Planner
+
+        plan = Planner(db.catalog, self.CONFIG).plan_body(parse(sql).body, {})
+        node = plan.root
+        while not isinstance(node, p.Exchange):
+            node = node.children()[0]
+        return plan, node
+
+    def reject(self, invariant, plan, db, env=None):
+        with pytest.raises(PlanInvariantError) as exc_info:
+            verify_plan(plan, db.catalog, self.CONFIG, env)
+        assert exc_info.value.invariant == invariant, str(exc_info.value)
+        assert exc_info.value.path.endswith("Exchange")
+
+    def test_planned_trees_verify(self, stored_db):
+        for sql in (self.AGG, self.TOPK):
+            plan, exchange = self.planned(stored_db, sql)
+            assert exchange.ranges == [(0, 4), (4, 8)]
+            verify_plan(plan, stored_db.catalog, self.CONFIG)
+
+    @pytest.mark.parametrize("ranges", [
+        [(0, 4), (5, 8)],   # gap: chunk 4 is dropped
+        [(0, 5), (4, 8)],   # overlap: chunk 4 is counted twice
+        [(0, 4), (4, 7)],   # short: chunk 7 is dropped
+        [],
+    ])
+    def test_partition_cover(self, stored_db, ranges):
+        plan, exchange = self.planned(stored_db, self.AGG)
+        exchange.ranges = ranges
+        self.reject("shard.partition.cover", plan, stored_db)
+
+    def test_partition_nonempty(self, stored_db):
+        plan, exchange = self.planned(stored_db, self.AGG)
+        exchange.ranges = [(0, 0), (0, 8)]
+        self.reject("shard.partition.nonempty", plan, stored_db)
+
+    def test_subtree_operator_not_allowed_in_a_worker(self, stored_db):
+        plan, exchange = self.planned(stored_db, self.AGG)
+        partial = exchange.child
+        partial.child = p.Distinct(partial.child)
+        self.reject("shard.subtree", plan, stored_db)
+
+    def test_subtree_partial_stage_missing(self, stored_db):
+        plan, exchange = self.planned(stored_db, self.AGG)
+        exchange.child = exchange.child.child  # Exchange straight over Filter
+        self.reject("shard.subtree", plan, stored_db)
+
+    def test_subtree_partition_table_scanned_twice(self, stored_db):
+        plan, exchange = self.planned(stored_db, self.AGG)
+        partial = exchange.child
+        partial.child = p.CrossJoin(partial.child,
+                                    p.Scan("s2", "s", ["id"]), "s2")
+        self.reject("shard.subtree", plan, stored_db)
+
+    def test_subtree_scan_of_a_cte_binding(self, stored_db):
+        # The same tree, verified where "s" is a materialized CTE: workers
+        # have the store's tables, not the coordinator's env.
+        plan, _ = self.planned(stored_db, "SELECT SUM(val) AS v FROM s")
+        self.reject("shard.subtree", plan, stored_db,
+                    env={"s": RelSchema(["id", "val"], 10.0)})
+
+    def test_subtree_scan_of_an_unstored_table(self, stored_db):
+        stored_db.register("mem", {"id": [1, 2], "val": [1.0, 2.0]})
+        plan, exchange = self.planned(stored_db, self.TOPK)
+        scan_op = exchange.child.child.child
+        assert isinstance(scan_op, p.Scan)
+        scan_op.table = scan_op.binding = "mem"
+        self.reject("shard.subtree", plan, stored_db)
+
+    @pytest.mark.parametrize("mutation", [
+        {"func": "STDDEV"}, {"distinct": True}])
+    def test_agg_mergeable(self, stored_db, mutation):
+        plan, exchange = self.planned(stored_db, self.AGG)
+        call = exchange.child.select.items[-1].expr
+        assert isinstance(call, AggCall)
+        for field_name, value in mutation.items():
+            setattr(call, field_name, value)
+        self.reject("shard.agg.mergeable", plan, stored_db)
+
+    def test_topk_bounded_row_count(self, stored_db):
+        plan, exchange = self.planned(stored_db, self.TOPK)
+        exchange.child.n = 2_000_000
+        self.reject("shard.topk.bounded", plan, stored_db)
+
+    def test_topk_bounded_keys_are_output_columns(self, stored_db):
+        plan, exchange = self.planned(stored_db, self.TOPK)
+        exchange.child.order_by = [OrderItem(ColumnRef("val", table="s"))]
+        self.reject("shard.topk.bounded", plan, stored_db)
+
+
 # ---------------------------------------------------------------------------
 # Positive sweeps: every planner-built plan must verify clean.
 # ---------------------------------------------------------------------------

@@ -24,12 +24,10 @@ import numpy as np
 import pytest
 
 from repro import connect
-from repro.analysis import verify_shard_query
 from repro.bench.storage import store_tpch
-from repro.errors import PlanInvariantError, ShardError
-from repro.server.shard import ShardedDatabase, ShardQuery, analyze_shard_query
+from repro.errors import ShardError
+from repro.server.shard import ShardedDatabase
 from repro.sqlengine import EngineConfig
-from repro.sqlengine.parser import parse
 from repro.storage import ColumnStore, open_store
 from repro.workloads.tpch import QUERIES
 
@@ -204,6 +202,10 @@ MERGE_QUERIES = {
     "topk_limit_beyond_table": (
         "SELECT ev_id, score FROM events ORDER BY score, ev_id "
         "LIMIT 100000"),
+    "having": ("SELECT city, COUNT(*) AS n FROM events GROUP BY city "
+               "HAVING COUNT(*) > 10"),
+    "expression_over_aggregate": ("SELECT city, SUM(amount) / COUNT(*) AS r "
+                                  "FROM events GROUP BY city"),
 }
 
 
@@ -279,13 +281,11 @@ def test_worker_side_query_error_keeps_its_type(merge_env):
 
 
 # ---------------------------------------------------------------------------
-# Analysis: what scatters, what must not
+# Planning: what gets an Exchange, what must not
 # ---------------------------------------------------------------------------
 
 REJECTED = {
     "distinct": "SELECT DISTINCT city FROM events",
-    "having": ("SELECT city, COUNT(*) AS n FROM events GROUP BY city "
-               "HAVING COUNT(*) > 10"),
     "count_distinct": "SELECT COUNT(DISTINCT city) AS n FROM events",
     "subquery_predicate": ("SELECT COUNT(*) AS n FROM events WHERE bucket IN "
                            "(SELECT bucket FROM events WHERE score > 30)"),
@@ -293,17 +293,35 @@ REJECTED = {
                         "(PARTITION BY city) AS w FROM events"),
     "topk_without_limit": "SELECT ev_id FROM events ORDER BY score",
     "bare_scan_without_order": "SELECT ev_id, amount FROM events",
-    "expression_over_aggregate": ("SELECT city, SUM(amount) / COUNT(*) AS r "
-                                  "FROM events GROUP BY city"),
     "unstored_table": "SELECT COUNT(*) AS n FROM not_stored",
+    # DISTINCT runs between the two Top-K stages' positions: a partial
+    # Top-K below it would cut rows before they are deduplicated.
+    "distinct_topk": "SELECT DISTINCT city FROM events ORDER BY city LIMIT 3",
+    "self_join_on_partition_table": (
+        "SELECT COUNT(*) AS n FROM events a, events b "
+        "WHERE a.ev_id = b.ev_id AND a.bucket = 3"),
+    "outer_join": ("SELECT COUNT(*) AS n FROM events a LEFT JOIN events b "
+                   "ON a.ev_id = b.bucket"),
+    "non_group_column": ("SELECT city, bucket, COUNT(*) AS n FROM events "
+                         "WHERE ev_id < 0 GROUP BY city"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED))
-def test_analysis_rejects_unmergeable_shapes(name, merge_env):
-    _, sharded = merge_env
-    assert analyze_shard_query(parse(REJECTED[name]),
-                               sharded._stored) is None, name
+def test_unmergeable_shapes_plan_without_exchange(name, merge_env):
+    """No Exchange in the plan, and the execution lands in ``fallbacks``."""
+    serial, sharded = merge_env
+    if name == "unstored_table":  # in the catalog, but not in the store
+        for db in (serial, sharded):
+            db.register("not_stored", {"x": [1, 2, 3]})
+    cfg = EngineConfig(shard_workers=2)
+    plan = sharded.explain_plan(REJECTED[name], cfg)
+    assert "Exchange" not in plan, plan
+    before = dict(sharded.shard_stats)
+    got = sharded.execute_chunk(REJECTED[name], cfg)
+    assert sharded.shard_stats["fallbacks"] == before["fallbacks"] + 1
+    assert sharded.shard_stats["scattered"] == before["scattered"]
+    assert_chunks_match(serial.execute_chunk(REJECTED[name]), got, name)
 
 
 def test_rejected_shapes_still_execute_serially(merge_env):
@@ -317,85 +335,110 @@ def test_rejected_shapes_still_execute_serially(merge_env):
     assert sharded.shard_stats["fallbacks"] == before + 1
 
 
-def test_analysis_accepts_the_canonical_shapes(merge_env):
+def test_canonical_shapes_plan_with_exchange(merge_env):
     _, sharded = merge_env
-    agg = analyze_shard_query(
-        parse(MERGE_QUERIES["string_keys_every_agg"]), sharded._stored)
-    assert agg is not None and agg.kind == "agg"
-    assert agg.table == "events" and agg.nkeys == 1
-    assert agg.agg_funcs == ["COUNT", "SUM", "AVG", "MIN", "MAX"]
-    topk = analyze_shard_query(
-        parse(MERGE_QUERIES["topk_with_filter"]), sharded._stored)
-    assert topk is not None and topk.kind == "topk"
-    assert topk.limit == 17
-    assert topk.order_cols == [("amount", False), ("ev_id", True)]
+    cfg = EngineConfig(shard_workers=2)
+    agg = sharded.explain_plan(MERGE_QUERIES["string_keys_every_agg"], cfg)
+    assert [ln.strip().split("  [")[0] for ln in agg.splitlines()] == [
+        "Sort city",
+        "HashAggregate keys=[__k0] items=6",
+        "Exchange events 2 partition(s) chunks=[0,4) [4,8)",
+        # one partial per distinct call: AVG(amount) reuses SUM(amount)
+        "HashAggregate keys=[city] items=6",
+        "Scan events cols=[city, amount]",
+    ]
+    topk = sharded.explain_plan(MERGE_QUERIES["topk_with_filter"], cfg)
+    assert [ln.strip().split("  [")[0] for ln in topk.splitlines()][:4] == [
+        "TopK 17 by amount DESC, ev_id",
+        "Exchange events 2 partition(s) chunks=[0,4) [4,8)",
+        "TopK 17 by amount DESC, ev_id",
+        "Project ev_id, amount",
+    ]
 
 
-# ---------------------------------------------------------------------------
-# The shard verifier: one negative per rule id
-# ---------------------------------------------------------------------------
+# New shapes the planner-placed Exchange distributes; each is checked
+# against serial (and must actually scatter) at workers {1, 2, 4}.
+NEW_SHAPES = {
+    # Nothing is inlined: the CTE body is planned like any SELECT.
+    "cte_wrapped_aggregate": (
+        "WITH v AS (SELECT city, SUM(amount) AS s, COUNT(*) AS n FROM events "
+        "GROUP BY city) SELECT city, s FROM v ORDER BY s DESC LIMIT 3"),
+    "positional_group_and_order": (
+        "SELECT city, COUNT(*) FROM events GROUP BY 1 ORDER BY 2 DESC LIMIT 3"),
+    "having_on_non_projected_aggregate": (
+        "SELECT city, COUNT(*) AS n FROM events GROUP BY city "
+        "HAVING MAX(score) >= 39 AND SUM(amount) > -1000000 ORDER BY city"),
+    "sum_over_count": (
+        "SELECT bucket, SUM(amount) / COUNT(*) AS r FROM events "
+        "GROUP BY bucket ORDER BY bucket"),
+    # 'late' rows exist only in the last chunk: every other partition's
+    # AVG / MIN input is all-NULL, in every group it has.
+    "avg_over_all_null_partition": (
+        "SELECT phase, AVG(CASE WHEN phase = 'late' THEN amount END) AS a, "
+        "MIN(CASE WHEN phase = 'late' THEN city END) AS c, "
+        "COUNT(*) AS n FROM events GROUP BY phase ORDER BY phase"),
+    "aggregate_cte_joined_later": (
+        "WITH t AS (SELECT bucket, SUM(amount) AS s FROM events "
+        "GROUP BY bucket) SELECT e.ev_id, t.s FROM events e, t "
+        "WHERE e.bucket = t.bucket AND e.ev_id < 20 ORDER BY e.ev_id"),
+    "order_by_non_projected_aggregate": (
+        "SELECT city FROM events GROUP BY city ORDER BY SUM(amount) DESC"),
+    "distinct_over_aggregate": (
+        "SELECT DISTINCT COUNT(*) > 0 AS any_rows FROM events GROUP BY city"),
+    "aggregate_in_in_subquery": (
+        "SELECT ev_id FROM events WHERE bucket IN (SELECT bucket FROM events "
+        "GROUP BY bucket HAVING COUNT(*) > 310) AND ev_id < 40 "
+        "ORDER BY ev_id"),
+}
 
-def _agg_recipe(**overrides) -> ShardQuery:
-    base = dict(kind="agg", table="events", nkeys=1,
-                agg_funcs=["SUM"], agg_fills=[None], agg_item_indices=[1],
-                items=[("key", 0), ("agg", 0)], order=[("key", 0, True)],
-                order_cols=[], limit=None, names=["city", "s"])
-    base.update(overrides)
-    return ShardQuery(**base)
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("name", sorted(NEW_SHAPES))
+def test_newly_distributed_shapes_match_serial(name, workers, merge_env):
+    serial, sharded = merge_env
+    sql = NEW_SHAPES[name]
+    cfg = EngineConfig(shard_workers=workers)
+    assert "Exchange" in sharded.explain_plan(sql, cfg), name
+    base = serial.execute_chunk(sql, EngineConfig(threads=1))
+    before = sharded.shard_stats["scattered"]
+    got = sharded.execute_chunk(sql, cfg)
+    assert sharded.shard_stats["scattered"] == before + 1, name
+    assert_chunks_match(base, got, f"{name}[workers={workers}]")
 
 
-def _expect(invariant: str, recipe: ShardQuery, nchunks=4,
-            ranges=((0, 2), (2, 4))) -> None:
-    with pytest.raises(PlanInvariantError) as info:
-        verify_shard_query(recipe, nchunks, [tuple(r) for r in ranges])
-    assert info.value.invariant == invariant
+def test_shard_stats_count_every_execution_exactly_once(merge_env):
+    """8 threads x 50 mixed prepared/ad-hoc executions, scattering and
+    not: ``scattered + fallbacks`` moves by exactly 400 (the counters are
+    bumped from scheduler threads, so the increment must be locked, and a
+    prepared statement that does not scatter must still count)."""
+    _, sharded = merge_env
+    cfg = EngineConfig(shard_workers=2)
+    scatter_sql = MERGE_QUERIES["global_aggregate"]
+    serial_sql = REJECTED["distinct"]
+    prepared = {sql: sharded.prepare(sql, cfg)
+                for sql in (scatter_sql, serial_sql)}
+    before = dict(sharded.shard_stats)
+    errors: list[BaseException] = []
 
+    def client(tid: int) -> None:
+        try:
+            for i in range(50):
+                sql = scatter_sql if (tid + i) % 3 == 0 else serial_sql
+                if i % 2:
+                    prepared[sql].execute_chunk()
+                else:
+                    sharded.execute_chunk(sql, cfg)
+        except BaseException as exc:  # surfaced by the assert below
+            errors.append(exc)
 
-class TestShardVerifier:
-    def test_valid_recipe_passes(self):
-        verify_shard_query(_agg_recipe(), 4, [(0, 2), (2, 4)])
-
-    def test_shard_kind(self):
-        _expect("shard.kind", _agg_recipe(kind="shuffle"))
-
-    def test_partition_gap_drops_rows(self):
-        _expect("shard.partition.cover", _agg_recipe(),
-                ranges=[(0, 2), (3, 4)])
-
-    def test_partition_overlap_double_counts(self):
-        _expect("shard.partition.cover", _agg_recipe(),
-                ranges=[(0, 3), (2, 4)])
-
-    def test_partition_short_coverage(self):
-        _expect("shard.partition.cover", _agg_recipe(),
-                ranges=[(0, 2), (2, 3)])
-
-    def test_partition_empty_range(self):
-        _expect("shard.partition.nonempty", _agg_recipe(),
-                ranges=[(0, 0), (0, 4)])
-
-    def test_agg_mergeable(self):
-        _expect("shard.agg.mergeable", _agg_recipe(agg_funcs=["MEDIAN"]))
-
-    def test_items_resolved_bad_key_index(self):
-        _expect("shard.items.resolved",
-                _agg_recipe(items=[("key", 5), ("agg", 0)]))
-
-    def test_items_resolved_unknown_kind(self):
-        _expect("shard.items.resolved",
-                _agg_recipe(items=[("literal", 0), ("agg", 0)]))
-
-    def test_order_resolved(self):
-        _expect("shard.order.resolved", _agg_recipe(order=[("item", 9, True)]))
-
-    def test_topk_bounded_requires_limit(self):
-        _expect("shard.topk.bounded",
-                ShardQuery(kind="topk", table="events", nkeys=0,
-                           order_cols=[("score", False)], limit=None,
-                           names=["ev_id", "score"]))
-
-    def test_topk_bounded_requires_sort_columns(self):
-        _expect("shard.topk.bounded",
-                ShardQuery(kind="topk", table="events", nkeys=0,
-                           order_cols=[], limit=10,
-                           names=["ev_id", "score"]))
+    threads = [threading.Thread(target=client, args=(t,)) for t in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    after = sharded.shard_stats
+    expected_scatter = sum((t + i) % 3 == 0
+                           for t in range(8) for i in range(50))
+    assert after["scattered"] - before["scattered"] == expected_scatter
+    assert after["fallbacks"] - before["fallbacks"] == 400 - expected_scatter

@@ -50,6 +50,14 @@ ENG008 executor-private-access
     ``executor._x`` / ``<expr>.executor._x`` attribute access outside
     ``sqlengine/executor.py`` grows the operator→interpreter cycle back.
 
+ENG009 distribution-in-planner
+    The planner alone decides what a query distributes (it places
+    ``plan.Exchange``); the serving tier ships plans, never SQL.  No
+    module under ``src/repro/server/`` may import
+    ``repro.sqlengine.parser`` or anything from ``repro.sqlengine.sqlast``
+    — at any level, lazily included: a server module that can parse or
+    take apart a ``Select`` is a second, syntactic analyzer in the making.
+
 Findings are identified as ``path:RULE:symbol`` (symbol = nearest
 enclosing ``Class.function``, or ``<module>``); adding that line to
 ``tools/lint_engine_allow.txt`` suppresses the finding.  Run:
@@ -82,6 +90,8 @@ BROAD_EXCEPTS = {"Exception", "BaseException"}
 # that owns them.
 EXECUTOR_CLIENT_PACKAGES = ("sqlengine", "storage")
 EXECUTOR_MODULE = "src/repro/sqlengine/executor.py"
+# Modules the serving tier must not import (ENG009).
+SERVER_FORBIDDEN_MODULES = ("repro.sqlengine.parser", "repro.sqlengine.sqlast")
 
 
 class Finding:
@@ -264,7 +274,16 @@ class _Linter(ast.NodeVisitor):
         base = parts[: len(parts) - (level - 1)] if level > 1 else parts
         return ".".join(base + ([module] if module else []))
 
-    def _check_import(self, node, resolved: str) -> None:
+    def _check_import(self, node, resolved: str, names: tuple = ()) -> None:
+        # ENG009 (any nesting level): the module itself, or — for
+        # "from ..sqlengine import parser" — one of the imported names.
+        if self.rel.startswith("src/repro/server/"):
+            for target in (resolved, *(f"{resolved}.{n}" for n in names)):
+                if target in SERVER_FORBIDDEN_MODULES:
+                    self.emit("ENG009", node,
+                              f"import of {target!r} from the serving tier "
+                              f"— distribution is decided by the planner "
+                              f"on operators, not on SQL text or AST")
         if self.stack:
             return  # lazy (function-level) import: exactly what we want
         if resolved == "repro.analysis" \
@@ -282,7 +301,8 @@ class _Linter(ast.NodeVisitor):
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         # "from ..analysis import x" / "from repro.analysis import x"
         self._check_import(
-            node, self._resolved_module(node.module or "", node.level))
+            node, self._resolved_module(node.module or "", node.level),
+            tuple(alias.name for alias in node.names))
 
 
 def lint_file(path: Path, findings: list[Finding]) -> None:

@@ -18,6 +18,7 @@ import ast
 import functools
 import inspect
 import textwrap
+import weakref
 
 from ..backends import Backend, ExecutionBackend, get_backend
 from ..errors import BackendError, TranslationError
@@ -121,8 +122,13 @@ class PytondFunction:
             probe_db = db or self._db
             pivot_probe = None
             if probe_db is not None:
-                def pivot_probe(rel, column, _db=probe_db):
-                    result = _db.execute(f"SELECT DISTINCT {column} FROM {rel}")
+                # Weakly: the Translator is cyclic garbage once it returns,
+                # and must not keep a Database (and the column encodings
+                # cached on its tables) alive until the next full GC.
+                db_ref = weakref.ref(probe_db)
+
+                def pivot_probe(rel, column):
+                    result = db_ref().execute(f"SELECT DISTINCT {column} FROM {rel}")
                     values = result.to_dict()[column]
                     return sorted(v for v in values if v is not None)
             translator = Translator(

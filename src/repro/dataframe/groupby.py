@@ -52,6 +52,8 @@ def group_reduce(values: np.ndarray, gids: np.ndarray, ngroups: int, func: str) 
         return np.bincount(gids, minlength=ngroups).astype(np.int64)
     if func == "count":
         return np.bincount(gids[valid], minlength=ngroups).astype(np.int64)
+    if func == "nunique":
+        return _group_nunique(values[valid], gids[valid], ngroups)
 
     if values.dtype == object or values.dtype.kind == "M":
         return _group_reduce_python(values, gids, ngroups, func, valid)
@@ -97,11 +99,35 @@ def group_reduce(values: np.ndarray, gids: np.ndarray, ngroups: int, func: str) 
             var = (sq - sums**2 / counts) / (counts - 1)
         var = np.where(var < 0, 0.0, var)
         return np.sqrt(var) if func == "std" else var
-    if func == "nunique":
-        return _group_reduce_python(values, gids, ngroups, "nunique", valid)
     if func == "first":
         return _group_reduce_python(values, gids, ngroups, "first", valid)
     raise DataFrameError(f"unsupported aggregate: {func!r}")
+
+
+def _group_nunique(values: np.ndarray, gids: np.ndarray, ngroups: int) -> np.ndarray:
+    """Distinct non-null values per group (*values* already null-free):
+    sort the (group, value code) pairs and count the runs per group."""
+    if not len(values):
+        return np.zeros(ngroups, dtype=np.int64)
+    kind = values.dtype.kind
+    if kind == "M":
+        values = values.astype("datetime64[D]").astype(np.int64)
+    if kind in ("i", "u", "b", "M") and \
+            (int(values.max()) - int(values.min()) + 1) * ngroups < 2**62:
+        codes = values.astype(np.int64) - int(values.min())
+    elif kind == "O":
+        from ..sqlengine.table import encode
+
+        codes = encode(values).codes.astype(np.int64)
+    else:  # floats, and integers too sparse to pack by value
+        codes = np.unique(values, return_inverse=True)[1]
+    span = int(codes.max()) + 1
+    pairs = gids * span + codes
+    pairs.sort()
+    run_starts = np.ones(len(pairs), dtype=bool)
+    run_starts[1:] = pairs[1:] != pairs[:-1]
+    return np.bincount(pairs[run_starts] // span,
+                       minlength=ngroups).astype(np.int64)
 
 
 def _group_reduce_python(values: np.ndarray, gids: np.ndarray, ngroups: int, func: str, valid: np.ndarray) -> np.ndarray:
@@ -121,14 +147,10 @@ def _group_reduce_python(values: np.ndarray, gids: np.ndarray, ngroups: int, fun
             out[g] = sum(bucket)
         elif func == "mean":
             out[g] = sum(bucket) / len(bucket)
-        elif func == "nunique":
-            out[g] = len(set(bucket))
         elif func == "first":
             out[g] = bucket[0]
         else:
             raise DataFrameError(f"unsupported aggregate {func!r} for object column")
-    if func == "nunique":
-        return np.array([0 if v is None else v for v in out], dtype=np.int64)
     if values.dtype.kind == "M" and all(v is not None for v in out):
         return np.array(out.tolist(), dtype="datetime64[D]")
     return out

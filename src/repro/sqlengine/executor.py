@@ -32,7 +32,7 @@ from .sqlast import (
     BinaryOp, ColumnRef, CompoundSelect, Expr, Query, SelectItem, TableRef,
     ValuesClause,
 )
-from .table import Chunk
+from .table import Chunk, isna
 
 __all__ = ["EngineConfig", "Executor"]
 
@@ -180,7 +180,9 @@ class Executor:
                 chunk = Chunk(list(cte.column_names), chunk.arrays)
             self.note(f"materialize CTE {cte.name} -> {chunk.nrows} rows x {chunk.ncols} cols")
             env[cte.name] = chunk
-        return self._execute_select(query.body, env)
+        # Dictionary-encoded columns stop here: callers, the wire and the
+        # row backends only ever see plain arrays.
+        return self._execute_select(query.body, env, final=True).decoded()
 
     def execute_body(self, body, env: dict[str, Chunk]) -> Chunk:
         """Run a CTE or derived-table body: VALUES, SELECT or compound."""
@@ -192,9 +194,10 @@ class Executor:
     # Plan lookup
     # ------------------------------------------------------------------
     def plan_for(self, select, env: dict[str, Chunk],
-                 cacheable: bool = True) -> PhysicalPlan:
+                 cacheable: bool = True, final: bool = False) -> PhysicalPlan:
         """Fetch (or build and remember) the physical plan for a body
-        (a plain SELECT or a compound select)."""
+        (a plain SELECT or a compound select; *final*: the statement's own
+        body, whose rows are the result)."""
         plan = self.plans.get(id(select))
         if plan is not None:
             plan.cache_hits += 1
@@ -204,7 +207,8 @@ class Executor:
             name: RelSchema(list(c.columns), float(c.nrows))
             for name, c in env.items()
         }
-        plan = Planner(self.catalog, self.config).plan_body(select, env_schemas)
+        plan = Planner(self.catalog, self.config).plan_body(select, env_schemas,
+                                                            final)
         if self.config.verify_plans:
             # Static invariant check before the plan is cached or executed;
             # env chunks carry materialized dtypes, so CTE columns verify
@@ -221,9 +225,9 @@ class Executor:
         return plan
 
     def _execute_select(self, select, env: dict[str, Chunk],
-                        cacheable: bool = True) -> Chunk:
+                        cacheable: bool = True, final: bool = False) -> Chunk:
         """Execute a SELECT or compound-select body through its plan."""
-        plan = self.plan_for(select, env, cacheable=cacheable)
+        plan = self.plan_for(select, env, cacheable=cacheable, final=final)
         if self.stats is not None:
             self.stats.record_plan(plan)
         return plan.execute(ExecContext(self, env))
@@ -243,12 +247,10 @@ class Executor:
                 return None
             return chunk.arrays[0][0]
         if kind == "in":
-            from ..dataframe._common import isna_array
-
             chunk = self._execute_select(select, env)
             build = chunk.arrays[0]
             matched = self._membership([operand], [build])
-            return matched, bool(isna_array(build).any()), chunk.nrows == 0
+            return matched, bool(isna(build).any()), chunk.nrows == 0
         if kind == "exists":
             return self._execute_exists(select, env, outer_eval)
         raise SQLBindError(f"unknown subquery kind {kind!r}")

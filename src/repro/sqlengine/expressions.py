@@ -4,6 +4,11 @@ The evaluator resolves column references through a :class:`Scope` (alias ->
 slot mapping built by the operators), applies SQL null semantics (comparisons
 with NULL are false, arithmetic propagates NULL via NaN/None), and delegates
 subquery forms back to the executor through a callback.
+
+Dictionary-encoded columns (:class:`~.table.DictColumn`) get one rule, not
+one per operator: a sub-expression whose only column input is a single
+encoded column is evaluated once over the dictionary entries the chunk
+still holds and the result gathered by the codes (:meth:`Evaluator._lifted`).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import SQLBindError
-from ..dataframe._common import isna_array
+from ..dataframe._common import coerce_array, isna_array
 from ..dataframe.strings import like_to_regex
 from .functions import call_function
 from .sqlast import (
@@ -22,10 +27,11 @@ from .sqlast import (
     Expr, FuncCall, InList, InSubquery, IsNull, LikeExpr, Literal, Parameter,
     ScalarSubquery, Star, UnaryOp, WindowCall,
 )
-from .table import Chunk
+from .table import Chunk, DictColumn, isna
 
-__all__ = ["Scope", "Evaluator", "expr_columns", "contains_aggregate",
-           "has_subquery", "has_window", "expr_key", "map_children"]
+__all__ = ["Scope", "Evaluator", "children", "expr_columns",
+           "contains_aggregate", "has_subquery", "has_window", "expr_key",
+           "map_children"]
 
 
 class Scope:
@@ -53,153 +59,63 @@ class Scope:
         return self.unqualified.get(ref.name)
 
 
+def children(expr: Expr) -> tuple:
+    """The direct sub-expressions of *expr* — the one place that knows where
+    each node keeps them.  Subquery bodies are not entered."""
+    if isinstance(expr, BinaryOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, (UnaryOp, CastExpr, IsNull, LikeExpr, InSubquery)):
+        return (expr.operand,)
+    if isinstance(expr, FuncCall):
+        return tuple(expr.args)
+    if isinstance(expr, AggCall):
+        return () if expr.arg is None else (expr.arg,)
+    if isinstance(expr, CaseExpr):
+        out = tuple(e for branch in expr.branches for e in branch)
+        return out if expr.default is None else out + (expr.default,)
+    if isinstance(expr, InList):
+        return (expr.operand, *expr.items)
+    if isinstance(expr, BetweenExpr):
+        return (expr.operand, expr.low, expr.high)
+    if isinstance(expr, WindowCall):
+        return (*expr.args, *expr.partition_by,
+                *(o.expr for o in expr.order_by))
+    return ()
+
+
 def expr_columns(expr: Expr) -> list[ColumnRef]:
     """All column references in *expr* (excluding subquery bodies)."""
-    out: list[ColumnRef] = []
-
-    def walk(e) -> None:
-        if isinstance(e, ColumnRef):
-            out.append(e)
-        elif isinstance(e, BinaryOp):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, UnaryOp):
-            walk(e.operand)
-        elif isinstance(e, FuncCall):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, AggCall):
-            if e.arg is not None:
-                walk(e.arg)
-        elif isinstance(e, CaseExpr):
-            for c, v in e.branches:
-                walk(c)
-                walk(v)
-            if e.default is not None:
-                walk(e.default)
-        elif isinstance(e, CastExpr):
-            walk(e.operand)
-        elif isinstance(e, (InList, InSubquery)):
-            walk(e.operand)
-            if isinstance(e, InList):
-                for item in e.items:
-                    walk(item)
-        elif isinstance(e, BetweenExpr):
-            walk(e.operand)
-            walk(e.low)
-            walk(e.high)
-        elif isinstance(e, (IsNull, LikeExpr)):
-            walk(e.operand)
-        elif isinstance(e, WindowCall):
-            for a in e.args:
-                walk(a)
-            for p in e.partition_by:
-                walk(p)
-            for o in e.order_by:
-                walk(o.expr)
-
-    walk(expr)
-    return out
-
-
-def contains_aggregate(expr: Expr) -> bool:
-    if isinstance(expr, AggCall):
-        return True
-    if isinstance(expr, BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, FuncCall):
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, CaseExpr):
-        return (
-            any(contains_aggregate(c) or contains_aggregate(v) for c, v in expr.branches)
-            or (expr.default is not None and contains_aggregate(expr.default))
-        )
-    if isinstance(expr, CastExpr):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, BetweenExpr):
-        return any(contains_aggregate(e) for e in (expr.operand, expr.low, expr.high))
-    if isinstance(expr, (IsNull, LikeExpr)):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, InList):
-        return contains_aggregate(expr.operand)
-    return False
+    if isinstance(expr, ColumnRef):
+        return [expr]
+    return [ref for child in children(expr) for ref in expr_columns(child)]
 
 
 def aggregates_of(expr: Expr):
-    """Yield every :class:`AggCall` in *expr* (same traversal as
-    :func:`contains_aggregate`; subquery bodies are not entered)."""
+    """Yield every :class:`AggCall` in *expr*, outermost only.  A window
+    call's own arguments and keys are not searched (an aggregate there is
+    computed by the window's input, not by this expression)."""
     if isinstance(expr, AggCall):
         yield expr
-        return
-    if isinstance(expr, BinaryOp):
-        children = (expr.left, expr.right)
-    elif isinstance(expr, UnaryOp):
-        children = (expr.operand,)
-    elif isinstance(expr, FuncCall):
-        children = tuple(expr.args)
-    elif isinstance(expr, CaseExpr):
-        children = tuple(e for c, v in expr.branches for e in (c, v))
-        if expr.default is not None:
-            children += (expr.default,)
-    elif isinstance(expr, CastExpr):
-        children = (expr.operand,)
-    elif isinstance(expr, BetweenExpr):
-        children = (expr.operand, expr.low, expr.high)
-    elif isinstance(expr, (IsNull, LikeExpr, InList)):
-        children = (expr.operand,)
-    else:
-        return
-    for child in children:
-        yield from aggregates_of(child)
+    elif not isinstance(expr, WindowCall):
+        for child in children(expr):
+            yield from aggregates_of(child)
+
+
+def contains_aggregate(expr: Expr) -> bool:
+    return next(aggregates_of(expr), None) is not None
 
 
 def has_subquery(expr: Expr) -> bool:
     """Does *expr* contain an IN/EXISTS/scalar subquery anywhere?"""
-    if isinstance(expr, (InSubquery, ExistsExpr, ScalarSubquery)):
-        return True
-    for attr in ("left", "right", "operand", "low", "high", "arg"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr) and has_subquery(child):
-            return True
-    for attr in ("args", "items"):
-        children = getattr(expr, attr, None)
-        if children:
-            if any(isinstance(c, Expr) and has_subquery(c) for c in children):
-                return True
-    branches = getattr(expr, "branches", None)
-    if branches:
-        for cond, value in branches:
-            if has_subquery(cond) or has_subquery(value):
-                return True
-        default = getattr(expr, "default", None)
-        if default is not None and has_subquery(default):
-            return True
-    return False
+    return isinstance(expr, (InSubquery, ExistsExpr, ScalarSubquery)) \
+        or any(has_subquery(child) for child in children(expr))
 
 
 def has_window(expr: Expr) -> bool:
     """Does *expr* contain a window call anywhere (CASE branches and
     BETWEEN bounds included)?"""
-    if isinstance(expr, WindowCall):
-        return True
-    for attr in ("left", "right", "operand", "low", "high"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr) and has_window(child):
-            return True
-    children = getattr(expr, "args", None)
-    if children and any(isinstance(c, Expr) and has_window(c) for c in children):
-        return True
-    branches = getattr(expr, "branches", None)
-    if branches:
-        for cond, value in branches:
-            if has_window(cond) or has_window(value):
-                return True
-        default = getattr(expr, "default", None)
-        if default is not None and has_window(default):
-            return True
-    return False
+    return isinstance(expr, WindowCall) \
+        or any(has_window(child) for child in children(expr))
 
 
 def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
@@ -335,6 +251,24 @@ def _null_safe_compare(left, right, op: str, n: int) -> np.ndarray:
     return result
 
 
+# The row-wise scalar forms: their value on a row is a function of that
+# row's column values alone, so one over a single encoded column can be
+# evaluated per dictionary entry.  Aggregates, window calls, subqueries and
+# any node not listed here are never lifted.
+_ROW_FORMS = (BinaryOp, UnaryOp, FuncCall, CastExpr, CaseExpr, InList,
+              BetweenExpr, IsNull, LikeExpr)
+_CONSTANT = -1
+
+
+class _DictionaryScope:
+    """Scope of the one-column relation a lifted expression runs over:
+    every reference in it is that column."""
+
+    @staticmethod
+    def resolve(ref: ColumnRef) -> int:
+        return 0
+
+
 class Evaluator:
     """Evaluates expressions over a chunk, with optional grouped mode."""
 
@@ -351,6 +285,8 @@ class Evaluator:
         # Bound parameter values ({index_or_name: scalar}) for statements
         # with placeholders; None for parameterless statements.
         self.params = params
+        self._has_dict = DictColumn in map(type, chunk.arrays)
+        self._lift_slots: dict[int, tuple[Expr, int | None]] = {}
         # grouped-mode state, set by plan.aggregate when aggregating
         self.gids: np.ndarray | None = None
         self.ngroups: int | None = None
@@ -368,9 +304,19 @@ class Evaluator:
         """Evaluate to a numpy array (length nrows) or a python scalar."""
         return self._eval(expr)
 
-    def eval_array(self, expr: Expr) -> np.ndarray:
-        value = self._eval(expr)
-        if isinstance(value, np.ndarray) and value.ndim == 1 and len(value) == self.nrows:
+    def eval_array(self, expr: Expr):
+        """Evaluate to a column of length nrows.  A bare reference to a
+        dictionary-encoded column comes back encoded (keys and projected
+        columns stay codes); every other value is a numpy array."""
+        return self._broadcast(self._eval(expr, keep_dict=True))
+
+    def _array(self, expr: Expr) -> np.ndarray:
+        return self._broadcast(self._eval(expr))
+
+    def _broadcast(self, value):
+        if isinstance(value, DictColumn) or (
+                isinstance(value, np.ndarray) and value.ndim == 1
+                and len(value) == self.nrows):
             return value
         n = self.nrows
         # Typed scalar fast paths: constants broadcast without the object
@@ -385,14 +331,10 @@ class Evaluator:
             return np.full(n, float(value), dtype=np.float64)
         if isinstance(value, np.datetime64):
             return np.full(n, value, dtype="datetime64[D]")
-        if isinstance(value, str):
-            out = np.empty(n, dtype=object)
-            out[:] = value
-            return out
         out = np.empty(n, dtype=object)
         out[:] = value
-        from ..dataframe._common import coerce_array
-
+        if isinstance(value, str):
+            return out
         return coerce_array(out)
 
     def eval_mask(self, expr: Expr) -> np.ndarray:
@@ -404,11 +346,70 @@ class Evaluator:
         return value
 
     # -- dispatch -------------------------------------------------------------
-    def _eval(self, expr: Expr):
+    def _eval(self, expr: Expr, keep_dict: bool = False):
+        if self._has_dict and isinstance(expr, _ROW_FORMS):
+            slot = self._lift_slot(expr)
+            if slot is not None and slot != _CONSTANT:
+                return self._lifted(expr, slot)
         method = getattr(self, f"_eval_{type(expr).__name__}", None)
         if method is None:
             raise SQLBindError(f"cannot evaluate {type(expr).__name__}")
-        return method(expr)
+        value = method(expr)
+        if not keep_dict and isinstance(value, DictColumn):
+            value = value.decode()
+        return value
+
+    def _lift_slot(self, expr: Expr) -> int | None:
+        """The slot of the one encoded column *expr* is a row-wise function
+        of (``_CONSTANT`` when it reads no column); None when it reads a
+        plain column, two columns, or is not a row-wise form.  Each node is
+        judged once per evaluator."""
+        known = self._lift_slots.get(id(expr))
+        if known is not None:
+            return known[1]
+        if isinstance(expr, ColumnRef):
+            slot = self.scope.resolve(expr)
+            if slot is not None and \
+                    not isinstance(self.chunk.arrays[slot], DictColumn):
+                slot = None
+        elif isinstance(expr, (Literal, Parameter)):
+            slot = _CONSTANT
+        elif isinstance(expr, _ROW_FORMS):
+            slot = _CONSTANT
+            for child in children(expr):
+                below = self._lift_slot(child)
+                if below is None or \
+                        (slot != below and _CONSTANT not in (slot, below)):
+                    slot = None     # a plain column, or a second column
+                    break
+                slot = max(slot, below)
+        else:
+            slot = None
+        # The node is kept with its verdict so its id cannot be reused.
+        self._lift_slots[id(expr)] = (expr, slot)
+        return slot
+
+    def _lifted(self, expr: Expr, slot: int):
+        """Evaluate *expr*, whose only column input is the encoded column
+        at *slot* (comparison, IN, BETWEEN, LIKE, IS NULL, CASE, any scalar
+        function), once per dictionary entry: the ordinary evaluator runs
+        over the entries some row of the chunk holds — never over one an
+        earlier filter removed, which a partial function such as CAST could
+        reject — and the codes gather the result."""
+        col = self._column(slot)
+        held = np.bincount(col.codes, minlength=len(col.dictionary)) > 0
+        entries = col.dictionary if held.all() else col.dictionary[held]
+        value = Evaluator(Chunk(["entry"], [entries]), _DictionaryScope,
+                          params=self.params)._eval(expr)
+        if col.watch is not None:
+            col.watch.count_dict(lifted=1)
+        if not (isinstance(value, np.ndarray) and value.shape == entries.shape):
+            return value
+        if 0 < len(entries) < len(held):
+            # Back to dictionary positions; an entry no row holds gets a
+            # neighbour's value, which no code reads.
+            value = value[np.maximum(np.cumsum(held) - 1, 0)]
+        return value[col.codes]
 
     def _column(self, slot: int) -> np.ndarray:
         col = self.chunk.arrays[slot]
@@ -535,10 +536,15 @@ class Evaluator:
             arg = self.eval_array(expr.arg)
         finally:
             self.gids, self.ngroups, self.group_first = saved
+        if isinstance(arg, DictColumn):
+            if func in ("count", "nunique"):
+                # Counting needs the codes only; NULL rows are dropped here.
+                valid = ~arg.isna()
+                return group_reduce(arg.codes[valid], self.gids[valid],
+                                    int(self.ngroups), func)
+            arg = arg.decode()
         result = group_reduce(arg, self.gids, int(self.ngroups), func)
         if result.dtype == object:
-            from ..dataframe._common import coerce_array
-
             result = coerce_array(result)
         if func == "sum":
             # SQL SUM over an empty group is NULL (Pandas would say 0).
@@ -551,8 +557,8 @@ class Evaluator:
 
     def _eval_CaseExpr(self, expr: CaseExpr):
         conditions = [self.eval_mask(c) for c, _ in expr.branches]
-        values = [self.eval_array(v) for _, v in expr.branches]
-        default = self.eval_array(expr.default) if expr.default is not None else None
+        values = [self._array(v) for _, v in expr.branches]
+        default = self._array(expr.default) if expr.default is not None else None
         if default is None:
             sample = values[0]
             if sample.dtype == object:
@@ -569,7 +575,7 @@ class Evaluator:
         return np.select(conditions, values, default=default.astype(target))
 
     def _eval_CastExpr(self, expr: CastExpr):
-        value = self.eval_array(expr.operand)
+        value = self._array(expr.operand)
         t = expr.type_name
         if t in ("INT", "INTEGER", "BIGINT", "SMALLINT"):
             return value.astype(np.int64)
@@ -594,7 +600,7 @@ class Evaluator:
         when neither the operand nor any list item is NULL.
         """
         n = self.nrows
-        operand = self.eval_array(expr.operand)
+        operand = self._array(expr.operand)
         mask = np.zeros(n, dtype=bool)
         item_null = np.zeros(n, dtype=bool)
         scalars: list = []
@@ -610,7 +616,6 @@ class Evaluator:
         if scalars:
             # All scalar literals resolve in one membership probe rather
             # than one full-column compare per item (long generated lists).
-            from ..dataframe._common import coerce_array
             from .joins import semi_join_flags
 
             if operand.dtype.kind == "M":
@@ -632,7 +637,7 @@ class Evaluator:
         return ~mask if expr.negated else mask
 
     def _eval_IsNull(self, expr: IsNull):
-        value = self.eval_array(expr.operand)
+        value = self._array(expr.operand)
         mask = isna_array(value)
         return ~mask if expr.negated else mask
 
@@ -649,7 +654,7 @@ class Evaluator:
         if pattern is None:
             # x LIKE NULL (or NOT LIKE NULL) is NULL: no row qualifies.
             return np.zeros(n, dtype=bool)
-        operand = self.eval_array(expr.operand).astype(object)
+        operand = self._array(expr.operand).astype(object)
         regex = like_to_regex(str(pattern), expr.escape)
         if expr.negated:
             # NULL operands stay false under NOT LIKE too (NOT NULL is NULL).
@@ -689,7 +694,7 @@ class Evaluator:
             return np.ones(self.nrows, dtype=bool)
         if build_has_null:
             return np.zeros(self.nrows, dtype=bool)
-        return ~matched & ~isna_array(operand)
+        return ~matched & ~isna(operand)
 
     def _eval_ExistsExpr(self, expr: ExistsExpr):
         if self.subquery_executor is None:

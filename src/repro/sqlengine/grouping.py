@@ -9,6 +9,7 @@ import numpy as np
 
 from ..dataframe._common import isna_array
 from .parallel import run_partitions
+from .table import DictColumn, as_dict
 
 __all__ = ["factorize", "factorize_many", "parallel_group_reduce"]
 
@@ -16,33 +17,49 @@ __all__ = ["factorize", "factorize_many", "parallel_group_reduce"]
 _MAX_PACKED = 2**62
 
 
-def factorize(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_appearance(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids for integer *codes* in ``[0, size)``, numbered by first
+    appearance among the rows.  Returns ``(gids, codes_in_id_order)``."""
+    n = len(codes)
+    first = np.full(size, n, dtype=np.int64)
+    # Assign row numbers back to front so each code keeps its smallest.
+    first[codes[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
+    present = np.nonzero(first < n)[0]
+    order = present[np.argsort(first[present], kind="stable")]
+    remap = np.empty(size, dtype=np.int64)
+    remap[order] = np.arange(len(order), dtype=np.int64)
+    return remap[codes], order
+
+
+def factorize(arr) -> tuple[np.ndarray, np.ndarray]:
     """Dense group ids for one key column.  Returns ``(gids, uniques)``.
 
     Group ids follow sorted-unique order for numeric/date keys (cheap and
-    deterministic); object keys fall back to a first-appearance dict.
+    deterministic).  String keys are grouped on their dictionary codes, in
+    order of first appearance among the rows (NULL is a group of its own);
+    a plain object array is encoded first, and ``uniques`` comes back in the
+    representation *arr* came in.
     """
-    if arr.dtype.kind in ("i", "u", "b", "f", "M"):
+    if not isinstance(arr, DictColumn) and arr.dtype.kind in ("i", "u", "b", "f", "M"):
         uniques, gids = np.unique(arr, return_inverse=True)
         return gids.astype(np.int64), uniques
-    # Object (string) keys: a dict pass is O(n) vs the O(n log n) string
-    # argsort inside np.unique, and it tolerates None values.
-    seen: dict = {}
-    gids = np.empty(len(arr), dtype=np.int64)
-    order: list = []
-    for i, v in enumerate(arr):
-        g = seen.get(v)
-        if g is None:
-            g = len(order)
-            seen[v] = g
-            order.append(v)
-        gids[i] = g
-    uniques = np.empty(len(order), dtype=object)
-    uniques[:] = order
-    return gids, uniques
+    col = as_dict(arr)
+    gids, order = _first_appearance(col.codes, len(col.dictionary))
+    if col is arr:
+        return gids, DictColumn(order.astype(np.int32), col.dictionary, col.watch)
+    return gids, col.dictionary[order]
 
 
-def factorize_many(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray], int]:
+def _dense_unique(codes: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for codes in ``[0, span)``:
+    a counting pass instead of a sort when the code range is small."""
+    if span > max(1 << 16, 2 * len(codes)):
+        return np.unique(codes, return_inverse=True)
+    present = np.bincount(codes, minlength=span) > 0
+    return np.nonzero(present)[0], (np.cumsum(present) - 1)[codes]
+
+
+def factorize_many(arrays: list) -> tuple[np.ndarray, list, int]:
     """Dense group ids for composite keys.
 
     Factorizes each key column independently, packs the per-column ids into
@@ -61,7 +78,7 @@ def factorize_many(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
     for gids, uniques in reversed(per_col):
         codes += gids * multiplier
         multiplier *= max(len(uniques), 1)
-    combined, combined_uniques = np.unique(codes, return_inverse=True)
+    combined, combined_uniques = _dense_unique(codes, multiplier)
     ngroups = len(combined)
     # Decode combined codes back into per-column unique values.
     key_cols: list[np.ndarray] = []

@@ -1,19 +1,22 @@
 """Vectorized hash-join primitives for the SQL engine.
 
-The integer fast path builds the join index (a stable sort of the build
-side) once, then probes it with ``np.searchsorted``; since searchsorted
-releases the GIL, probing is morsel-parallel across the shared worker pool
-when the caller passes ``threads > 1``.  Partition results concatenate in
-partition order, so the output row order is bit-identical to a serial probe.
+Every key reaches the kernels as one ``int64`` per row (:func:`_int_keys`):
+integer-class columns as they are, string columns as dictionary codes, the
+rest through a joint ``np.unique``.  The join builds a dense counting index
+over the build side once and probes it with pure fancy indexing, which
+releases the GIL, so probing is morsel-parallel across the shared worker
+pool when the caller passes ``threads > 1``.  Partition results concatenate
+in partition order, so the output row order is bit-identical to a serial
+probe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..dataframe._common import isna_array, take_with_nulls
+from .grouping import factorize_many
 from .parallel import parallel_map, parallel_masks, run_partitions
-from .table import Chunk
+from .table import Chunk, DictColumn, as_dict, gather, isna
 
 __all__ = ["join_positions", "combine_chunks", "semi_join_mask",
            "semi_join_flags"]
@@ -35,7 +38,7 @@ def _ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
-def _is_fast_key(arr: np.ndarray) -> bool:
+def _is_fast_key(arr) -> bool:
     return arr.dtype.kind in ("i", "u", "b", "M")
 
 
@@ -45,27 +48,78 @@ def _to_int_key(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _composite_int_key(arrays: list[np.ndarray], other: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Pack multiple int key columns into one int64 key per side, if safe."""
-    packed_a = np.zeros(len(arrays[0]) if arrays[0] is not None else 0, dtype=np.int64)
-    packed_b = np.zeros(len(other[0]) if other[0] is not None else 0, dtype=np.int64)
+def _pair_codes(a, b) -> tuple:
+    """One key column of each side as ``int64`` codes that are equal
+    exactly where the columns' non-NULL values are.  Returns ``(a_codes,
+    b_codes, a_null, b_null)``; a mask is None when the codes already keep
+    that side's NULLs from matching (or the dtype has no NULL)."""
+    if _is_fast_key(a) and _is_fast_key(b):
+        return (_to_int_key(a), _to_int_key(b),
+                np.isnat(a) if a.dtype.kind == "M" else None,
+                np.isnat(b) if b.dtype.kind == "M" else None)
+    if a.dtype == object or b.dtype == object:
+        # String keys: codes in one side's dictionary — a side that is
+        # already encoded, else b (the build side), which is encoded here —
+        # and the other side's values looked up in it, where a NULL finds
+        # nothing.
+        if isinstance(a, DictColumn):
+            return a.codes.astype(np.int64), a.codes_of(b), None, None
+        db = as_dict(b)
+        return db.codes_of(a), db.codes.astype(np.int64), None, None
+    # Floats (or a float against an integer): rank in the joint value set.
+    both = np.concatenate([a.astype(np.float64), b.astype(np.float64)])
+    ranks = np.unique(both, return_inverse=True)[1].astype(np.int64)
+    nulls = np.isnan(both)
+    return ranks[:len(a)], ranks[len(a):], nulls[:len(a)], nulls[len(a):]
+
+
+def _pack(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Pack per-column int64 codes into one int64 key per side."""
+    if len(pairs) == 1:
+        return pairs[0]
+    packed_a = np.zeros(len(pairs[0][0]), dtype=np.int64)
+    packed_b = np.zeros(len(pairs[0][1]), dtype=np.int64)
     multiplier = 1
-    for a, b in zip(reversed(arrays), reversed(other)):
-        ai, bi = _to_int_key(a), _to_int_key(b)
+    for ai, bi in reversed(pairs):
         lo = min(ai.min() if len(ai) else 0, bi.min() if len(bi) else 0)
         hi = max(ai.max() if len(ai) else 0, bi.max() if len(bi) else 0)
         span = int(hi) - int(lo) + 1
-        if span <= 0 or multiplier > 2**62 // max(span, 1):
-            return None
-        packed_a = packed_a + (ai - lo) * multiplier
-        packed_b = packed_b + (bi - lo) * multiplier
+        if multiplier > 2**62 // span:
+            # Too wide to pack by value range: rank the rows instead.
+            ranks = factorize_many([np.concatenate(pair) for pair in pairs])[0]
+            return ranks[:len(packed_a)], ranks[len(packed_a):]
+        packed_a += (ai - lo) * multiplier
+        packed_b += (bi - lo) * multiplier
         multiplier *= span
     return packed_a, packed_b
 
 
+def _any_null(masks: list) -> np.ndarray | None:
+    masks = [m for m in masks if m is not None and m.any()]
+    return np.logical_or.reduce(masks) if masks else None
+
+
+def _int_keys(left_keys: list, right_keys: list) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' keys as one ``int64`` per row.  A row with a NULL in any
+    key column gets a value no row of the other side has (SQL: NULL never
+    equi-matches)."""
+    cols = [_pair_codes(a, b) for a, b in zip(left_keys, right_keys)]
+    lk, rk = _pack([c[:2] for c in cols])
+    lnull, rnull = _any_null([c[2] for c in cols]), _any_null([c[3] for c in cols])
+    if lnull is not None or rnull is not None:
+        valid = np.concatenate([lk if lnull is None else lk[~lnull],
+                                rk if rnull is None else rk[~rnull]])
+        lo = int(valid.min()) if len(valid) else 0
+        if lnull is not None:
+            lk = np.where(lnull, lo - 1, lk)
+        if rnull is not None:
+            rk = np.where(rnull, lo - 2, rk)
+    return lk, rk
+
+
 def join_positions(
-    left_keys: list[np.ndarray],
-    right_keys: list[np.ndarray],
+    left_keys: list,
+    right_keys: list,
     how: str = "inner",
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -73,8 +127,13 @@ def join_positions(
 
     Returns ``(left_pos, right_pos, left_missing, right_missing)`` where the
     missing masks flag rows padded in by outer joins (their positions are 0
-    and must be null-filled).  With ``threads > 1`` the probe side is
-    partitioned across the worker pool (integer fast path only).
+    and must be null-filled).  Matched pairs come out ordered by left then
+    right position and the unmatched right rows of an outer join come last.
+    Its unmatched left rows keep their place among the matches when a key
+    is a string or a float and follow the matches when every key is
+    integer-class — the order each kind of key has always produced, which
+    results without an ORDER BY expose.  With ``threads > 1`` the probe side
+    is partitioned across the worker pool.
     """
     nl = len(left_keys[0]) if left_keys else 0
     nr = len(right_keys[0]) if right_keys else 0
@@ -90,19 +149,18 @@ def join_positions(
                                               swapped_how, threads)
         return lp, rp, lmiss, rmiss
 
-    fast = all(_is_fast_key(a) for a in left_keys) and all(_is_fast_key(a) for a in right_keys)
-    if fast and nl and nr:
-        if len(left_keys) == 1:
-            lk, rk = _to_int_key(left_keys[0]), _to_int_key(right_keys[0])
-        else:
-            packed = _composite_int_key(left_keys, right_keys)
-            if packed is None:
-                fast = False
-            else:
-                lk, rk = packed
-        if fast:
-            return _join_positions_int(lk, rk, how, threads)
-    return _join_positions_generic(left_keys, right_keys, nl, nr, how)
+    if not nl or not nr:
+        # Nothing can match; an outer join pads every row it preserves.
+        keep_l = nl if how in ("left", "full") else 0
+        keep_r = nr if how in ("right", "full") else 0
+        pad_l, pad_r = np.zeros(keep_l, dtype=bool), np.ones(keep_r, dtype=bool)
+        return (np.concatenate([np.arange(keep_l), np.zeros(keep_r, np.int64)]),
+                np.concatenate([np.zeros(keep_l, np.int64), np.arange(keep_r)]),
+                np.concatenate([pad_l, pad_r]),
+                np.concatenate([~pad_l, ~pad_r]))
+    lk, rk = _int_keys(left_keys, right_keys)
+    in_place = not all(_is_fast_key(a) for a in left_keys + right_keys)
+    return _join_positions_int(lk, rk, how, threads, in_place)
 
 
 # Classic hash-table prime ladder (roughly doubling); a prime modulus
@@ -123,7 +181,8 @@ def _hash_table_size(n: int) -> int:
     return _PRIMES[-1]
 
 
-def _join_positions_int(lk: np.ndarray, rk: np.ndarray, how: str, threads: int = 1):
+def _join_positions_int(lk: np.ndarray, rk: np.ndarray, how: str,
+                        threads: int = 1, in_place: bool = False):
     # Build a dense counting index once.  When the key span is modest
     # (typical for surrogate keys) buckets are the keys themselves; for
     # sparse keys (e.g. packed composites) keys hash into a prime-sized
@@ -180,10 +239,14 @@ def _join_positions_int(lk: np.ndarray, rk: np.ndarray, how: str, threads: int =
     if how in ("left", "full"):
         unmatched = np.nonzero(counts == 0)[0]
         if len(unmatched):
-            left_pos = np.concatenate([left_pos, unmatched])
-            right_pos = np.concatenate([right_pos, np.zeros(len(unmatched), dtype=np.int64)])
-            left_missing = np.concatenate([left_missing, np.zeros(len(unmatched), dtype=bool)])
-            right_missing = np.concatenate([right_missing, np.ones(len(unmatched), dtype=bool)])
+            # left_pos is sorted: *in_place* puts each unmatched row where
+            # its matches would have been, otherwise they go to the end.
+            at = np.searchsorted(left_pos, unmatched) if in_place \
+                else np.full(len(unmatched), len(left_pos))
+            left_pos = np.insert(left_pos, at, unmatched)
+            right_pos = np.insert(right_pos, at, 0)
+            right_missing = np.insert(right_missing, at, True)
+            left_missing = np.zeros(len(left_pos), dtype=bool)
     if how in ("right", "full"):
         matched = np.zeros(len(rk), dtype=bool)
         matched[right_pos[~right_missing]] = True
@@ -194,54 +257,6 @@ def _join_positions_int(lk: np.ndarray, rk: np.ndarray, how: str, threads: int =
             left_missing = np.concatenate([left_missing, np.ones(len(unmatched_r), dtype=bool)])
             right_missing = np.concatenate([right_missing, np.zeros(len(unmatched_r), dtype=bool)])
     return left_pos, right_pos, left_missing, right_missing
-
-
-def _join_positions_generic(left_keys, right_keys, nl, nr, how):
-    table: dict[tuple, list[int]] = {}
-    r_null = np.zeros(nr, dtype=bool)
-    for a in right_keys:
-        r_null |= isna_array(a)
-    for j in range(nr):
-        if r_null[j]:
-            continue
-        key = tuple(a[j] for a in right_keys)
-        table.setdefault(key, []).append(j)
-
-    l_null = np.zeros(nl, dtype=bool)
-    for a in left_keys:
-        l_null |= isna_array(a)
-
-    left_pos: list[int] = []
-    right_pos: list[int] = []
-    left_missing: list[bool] = []
-    right_missing: list[bool] = []
-    matched_r = np.zeros(nr, dtype=bool)
-    for i in range(nl):
-        matches = [] if l_null[i] else table.get(tuple(a[i] for a in left_keys), [])
-        if matches:
-            for j in matches:
-                left_pos.append(i)
-                right_pos.append(j)
-                left_missing.append(False)
-                right_missing.append(False)
-                matched_r[j] = True
-        elif how in ("left", "full"):
-            left_pos.append(i)
-            right_pos.append(0)
-            left_missing.append(False)
-            right_missing.append(True)
-    if how in ("right", "full"):
-        for j in np.nonzero(~matched_r)[0]:
-            left_pos.append(0)
-            right_pos.append(int(j))
-            left_missing.append(True)
-            right_missing.append(False)
-    return (
-        np.asarray(left_pos, dtype=np.int64),
-        np.asarray(right_pos, dtype=np.int64),
-        np.asarray(left_missing, dtype=bool),
-        np.asarray(right_missing, dtype=bool),
-    )
 
 
 def combine_chunks(
@@ -260,15 +275,15 @@ def combine_chunks(
     jobs += [(a, right_pos, right_missing) for a in right.arrays]
     if threads > 1 and len(left_pos) < 4096:
         threads = 1  # not worth the handoff
-    arrays = parallel_map(threads, lambda job: take_with_nulls(*job), jobs)
+    arrays = parallel_map(threads, lambda job: gather(*job), jobs)
     return Chunk(columns, arrays)
 
 
-def _null_mask(keys: list[np.ndarray]) -> np.ndarray:
+def _null_mask(keys: list) -> np.ndarray:
     """Rows where any key column is NULL (those rows never equi-match)."""
     out = np.zeros(len(keys[0]) if keys else 0, dtype=bool)
     for a in keys:
-        out |= isna_array(a)
+        out |= isna(a)
     return out
 
 
@@ -301,69 +316,29 @@ def semi_join_mask(probe_keys: list[np.ndarray], build_keys: list[np.ndarray]) -
     return out
 
 
-def semi_join_flags(probe_keys: list[np.ndarray], build_keys: list[np.ndarray],
+def semi_join_flags(probe_keys: list, build_keys: list,
                     threads: int = 1) -> np.ndarray:
     """Vectorized membership: for each probe row, does any build row equal it?
 
     SQL NULL semantics: a NULL in any key column on either side never
-    matches.  Integer-class keys (ints, bools, dates) probe a dense
-    presence bitmap (or a prime-sized hash table with vectorized candidate
-    verification when the key span is too sparse); the probe is pure fancy
-    indexing, which releases the GIL, so with ``threads > 1`` it is
-    morsel-parallel on the shared pool.  Floats use ``np.isin`` over
-    null-stripped values; everything else falls back to a C-looped set
-    containment (``np.frompyfunc``) — still an order of magnitude faster
-    than the per-row Python loop in :func:`semi_join_mask`.
+    matches.  Keys become one ``int64`` per row (:func:`_int_keys`: string
+    columns by their dictionary codes) and probe a dense presence bitmap
+    (or a prime-sized hash table with vectorized candidate verification
+    when the key span is too sparse); the probe is pure fancy indexing,
+    which releases the GIL, so with ``threads > 1`` it is morsel-parallel
+    on the shared pool.  A single float key uses ``np.isin`` over
+    null-stripped values.
     """
     n = len(probe_keys[0]) if probe_keys else 0
-    if not n:
-        return np.zeros(0, dtype=bool)
-    build_valid = ~_null_mask(build_keys)
-    if not build_valid.any():
+    if not n or not len(build_keys[0]):
         return np.zeros(n, dtype=bool)
-    if not build_valid.all():
-        build_keys = [a[build_valid] for a in build_keys]
-
-    fast = all(_is_fast_key(a) for a in probe_keys) and \
-        all(_is_fast_key(a) for a in build_keys)
-    if fast:
-        if len(probe_keys) == 1:
-            pk, bk = _to_int_key(probe_keys[0]), _to_int_key(build_keys[0])
-        else:
-            packed = _composite_int_key(probe_keys, build_keys)
-            if packed is None:
-                fast = False
-            else:
-                pk, bk = packed
-        if fast:
-            flags = _membership_int(pk, bk, threads)
-            # NaT maps to int64 min; the build side was null-stripped, so
-            # only datetime probes can still carry nulls worth masking.
-            if any(a.dtype.kind == "M" for a in probe_keys):
-                flags &= ~_null_mask(probe_keys)
-            return flags
-
-    # The build side is null-free from here on, so a NULL probe value can
-    # never compare equal to any member — no explicit probe mask needed
-    # (NaN != everything, and None only matches by identity, which the
-    # stripped set cannot contain).
     if len(probe_keys) == 1 and probe_keys[0].dtype.kind == "f" \
             and build_keys[0].dtype.kind in ("f", "i", "u", "b"):
-        return np.isin(probe_keys[0], build_keys[0].astype(np.float64))
-
-    # Generic path: set containment driven by map() — a C loop calling
-    # __contains__, no per-row Python frame or tuple allocation for the
-    # single-key case.
-    if len(probe_keys) == 1:
-        lookup = set(build_keys[0].tolist())
-        lookup.discard(None)
-        return np.fromiter(map(lookup.__contains__, probe_keys[0]),
-                           dtype=bool, count=n)
-    lookup = set(zip(*[a.tolist() for a in build_keys]))
-    return np.fromiter(
-        map(lookup.__contains__, zip(*[a.tolist() for a in probe_keys])),
-        dtype=bool, count=n,
-    )
+        # np.isin would match NaN with NaN: strip the build side's.
+        build = build_keys[0].astype(np.float64)
+        return np.isin(probe_keys[0], build[~np.isnan(build)])
+    pk, bk = _int_keys(probe_keys, build_keys)
+    return _membership_int(pk, bk, threads)
 
 
 def _membership_int(pk: np.ndarray, bk: np.ndarray, threads: int) -> np.ndarray:

@@ -8,12 +8,15 @@ speedups are real, mirroring the scalability analysis of Section V-C).
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
+
+from .table import concat_columns
 
 __all__ = ["partition_bounds", "parallel_masks", "parallel_arrays",
            "run_partitions", "parallel_map", "shutdown_pools"]
@@ -33,15 +36,56 @@ def _pool(threads: int) -> ThreadPoolExecutor:
         return pool
 
 
+def _run_all(threads: int, fn: Callable, argsets: list[tuple]) -> list:
+    """``[fn(*args) for args in argsets]`` with the calling thread and up to
+    ``threads - 1`` pool helpers each claiming the next unclaimed call.
+
+    The caller works instead of sleeping on futures, so a dispatch costs one
+    thread wake-up less, and a helper that is slow to be scheduled (a busy
+    core, a pool shared with other queries) costs nothing: the caller claims
+    its calls and the helper, still unstarted, is cancelled — the worst case
+    is the serial time, and nobody waits on work queued behind themselves.
+    The error of the lowest-numbered failing call is raised, as a serial
+    loop would.
+    """
+    n = len(argsets)
+    results: list = [None] * n
+    errors: dict[int, BaseException] = {}
+    claim = itertools.count()
+
+    def runner() -> None:
+        while not errors:
+            i = next(claim)
+            if i >= n:
+                return
+            try:
+                results[i] = fn(*argsets[i])
+            except Exception as exc:
+                errors[i] = exc
+            except BaseException as exc:  # interrupt: stop the others too
+                errors[i] = exc
+                raise
+
+    pool = _pool(threads)
+    helpers = [pool.submit(runner) for _ in range(min(threads, n) - 1)]
+    try:
+        runner()
+    finally:
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def parallel_map(threads: int, fn: Callable, items) -> list:
     """Map *fn* over *items* on the shared pool (serial when ``threads<=1``
-    or fewer than two items).  Callers must not hand this work that itself
-    re-enters the pool (e.g. subquery evaluation) — a worker blocking on
-    futures queued behind itself deadlocks."""
+    or fewer than two items)."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
-    return list(_pool(threads).map(fn, items))
+    return _run_all(threads, fn, [(it,) for it in items])
 
 
 def shutdown_pools(wait: bool = True) -> None:
@@ -98,9 +142,7 @@ def run_partitions(n: int, threads: int, worker: Callable[[int, int], object]) -
     if threads <= 1 or len(bounds) <= 1 or n < 4096:
         # Tiny inputs: thread handoff costs more than the work itself.
         return [worker(start, stop) for start, stop in bounds]
-    pool = _pool(threads)
-    futures = [pool.submit(worker, start, stop) for start, stop in bounds]
-    return [f.result() for f in futures]
+    return _run_all(threads, worker, bounds)
 
 
 def parallel_masks(n: int, threads: int, make_mask: Callable[[int, int], np.ndarray]) -> np.ndarray:
@@ -116,12 +158,5 @@ def parallel_arrays(n: int, threads: int, make_arrays: Callable[[int, int], list
     parts = run_partitions(n, threads, make_arrays)
     if len(parts) == 1:
         return parts[0]
-    out = []
-    for i in range(len(parts[0])):
-        segments = [p[i] for p in parts]
-        target = segments[0].dtype
-        for s in segments[1:]:
-            if s.dtype != target:
-                target = np.dtype(object) if (s.dtype == object or target == object) else np.promote_types(s.dtype, target)
-        out.append(np.concatenate([s.astype(target) for s in segments]))
-    return out
+    return [concat_columns([p[i] for p in parts])
+            for i in range(len(parts[0]))]

@@ -52,7 +52,7 @@ from .sqlast import (
     Parameter, ScalarSubquery, Select, SelectItem, Star, UnaryOp,
     ValuesClause, WindowCall, WindowFrame,
 )
-from .table import Chunk
+from .table import Chunk, DictColumn, isna, plain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Callable, Iterator
@@ -308,6 +308,11 @@ class Scan(Operator):
     # predicates, or ``EngineConfig.zone_map_pruning`` off).
     chunk_ids: list[int] | None = None
     n_chunks: int = 0
+    # The string columns something computes on (predicates, keys,
+    # expressions, the output of a CTE or subquery body) — every one but
+    # those the statement's final body only returns: the ones a
+    # RAM-resident table hands out dictionary-encoded.  None = all.
+    encode: list[str] | None = None
 
     def label(self) -> str:
         cols = "*" if self.keep_columns is None else f"[{', '.join(self.keep_columns)}]"
@@ -326,14 +331,31 @@ class Scan(Operator):
                 chunk = chunk.project(self.keep_columns)
         else:
             table = ctx.executor.catalog.get(self.table)
-            chunk = table.scan(self.keep_columns, self.chunk_ids)
+            chunk = table.scan(self.keep_columns, self.chunk_ids, self.encode)
             if self.chunk_ids is not None and self.n_chunks:
                 ctx.note(
                     f"scan {self.binding}: zone maps pruned "
                     f"{self.n_chunks - len(self.chunk_ids)}/{self.n_chunks} "
                     f"chunk(s), read {chunk.nrows} rows"
                 )
+        stats = ctx.executor.stats
+        if stats is not None:
+            chunk = _watch_dict_columns(self, chunk, stats)
         return OpResult(chunk, _single_scope(self.binding, chunk))
+
+
+def _watch_dict_columns(scan: "Scan", chunk: Chunk, stats) -> Chunk:
+    """EXPLAIN ANALYZE bookkeeping for a scan's dictionary-encoded columns:
+    list them on the Scan's line and have them report to *stats*."""
+    encoded = [(c, a) for c, a in zip(chunk.columns, chunk.arrays)
+               if isinstance(a, DictColumn)]
+    if not encoded:
+        return chunk
+    stats.scan_dicts[id(scan)] = ", ".join(
+        f"{c}({a.null_code})" for c, a in encoded)
+    return Chunk(chunk.columns, [
+        a.watched(stats) if isinstance(a, DictColumn) else a
+        for a in chunk.arrays])
 
 
 @dataclass
@@ -528,8 +550,10 @@ class HashJoin(Operator):
 
             build_bytes = min(chunk_nbytes(left_chunk), chunk_nbytes(right_chunk))
             if build_bytes > budget and spillable_keys(lkeys, rkeys):
+                # Spill files hold plain arrays only.
                 lp, rp, lmiss, rmiss, spilled = grace_join_positions(
-                    lkeys, rkeys, self.how, threads=threads,
+                    [plain(k) for k in lkeys], [plain(k) for k in rkeys],
+                    self.how, threads=threads,
                     nparts=max(2, ctx.config.spill_partitions),
                 )
                 ctx.note(
@@ -873,7 +897,6 @@ def _null_aware_anti_flags(ctx: ExecContext, res: OpResult,
     member of S equals the operand (any NULL in play makes the unmatched
     case UNKNOWN, which drops the row).
     """
-    from ..dataframe._common import isna_array
     from .joins import semi_join_flags
 
     inner = subplan.execute(ctx)
@@ -884,8 +907,8 @@ def _null_aware_anti_flags(ctx: ExecContext, res: OpResult,
                           params=ctx.params)
     probes = [evaluator.eval_array(e) for e in probe_exprs]
     build = list(inner.arrays[:len(probes)])
-    value_null = isna_array(probes[0])
-    build_value_null = isna_array(build[0]) if inner.nrows else \
+    value_null = isna(probes[0])
+    build_value_null = isna(build[0]) if inner.nrows else \
         np.zeros(0, dtype=bool)
 
     if len(probes) == 1:  # uncorrelated NOT IN
@@ -1286,10 +1309,10 @@ def aggregate(ctx: ExecContext, select: Select, chunk: Chunk,
         if parallel:
             arrays[i] = _partial_aggregate(it.expr, evaluator, gids, ngroups, threads)
         if arrays[i] is None:
-            # Items with subqueries must stay off the worker pool: the
-            # nested query runs its own parallel operators on the same
-            # pool, and a worker blocking on futures queued behind
-            # itself deadlocks.
+            # Items with subqueries stay off the worker pool: the nested
+            # query runs through this executor, whose plan map and notes
+            # belong to one thread, and dispatches its own parallel
+            # operators.
             (serial if has_subquery(it.expr) else pending).append((i, it))
 
     if parallel and len(pending) > 1:

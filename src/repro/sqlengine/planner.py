@@ -12,7 +12,9 @@ Decisions made here:
   equality conjuncts spanning two sources become hash-join edges; the rest
   (subqueries, correlated references, 3+-source predicates) stay residual;
 * **projection pruning** — each scan keeps only columns referenced anywhere
-  in the statement (including nested subqueries);
+  in the statement (including nested subqueries), and a CTE keeps only the
+  output columns its consumers read (:func:`prune_cte_columns`, applied to
+  the parsed statement before any body is planned);
 * **join ordering** — a greedy bushy-to-left-deep order driven by estimated
   post-filter cardinalities (selectivity heuristics below), generalizing the
   seed's inline ``join_reorder`` flag;
@@ -47,8 +49,8 @@ from .table import Table
 from .sqlast import (
     AggCall, BetweenExpr, BinaryOp, ColumnRef, CompoundSelect, ExistsExpr,
     Expr, InList, InSubquery, IsNull, LikeExpr, Literal, OrderItem,
-    ScalarSubquery, Select, SelectItem, Star, SubqueryRef, TableRef, UnaryOp,
-    ValuesClause, WindowCall,
+    Query, ScalarSubquery, Select, SelectItem, Star, SubqueryRef, TableRef,
+    UnaryOp, ValuesClause, WindowCall, WithQuery,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Planner", "RelSchema", "split_conjuncts", "has_subquery",
            "subqueries_of", "has_window", "collect_windows",
            "collect_needed_columns", "match_subquery_form",
-           "greedy_join_order"]
+           "greedy_join_order", "prune_cte_columns"]
 
 
 _SET_OP_NAMES = {"union": "UNION", "intersect": "INTERSECT", "except": "EXCEPT"}
@@ -164,23 +166,32 @@ def collect_windows(select: Select) -> list[WindowCall]:
     return calls
 
 
-def collect_needed_columns(select: Select) -> tuple[set, bool]:
+def collect_needed_columns(select: Select,
+                           final: bool = False) -> tuple[set, bool, set]:
     """All (qualifier, name) column references in the whole statement.
 
-    Returns ``(refs, has_star)``; used for projection pruning of scans.
-    Subquery bodies are walked too (their correlated references must keep
-    outer columns alive).
+    Returns ``(refs, has_star, computed)``; *refs* drives projection pruning
+    of scans.  Subquery bodies are walked too (their correlated references
+    must keep outer columns alive).  *computed* is the subset something
+    computes on — the columns worth a dictionary at the Scan.  That is all
+    of them unless *select* is the statement's *final* body, whose bare
+    select items (without DISTINCT, which keys on its items) leave the
+    engine untouched; the output of a CTE, derived table or subquery body
+    is read by a consumer that groups, joins or filters on it.
     """
     refs: set = set()
+    computed: set = set()
     star = False
 
-    def walk_expr(e: Expr) -> None:
+    def walk_expr(e: Expr, bare: bool = False) -> None:
         nonlocal star
         if isinstance(e, Star):
             star = True
             return
-        for ref in expr_columns(e):
-            refs.add((ref.table, ref.name))
+        found = {(ref.table, ref.name) for ref in expr_columns(e)}
+        refs.update(found)
+        if not bare:
+            computed.update(found)
         for sub in subqueries_of(e):
             walk_select(sub)
 
@@ -191,8 +202,10 @@ def collect_needed_columns(select: Select) -> tuple[set, bool]:
             for o in s.order_by:
                 walk_expr(o.expr)
             return
+        passes_through = final and s is select and not s.distinct
         for item in s.items:
-            walk_expr(item.expr)
+            walk_expr(item.expr,
+                      passes_through and isinstance(item.expr, ColumnRef))
         if s.where is not None:
             walk_expr(s.where)
         for g in s.group_by:
@@ -206,7 +219,117 @@ def collect_needed_columns(select: Select) -> tuple[set, bool]:
                 walk_expr(jc.condition)
 
     walk_select(select)
-    return refs, star
+    return refs, star, computed
+
+
+def _statement_parts(body: object, relations: list, exprs: list) -> None:
+    """Collect every FROM/JOIN relation and every expression of *body*,
+    through set operations, derived tables and subqueries alike."""
+    if isinstance(body, ValuesClause):
+        return
+    if isinstance(body, CompoundSelect):
+        _statement_parts(body.left, relations, exprs)
+        _statement_parts(body.right, relations, exprs)
+        exprs.extend(o.expr for o in body.order_by)
+        return
+    own = [it.expr for it in body.items] + list(body.group_by) \
+        + [o.expr for o in body.order_by] \
+        + [jc.condition for jc in body.joins if jc.condition is not None]
+    own += [e for e in (body.where, body.having) if e is not None]
+    exprs.extend(own)
+    for rel in body.relations + [jc.relation for jc in body.joins]:
+        relations.append(rel)
+        if isinstance(rel, SubqueryRef):
+            _statement_parts(rel.query, relations, exprs)
+    for expr in own:
+        for sub in subqueries_of(expr):
+            _statement_parts(sub, relations, exprs)
+
+
+def _cte_columns_read(name: str, readers: list[tuple[list, list]]) -> set[str] | None:
+    """Names of the columns of CTE *name* that *readers* — the
+    ``(relations, expressions)`` of each later CTE and of the main query —
+    can read: references qualified by one of its bindings, and every
+    unqualified one.  None when a ``*`` sits in a body that reads the CTE,
+    which keeps everything."""
+    read: set[str] = set()
+    for relations, exprs in readers:
+        bindings = {rel.binding for rel in relations
+                    if isinstance(rel, TableRef) and rel.name == name}
+        if not bindings:
+            continue
+        for expr in exprs:
+            if isinstance(expr, Star):
+                return None
+            read.update(ref.name for ref in expr_columns(expr)
+                        if ref.table is None or ref.table in bindings)
+    return read
+
+
+def _is_ordinal(expr: Expr) -> bool:
+    return isinstance(expr, Literal) and type(expr.value) is int
+
+
+def prune_cte_columns(query: Query) -> Query:
+    """Drop the CTE output columns that nothing later in the statement
+    reads, so a CTE body is planned (and its scans pruned) for what its
+    consumers use.  The translator's CTEs routinely select every column of
+    a base table for a consumer that reads one.
+
+    Only a plain or grouped ``SELECT`` list is trimmed: not under DISTINCT
+    or a set operation (rows would merge differently), not a global
+    aggregate (it must keep an aggregate to stay one row), not next to a
+    ``*`` or a positional ``ORDER BY n`` / ``GROUP BY n`` (positions would
+    shift).  An item the body's own ORDER BY / HAVING / GROUP BY names by
+    its alias stays, and at least one item always does.  CTEs are visited
+    last to first, so a column only a dropped column needed goes too.
+    """
+    if not query.ctes:
+        return query
+    ctes = list(query.ctes)
+    readers: list[tuple[list, list]] = []
+
+    def now_a_reader(body: object) -> None:
+        readers.append(([], []))
+        _statement_parts(body, *readers[-1])
+
+    now_a_reader(query.body)
+    for i in range(len(ctes) - 1, -1, -1):
+        if i + 1 < len(ctes):
+            now_a_reader(ctes[i + 1].query)     # in its final, pruned form
+        cte, body = ctes[i], ctes[i].query
+        if not isinstance(body, Select) or body.distinct \
+                or any(isinstance(it.expr, Star) for it in body.items) \
+                or any(_is_ordinal(e) for e in
+                       body.group_by + [o.expr for o in body.order_by]):
+            continue
+        aggregates = any(contains_aggregate(it.expr) for it in body.items) \
+            or body.having is not None
+        if aggregates and not body.group_by:
+            continue
+        own_names = [output_name(it, k) for k, it in enumerate(body.items)]
+        names = cte.column_names or own_names
+        if len(names) != len(own_names):
+            continue  # arity mismatch: the executor reports it
+        read = _cte_columns_read(cte.name, readers)
+        if read is None:
+            continue
+        own_exprs = body.group_by + [o.expr for o in body.order_by]
+        if body.having is not None:
+            own_exprs.append(body.having)
+        aliased = {ref.name for e in own_exprs for ref in expr_columns(e)
+                   if ref.table is None}
+        keep = [k for k in range(len(names))
+                if names[k] in read or own_names[k] in aliased] or [0]
+        if len(keep) == len(names):
+            continue
+        # A kept item named after its position keeps that name.
+        items = [replace(body.items[k], alias=own_names[k]) for k in keep]
+        ctes[i] = WithQuery(
+            cte.name,
+            [names[k] for k in keep] if cte.column_names else None,
+            replace(body, items=items))
+    return Query(ctes, query.body)
 
 
 def _ordinal(expr: Expr, count: int, clause: str) -> int | None:
@@ -639,11 +762,14 @@ class Planner:
         return list(plan.output_columns), _est_or_default(plan.est_rows), plan
 
     # -- entry points -------------------------------------------------------
-    def plan_body(self, body: Select | CompoundSelect, env: dict[str, RelSchema]) -> PhysicalPlan:
-        """Compile any query body — a plain SELECT or a set-operation tree."""
+    def plan_body(self, body: Select | CompoundSelect, env: dict[str, RelSchema],
+                  final: bool = False) -> PhysicalPlan:
+        """Compile any query body — a plain SELECT or a set-operation tree.
+        *final*: the body's rows are the statement's result (see
+        :func:`collect_needed_columns`)."""
         if isinstance(body, CompoundSelect):
             return self.plan_compound(body, env)
-        return self.plan_select(body, env)
+        return self.plan_select(body, env, final)
 
     def plan_compound(self, comp: CompoundSelect,
                       env: dict[str, RelSchema]) -> PhysicalPlan:
@@ -830,7 +956,8 @@ class Planner:
                 return False
         return True
 
-    def plan_select(self, select: Select, env: dict[str, RelSchema]) -> PhysicalPlan:
+    def plan_select(self, select: Select, env: dict[str, RelSchema],
+                    final: bool = False) -> PhysicalPlan:
         """Compile one SELECT body into a :class:`PhysicalPlan`.
 
         Bottom-up: scans (pruned to referenced columns) → pushed-down
@@ -838,9 +965,9 @@ class Planner:
         filter → Window (when the select list contains window calls) →
         Project / HashAggregate → Distinct → Sort → Limit.
         """
-        refs, star = collect_needed_columns(select)
+        refs, star, computed = collect_needed_columns(select, final)
 
-        sources = [self._make_source(rel, env, refs, star)
+        sources = [self._make_source(rel, env, refs, star, computed)
                    for rel in select.relations]
 
         if not sources:
@@ -857,7 +984,8 @@ class Planner:
         # Explicit JOIN clauses fold onto the accumulated relation.
         for jc in select.joins:
             root, acc_columns, binding_columns, est = self._fold_explicit_join(
-                jc, root, acc_columns, binding_columns, est, env, refs, star
+                jc, root, acc_columns, binding_columns, est, env, refs, star,
+                computed
             )
 
         if residual and self.config.subquery_decorrelate:
@@ -993,14 +1121,16 @@ class Planner:
         return root, replace(select, order_by=order_by)
 
     # -- FROM sources -------------------------------------------------------
-    def _make_source(self, rel: TableRef | SubqueryRef, env: dict[str, RelSchema], refs: set, star: bool) -> _Source:
+    def _make_source(self, rel: TableRef | SubqueryRef, env: dict[str, RelSchema], refs: set, star: bool, computed: set) -> _Source:
         binding = rel.binding
         table_name = None
         if isinstance(rel, TableRef):
             schema = self.relation_schema(rel, env)
             keep = self._pruned_columns(schema.columns, binding, refs, star)
             op: Operator = Scan(binding, rel.name, None if star else keep,
-                                est_rows=schema.nrows)
+                                est_rows=schema.nrows,
+                                encode=[c for c in keep if (None, c) in computed
+                                        or (binding, c) in computed])
             if rel.name not in env:
                 table_name = rel.name
         elif isinstance(rel, SubqueryRef):
@@ -1241,10 +1371,10 @@ class Planner:
                             acc_columns: list[str],
                             binding_columns: dict[str, list[str]],
                             est: float, env: dict[str, RelSchema],
-                            refs: set, star: bool
+                            refs: set, star: bool, computed: set
                             ) -> tuple[Operator, list[str], dict[str, list[str]], float]:
         kind = jc.kind.lower()
-        src = self._make_source(jc.relation, env, refs, star)
+        src = self._make_source(jc.relation, env, refs, star, computed)
         right_cols = set(src.pruned_columns)
 
         left_name_count: dict[str, int] = {}

@@ -10,12 +10,15 @@ short-circuits — and counts the re-plans.
 
 :meth:`render` produces the EXPLAIN ANALYZE text: the executed plan tree
 with ``est`` vs ``actual`` rows and inclusive elapsed milliseconds per
-node, followed by the adaptive events.  Operators that never executed
-(e.g. sources of a skipped subquery) show their estimate only.
+node (a ``Scan`` also lists the dictionary-encoded columns it produced),
+followed by the dictionary counters and the adaptive events.  Operators
+that never executed (e.g. sources of a skipped subquery) show their
+estimate only.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -37,6 +40,10 @@ class OpStats:
 
     label: str
     est_rows: float | None
+    # The node itself: an operator built mid-query (an adaptive re-plan's
+    # chain) must outlive the stats, or a later node could be allocated at
+    # its address and inherit its counts.
+    op: "Operator | None" = None
     actual_rows: int = 0
     elapsed_ms: float = 0.0
     invocations: int = 0
@@ -47,24 +54,41 @@ class RuntimeStats:
     """Mutable per-execution statistics sink.
 
     One instance per query execution — never shared across concurrent
-    queries (each Executor owns at most one), so no locking is needed:
-    operators within one query execute sequentially, only their kernels
-    fan out to the worker pool.
+    queries (each Executor owns at most one).  Operators within one query
+    execute sequentially and only their kernels fan out to the worker
+    pool, so only what kernels report (:meth:`count_dict`) takes a lock.
     """
 
     ops: dict[int, OpStats] = field(default_factory=dict)
     events: list[str] = field(default_factory=list)
     replans: int = 0
     plans: list["PhysicalPlan"] = field(default_factory=list)
+    # Dictionary-encoded columns (see sqlengine.table.DictColumn):
+    # sub-expressions evaluated on a dictionary instead of the rows, and
+    # rows turned back into objects inside the plan (the final result does
+    # not count) — a query that falls off the encoded path shows here.
+    dict_lifted: int = 0
+    dict_decoded_rows: int = 0
+    # id(Scan) -> "column(dictionary size), ..." of the encoded columns
+    # that Scan produced.
+    scan_dicts: dict[int, str] = field(default_factory=dict)
+    # The two counters above are bumped from kernel worker threads.
+    _dict_lock: threading.Lock = field(default_factory=threading.Lock,
+                                       repr=False, compare=False)
 
     def record(self, op: "Operator", rows: int, seconds: float) -> None:
         entry = self.ops.get(id(op))
         if entry is None:
-            entry = OpStats(op.label(), op.est_rows)
+            entry = OpStats(op.label(), op.est_rows, op)
             self.ops[id(op)] = entry
         entry.actual_rows += int(rows)
         entry.elapsed_ms += seconds * 1000.0
         entry.invocations += 1
+
+    def count_dict(self, lifted: int = 0, decoded_rows: int = 0) -> None:
+        with self._dict_lock:
+            self.dict_lifted += lifted
+            self.dict_decoded_rows += decoded_rows
 
     def event(self, message: str) -> None:
         self.events.append(message)
@@ -82,6 +106,8 @@ class RuntimeStats:
 
     def _node_line(self, op: "Operator", depth: int) -> str:
         parts = ["  " * depth + op.label()]
+        if id(op) in self.scan_dicts:
+            parts.append(f" dict=[{self.scan_dicts[id(op)]}]")
         if op.est_rows is not None:
             parts.append(f"  [est={int(round(op.est_rows))} rows]")
         entry = self.ops.get(id(op))
@@ -111,6 +137,9 @@ class RuntimeStats:
             if id(plan.root) in seen:
                 continue
             walk(plan.root, 0)
+        if self.scan_dicts:
+            lines.append(f"Dictionary columns: dict_lifted={self.dict_lifted} "
+                         f"dict_decoded_rows={self.dict_decoded_rows}")
         if self.events:
             lines.append("Adaptive events:")
             lines.extend(f"  {event}" for event in self.events)

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dataframe._common import combine_dtypes
 from ..errors import SQLExecutionError
 from .grouping import factorize_many
 from .parallel import parallel_map, run_partitions
-from .table import Chunk
+from .table import Chunk, concat_columns
 
 __all__ = [
     "combine_arrays", "dedup_positions", "occurrence_numbers",
@@ -38,16 +37,13 @@ __all__ = [
 ]
 
 
-def combine_arrays(parts: list[np.ndarray]) -> np.ndarray:
+def combine_arrays(parts: list) -> np.ndarray:
     """Concatenate column segments under the library's shared promotion
-    rule (:func:`~repro.dataframe._common.combine_dtypes`: mixed non-object
-    dtypes promote; anything with object falls back to object)."""
+    rule (:func:`~.table.concat_columns`: mixed non-object dtypes promote;
+    anything with object falls back to object)."""
     if len(parts) == 1:
         return parts[0]
-    target = parts[0].dtype
-    for p in parts[1:]:
-        target = combine_dtypes(np.empty(0, dtype=target), p)
-    return np.concatenate([p.astype(target) for p in parts])
+    return concat_columns(parts)
 
 
 def occurrence_numbers(gids: np.ndarray, ngroups: int) -> np.ndarray:

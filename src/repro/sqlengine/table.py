@@ -1,15 +1,212 @@
-"""In-memory columnar tables and runtime chunks."""
+"""In-memory columnar tables, runtime chunks and the two column
+representations a chunk can hold.
+
+A chunk column is either a plain NumPy array or a :class:`DictColumn` —
+``int32`` codes into a dictionary of distinct values.  A ``DictColumn`` is
+born in exactly one place, :meth:`Table.scan` of a RAM-resident table, for
+an object (string) column with at most :data:`MAX_DICT_ENTRIES` distinct
+values; from there the codes flow through gathers, joins and group/sort/
+semi-join kernels as 4-byte integers and expressions over the column are
+evaluated on the dictionary (:class:`~.expressions.Evaluator`).  Code that
+was not taught about the representation asks :func:`plain` for an object
+array; :meth:`Chunk.decoded` does so for a whole result.
+"""
 
 from __future__ import annotations
 
+import threading
+from itertools import repeat
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from ..errors import SQLBindError
-from ..dataframe._common import coerce_array
+from ..dataframe._common import (
+    coerce_array, combine_dtypes, isna_array, take_with_nulls,
+)
 
-__all__ = ["Table", "Chunk"]
+__all__ = ["Table", "Chunk", "DictColumn", "MAX_DICT_ENTRIES", "encode",
+           "as_dict", "plain", "isna", "gather", "concat_columns"]
+
+# A scanned object column is dictionary-encoded when it has at most this
+# many distinct values: every expression lifted onto the dictionary costs
+# O(entries) interpreter work per evaluation, so the bound is what keeps
+# that work small whatever the row count.
+MAX_DICT_ENTRIES = 4096
+
+class DictColumn:
+    """A string column as ``int32`` codes into a dictionary.
+
+    ``dictionary`` holds the distinct values in first-appearance order
+    followed by one trailing ``None``: the last code is NULL, so
+    ``dictionary[codes]`` is the decoded column.  Indexing with positions, a
+    boolean mask or a slice gathers the codes only.  ``watch`` is the
+    :class:`~.runtime_stats.RuntimeStats` of an analyzed execution (else
+    None); it follows the column through every gather and is told about
+    decodes and dictionary-lifted expressions.
+    """
+
+    __slots__ = ("codes", "dictionary", "watch")
+
+    dtype = np.dtype(object)
+
+    def __init__(self, codes: np.ndarray, dictionary: np.ndarray, watch=None):
+        self.codes = codes
+        self.dictionary = dictionary
+        self.watch = watch
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.codes.nbytes)
+
+    @property
+    def null_code(self) -> int:
+        return len(self.dictionary) - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self.dictionary[self.codes[key]]
+        return DictColumn(self.codes[key], self.dictionary, self.watch)
+
+    def isna(self) -> np.ndarray:
+        return self.codes == self.null_code
+
+    def decode(self, counted: bool = True) -> np.ndarray:
+        """The column as a plain object array — the one way out of the
+        representation.  *counted* is False only for the final result."""
+        if counted and self.watch is not None:
+            self.watch.count_dict(decoded_rows=len(self.codes))
+        return self.dictionary[self.codes]
+
+    def watched(self, watch) -> "DictColumn":
+        return DictColumn(self.codes, self.dictionary, watch)
+
+    def take_with_nulls(self, positions: np.ndarray,
+                        missing: np.ndarray) -> "DictColumn":
+        """Outer-join gather: a missing row is the NULL code."""
+        if not missing.any():
+            return self[positions]
+        if not len(self.codes):
+            codes = np.full(len(positions), self.null_code, dtype=np.int32)
+        else:
+            codes = self.codes[np.where(missing, 0, positions)]
+            codes[missing] = self.null_code
+        return DictColumn(codes, self.dictionary, self.watch)
+
+    def codes_of(self, other) -> np.ndarray:
+        """The rows of *other* (either representation) as ``int64`` codes in
+        this column's dictionary, for equality matching against
+        :attr:`codes`: a value the dictionary does not hold — NULL included,
+        so that it equals no row of this column — gets ``len(dictionary)``,
+        one past the NULL code."""
+        absent = len(self.dictionary)
+        if isinstance(other, DictColumn) and other.dictionary is self.dictionary:
+            codes = other.codes.astype(np.int64)
+            codes[other.isna()] = absent
+            return codes
+        index = dict(zip(self.dictionary[:-1].tolist(), range(self.null_code)))
+        values = other.dictionary[:-1] if isinstance(other, DictColumn) else other
+        codes = np.fromiter(map(index.get, values.tolist(), repeat(absent)),
+                            dtype=np.int64, count=len(values))
+        if isinstance(other, DictColumn):
+            return np.append(codes, absent)[other.codes]
+        return codes
+
+    @staticmethod
+    def concat(parts: list["DictColumn"]) -> "DictColumn":
+        """Concatenate; parts over different dictionaries are recoded into
+        the union dictionary (first part's entries first)."""
+        first = parts[0]
+        if all(p.dictionary is first.dictionary for p in parts):
+            return DictColumn(np.concatenate([p.codes for p in parts]),
+                              first.dictionary, first.watch)
+        index = dict.fromkeys(v for p in parts
+                              for v in p.dictionary[:-1].tolist())
+        merged = _dictionary_of(index)
+        codes = [np.append(
+            np.fromiter(map(index.__getitem__, p.dictionary[:-1].tolist()),
+                        dtype=np.int32, count=p.null_code),
+            np.int32(len(index)))[p.codes] for p in parts]
+        return DictColumn(np.concatenate(codes), merged, first.watch)
+
+    def __repr__(self) -> str:
+        return f"DictColumn(n={len(self.codes)}, entries={self.null_code})"
+
+
+def _dictionary_of(index: dict) -> np.ndarray:
+    """Number the keys of *index* in place (``value -> code``) and return
+    them as a dictionary array with its trailing NULL slot."""
+    dictionary = np.empty(len(index) + 1, dtype=object)
+    for code, value in enumerate(index):
+        index[value] = code
+        dictionary[code] = value
+    return dictionary
+
+
+def encode(arr: np.ndarray, max_entries: int | None = None) -> DictColumn | None:
+    """Dictionary-encode an object array (None/NaN become the NULL code).
+
+    With *max_entries*, returns None as soon as the column is known to have
+    more distinct values than that (probing a prefix first, so a column of
+    unique strings costs a few thousand rows, not all of them).
+    """
+    if max_entries is not None and len(arr) > 2 * max_entries and \
+            len(dict.fromkeys(arr[:2 * max_entries].tolist())) > max_entries:
+        return None
+    values = arr.tolist()
+    index = dict.fromkeys(values)
+    nulls = [v for v in index if v is None or v != v]
+    for v in nulls:
+        del index[v]
+    if max_entries is not None and len(index) > max_entries:
+        return None
+    dictionary = _dictionary_of(index)
+    for v in nulls:
+        index[v] = len(dictionary) - 1
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.int32,
+                        count=len(values))
+    return DictColumn(codes, dictionary)
+
+
+def as_dict(col) -> DictColumn:
+    """*col* as codes + dictionary: the entry to every string-key kernel."""
+    if isinstance(col, DictColumn):
+        return col
+    return encode(col if col.dtype == object else col.astype(object))
+
+
+def plain(col) -> np.ndarray:
+    """*col* as a NumPy array (a :class:`DictColumn` is decoded)."""
+    return col.decode() if isinstance(col, DictColumn) else col
+
+
+def isna(col) -> np.ndarray:
+    """NULL mask of either column representation."""
+    return col.isna() if isinstance(col, DictColumn) else isna_array(col)
+
+
+def gather(col, positions: np.ndarray, missing: np.ndarray):
+    """Join gather of either representation (see ``take_with_nulls``)."""
+    if isinstance(col, DictColumn):
+        return col.take_with_nulls(positions, missing)
+    return take_with_nulls(col, positions, missing)
+
+
+def concat_columns(parts: list):
+    """Concatenate column segments: all-encoded parts stay encoded, mixed
+    ones are decoded; dtypes combine under the library's shared rule
+    (:func:`~repro.dataframe._common.combine_dtypes`)."""
+    if any(isinstance(p, DictColumn) for p in parts):
+        if all(isinstance(p, DictColumn) for p in parts):
+            return DictColumn.concat(parts)
+        parts = [plain(p) for p in parts]
+    target = parts[0]
+    for p in parts[1:]:
+        target = np.empty(0, dtype=combine_dtypes(target, p))
+    return np.concatenate([p.astype(target.dtype) for p in parts])
 
 
 class Table:
@@ -41,6 +238,10 @@ class Table:
             self.columns.append(str(col))
             self.arrays.append(arr)
         self.nrows = n if n is not None else 0
+        # Lazily built encodings, column position -> DictColumn, or None for
+        # an object column remembered as not worth encoding.
+        self._encoded: dict[int, DictColumn | None] = {}
+        self._encode_lock = threading.Lock()
         self.primary_key = list(primary_key) if primary_key else []
         self.unique_columns = set(unique) if unique else set()
         if len(self.primary_key) == 1:
@@ -68,7 +269,8 @@ class Table:
         return Chunk(list(self.columns), list(self.arrays))
 
     def scan(self, keep_columns: list[str] | None = None,
-             chunk_ids: list[int] | None = None) -> "Chunk":
+             chunk_ids: list[int] | None = None,
+             encode: list[str] | None = None) -> "Chunk":
         """Materialize the table for a Scan operator.
 
         *keep_columns* prunes to the referenced columns (same fallback as
@@ -76,11 +278,40 @@ class Table:
         zone-map pruned scans — meaningless for a RAM-resident table, which
         has a single implicit chunk, so it is ignored here; stored tables
         override this method and honour it.
+
+        An object column named in *encode* (None: every one) comes out as a
+        :class:`DictColumn` when it has at most :data:`MAX_DICT_ENTRIES`
+        distinct values.  The encoding is built by the first scan that asks
+        for it and kept on the table, so registering a table costs nothing
+        and a column no query computes on is never encoded — a point lookup
+        that only returns a string column does not pay for a pass over it.
         """
-        chunk = self.chunk()
-        if keep_columns is not None:
-            chunk = chunk.project(keep_columns)
-        return chunk
+        if keep_columns is None:
+            keep = range(len(self.columns))
+        else:
+            names = set(keep_columns)
+            keep = [i for i, c in enumerate(self.columns) if c in names] \
+                or [0][:len(self.columns)]
+        arrays = []
+        for i in keep:
+            arr = self.arrays[i]
+            if arr.dtype == object and (encode is None
+                                        or self.columns[i] in encode):
+                encoded = self._dict_column(i)
+                if encoded is not None:
+                    arr = encoded
+            arrays.append(arr)
+        return Chunk([self.columns[i] for i in keep], arrays)
+
+    def _dict_column(self, i: int) -> "DictColumn | None":
+        try:
+            return self._encoded[i]
+        except KeyError:
+            pass
+        with self._encode_lock:
+            if i not in self._encoded:
+                self._encoded[i] = encode(self.arrays[i], MAX_DICT_ENTRIES)
+            return self._encoded[i]
 
     # Storage metadata defaults: a RAM-resident table is one implicit chunk
     # with no zone maps; the stored-table subclass overrides these.
@@ -134,6 +365,15 @@ class Chunk:
             keep = [0]
         return Chunk([self.columns[i] for i in keep], [self.arrays[i] for i in keep])
 
+    def decoded(self) -> "Chunk":
+        """This relation with every column a plain array: what leaves the
+        engine as a final result."""
+        if not any(isinstance(a, DictColumn) for a in self.arrays):
+            return self
+        return Chunk(self.columns, [
+            a.decode(counted=False) if isinstance(a, DictColumn) else a
+            for a in self.arrays])
+
     def take(self, positions: np.ndarray) -> "Chunk":
         return Chunk(list(self.columns), [a[positions] for a in self.arrays])
 
@@ -151,14 +391,8 @@ class Chunk:
         if not chunks:
             return Chunk([], [])
         first = chunks[0]
-        arrays = []
-        for i in range(first.ncols):
-            parts = [c.arrays[i] for c in chunks]
-            target = parts[0].dtype
-            for p in parts[1:]:
-                if p.dtype != target:
-                    target = np.promote_types(target, p.dtype) if p.dtype != object and target != object else np.dtype(object)
-            arrays.append(np.concatenate([p.astype(target) for p in parts]))
+        arrays = [concat_columns([c.arrays[i] for c in chunks])
+                  for i in range(first.ncols)]
         return Chunk(list(first.columns), arrays)
 
     def to_dict(self) -> dict[str, list]:

@@ -37,8 +37,9 @@ import numpy as np
 
 from ..dataframe._common import isna_array
 from ..errors import SQLExecutionError, UnsupportedFeatureError
-from .grouping import factorize, factorize_many
+from .grouping import factorize_many
 from .parallel import parallel_map
+from .table import as_dict, plain
 
 __all__ = [
     "sort_positions", "row_number", "rank", "dense_rank", "ntile", "shift",
@@ -80,16 +81,14 @@ def _sort_key(arr: np.ndarray, ascending: bool) -> np.ndarray:
             key = -key
         key[nat] = np.iinfo(np.int64).max  # nulls sort last either way
         return key
-    # object (strings): factorize to ranks; uniques from np.unique are sorted.
-    gids, uniques = factorize(arr)
-    if uniques.dtype == object:
-        # dict-based factorization is first-appearance ordered; re-rank.
-        order = sorted(range(len(uniques)), key=lambda i: (uniques[i] is None, uniques[i]))
-        remap = np.empty(len(uniques), dtype=np.int64)
-        for rank_, idx in enumerate(order):
-            remap[idx] = rank_
-        gids = remap[gids]
-    return gids if ascending else -gids
+    # Strings: rank the dictionary's entries once and gather by the codes.
+    col = as_dict(arr)
+    entries = col.null_code
+    rank = np.empty(entries + 1, dtype=np.int64)
+    rank[np.argsort(col.dictionary[:-1], kind="stable")] = np.arange(entries)
+    rank[entries] = entries  # NULL ranks above every value
+    key = rank[col.codes]
+    return key if ascending else -key
 
 
 def sort_positions(arrays: list[np.ndarray], ascendings: list[bool]) -> np.ndarray:
@@ -597,7 +596,7 @@ def evaluate_window_calls(chunk, scope, calls, config, subquery_cb=None,
             tiles = int(_const_arg(evaluator, call.args[0], "NTILE tile count"))
             result = ntile(layout, tiles, threads)
         elif func in _OFFSET_FUNCS:
-            values = evaluator.eval_array(call.args[0])
+            values = plain(evaluator.eval_array(call.args[0]))
             offset = 1
             if len(call.args) > 1:
                 offset = int(_const_arg(evaluator, call.args[1], f"{func} offset"))
@@ -607,7 +606,7 @@ def evaluate_window_calls(chunk, scope, calls, config, subquery_cb=None,
             signed = offset if func == "LAG" else -offset
             result = shift(layout, values, signed, default, threads)
         elif func in _AGG_FUNCS:
-            values = evaluator.eval_array(call.args[0]) if call.args else None
+            values = plain(evaluator.eval_array(call.args[0])) if call.args else None
             frame = _resolve_frame(call)
             result = framed_aggregate(layout, values, func, frame, threads)
         else:

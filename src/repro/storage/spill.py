@@ -40,7 +40,7 @@ from ..errors import SQLBindError
 from ..sqlengine.expressions import Evaluator, expr_key
 from ..sqlengine.joins import join_positions
 from ..sqlengine.plan import aggregate
-from ..sqlengine.table import Chunk
+from ..sqlengine.table import Chunk, plain
 
 __all__ = ["chunk_nbytes", "spillable_keys", "grace_join_positions",
            "grace_aggregate", "partition_ids", "SpillStats"]
@@ -300,6 +300,8 @@ def grace_aggregate(ctx, select, chunk: Chunk, scope, nparts: int = 8):
     group keys cannot be hashed consistently (non-string object values) —
     the caller then falls back to the in-memory path.
     """
+    # Spill files hold plain arrays only.
+    chunk = Chunk(chunk.columns, [plain(a) for a in chunk.arrays])
     evaluator = Evaluator(chunk, scope, subquery_executor=ctx.subquery_cb(),
                           params=ctx.params)
     keys = [np.asarray(evaluator.eval_array(g)) for g in select.group_by]

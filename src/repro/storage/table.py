@@ -124,8 +124,10 @@ class StoredTable(Table):
         return self.scan()
 
     def scan(self, keep_columns: list[str] | None = None,
-             chunk_ids: list[int] | None = None) -> Chunk:
-        """Read (pruned) chunk files from disk into a runtime Chunk.
+             chunk_ids: list[int] | None = None,
+             encode: list[str] | None = None) -> Chunk:
+        """Read (pruned) chunk files from disk into a runtime Chunk
+        (always of plain arrays: *encode* is for RAM-resident tables).
 
         Always hits the chunk files — never the RAM column cache — so
         ``io_stats`` faithfully reflects what a pruned scan avoided.

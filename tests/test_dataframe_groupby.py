@@ -176,3 +176,77 @@ class TestGroupWindowOps:
 
     def test_cumcount(self, gdf):
         assert gdf.groupby("k").cumcount().tolist() == [0, 0, 1, 1, 2]
+
+
+def _nunique_bucket_loop(values, gids, ngroups):
+    """The per-row implementation ``group_reduce(..., "nunique")`` replaced,
+    kept as the oracle for the sort-based one."""
+    from repro.dataframe._common import isna_array
+
+    valid = ~isna_array(values)
+    buckets = [[] for _ in range(ngroups)]
+    for i in range(len(values)):
+        if valid[i]:
+            buckets[gids[i]].append(values[i])
+    return np.array([len(set(b)) for b in buckets], dtype=np.int64)
+
+
+class TestGroupNunique:
+    """COUNT(DISTINCT x) per group: sort (group, value code) pairs, count
+    the runs — NULLs dropped, an empty or all-NULL group counts 0."""
+
+    GIDS = np.array([0, 0, 0, 1, 1, 2, 2, 2, 4, 4], dtype=np.int64)  # group 3 empty
+    NGROUPS = 5
+
+    @pytest.mark.parametrize("values", [
+        np.array([5, 5, 7, -3, -3, 9, 8, 9, 0, 0], dtype=np.int64),
+        np.array([2**62, -2**62, 0, 1, 1, 5, 6, 7, 9, 9], dtype=np.int64),
+        np.array([1.5, np.nan, 1.5, np.nan, np.nan, 0.0, -0.0, 2.5, 7.0, 8.0]),
+        np.array(["a", None, "a", None, None, "", "b", "", "z", "y"], dtype=object),
+        np.array([True, False, True, True, True, False, False, False, True, False]),
+        np.array(["2020-01-01", "NaT", "2020-01-01", "NaT", "NaT", "2021-05-05",
+                  "2021-05-06", "2021-05-05", "1999-12-31", "2000-01-01"],
+                 dtype="datetime64[D]"),
+    ], ids=["ints", "sparse-ints", "floats-nan", "strings-none", "bools", "dates-nat"])
+    def test_matches_the_bucket_loop(self, values):
+        from repro.dataframe.groupby import group_reduce
+
+        got = group_reduce(values, self.GIDS, self.NGROUPS, "nunique")
+        want = _nunique_bucket_loop(values, self.GIDS, self.NGROUPS)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        assert got[3] == 0                      # the empty group
+        if values.dtype.kind in "fOM":
+            assert got[1] == 0                  # the all-NULL group
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, object, "datetime64[D]"])
+    def test_empty_input(self, dtype):
+        from repro.dataframe.groupby import group_reduce
+
+        got = group_reduce(np.array([], dtype=dtype), np.array([], dtype=np.int64),
+                           3, "nunique")
+        assert got.dtype == np.int64 and got.tolist() == [0, 0, 0]
+
+    def test_random_against_the_bucket_loop(self):
+        from repro.dataframe.groupby import group_reduce
+
+        rng = np.random.default_rng(5)
+        gids = rng.integers(0, 40, 3000)
+        for values in (rng.integers(-5, 5, 3000),
+                       np.where(rng.random(3000) < 0.2, np.nan,
+                                rng.integers(0, 6, 3000).astype(float)),
+                       rng.choice(np.array(["p", "q", "", None], dtype=object), 3000)):
+            assert group_reduce(values, gids, 41, "nunique").tolist() == \
+                _nunique_bucket_loop(values, gids, 41).tolist()
+
+    def test_through_the_dataframe_and_sql_surfaces(self):
+        from repro import connect
+
+        df = DataFrame({"k": ["a", "a", "b", "b", "b"],
+                        "s": ["x", None, "y", "y", "z"],
+                        "v": [1.0, 1.0, np.nan, 2.0, 3.0]})
+        assert df.groupby("k")["s"].nunique().tolist() == [1, 2]
+        db = connect()
+        db.register("t", {c: df[c].values for c in df.columns})
+        out = db.execute("SELECT k, COUNT(DISTINCT s) AS ds, COUNT(DISTINCT v) AS dv "
+                         "FROM t GROUP BY k ORDER BY k").to_dict()
+        assert out == {"k": ["a", "b"], "ds": [1, 2], "dv": [1, 2]}

@@ -75,6 +75,29 @@ class TestDecorator:
         with pytest.raises(TranslationError):
             _module_level_query.tondir("O7", db=db)
 
+    def test_translation_does_not_pin_the_database(self):
+        """The Translator is cyclic garbage after it returns; its pivot
+        probe must not keep the Database (tables, cached column encodings)
+        alive until the next full collection."""
+        import gc
+        import weakref
+
+        @pytond()
+        def f(items):
+            return items[items.v > 1]
+
+        db = connect()
+        db.register("items", {"k": ["a", "b", "a"], "v": [1, 2, 3]})
+        gc.collect()
+        gc.disable()
+        try:
+            assert f.run(db, "hyper")["v"].tolist() == [2, 3]
+            ref = weakref.ref(db)
+            del db
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestHarness:
     def test_time_callable_positive(self):

@@ -413,3 +413,193 @@ def test_to_sqlite_sql_rewrites():
         "SELECT CAST(STRFTIME('%Y', o.d) AS INTEGER) FROM o"
     assert to_sqlite_sql("STRFTIME(x, '%Y-%m')") == "STRFTIME('%Y-%m', x)"
     assert to_sqlite_sql("SUBSTRING(s, 1, 2)") == "SUBSTR(s, 1, 2)"
+
+
+# ---------------------------------------------------------------------------
+# Dictionary-encoded string columns (ROADMAP 4d)
+# ---------------------------------------------------------------------------
+
+def _dict_db():
+    """A fact table whose string columns come out of the Scan as
+    ``DictColumn``s — low cardinality, with NULLs and the empty string —
+    large enough for the parallel and the spilling paths, and a small
+    dimension keyed by the same strings (one key absent from the facts, one
+    fact value absent from the dimension, a NULL key on both sides)."""
+    rng = np.random.default_rng(99)
+    n = 6000
+    kinds = np.array(["ash", "birch", "", None, "Zed", "ashen", "oak"],
+                     dtype=object)
+    db = connect()
+    db.register(
+        "items",
+        {
+            "id": np.arange(1, n + 1, dtype=np.int64),
+            "kind": rng.choice(kinds, n),
+            "alt": rng.choice(kinds[:5], n),
+            "qty": rng.integers(0, 50, n),
+            # Numeric strings but for one entry: CAST is partial on it.
+            "code": rng.choice(np.array(["7", "10", "-3", "n/a", None],
+                                        dtype=object), n),
+        },
+        primary_key="id",
+    )
+    db.register(
+        "kinds",
+        {
+            "kind": np.array(["ash", "birch", "", "oak", "yew", None],
+                             dtype=object),
+            "label": np.array(["A", "B", "empty", None, "Y", "null"],
+                              dtype=object),
+            "rank": np.arange(6, dtype=np.int64),
+        },
+    )
+    return db
+
+
+DICT_CORPUS = [
+    # comparisons, evaluated on the dictionary
+    "SELECT id FROM items WHERE kind = 'ash'",
+    "SELECT id FROM items WHERE kind <> 'ash'",
+    "SELECT id FROM items WHERE kind < 'b'",
+    "SELECT id FROM items WHERE kind >= 'ash' AND kind <= 'birch'",
+    "SELECT id FROM items WHERE kind = ''",
+    "SELECT id FROM items WHERE kind = 'no such value'",
+    "SELECT id FROM items WHERE kind BETWEEN 'a' AND 'b'",
+    "SELECT id FROM items WHERE kind IN ('ash', '', 'nope')",
+    "SELECT id FROM items WHERE kind NOT IN ('ash', 'oak')",
+    "SELECT id FROM items WHERE kind IN ('ash', NULL)",
+    "SELECT id FROM items WHERE kind NOT IN ('ash', NULL)",
+    "SELECT id FROM items WHERE kind LIKE 'ash%'",
+    "SELECT id FROM items WHERE kind NOT LIKE 'a%'",
+    "SELECT id FROM items WHERE kind LIKE ''",
+    "SELECT id FROM items WHERE kind IS NULL",
+    "SELECT id FROM items WHERE kind IS NOT NULL AND qty > 40",
+    # (NOT over a comparison is two-valued in this engine: keep NULLs out.)
+    "SELECT id FROM items WHERE kind IS NOT NULL "
+    "AND NOT (kind = 'ash' OR kind = 'oak')",
+    # scalar functions and CASE over one encoded column
+    "SELECT id, COALESCE(kind, 'none') AS k FROM items WHERE qty = 7",
+    "SELECT id, CASE WHEN kind = 'ash' THEN 1 WHEN kind IS NULL THEN 2 "
+    "ELSE 0 END AS c FROM items WHERE qty < 3",
+    "SELECT id, CASE WHEN kind LIKE 'a%' THEN 'a-word' ELSE kind END AS c "
+    "FROM items WHERE qty = 11",
+    "SELECT id, SUBSTR(kind, 1, 2) AS pre FROM items WHERE qty = 5",
+    "SELECT id, UPPER(kind) AS up, LENGTH(kind) AS len FROM items "
+    "WHERE kind IS NOT NULL AND qty = 9",
+    "SELECT id FROM items WHERE SUBSTR(kind, 1, 3) = 'ash'",
+    # a partial function sees only the entries the filter below it left
+    "SELECT id, CAST(code AS INT) AS c FROM items WHERE code <> 'n/a'",
+    "SELECT id, CASE WHEN code LIKE 'n%' THEN 0 ELSE CAST(code AS INT) END "
+    "AS c FROM items WHERE code NOT LIKE 'n%'",
+    "SELECT CAST(code AS INT) AS c, COUNT(*) AS n FROM items "
+    "WHERE code IN ('7', '10') GROUP BY CAST(code AS INT)",
+    # two columns: nothing to lift, the values are compared
+    "SELECT id FROM items WHERE kind = alt",
+    "SELECT id FROM items WHERE kind <> alt AND qty > 45",
+    "SELECT id, CASE WHEN kind = 'ash' THEN alt ELSE kind END AS c "
+    "FROM items WHERE qty = 13",
+    # keys: GROUP BY, DISTINCT, aggregates over the column, set operations
+    "SELECT kind, COUNT(*) AS n, SUM(qty) AS q FROM items GROUP BY kind",
+    "SELECT kind, alt, COUNT(*) AS n FROM items GROUP BY kind, alt",
+    "SELECT kind, COUNT(alt) AS n, COUNT(DISTINCT alt) AS d, MIN(alt) AS lo, "
+    "MAX(alt) AS hi FROM items GROUP BY kind",
+    "SELECT COUNT(kind) AS n, COUNT(DISTINCT kind) AS d FROM items",
+    "SELECT SUBSTR(kind, 1, 1) AS initial, COUNT(*) AS n FROM items "
+    "GROUP BY SUBSTR(kind, 1, 1)",
+    "SELECT kind, COUNT(*) AS n FROM items GROUP BY kind "
+    "HAVING kind <> 'ash' AND COUNT(*) > 10",
+    "SELECT DISTINCT kind FROM items",
+    "SELECT DISTINCT kind, alt FROM items WHERE qty < 10",
+    "SELECT kind FROM items WHERE qty < 5 UNION SELECT kind FROM kinds",
+    "SELECT kind FROM items UNION ALL SELECT label FROM kinds",
+    "SELECT kind FROM items INTERSECT SELECT kind FROM kinds",
+    "SELECT kind FROM items EXCEPT SELECT kind FROM kinds",
+    "SELECT kind, COUNT(*) AS n FROM items GROUP BY kind ORDER BY kind",
+    # joins, semi- and anti-joins on the string key
+    "SELECT i.id, k.label FROM items AS i, kinds AS k "
+    "WHERE i.kind = k.kind AND i.qty > 44",
+    "SELECT k.label, COUNT(*) AS n FROM items AS i JOIN kinds AS k "
+    "ON i.kind = k.kind GROUP BY k.label",
+    "SELECT i.id, k.label, k.rank FROM items AS i LEFT JOIN kinds AS k "
+    "ON i.kind = k.kind WHERE i.qty = 3",
+    "SELECT k.kind, k.label, i.id FROM kinds AS k LEFT JOIN "
+    "(SELECT id, kind FROM items WHERE qty = 0) AS i ON k.kind = i.kind",
+    "SELECT i.id FROM items AS i, items AS j "
+    "WHERE i.kind = j.alt AND i.id = j.id",
+    "SELECT id FROM items WHERE kind IN (SELECT kind FROM kinds WHERE rank < 3)",
+    "SELECT id FROM items WHERE kind NOT IN "
+    "(SELECT kind FROM kinds WHERE kind IS NOT NULL)",
+    "SELECT id FROM items WHERE kind NOT IN (SELECT kind FROM kinds)",
+    "SELECT id FROM items AS i WHERE EXISTS "
+    "(SELECT 1 FROM kinds AS k WHERE k.kind = i.kind AND k.rank > 1)",
+    "SELECT kind FROM kinds AS k WHERE NOT EXISTS "
+    "(SELECT 1 FROM items AS i WHERE i.kind = k.kind)",
+    "SELECT kind FROM kinds WHERE kind IN (SELECT alt FROM items WHERE qty = 1)",
+    # through a CTE and a derived table: the codes survive a materialization
+    "WITH picked(id, kind) AS (SELECT id, kind FROM items WHERE qty > 40) "
+    "SELECT kind, COUNT(*) AS n FROM picked WHERE kind <> 'oak' GROUP BY kind",
+    "SELECT t.kind, t.n FROM (SELECT kind, COUNT(*) AS n FROM items "
+    "GROUP BY kind) AS t WHERE t.kind LIKE '%sh%'",
+    # window partitions and values
+    "SELECT id, ROW_NUMBER() OVER (PARTITION BY kind ORDER BY id) AS rn "
+    "FROM items WHERE qty = 2",
+    "SELECT id, LAG(kind) OVER (ORDER BY id) AS prev FROM items WHERE qty = 4",
+]
+
+# Total orders over non-NULL keys (the engine sorts NULLs last, sqlite
+# first), so these compare row by row.
+DICT_ORDERED_CORPUS = [
+    "SELECT id, kind FROM items WHERE kind IS NOT NULL ORDER BY kind, id LIMIT 40",
+    "SELECT id, kind FROM items WHERE kind IS NOT NULL "
+    "ORDER BY kind DESC, id DESC LIMIT 40",
+    "SELECT kind, alt, COUNT(*) AS n FROM items "
+    "WHERE kind IS NOT NULL AND alt IS NOT NULL GROUP BY kind, alt "
+    "ORDER BY kind DESC, alt",
+    "SELECT kind FROM items WHERE kind IS NOT NULL "
+    "UNION SELECT kind FROM kinds WHERE kind IS NOT NULL ORDER BY 1",
+]
+
+DICT_CONFIGS = {
+    "default": EngineConfig(),
+    "threads4": EngineConfig(threads=4),
+    # Smaller than the fact table: joins and grouped queries over it spill.
+    "spill": EngineConfig(memory_budget=4096, spill_partitions=3),
+}
+
+
+@pytest.fixture(scope="module")
+def dict_corpus():
+    db = _dict_db()
+    conn = load_sqlite(db)
+    yield db, conn
+    conn.close()
+
+
+def test_dict_corpus_columns_are_encoded(dict_corpus):
+    from repro.sqlengine.table import DictColumn
+
+    db, _ = dict_corpus
+    for table, column in (("items", "kind"), ("items", "alt"), ("items", "code"),
+                          ("kinds", "kind"), ("kinds", "label")):
+        col = db.catalog.get(table).scan([column]).arrays[0]
+        assert isinstance(col, DictColumn), (table, column)
+
+
+@pytest.mark.parametrize("i", range(len(DICT_CORPUS)))
+@pytest.mark.parametrize("profile", sorted(DICT_CONFIGS))
+def test_dict_query_matches_sqlite(i, profile, dict_corpus):
+    db, conn = dict_corpus
+    assert_same_results(db, conn, DICT_CORPUS[i], config=DICT_CONFIGS[profile],
+                        context=f"dict[{i}][{profile}]")
+
+
+@pytest.mark.parametrize("i", range(len(DICT_ORDERED_CORPUS)))
+@pytest.mark.parametrize("profile", sorted(DICT_CONFIGS))
+def test_dict_ordered_query_matches_sqlite_in_order(i, profile, dict_corpus):
+    db, conn = dict_corpus
+    sql = DICT_ORDERED_CORPUS[i]
+    chunk = db.execute_chunk(sql, DICT_CONFIGS[profile])
+    ours = [tuple(map(norm_cell, row)) for row in chunk_rows(chunk)]
+    theirs = [tuple(map(norm_cell, row))
+              for row in conn.execute(to_sqlite_sql(sql)).fetchall()]
+    assert ours == theirs, f"dict-ordered[{i}][{profile}]\nsql: {sql}"

@@ -20,7 +20,7 @@ from repro.sqlengine.planner import (
     RelSchema, _est_or_default, _selectivity, greedy_join_order,
 )
 from repro.sqlengine.sqlast import ColumnRef
-from repro.workloads.tpch import QUERIES
+from repro.workloads.tpch import QUERIES, register_tpch
 
 SCHEMA = RelSchema(["id", "a", "b"], 1000.0, unique={"id"})
 
@@ -139,13 +139,22 @@ class TestTpchEstimateQuality:
 
     RATIO = 8.0
 
+    @pytest.fixture(scope="class")
+    def db(self, tpch_dataset):
+        # Its own Database, not the session-wide one: whether a body is
+        # planned during this execution or comes from the plan cache must
+        # not depend on which tests ran before.
+        db = connect()
+        register_tpch(db, tpch_dataset)
+        return db
+
     @pytest.mark.parametrize("q", sorted(QUERIES))
-    def test_source_divergence_implies_adaptive_event(self, tpch_db, q):
-        sql = QUERIES[q].sql("duckdb", level="O4", db=tpch_db)
+    def test_source_divergence_implies_adaptive_event(self, db, q):
+        sql = QUERIES[q].sql("duckdb", level="O4", db=db)
         cfg = EngineConfig(threads=1, adaptive_execution=True,
                            adaptive_ratio=self.RATIO)
         stats = RuntimeStats()
-        tpch_db.execute_chunk(sql, cfg, stats=stats)
+        db.execute_chunk(sql, cfg, stats=stats)
         worst = 1.0
         for plan in stats.plans:
             for aj in _adaptive_joins(plan.root):

@@ -136,3 +136,58 @@ class TestExplainDistributed:
         assert "Exchange facts 2 partition(s) chunks=[0,3) [3,6)" in exchange_line
         assert "actual=14 rows" in exchange_line and " ms]" in exchange_line
         assert "shard: scattered facts over 2 worker partition(s)" in report
+
+
+class TestExplainDictionaryColumns:
+    """EXPLAIN ANALYZE shows where string columns are dictionary-encoded and
+    whether a query stayed on the encoded path."""
+
+    @staticmethod
+    def _analyze(db, sql, config=None):
+        from repro.sqlengine import RuntimeStats
+
+        stats = RuntimeStats()
+        db.execute_chunk(sql, config, stats=stats)
+        return stats, stats.render()
+
+    def test_q1_group_keys_are_encoded_and_never_decoded(self, tpch_db):
+        from repro.workloads.tpch import QUERIES
+
+        stats, report = self._analyze(tpch_db, QUERIES[1].sql("native", db=tpch_db))
+        scan = next(ln for ln in report.splitlines() if "Scan lineitem" in ln)
+        assert "dict=[l_returnflag(3), l_linestatus(2)]" in scan
+        assert stats.dict_decoded_rows == 0
+        assert "dict_decoded_rows=0" in report
+
+    @pytest.mark.parametrize("q", [7, 12, 19])
+    def test_predicates_run_on_the_dictionary(self, tpch_db, q):
+        from repro.workloads.tpch import QUERIES
+
+        stats, _ = self._analyze(tpch_db, QUERIES[q].sql("native", db=tpch_db))
+        assert stats.dict_lifted > 0 and stats.dict_decoded_rows == 0
+
+    def test_counters_name_a_query_that_leaves_the_encoded_path(self, db):
+        # b = b2 compares two columns: nothing to lift, both are decoded.
+        db.register("v", {"b": ["x", "y", "x"], "b2": ["x", "x", None]})
+        stats, report = self._analyze(db, "SELECT b FROM v WHERE b = b2")
+        assert stats.dict_decoded_rows == 6 and stats.dict_lifted == 0
+        assert "dict=[b(2), b2(1)]" in report
+        stats, _ = self._analyze(db, "SELECT b FROM v WHERE b = 'x' AND b2 IS NULL")
+        assert stats.dict_decoded_rows == 0 and stats.dict_lifted == 2
+
+    def test_numeric_tables_report_nothing(self, db):
+        _, report = self._analyze(db, "SELECT a, c FROM t WHERE a > 1")
+        assert "dict" not in report
+
+    def test_a_recorded_operator_outlives_the_plan_that_built_it(self, db):
+        """Stats are keyed by operator identity: an operator created
+        mid-query (an adaptive re-plan's chain) must stay alive with its
+        entry, or a later node allocated at its address inherits the
+        counts (seen as a flaky est-vs-actual ratio)."""
+        from repro.sqlengine import RuntimeStats
+        from repro.sqlengine.plan import DualScan
+
+        stats = RuntimeStats()
+        op = DualScan()
+        stats.record(op, 1, 0.0)
+        assert stats.ops[id(op)].op is op

@@ -168,3 +168,62 @@ def test_shutdown_pools_allows_reuse(big_db):
 def test_shutdown_pools_idempotent():
     shutdown_pools()
     shutdown_pools()
+
+
+class TestCallerParticipatingDispatch:
+    """``parallel_map`` / ``run_partitions``: the caller claims work beside
+    the pool's helpers, so a late or busy helper costs nothing."""
+
+    def test_results_keep_item_order(self):
+        from repro.sqlengine.parallel import parallel_map, run_partitions
+
+        assert parallel_map(4, lambda x: x * x, range(50)) == \
+            [x * x for x in range(50)]
+        assert run_partitions(10_000, 4, lambda lo, hi: (lo, hi)) == \
+            partition_bounds(10_000, 4)
+
+    def test_lowest_failing_item_is_raised(self):
+        """As a serial loop would: item 3's error, never item 7's."""
+        from repro.sqlengine.parallel import parallel_map
+
+        def fn(i):
+            if i == 3:
+                raise ValueError("three")
+            if i == 7:
+                raise KeyError("seven")
+            return i
+
+        for _ in range(50):
+            with pytest.raises(ValueError, match="three"):
+                parallel_map(2, fn, range(10))
+
+    def test_reentry_from_a_pool_worker_completes(self):
+        """A helper whose work dispatches again finds the pool's other
+        workers busy with its siblings: it runs its own items and cancels
+        the helpers it queued, where waiting on them would deadlock."""
+        import threading
+
+        from repro.sqlengine.parallel import parallel_map
+
+        def outer(i):
+            return sum(parallel_map(2, lambda j: i * j, range(8)))
+
+        out = []
+        t = threading.Thread(
+            target=lambda: out.append(parallel_map(2, outer, range(6))))
+        t.start()
+        t.join(30.0)
+        assert not t.is_alive()
+        assert out == [[i * 28 for i in range(6)]]
+
+    def test_work_runs_on_the_calling_thread_too(self):
+        import threading
+
+        from repro.sqlengine.parallel import parallel_map
+
+        me = threading.get_ident()
+        seen = set()
+        for _ in range(20):
+            seen.update(parallel_map(
+                2, lambda _: threading.get_ident(), range(16)))
+        assert me in seen

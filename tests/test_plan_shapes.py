@@ -180,6 +180,85 @@ class TestPlanShape:
         assert "SetOp UNION" in plan
 
 
+class TestCtePruning:
+    """A CTE keeps only the output columns a later CTE or the main query
+    reads (``planner.prune_cte_columns``), so its scans prune to those."""
+
+    WIDE = "WITH w(a, b, c) AS (SELECT a, b, c FROM t WHERE c > 1.0) "
+
+    def test_unread_columns_leave_the_cte_and_its_scan(self, db):
+        plan = db.explain_plan(self.WIDE + "SELECT a FROM w")
+        assert "Project a  [" in plan and "Scan t cols=[a, c]" in plan
+        assert "Scan w cols=[a]" in plan
+        assert db.execute(self.WIDE + "SELECT a FROM w").to_dict() == {"a": [2, 3, 4]}
+
+    def test_tpch_q4_scans_three_lineitem_columns(self, tpch_db):
+        from repro.workloads.tpch import QUERIES
+
+        sql = QUERIES[4].sql("native", db=tpch_db)
+        assert "l_comment" in sql                # the translator emits all 16
+        plan = tpch_db.explain_plan(sql)
+        assert ("Scan lineitem AS r1 cols=[l_orderkey, l_commitdate, "
+                "l_receiptdate]") in plan
+        assert "Project r1.l_orderkey  [" in plan
+
+    def test_reads_through_any_binding_and_subquery_count(self, db):
+        plan = db.explain_plan(
+            self.WIDE + "SELECT x.a FROM w AS x WHERE EXISTS "
+            "(SELECT 1 FROM w AS y WHERE y.b = 'x' AND y.a = x.a)")
+        assert "Scan t cols=[a, b, c]" in plan and "Project a, b  [" in plan
+
+    def test_a_later_cte_keeps_what_it_reads_and_pruning_cascades(self, db):
+        sql = (self.WIDE + ", v(a, b) AS (SELECT a, b FROM w) "
+               "SELECT a FROM v")
+        plan = db.explain_plan(sql)
+        # v drops b first; then nothing reads w.b any more.
+        assert "Scan t cols=[a, c]" in plan and "Scan w cols=[a]" in plan
+        assert db.execute(sql).to_dict() == {"a": [2, 3, 4]}
+
+    def test_star_keeps_everything(self, db):
+        plan = db.explain_plan(self.WIDE + "SELECT * FROM w")
+        assert "Scan t cols=[a, b, c]" in plan
+
+    @pytest.mark.parametrize("body", [
+        "SELECT DISTINCT a, b FROM t",
+        "SELECT a, b FROM t UNION SELECT w, b FROM u",
+        "SELECT a, b FROM t ORDER BY 2 LIMIT 3",
+        "SELECT COUNT(*) AS a, MAX(b) AS b FROM t",
+    ], ids=["distinct", "set-op", "positional-order-by", "global-aggregate"])
+    def test_bodies_whose_rows_depend_on_every_item_are_left_alone(self, db, body):
+        sql = f"WITH w(a, b) AS ({body}) SELECT a FROM w"
+        pruned = db.execute(sql).to_dict()
+        unpruned = db.execute(f"WITH w(a, b) AS ({body}) SELECT a, b FROM w").to_dict()
+        assert pruned["a"] == unpruned["a"]
+        assert "b" in db.explain_plan(sql).split("Scan w")[0]
+
+    def test_grouped_body_drops_an_aggregate_but_stays_grouped(self, db):
+        sql = ("WITH g(b, n, s) AS (SELECT b, COUNT(*), SUM(c) FROM t GROUP BY b) "
+               "SELECT b, n FROM g ORDER BY b")
+        plan = db.explain_plan(sql)
+        assert "HashAggregate keys=[b] items=2" in plan and "Scan t cols=[b]" in plan
+        assert db.execute(sql).to_dict() == {"b": ["x", "y", "z"], "n": [2, 1, 1]}
+
+    def test_items_named_by_the_bodys_own_clauses_stay(self, db):
+        sql = ("WITH o AS (SELECT a, c * 2 AS dbl FROM t ORDER BY dbl DESC LIMIT 2) "
+               "SELECT a FROM o")
+        assert db.execute(sql).to_dict() == {"a": [4, 3]}
+
+    def test_positional_output_names_survive(self, db):
+        sql = "WITH p AS (SELECT a, c + 1, a * 2 FROM t) SELECT col2 FROM p"
+        assert db.execute(sql).to_dict() == {"col2": [2, 4, 6, 8]}
+        assert "Project (a * 2)  [" in db.explain_plan(sql)
+
+    def test_nothing_read_keeps_one_item(self, db):
+        sql = self.WIDE + "SELECT COUNT(*) AS n FROM w"
+        assert db.execute(sql).to_dict() == {"n": [3]}
+
+    def test_placeholders_in_a_dropped_item_still_bind(self, db):
+        sql = "WITH q AS (SELECT a, ? AS tag FROM t WHERE a > ?) SELECT a FROM q"
+        assert db.execute(sql, params=["unused", 2]).to_dict() == {"a": [3, 4]}
+
+
 class TestZoneMapPlanShape:
     """Goldens for zone-map partition pruning: the Scan node renders the
     surviving/total chunk count, and EXPLAIN ANALYZE reports the rows a

@@ -11,7 +11,10 @@ end to end on the TPC-H dataset:
 3. **prune** — run a selective shipdate range scan with zone-map pruning
    on and off, reporting chunk files actually read and the reduction
    factor;
-4. **spill** — run TPC-H Q1 under ``--budget`` and verify the grace-
+4. **scan** — warm, prepared latency of every ``tpch_mix`` serving
+   template on the stored tables over the same template on RAM-resident
+   copies (CI fails the ``storage`` job when a ratio exceeds 2.0);
+5. **spill** — run TPC-H Q1 under ``--budget`` and verify the grace-
    partitioned result matches the in-memory rows, reporting spill events.
 
 ``--report`` writes the numbers as JSON (the CI artifact).
@@ -20,15 +23,18 @@ end to end on the TPC-H dataset:
 from __future__ import annotations
 
 import json
+import statistics
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 from ..backends.rows import chunk_rows as _rows_of
 from ..backends.rows import normalize_rows, rows_equal
 from ..sqlengine import Database, EngineConfig
 from ..storage import ColumnStore, open_store
-from ..workloads.tpch import PRIMARY_KEYS, QUERIES, generate
+from ..workloads.tpch import PRIMARY_KEYS, QUERIES, generate, register_tpch
 from ..workloads.tpch.schema import TABLE_ORDER
 
 __all__ = ["store_tpch", "storage_report", "TPCH_SORT_KEYS"]
@@ -66,6 +72,33 @@ def _measure_scan(db: Database, table, sql: str,
     stats = dict(table.io_stats)
     stats["ms"] = round(elapsed, 3)
     return stats
+
+
+def _scan_ratios(stored: Database, resident: Database, runs: int = 30) -> dict:
+    """Per ``tpch_mix`` template: median warm prepared latency on *stored*
+    and on *resident* (same parameter draws for both) and their ratio."""
+    from ..server.loadgen import tpch_mix
+
+    rng = np.random.default_rng(7)
+    out = {}
+    for template in tpch_mix():
+        draws = [template.make_params(rng) for _ in range(runs)]
+        ms = {}
+        for label, db in (("stored", stored), ("memory", resident)):
+            statement = db.prepare(template.sql)
+            for params in draws[:3]:
+                statement.execute_chunk(params)
+            times = []
+            for params in draws:
+                t0 = time.perf_counter()
+                statement.execute_chunk(params)
+                times.append((time.perf_counter() - t0) * 1e3)
+            ms[label] = statistics.median(times)
+        out[template.name] = {
+            "stored_ms": round(ms["stored"], 4),
+            "memory_ms": round(ms["memory"], 4),
+            "ratio": round(ms["stored"] / ms["memory"], 3)}
+    return out
 
 
 def storage_report(sf: float = 0.005, chunk_rows: int = 4096,
@@ -110,6 +143,13 @@ def storage_report(sf: float = 0.005, chunk_rows: int = 4096,
                  f"{pruned['chunks_read']}/{unpruned['chunks_read']} chunks "
                  f"({factor:.1f}x scan reduction), "
                  f"{pruned['ms']:.2f} ms vs {unpruned['ms']:.2f} ms")
+
+    resident = Database()
+    register_tpch(resident, dataset)
+    report["scan"] = _scan_ratios(db, resident)
+    for name, row in report["scan"].items():
+        lines.append(f"scan:    {name:<16} stored {row['stored_ms']:.3f} ms / "
+                     f"in-memory {row['memory_ms']:.3f} ms = {row['ratio']:.2f}x")
 
     q1 = QUERIES[1].sql("duckdb", level="O4", db=db)
     base = normalize_rows(_rows_of(db.execute_chunk(q1)))

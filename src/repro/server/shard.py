@@ -8,9 +8,9 @@ stages and fixes the chunk ranges of the largest table (see
 out across processes:
 
 * :class:`ShardPool` — N ``multiprocessing`` engine workers over one
-  column store.  Every worker opens the store once; all of them mmap the
-  same chunk files, so replicating the unpartitioned tables costs
-  page-cache residency, not copies.
+  column store, each pinned to its own CPU.  Every worker opens the store
+  once; all of them mmap the same column files, so replicating the
+  unpartitioned tables costs page-cache residency, not copies.
 * :class:`ShardedDatabase` — a :class:`~repro.sqlengine.Database` attached
   to that store which hands every execution a scatter hook
   (:attr:`~repro.sqlengine.plan.ExecContext.exchange`).  An ``Exchange``
@@ -42,8 +42,6 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
-import numpy as np
-
 from ..errors import (
     QueryCancelledError,
     QueryTimeoutError,
@@ -55,7 +53,7 @@ from ..sqlengine.catalog import Catalog
 from ..sqlengine.database import Database, PlanCacheEntry
 from ..sqlengine.executor import EngineConfig, Executor
 from ..sqlengine.plan import Exchange
-from ..sqlengine.table import Chunk
+from ..sqlengine.table import Chunk, DictColumn
 from ..storage.format import open_store
 from .wire import exception_for
 
@@ -69,8 +67,17 @@ __all__ = ["ShardedDatabase", "ShardPool"]
 _WORKER_CATALOG: Catalog | None = None
 
 
-def _shard_worker_init(root: str) -> None:
+def _shard_worker_init(root: str, started) -> None:
     global _WORKER_CATALOG
+    # One CPU per worker.  Left to the scheduler, forked workers can stay on
+    # the CPU of the process that wakes them for as long as they run (seen
+    # on a 2-vCPU VM: two busy workers shared one CPU beside an idle one),
+    # which turns a scatter into the serial plan plus a round trip.
+    if hasattr(os, "sched_setaffinity"):
+        with started.get_lock():
+            slot, started.value = started.value, started.value + 1
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
     db = Database()
     open_store(root).attach(db)
     _WORKER_CATALOG = db.catalog
@@ -80,7 +87,10 @@ def _shard_worker_run(task: dict) -> tuple:
     """Execute one task; returns a plain tuple (never raises, so no
     exception ever has to survive pickling):
 
-    * ``("ok", columns, arrays)`` — one partition's output,
+    * ``("ok", columns, arrays)`` — one partition's output; a
+      dictionary-encoded column travels as codes + dictionary (the
+      coordinator's ``Chunk.concat`` merges the partitions' dictionaries)
+      unless its dictionary is larger than its rows,
     * ``("err", exc_class_name, message)`` — a typed failure to rebuild,
     * ``("pong", pid)`` — pool warmup / liveness probe.
     """
@@ -94,8 +104,10 @@ def _shard_worker_run(task: dict) -> tuple:
         lo, hi = task["range"]
         chunk = Exchange.run_partition(task["plan"], task["table"], lo, hi,
                                        executor)
-        return ("ok", list(chunk.columns),
-                [np.asarray(arr) for arr in chunk.arrays])
+        return ("ok", list(chunk.columns), [
+            arr.decode(counted=False) if isinstance(arr, DictColumn)
+            and arr.null_code > len(arr) else arr
+            for arr in chunk.arrays])
     except BaseException as exc:
         return ("err", type(exc).__name__, str(exc))
 
@@ -123,6 +135,7 @@ class ShardPool:
         self._ctx = multiprocessing.get_context(start_method)
         self._lock = threading.Lock()
         self._executor: ProcessPoolExecutor | None = None
+        self._started = self._ctx.Value("i", 0)  # workers ever launched
         self.restarts = 0
 
     def _ensure(self) -> ProcessPoolExecutor:
@@ -132,7 +145,7 @@ class ShardPool:
                     max_workers=self.workers,
                     mp_context=self._ctx,
                     initializer=_shard_worker_init,
-                    initargs=(self.root,),
+                    initargs=(self.root, self._started),
                 )
             return self._executor
 

@@ -32,7 +32,7 @@ from .sqlast import (
     BinaryOp, ColumnRef, CompoundSelect, Expr, Query, SelectItem, TableRef,
     ValuesClause,
 )
-from .table import Chunk, isna
+from .table import Chunk, encode_watch, isna
 
 __all__ = ["EngineConfig", "Executor"]
 
@@ -168,6 +168,15 @@ class Executor:
     # Entry points
     # ------------------------------------------------------------------
     def execute(self, query: Query) -> Chunk:
+        if self.stats is None:
+            return self._execute(query)
+        token = encode_watch.set(self.stats)
+        try:
+            return self._execute(query)
+        finally:
+            encode_watch.reset(token)
+
+    def _execute(self, query: Query) -> Chunk:
         env: dict[str, Chunk] = {}
         for cte in query.ctes:
             chunk = self.execute_body(cte.query, env)

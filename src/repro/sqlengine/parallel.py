@@ -12,6 +12,7 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from typing import Callable
 
 import numpy as np
@@ -67,7 +68,9 @@ def _run_all(threads: int, fn: Callable, argsets: list[tuple]) -> list:
                 raise
 
     pool = _pool(threads)
-    helpers = [pool.submit(runner) for _ in range(min(threads, n) - 1)]
+    # Helpers run in the caller's context (table.encode_watch).
+    helpers = [pool.submit(copy_context().run, runner)
+               for _ in range(min(threads, n) - 1)]
     try:
         runner()
     finally:

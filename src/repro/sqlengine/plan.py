@@ -311,7 +311,8 @@ class Scan(Operator):
     # The string columns something computes on (predicates, keys,
     # expressions, the output of a CTE or subquery body) — every one but
     # those the statement's final body only returns: the ones a
-    # RAM-resident table hands out dictionary-encoded.  None = all.
+    # RAM-resident table hands out dictionary-encoded (a stored table's
+    # strings are encoded on disk and all stay so).  None = all.
     encode: list[str] | None = None
 
     def label(self) -> str:

@@ -64,15 +64,17 @@ class RuntimeStats:
     replans: int = 0
     plans: list["PhysicalPlan"] = field(default_factory=list)
     # Dictionary-encoded columns (see sqlengine.table.DictColumn):
-    # sub-expressions evaluated on a dictionary instead of the rows, and
-    # rows turned back into objects inside the plan (the final result does
-    # not count) — a query that falls off the encoded path shows here.
+    # sub-expressions evaluated on a dictionary instead of the rows, rows
+    # turned back into objects inside the plan (the final result does not
+    # count) and rows of plain string columns a kernel had to encode itself
+    # — a query that falls off the encoded path shows in the last two.
     dict_lifted: int = 0
     dict_decoded_rows: int = 0
+    dict_encoded_rows: int = 0
     # id(Scan) -> "column(dictionary size), ..." of the encoded columns
     # that Scan produced.
     scan_dicts: dict[int, str] = field(default_factory=dict)
-    # The two counters above are bumped from kernel worker threads.
+    # The counters above are bumped from kernel worker threads.
     _dict_lock: threading.Lock = field(default_factory=threading.Lock,
                                        repr=False, compare=False)
 
@@ -85,10 +87,12 @@ class RuntimeStats:
         entry.elapsed_ms += seconds * 1000.0
         entry.invocations += 1
 
-    def count_dict(self, lifted: int = 0, decoded_rows: int = 0) -> None:
+    def count_dict(self, lifted: int = 0, decoded_rows: int = 0,
+                   encoded_rows: int = 0) -> None:
         with self._dict_lock:
             self.dict_lifted += lifted
             self.dict_decoded_rows += decoded_rows
+            self.dict_encoded_rows += encoded_rows
 
     def event(self, message: str) -> None:
         self.events.append(message)
@@ -137,9 +141,10 @@ class RuntimeStats:
             if id(plan.root) in seen:
                 continue
             walk(plan.root, 0)
-        if self.scan_dicts:
+        if self.scan_dicts or self.dict_encoded_rows:
             lines.append(f"Dictionary columns: dict_lifted={self.dict_lifted} "
-                         f"dict_decoded_rows={self.dict_decoded_rows}")
+                         f"dict_decoded_rows={self.dict_decoded_rows} "
+                         f"dict_encoded_rows={self.dict_encoded_rows}")
         if self.events:
             lines.append("Adaptive events:")
             lines.extend(f"  {event}" for event in self.events)

@@ -3,18 +3,24 @@ representations a chunk can hold.
 
 A chunk column is either a plain NumPy array or a :class:`DictColumn` —
 ``int32`` codes into a dictionary of distinct values.  A ``DictColumn`` is
-born in exactly one place, :meth:`Table.scan` of a RAM-resident table, for
-an object (string) column with at most :data:`MAX_DICT_ENTRIES` distinct
-values; from there the codes flow through gathers, joins and group/sort/
-semi-join kernels as 4-byte integers and expressions over the column are
-evaluated on the dictionary (:class:`~.expressions.Evaluator`).  Code that
-was not taught about the representation asks :func:`plain` for an object
-array; :meth:`Chunk.decoded` does so for a whole result.
+born in a scan, under one rule — an object (string) column with at most
+:data:`MAX_DICT_ENTRIES` distinct values — in two places: :meth:`Table.scan`
+of a RAM-resident table, which encodes lazily and keeps the encoding, and
+:meth:`StoredTable.scan <repro.storage.table.StoredTable.scan>`, whose
+columns are stored as codes + dictionary.  From there the codes flow
+through gathers, joins and group/sort/semi-join kernels as 4-byte integers
+and expressions over the column are evaluated on the dictionary
+(:class:`~.expressions.Evaluator`).  Code that was not taught about the
+representation asks :func:`plain` for an object array;
+:meth:`Chunk.decoded` does so for a whole result.  A kernel handed a plain
+string column encodes it itself, per call (:func:`as_dict`); an analyzed
+execution counts those rows (``RuntimeStats.dict_encoded_rows``).
 """
 
 from __future__ import annotations
 
 import threading
+from contextvars import ContextVar
 from itertools import repeat
 from typing import Iterable, Mapping
 
@@ -26,13 +32,19 @@ from ..dataframe._common import (
 )
 
 __all__ = ["Table", "Chunk", "DictColumn", "MAX_DICT_ENTRIES", "encode",
-           "as_dict", "plain", "isna", "gather", "concat_columns"]
+           "encode_watch", "as_dict", "plain", "isna", "gather",
+           "concat_columns"]
 
 # A scanned object column is dictionary-encoded when it has at most this
 # many distinct values: every expression lifted onto the dictionary costs
 # O(entries) interpreter work per evaluation, so the bound is what keeps
 # that work small whatever the row count.
 MAX_DICT_ENTRIES = 4096
+
+# The RuntimeStats of the analyzed execution running in this context (set by
+# Executor.execute; None otherwise), told when a kernel encodes a column.
+encode_watch: ContextVar = ContextVar("encode_watch", default=None)
+
 
 class DictColumn:
     """A string column as ``int32`` codes into a dictionary.
@@ -139,10 +151,10 @@ class DictColumn:
 def _dictionary_of(index: dict) -> np.ndarray:
     """Number the keys of *index* in place (``value -> code``) and return
     them as a dictionary array with its trailing NULL slot."""
-    dictionary = np.empty(len(index) + 1, dtype=object)
-    for code, value in enumerate(index):
-        index[value] = code
-        dictionary[code] = value
+    entries = len(index)
+    dictionary = np.empty(entries + 1, dtype=object)
+    dictionary[:entries] = np.fromiter(index, dtype=object, count=entries)
+    index.update(zip(list(index), range(entries)))
     return dictionary
 
 
@@ -175,6 +187,9 @@ def as_dict(col) -> DictColumn:
     """*col* as codes + dictionary: the entry to every string-key kernel."""
     if isinstance(col, DictColumn):
         return col
+    watch = encode_watch.get()
+    if watch is not None:
+        watch.count_dict(encoded_rows=len(col))
     return encode(col if col.dtype == object else col.astype(object))
 
 
@@ -286,12 +301,7 @@ class Table:
         and a column no query computes on is never encoded — a point lookup
         that only returns a string column does not pay for a pass over it.
         """
-        if keep_columns is None:
-            keep = range(len(self.columns))
-        else:
-            names = set(keep_columns)
-            keep = [i for i, c in enumerate(self.columns) if c in names] \
-                or [0][:len(self.columns)]
+        keep = self._kept(keep_columns)
         arrays = []
         for i in keep:
             arr = self.arrays[i]
@@ -302,6 +312,15 @@ class Table:
                     arr = encoded
             arrays.append(arr)
         return Chunk([self.columns[i] for i in keep], arrays)
+
+    def _kept(self, keep_columns: list[str] | None) -> list[int]:
+        """Positions of the columns a scan keeps: all of them for None, the
+        first one when nothing matches (a row count must survive)."""
+        if keep_columns is None:
+            return list(range(len(self.columns)))
+        names = set(keep_columns)
+        return [i for i, c in enumerate(self.columns) if c in names] \
+            or [0][:len(self.columns)]
 
     def _dict_column(self, i: int) -> "DictColumn | None":
         try:

@@ -1,25 +1,28 @@
-"""The persistent columnar format: chunked ``.npy`` column files + manifest.
+"""The persistent columnar format: one ``.npy`` file per column + manifest.
 
-On-disk layout of a store rooted at ``<root>``::
+On-disk layout of a store rooted at ``<root>`` (format version 2)::
 
-    <root>/manifest.json              # schema, chunk boundaries, zone maps
-    <root>/<table>/c<col>.<chunk>.npy # one file per (column, chunk)
+    <root>/manifest.json            # schema, chunk boundaries, zone maps
+    <root>/<table>/c<col>.npy       # one file per column, every row
+    <root>/<table>/c<col>.dict.npy  # string column: its dictionary page
 
 The manifest is the single source of truth: it records the format version,
 a monotonically increasing catalog version (bumped on every write/drop so
 reopened databases see a sane DDL counter), and per table the column
 schema, constraint metadata, chunk row counts, and per-chunk **zone maps**
 (min/max/null-count per column) that the planner's interval tests consume
-for partition pruning.
+for partition pruning.  A chunk is a *logical* row range of the column
+files.  Those are plain ``.npy`` arrays, memory-mapped once per
+:class:`~repro.storage.table.StoredTable` (:func:`open_column`), so a scan
+is a slice of the mapping and touches only the pages it needs.  A string
+(``object``) column is stored as the engine computes on it: ``int32`` codes
+plus one dictionary page of the distinct values in first-appearance order;
+the code one past the last entry is NULL.
 
-Chunk files are plain ``.npy`` arrays: numeric/datetime/bool columns are
-memory-mapped on read (``np.load(..., mmap_mode="r")``), so a scan touches
-only the pages it needs; ``object`` (string) columns cannot be mmapped by
-numpy and are loaded chunk-at-a-time instead — that asymmetry is inherent
-to the ``.npy`` pickle encoding, not hidden.
-
-Every failure mode — unparsable or structurally invalid manifest, missing
-or truncated chunk files, dtype/row-count mismatches — raises a typed
+Every failure mode — unparsable or structurally invalid manifest, a store
+of another format version (re-ingest it: only :meth:`ColumnStore.write_table`
+writes stores), missing or truncated column files, dtype/row-count
+mismatches, a corrupt dictionary page or a code outside it — raises a typed
 :class:`~repro.errors.StorageError`.
 """
 
@@ -34,15 +37,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..dataframe._common import coerce_array, isna_array
+from ..dataframe._common import coerce_array
 from ..errors import StorageError
+from ..sqlengine.table import encode
 
 __all__ = ["ColumnStore", "ZoneStats", "open_store", "create_store",
-           "DEFAULT_CHUNK_ROWS", "FORMAT_NAME", "FORMAT_VERSION",
-           "MANIFEST_NAME"]
+           "open_column", "DEFAULT_CHUNK_ROWS", "FORMAT_NAME",
+           "FORMAT_VERSION", "MANIFEST_NAME"]
 
 FORMAT_NAME = "repro-columnar"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 DEFAULT_CHUNK_ROWS = 8192
 
@@ -60,21 +64,28 @@ class ZoneStats:
     dtype: np.dtype
 
 
-def _chunk_file(root: Path, table: str, col_idx: int, chunk_idx: int) -> Path:
+def _column_file(root: Path, table: str, col_idx: int, page: str = "") -> Path:
     # Files are named by column *position*, not name: column names are SQL
     # identifiers and make poor cross-platform file names.
-    return root / table / f"c{col_idx:03d}.{chunk_idx:05d}.npy"
+    return root / table / f"c{col_idx:03d}{page}.npy"
 
 
 # ---------------------------------------------------------------------------
 # Zone-map computation / (de)serialization
 # ---------------------------------------------------------------------------
 
-def _zone_of(arr: np.ndarray) -> dict | None:
-    """The JSON-able zone map of one chunk column, or None when the dtype
-    has no total order worth tracking (non-string object columns)."""
+def _zone_of(arr: np.ndarray, dictionary: np.ndarray | None = None) -> dict | None:
+    """The JSON-able zone map of one chunk of a column (for a string column:
+    of its codes, with *dictionary*), or None when the dtype has no total
+    order worth tracking."""
     kind = arr.dtype.kind
     n = len(arr)
+    if dictionary is not None:
+        null_code = len(dictionary) - 1
+        present = np.unique(arr)
+        valid = dictionary[present[present != null_code]].tolist()
+        return {"min": min(valid, default=None), "max": max(valid, default=None),
+                "nulls": int(np.count_nonzero(arr == null_code))}
     if kind in ("i", "u"):
         if n == 0:
             return {"min": None, "max": None, "nulls": 0}
@@ -97,14 +108,6 @@ def _zone_of(arr: np.ndarray) -> dict | None:
             return {"min": None, "max": None, "nulls": int(null.sum())}
         return {"min": str(valid.min()), "max": str(valid.max()),
                 "nulls": int(null.sum())}
-    if kind == "O":
-        null = isna_array(arr)
-        valid = [v for v, is_null in zip(arr, null) if not is_null]
-        if not all(isinstance(v, str) for v in valid):
-            return None  # mixed-type object column: untracked
-        if not valid:
-            return {"min": None, "max": None, "nulls": int(null.sum())}
-        return {"min": min(valid), "max": max(valid), "nulls": int(null.sum())}
     return None
 
 
@@ -120,35 +123,52 @@ def _decode_zone(zone: dict | None, dtype: np.dtype, rows: int) -> ZoneStats | N
 
 
 # ---------------------------------------------------------------------------
-# Chunk file IO
+# Column file IO
 # ---------------------------------------------------------------------------
 
-def load_chunk_array(path: Path, dtype: np.dtype, expected_rows: int,
-                     mmap: bool = True) -> np.ndarray:
-    """Load one chunk file, validated against the manifest's expectations.
-
-    Non-object dtypes memory-map (dual residency: the OS page cache, not
-    the process heap, owns the data); object columns deserialize eagerly.
-    """
+def _load_array(path: Path, dtype: np.dtype, expected_rows: int) -> np.ndarray:
+    """Load one ``.npy`` file, validated against the manifest.  Non-object
+    dtypes are memory-mapped (the OS page cache, not the heap, owns the
+    data) and returned as a plain read-only ``ndarray`` view."""
     try:
         if dtype == object:
             arr = np.load(path, allow_pickle=True)
         else:
-            arr = np.load(path, mmap_mode="r" if mmap else None)
+            arr = np.asarray(np.load(path, mmap_mode="r"))
     except FileNotFoundError:
-        raise StorageError(f"missing chunk file {path}") from None
+        raise StorageError(f"missing column file {path}") from None
     except Exception as exc:
-        raise StorageError(f"unreadable chunk file {path}: {exc}") from exc
+        raise StorageError(f"unreadable column file {path}: {exc}") from exc
     if arr.ndim != 1 or len(arr) != expected_rows:
         raise StorageError(
-            f"chunk file {path} holds {arr.shape} values, manifest expects "
-            f"{expected_rows} rows (truncated or foreign file?)"
+            f"column file {path} holds {arr.shape} values, manifest expects "
+            f"{expected_rows} (truncated or foreign file?)"
         )
     if arr.dtype != dtype:
         raise StorageError(
-            f"chunk file {path} has dtype {arr.dtype}, manifest says {dtype}"
+            f"column file {path} has dtype {arr.dtype}, manifest says {dtype}"
         )
     return arr
+
+
+def open_column(root: Path, table: str, col_idx: int, meta: dict,
+                nrows: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Map column *col_idx* of *table*: ``(data, None)``, or for a string
+    column ``(codes, dictionary)`` with the dictionary's trailing NULL slot
+    in place, every code checked to fall inside it."""
+    entries = meta.get("dict")
+    if entries is None:
+        return _load_array(_column_file(root, table, col_idx),
+                           np.dtype(meta["dtype"]), nrows), None
+    codes = _load_array(_column_file(root, table, col_idx),
+                        np.dtype(np.int32), nrows)
+    dictionary = np.empty(entries + 1, dtype=object)
+    dictionary[:-1] = _load_array(_column_file(root, table, col_idx, ".dict"),
+                                  np.dtype(object), entries)
+    if nrows and not 0 <= codes.min() <= codes.max() <= entries:
+        raise StorageError(f"column {meta['name']!r} of table {table!r} holds "
+                           f"codes outside its {entries}-entry dictionary")
+    return codes, dictionary
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +184,10 @@ def _validate_manifest(doc, path: Path) -> dict:
     if doc.get("format") != FORMAT_NAME:
         fail(f"unknown format {doc.get('format')!r}")
     if doc.get("format_version") != FORMAT_VERSION:
-        fail(f"unsupported format_version {doc.get('format_version')!r}")
+        raise StorageError(
+            f"store {path.parent} has format_version "
+            f"{doc.get('format_version')!r}, this build reads version "
+            f"{FORMAT_VERSION}: re-ingest it with write_table")
     if not isinstance(doc.get("catalog_version"), int):
         fail("catalog_version is not an integer")
     tables = doc.get("tables")
@@ -176,7 +199,9 @@ def _validate_manifest(doc, path: Path) -> dict:
         columns = meta.get("columns")
         if not isinstance(columns, list) or not all(
             isinstance(c, dict) and isinstance(c.get("name"), str)
-            and isinstance(c.get("dtype"), str) for c in columns
+            and isinstance(c.get("dtype"), str)
+            and isinstance(c.get("dict", 0), int) and c.get("dict", 0) >= 0
+            for c in columns
         ):
             fail(f"table {name!r} has a malformed column list")
         for c in columns:
@@ -303,18 +328,31 @@ class ColumnStore:
         table_dir.mkdir(parents=True)
 
         starts = list(range(0, nrows, chunk_rows)) or [0]
-        chunks: list[dict] = []
-        for ci, start in enumerate(starts):
-            stop = min(start + chunk_rows, nrows)
-            zones: dict[str, dict] = {}
-            for col_idx, (col, arr) in enumerate(zip(columns, arrays)):
-                part = np.ascontiguousarray(arr[start:stop])
-                path = _chunk_file(self.root, name, col_idx, ci)
-                np.save(path, part, allow_pickle=part.dtype == object)
-                zone = _zone_of(part)
+        chunks = [{"rows": min(start + chunk_rows, nrows) - start, "zones": {}}
+                  for start in starts]
+        schema: list[dict] = []
+        for col_idx, (col, arr) in enumerate(zip(columns, arrays)):
+            schema.append({"name": col, "dtype": arr.dtype.str})
+            dictionary = None
+            tracked = True
+            if arr.dtype == object:
+                try:
+                    encoded = encode(arr)
+                except TypeError as exc:
+                    raise StorageError(f"column {col!r} of table {name!r} "
+                                       f"cannot be stored: {exc}") from exc
+                arr, dictionary = encoded.codes, encoded.dictionary
+                np.save(_column_file(self.root, name, col_idx, ".dict"),
+                        dictionary[:-1], allow_pickle=True)
+                schema[-1]["dict"] = encoded.null_code
+                # Strings have a total order; a mixed-type column does not.
+                tracked = set(map(type, dictionary[:-1].tolist())) <= {str}
+            np.save(_column_file(self.root, name, col_idx), arr)
+            for chunk, start in zip(chunks, starts):
+                zone = _zone_of(arr[start:start + chunk_rows], dictionary) \
+                    if tracked else None
                 if zone is not None:
-                    zones[col] = zone
-            chunks.append({"rows": stop - start, "zones": zones})
+                    chunk["zones"][col] = zone
 
         self._manifest["tables"][name] = {
             "nrows": nrows,
@@ -322,8 +360,7 @@ class ColumnStore:
             "primary_key": list(primary_key) if primary_key else [],
             "unique": sorted(set(unique)) if unique else [],
             "sort_by": list(sort_by) if sort_by else [],
-            "columns": [{"name": c, "dtype": a.dtype.str}
-                        for c, a in zip(columns, arrays)],
+            "columns": schema,
             "chunks": chunks,
         }
         self._manifest["catalog_version"] += 1
@@ -353,8 +390,9 @@ class ColumnStore:
         return StoredTable(self.root, name, self.table_meta(name))
 
     def attach(self, db, names: Iterable[str] | None = None) -> list[str]:
-        """Register stored tables into *db*'s catalog (no data is read —
-        scans stream chunks on demand).  Returns the attached names."""
+        """Register stored tables into *db*'s catalog (no data is read and
+        no column file opened — the first scan of a column maps it).
+        Returns the attached names."""
         attached = []
         for name in (list(names) if names is not None else self.tables()):
             db.catalog.register(self.table(name))

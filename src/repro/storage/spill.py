@@ -40,7 +40,7 @@ from ..errors import SQLBindError
 from ..sqlengine.expressions import Evaluator, expr_key
 from ..sqlengine.joins import join_positions
 from ..sqlengine.plan import aggregate
-from ..sqlengine.table import Chunk, plain
+from ..sqlengine.table import Chunk, concat_columns, plain
 
 __all__ = ["chunk_nbytes", "spillable_keys", "grace_join_positions",
            "grace_aggregate", "partition_ids", "SpillStats"]
@@ -276,17 +276,6 @@ class _SpilledOrderEval:
         return self._values[key]
 
 
-def _concat_promote(parts: list[np.ndarray]) -> np.ndarray:
-    target = parts[0].dtype
-    for p in parts[1:]:
-        if p.dtype != target:
-            if p.dtype == object or target == object:
-                target = np.dtype(object)
-            else:
-                target = np.promote_types(target, p.dtype)
-    return np.concatenate([p.astype(target) for p in parts])
-
-
 def grace_aggregate(ctx, select, chunk: Chunk, scope, nparts: int = 8):
     """Spill-to-disk grouped aggregation.
 
@@ -355,6 +344,6 @@ def grace_aggregate(ctx, select, chunk: Chunk, scope, nparts: int = 8):
 
     out = Chunk.concat(outs)
     order_eval = _SpilledOrderEval(
-        {k: _concat_promote(v) for k, v in order_vals.items()})
+        {k: concat_columns(v) for k, v in order_vals.items()})
     stats = SpillStats(partitions=nparts, bytes_spilled=spill.bytes_written)
     return out, order_eval, stats

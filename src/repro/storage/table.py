@@ -2,27 +2,34 @@
 
 Behaves exactly like an in-memory :class:`~repro.sqlengine.table.Table`
 behind the same interface — ``columns``/``dtypes``/``nrows``/``column``/
-``scan``/``chunk`` — but materializes data from the column store's chunk
-files on demand.  Numeric/datetime/bool chunks are memory-mapped, so a
-scan's residency is whatever the OS page cache keeps warm; ``column()``
-promotes a whole column to a RAM-cached array (dual residency) for hot
-paths like oracle mirrors and planner sampling.
+``scan``/``chunk`` — over the column store's files.  Each column file is
+memory-mapped once, by the first scan that asks for it, validated against
+the manifest and kept for the life of this object: a scan is a zero-copy
+slice of the mapping (the runs of a pruned, non-contiguous scan are
+concatenated) and its residency is whatever the OS page cache keeps warm.
+A string column is ``int32`` codes + dictionary on disk and leaves the
+scan as the :class:`~repro.sqlengine.table.DictColumn` a RAM-resident
+table hands out — up to ``MAX_DICT_ENTRIES`` distinct values, beyond that
+as ``dictionary[codes]``.
 
 Zone-map metadata (``has_zone_maps`` / ``chunk_stats`` / ``chunk_length``)
 is what the planner's partition pruning consumes; ``io_stats`` counts the
-chunk files actually opened so tests and benchmarks can assert a pruned
-scan read fewer chunks.
+logical (column, chunk) pieces scans covered so tests and benchmarks can
+assert a pruned scan read fewer of them.
 """
 
 from __future__ import annotations
 
+import threading
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import SQLBindError
-from ..sqlengine.table import Chunk, Table
-from .format import ZoneStats, _chunk_file, _decode_zone, load_chunk_array
+from ..sqlengine import table as _table
+from ..sqlengine.table import Chunk, DictColumn, Table
+from .format import ZoneStats, _decode_zone, open_column
 
 __all__ = ["StoredTable"]
 
@@ -46,8 +53,13 @@ class StoredTable(Table):
         if len(self.primary_key) == 1:
             self.unique_columns.add(self.primary_key[0])
         self._chunks = meta["chunks"]
-        self._column_cache: dict[str, np.ndarray] = {}
-        self.io_stats = {"chunks_read": 0, "rows_read": 0, "bytes_read": 0}
+        self._starts = list(accumulate(  # row offset of each chunk boundary
+            (int(ch["rows"]) for ch in self._chunks), initial=0))
+        # Column position -> (data, dictionary | None), mapped on first use.
+        self._handles: dict[int, tuple] = {}
+        # Guards _handles and io_stats: scans run on scheduler threads.
+        self._lock = threading.Lock()
+        self.reset_io_stats()
 
     # -- storage metadata (planner-facing) ---------------------------------
     @property
@@ -74,42 +86,50 @@ class StoredTable(Table):
         return _decode_zone(zone, dtype, int(ch["rows"]))
 
     def reset_io_stats(self) -> None:
-        self.io_stats = {"chunks_read": 0, "rows_read": 0, "bytes_read": 0}
+        with self._lock:
+            self.io_stats = {"chunks_read": 0, "rows_read": 0, "bytes_read": 0}
 
-    # -- chunk IO ----------------------------------------------------------
-    def _load(self, col_idx: int, chunk_id: int) -> np.ndarray:
-        dtype = self._dtypes[col_idx]
-        rows = self.chunk_length(chunk_id)
-        path = _chunk_file(self._root, self.name, col_idx, chunk_id)
-        arr = load_chunk_array(path, dtype, rows)
-        self.io_stats["chunks_read"] += 1
-        self.io_stats["rows_read"] += rows
-        self.io_stats["bytes_read"] += int(arr.nbytes)
-        return arr
+    # -- column IO ---------------------------------------------------------
+    def _open(self, col_idx: int) -> tuple:
+        handle = self._handles.get(col_idx)
+        if handle is None:
+            with self._lock:
+                handle = self._handles.get(col_idx)
+                if handle is None:
+                    handle = self._handles[col_idx] = open_column(
+                        self._root, self.name, col_idx,
+                        self._meta["columns"][col_idx], self.nrows)
+        return handle
 
-    def _read_column(self, col_idx: int, chunk_ids: list[int]) -> np.ndarray:
-        dtype = self._dtypes[col_idx]
-        if not chunk_ids:
-            return np.empty(0, dtype=dtype)
-        parts = [self._load(col_idx, cid) for cid in chunk_ids]
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts)
+    def _runs(self, chunk_ids) -> list[tuple[int, int]]:
+        """*chunk_ids* as row ranges, neighbouring chunks merged."""
+        if chunk_ids is None:
+            return [(0, self.nrows)]
+        runs: list[tuple[int, int]] = []
+        for cid in chunk_ids:
+            lo, hi = self._starts[cid], self._starts[cid + 1]
+            if runs and runs[-1][1] == lo:
+                runs[-1] = (runs[-1][0], hi)
+            else:
+                runs.append((lo, hi))
+        return runs or [(0, 0)]
 
     # -- Table interface ---------------------------------------------------
+    def sample(self, name: str, step: int) -> np.ndarray:
+        try:
+            col_idx = self.columns.index(name)
+        except ValueError:
+            raise SQLBindError(
+                f"column {name!r} not found in table {self.name!r}"
+            ) from None
+        data, dictionary = self._open(col_idx)
+        data = data[:: max(1, step)]
+        return data if dictionary is None else dictionary[data]
+
     def column(self, name: str) -> np.ndarray:
-        """Full column, materialized once and cached in RAM thereafter."""
-        cached = self._column_cache.get(name)
-        if cached is None:
-            try:
-                idx = self.columns.index(name)
-            except ValueError:
-                raise SQLBindError(
-                    f"column {name!r} not found in table {self.name!r}"
-                ) from None
-            cached = np.asarray(self._read_column(idx, list(range(self.nchunks))))
-            self._column_cache[name] = cached
-        return cached
+        """Full column as a plain array: the mapping itself, or a string
+        column decoded (not cached — scans never come through here)."""
+        return self.sample(name, 1)
 
     @property
     def arrays(self) -> list[np.ndarray]:
@@ -117,33 +137,41 @@ class StoredTable(Table):
         iterate ``zip(table.columns, table.arrays)``."""
         return [self.column(c) for c in self.columns]
 
-    def sample(self, name: str, step: int) -> np.ndarray:
-        return self.column(name)[:: max(1, step)]
-
     def chunk(self) -> Chunk:
         return self.scan()
 
     def scan(self, keep_columns: list[str] | None = None,
              chunk_ids: list[int] | None = None,
              encode: list[str] | None = None) -> Chunk:
-        """Read (pruned) chunk files from disk into a runtime Chunk
-        (always of plain arrays: *encode* is for RAM-resident tables).
-
-        Always hits the chunk files — never the RAM column cache — so
-        ``io_stats`` faithfully reflects what a pruned scan avoided.
-        """
-        if keep_columns is None:
-            keep = list(range(len(self.columns)))
-        else:
-            names = set(keep_columns)
-            keep = [i for i, c in enumerate(self.columns) if c in names]
-            if not keep:
-                keep = [0] if self.columns else []
-        ids = list(range(self.nchunks)) if chunk_ids is None else list(chunk_ids)
-        return Chunk(
-            [self.columns[i] for i in keep],
-            [self._read_column(i, ids) for i in keep],
-        )
+        """The (pruned) rows of the kept columns as slices of the mappings.
+        A string column within ``MAX_DICT_ENTRIES`` stays encoded whether or
+        not *encode* names it: :meth:`Table.scan` leaves a column that is
+        only returned plain to save the encoding pass; here the pass to
+        save is the decode."""
+        keep = self._kept(keep_columns)
+        runs = self._runs(chunk_ids)
+        arrays = []
+        nbytes = 0
+        for i in keep:
+            data, dictionary = self._open(i)
+            if len(runs) == 1:
+                data = data[runs[0][0]:runs[0][1]]
+            else:
+                data = np.concatenate([data[lo:hi] for lo, hi in runs])
+            nbytes += data.nbytes
+            if dictionary is not None:
+                data = DictColumn(data, dictionary) \
+                    if len(dictionary) - 1 <= _table.MAX_DICT_ENTRIES \
+                    else dictionary[data]
+            arrays.append(data)
+        nchunks = self.nchunks if chunk_ids is None else len(chunk_ids)
+        pieces = nchunks * len(keep)
+        rows = sum(hi - lo for lo, hi in runs) * len(keep)
+        with self._lock:
+            self.io_stats["chunks_read"] += pieces
+            self.io_stats["rows_read"] += rows
+            self.io_stats["bytes_read"] += nbytes
+        return Chunk([self.columns[i] for i in keep], arrays)
 
     def __repr__(self) -> str:
         return (f"StoredTable({self.name!r}, cols={self.columns}, "

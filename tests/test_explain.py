@@ -175,6 +175,28 @@ class TestExplainDictionaryColumns:
         stats, _ = self._analyze(db, "SELECT b FROM v WHERE b = 'x' AND b2 IS NULL")
         assert stats.dict_decoded_rows == 0 and stats.dict_lifted == 2
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_in_kernel_encode_is_counted(self, db, monkeypatch, threads):
+        """A string key that left its Scan plain (over the limit) or was
+        computed is encoded by the kernel, per query: visible, also when
+        the kernel runs on pool helpers."""
+        import repro.sqlengine.table as engine_table
+        from repro.sqlengine import EngineConfig
+
+        n = 10_000
+        db.register("w", {"k": [f"k{i % 7}" for i in range(n)],
+                          "x": list(range(n))})
+        config = EngineConfig(threads=threads)
+        sql = "SELECT k, SUM(x) AS s FROM w GROUP BY k ORDER BY k"
+        stats, report = self._analyze(db, sql, config)
+        assert stats.dict_encoded_rows == 0 and "dict=[k(7)]" in report
+        assert "dict_encoded_rows=0" in report
+        monkeypatch.setattr(engine_table, "MAX_DICT_ENTRIES", 3)
+        db.register("w2", db.catalog.get("w").chunk().to_dict())
+        stats, report = self._analyze(db, sql.replace("w ", "w2 "), config)
+        assert stats.dict_encoded_rows >= n
+        assert f"dict_encoded_rows={stats.dict_encoded_rows}" in report
+
     def test_numeric_tables_report_nothing(self, db):
         _, report = self._analyze(db, "SELECT a, c FROM t WHERE a > 1")
         assert "dict" not in report

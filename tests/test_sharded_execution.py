@@ -28,10 +28,14 @@ from repro.bench.storage import store_tpch
 from repro.errors import ShardError
 from repro.server.shard import ShardedDatabase
 from repro.sqlengine import EngineConfig
+from repro.sqlengine.table import DictColumn
 from repro.storage import ColumnStore, open_store
-from repro.workloads.tpch import QUERIES
+from repro.workloads.tpch import QUERIES, generate
 
 RTOL = ATOL = 1e-9  # float-merge tolerance, matching the parallel suite
+# CI runs this module a second time at SF 0.02: ~60 logical lineitem chunks,
+# so every worker's range covers several (tier-1's 6 chunks give 1-2 each).
+SF = float(os.environ.get("REPRO_TPCH_SF", "0.002"))
 
 
 def assert_chunks_match(base, got, context: str) -> None:
@@ -52,10 +56,12 @@ def assert_chunks_match(base, got, context: str) -> None:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def tpch_store_root(tpch_dataset, tmp_path_factory):
+def tpch_store_root(request, tmp_path_factory):
+    dataset = request.getfixturevalue("tpch_dataset") if SF == 0.002 \
+        else generate(scale_factor=SF, seed=7)
     root = tmp_path_factory.mktemp("tpch-shard-store")
     store = ColumnStore(root)
-    store_tpch(store, tpch_dataset, chunk_rows=2048)
+    store_tpch(store, dataset, chunk_rows=2048)
     return root
 
 
@@ -202,6 +208,12 @@ MERGE_QUERIES = {
     "topk_limit_beyond_table": (
         "SELECT ev_id, score FROM events ORDER BY score, ev_id "
         "LIMIT 100000"),
+    "topk_string_payload": (
+        "SELECT ev_id, city, phase, score FROM events "
+        "ORDER BY score DESC, ev_id LIMIT 25"),
+    "topk_string_payload_fewer_rows_than_entries": (
+        "SELECT ev_id, city, amount FROM events WHERE bucket = 3 "
+        "ORDER BY amount, ev_id LIMIT 3"),
     "having": ("SELECT city, COUNT(*) AS n FROM events GROUP BY city "
                "HAVING COUNT(*) > 10"),
     "expression_over_aggregate": ("SELECT city, SUM(amount) / COUNT(*) AS r "
@@ -220,6 +232,66 @@ def test_merge_kernels_match_serial(name, workers, merge_env):
     assert sharded.shard_stats["scattered"] == before + 1, (
         f"{name} fell back to serial — the merge path was not exercised")
     assert_chunks_match(base, got, f"{name}[workers={workers}]")
+
+
+def test_encoded_columns_cross_the_exchange_as_codes(merge_env, monkeypatch):
+    """A partition's dictionary-encoded outputs (a string group key, a
+    string Top-K payload) are shipped as codes + dictionary and merged by
+    ``DictColumn.concat``; a column with fewer rows than dictionary entries
+    is shipped decoded.  Either way the answer is the serial one."""
+    serial, sharded = merge_env
+    shipped: list[tuple] = []
+    gather = sharded._gather
+
+    def spy(*args):
+        out = gather(*args)
+        shipped.extend(out)
+        return out
+
+    monkeypatch.setattr(sharded, "_gather", spy)
+    cfg = EngineConfig(shard_workers=2)
+    cases = [("string_keys_every_agg", {"__k0"}),
+             ("minmax_on_strings", set()),
+             ("topk_string_payload", {"city", "phase"}),
+             ("topk_string_payload_fewer_rows_than_entries", set())]
+    for name, encoded in cases:
+        del shipped[:]
+        sql = MERGE_QUERIES[name]
+        assert_chunks_match(serial.execute_chunk(sql),
+                            sharded.execute_chunk(sql, cfg), name)
+        assert len(shipped) == 2, name
+        for status, columns, arrays in shipped:
+            assert status == "ok"
+            assert {c for c, a in zip(columns, arrays)
+                    if isinstance(a, DictColumn)} == encoded, name
+            assert all(isinstance(a, DictColumn) or a.ndim == 1
+                       for a in arrays), name
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="CPU affinity is Linux-only")
+def test_each_worker_runs_on_its_own_cpu(merge_env):
+    """Workers pin themselves round-robin over the CPUs the coordinator may
+    use (a scatter whose workers share one CPU is the serial plan plus a
+    round trip); the coordinator's own affinity is untouched."""
+    from repro.server.shard import ShardPool
+
+    allowed = os.sched_getaffinity(0)
+    pool = ShardPool(merge_env[1]._store.root, 3)
+    try:
+        pids = pool.warm()
+        # A worker the pings never reached may still be in its initializer.
+        give_up = time.monotonic() + 30
+        while True:
+            masks = [os.sched_getaffinity(pid) for pid in pids]
+            if all(len(m) == 1 for m in masks) or time.monotonic() > give_up:
+                break
+            time.sleep(0.01)
+    finally:
+        pool.close()
+    assert os.sched_getaffinity(0) == allowed
+    assert all(len(m) == 1 and m <= allowed for m in masks)
+    assert len(set(map(frozenset, masks))) == min(3, len(allowed))
 
 
 def test_topk_tie_break_is_original_row_order(merge_env):

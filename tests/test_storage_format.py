@@ -14,6 +14,7 @@ import pytest
 from repro import connect
 from repro.errors import StorageError
 from repro.sqlengine import EngineConfig
+from repro.sqlengine.table import DictColumn, plain
 from repro.storage import (
     ColumnStore, StoredTable, ingest, materialize, materializers,
     open_store, register_materializer,
@@ -133,25 +134,282 @@ class TestCorruption:
         with pytest.raises(StorageError, match="unknown format"):
             open_store(store.root)
 
-    def test_missing_chunk_file(self, store):
-        (store.root / "t" / "c000.00000.npy").unlink()
-        table = open_store(store.root).table("t")
-        with pytest.raises(StorageError, match="missing chunk file"):
+    # One file per column: ``id`` is c000.npy, ``tag`` (strings) is
+    # c004.npy (int32 codes) + c004.dict.npy (the dictionary page).
+    def test_missing_column_file(self, store):
+        (store.root / "t" / "c000.npy").unlink()
+        table = open_store(store.root).table("t")      # attach reads no file
+        with pytest.raises(StorageError, match="missing column file"):
             table.scan(["id"])
 
-    def test_truncated_chunk_file(self, store):
-        path = store.root / "t" / "c000.00001.npy"
-        path.write_bytes(path.read_bytes()[:40])
+    def test_truncated_column_file(self, store):
+        path = store.root / "t" / "c000.npy"
+        path.write_bytes(path.read_bytes()[:-4000])    # header intact
         table = open_store(store.root).table("t")
+        with pytest.raises(StorageError, match="unreadable column file"):
+            table.scan(["id"])
+        path.write_bytes(path.read_bytes()[:40])       # header cut
         with pytest.raises(StorageError):
-            table.scan(["id"])
+            table.scan(["id"], chunk_ids=[7])
 
-    def test_wrong_dtype_chunk_file(self, store):
-        path = store.root / "t" / "c000.00000.npy"
-        np.save(path, np.zeros(128, dtype=np.float32))
+    def test_short_column_file(self, store):
+        np.save(store.root / "t" / "c000.npy", np.arange(999, dtype=np.int64))
+        table = open_store(store.root).table("t")
+        with pytest.raises(StorageError, match="manifest expects 1000"):
+            table.scan(["id"], chunk_ids=[0])
+
+    def test_wrong_dtype_column_file(self, store):
+        np.save(store.root / "t" / "c000.npy", np.zeros(1000, dtype=np.float32))
         table = open_store(store.root).table("t")
         with pytest.raises(StorageError, match="dtype"):
             table.scan(["id"])
+        # A string column's file must hold int32 codes, not pickled objects.
+        np.save(store.root / "t" / "c004.npy",
+                np.array(["ab"] * 1000, dtype=object), allow_pickle=True)
+        with pytest.raises(StorageError, match="unreadable column file"):
+            table.scan(["tag"])
+
+    def test_corrupt_dictionary_page(self, store):
+        path = store.root / "t" / "c004.dict.npy"
+        path.write_bytes(path.read_bytes()[:-7] + b"garbage")
+        table = open_store(store.root).table("t")
+        with pytest.raises(StorageError, match="unreadable column file"):
+            table.scan(["tag"])
+        path.unlink()
+        with pytest.raises(StorageError, match="missing column file"):
+            table.scan(["tag"])
+
+    def test_short_dictionary_page(self, store):
+        np.save(store.root / "t" / "c004.dict.npy",
+                np.array(["ab", "cd", "ef"], dtype=object), allow_pickle=True)
+        table = open_store(store.root).table("t")
+        with pytest.raises(StorageError, match="manifest expects 4"):
+            table.scan(["tag"])
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_code_outside_dictionary(self, store, bad):
+        """Codes 0..3 are values and 4 is NULL; anything else would index
+        past the dictionary (or wrap to its end) and decode a wrong row."""
+        path = store.root / "t" / "c004.npy"
+        codes = np.load(path)
+        codes[500] = bad
+        np.save(path, codes)
+        table = open_store(store.root).table("t")
+        with pytest.raises(StorageError, match="codes outside"):
+            table.scan(["tag"], chunk_ids=[0])
+
+    def test_bad_column_never_poisons_the_others(self, store):
+        (store.root / "t" / "c001.npy").unlink()
+        table = open_store(store.root).table("t")
+        with pytest.raises(StorageError):
+            table.scan(["grp"])
+        assert table.scan(["id"]).nrows == 1000
+        with pytest.raises(StorageError):              # and is not cached
+            table.scan(["grp"])
+
+    def test_version_1_store_asks_for_reingest(self, store):
+        doc = json.loads((store.root / "manifest.json").read_text())
+        doc["format_version"] = 1
+        (store.root / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(StorageError, match="re-ingest"):
+            open_store(store.root)
+
+    def test_malformed_dict_entry_in_manifest(self, store):
+        doc = json.loads((store.root / "manifest.json").read_text())
+        doc["tables"]["t"]["columns"][4]["dict"] = "four"
+        (store.root / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(StorageError, match="malformed column list"):
+            open_store(store.root)
+
+    def test_unhashable_object_column_is_rejected_at_write(self, tmp_path):
+        s = ColumnStore(tmp_path / "store")
+        col = np.empty(2, dtype=object)
+        col[0], col[1] = [1], [2]
+        with pytest.raises(StorageError, match="cannot be stored"):
+            s.write_table("bad", {"x": col})
+
+
+# ---------------------------------------------------------------------------
+# Scans: one mapping per column, slices per chunk run
+# ---------------------------------------------------------------------------
+
+def _sorted_dataset():
+    data = _dataset()
+    order = np.argsort(data["day"], kind="stable")
+    return {c: a[order] for c, a in data.items()}
+
+
+class TestScan:
+    def test_contiguous_run_is_a_zero_copy_slice(self, store):
+        table = store.table("t")
+        whole = table.scan(["id", "val"])
+        part = table.scan(["id", "val"], chunk_ids=[2, 3, 4])
+        expected = _sorted_dataset()
+        for chunk, rows in ((whole, slice(None)), (part, slice(256, 640))):
+            for col, arr in zip(chunk.columns, chunk.arrays):
+                np.testing.assert_array_equal(arr, expected[col][rows])
+                assert not arr.flags.owndata and not arr.flags.writeable
+        assert np.shares_memory(whole.arrays[0], part.arrays[0])
+
+    def test_non_contiguous_runs_are_concatenated_in_order(self, store):
+        table = store.table("t")
+        expected = _sorted_dataset()
+        rows = np.r_[0:128, 384:640, 896:1000]
+        chunk = table.scan(None, chunk_ids=[0, 3, 4, 7])
+        assert chunk.columns == list(expected)
+        for col, arr in zip(chunk.columns, chunk.arrays):
+            np.testing.assert_array_equal(plain(arr), expected[col][rows])
+
+    def test_string_column_leaves_the_scan_encoded(self, store):
+        table = store.table("t")
+        tag = table.scan(["tag"], chunk_ids=[1, 5]).arrays[0]
+        assert isinstance(tag, DictColumn) and tag.codes.dtype == np.int32
+        assert tag.null_code == 4
+        again = table.scan(["tag"]).arrays[0]
+        assert again.dictionary is tag.dictionary       # loaded once
+        np.testing.assert_array_equal(
+            tag.decode(), _sorted_dataset()["tag"][np.r_[128:256, 640:768]])
+
+    def test_column_over_the_dictionary_limit_is_gathered(self, store,
+                                                          monkeypatch):
+        import repro.sqlengine.table as engine_table
+
+        monkeypatch.setattr(engine_table, "MAX_DICT_ENTRIES", 3)
+        tag = store.table("t").scan(["tag"], chunk_ids=[6]).arrays[0]
+        assert isinstance(tag, np.ndarray) and tag.dtype == object
+        np.testing.assert_array_equal(tag, _sorted_dataset()["tag"][768:896])
+
+    def test_nulls_roundtrip_through_the_null_code(self, tmp_path):
+        s = ColumnStore(tmp_path / "store")
+        s.write_table("n", {"k": np.arange(5),
+                            "s": np.array(["x", None, "y", None, "x"],
+                                          dtype=object)}, chunk_rows=2)
+        table = s.table("n")
+        assert table.column("s").tolist() == ["x", None, "y", None, "x"]
+        assert table.chunk_stats("s", 0).nulls == 1
+        assert (table.chunk_stats("s", 1).min, table.chunk_stats("s", 1).max) \
+            == ("y", "y")
+        db = connect()
+        s.attach(db)
+        out = db.execute("SELECT k FROM n WHERE s IS NULL ORDER BY k")
+        assert out["k"].tolist() == [1, 3]
+
+    def test_empty_chunk_ids(self, store):
+        chunk = store.table("t").scan(["id", "tag", "day"], chunk_ids=[])
+        assert chunk.nrows == 0 and chunk.columns == ["id", "day", "tag"]
+        assert [a.dtype for a in chunk.arrays] == [
+            np.dtype(np.int64), np.dtype("datetime64[D]"), np.dtype(object)]
+
+    def test_keep_columns_matching_nothing_keeps_the_first(self, store):
+        chunk = store.table("t").scan(["nope"], chunk_ids=[1])
+        assert chunk.columns == ["id"] and chunk.nrows == 128
+
+    def test_zero_row_table(self, tmp_path):
+        s = ColumnStore(tmp_path / "store")
+        s.write_table("e", {"a": np.empty(0, dtype=np.int64),
+                            "s": np.empty(0, dtype=object)})
+        table = open_store(s.root).table("e")
+        assert table.nrows == 0 and table.nchunks == 1
+        for ids in (None, [0], []):
+            chunk = table.scan(None, chunk_ids=ids)
+            assert chunk.nrows == 0 and chunk.columns == ["a", "s"]
+        db = connect()
+        s.attach(db)
+        out = db.execute("SELECT COUNT(*) AS n, MIN(s) AS m FROM e")
+        assert out["n"][0] == 0
+
+    def test_io_stats_count_logical_chunks(self, store):
+        table = store.table("t")
+        table.scan(["id", "val"], chunk_ids=[0, 1, 5])
+        assert table.io_stats == {"chunks_read": 6, "rows_read": 768,
+                                  "bytes_read": 768 * 8}
+        table.reset_io_stats()
+        table.scan(["tag"])
+        assert table.io_stats == {"chunks_read": 8, "rows_read": 1000,
+                                  "bytes_read": 4000}
+
+    def test_scans_open_no_file_after_the_first(self, store, monkeypatch):
+        """Every column file is mapped once per StoredTable; a warm scan —
+        whole, pruned or through SQL — touches no file API at all."""
+        import builtins
+        import io
+
+        db = connect()
+        open_store(store.root).attach(db)
+        table = db.catalog.get("t")
+        sql = ("SELECT tag, COUNT(*) AS n, SUM(val) AS s FROM t "
+               "WHERE day >= DATE '2021-06-01' GROUP BY tag ORDER BY tag")
+        first = db.execute(sql).to_dict()
+        table.scan()
+        opened = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                opened.append(args[0])
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(builtins, "open", counting(builtins.open))
+        monkeypatch.setattr(io, "open", counting(io.open))
+        monkeypatch.setattr(np, "load", counting(np.load))
+        assert db.execute(sql).to_dict() == first
+        table.scan()
+        table.scan(["id", "tag"], chunk_ids=[0, 2, 3])
+        assert opened == []
+
+    def test_rewrite_and_reattach_serves_the_new_data(self, store):
+        """Mappings belong to the StoredTable: a table object attached
+        before a re-write keeps serving the rows it was opened on, a
+        re-attach serves the new ones."""
+        db = connect()
+        store.attach(db)
+        before = db.catalog.get("t")
+        assert db.execute("SELECT SUM(grp) AS s, MIN(tag) AS m FROM t")["s"][0] \
+            == int(_dataset()["grp"].sum())
+        store.write_table("t", {"id": np.arange(10, dtype=np.int64),
+                                "grp": np.full(10, 7),
+                                "tag": np.array(["zz"] * 10, dtype=object)},
+                          primary_key="id", chunk_rows=4)
+        assert before.scan(["grp"]).nrows == 1000
+        version = db.catalog.version
+        store.attach(db, ["t"])
+        assert db.catalog.version == version + 1
+        out = db.execute("SELECT SUM(grp) AS s, MIN(tag) AS m FROM t")
+        assert (out["s"][0], out["m"][0]) == (70, "zz")
+
+    def test_concurrent_scans_lose_no_io_stats(self, store):
+        """Scheduler threads scan one StoredTable concurrently while it
+        maps its columns; every scan's counts must land."""
+        import sys
+        import threading
+
+        table = store.table("t")
+        scans, workers = 200, 8
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(scans):
+                    table.scan(["id", "tag"], chunk_ids=[1, 2])
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        total = scans * workers
+        assert table.io_stats == {"chunks_read": total * 4,
+                                  "rows_read": total * 512,
+                                  "bytes_read": total * 256 * 12}
+        assert len(table._handles) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_serving_net_gate(benchmark):
     assert any(r["scattered"] > 0 for r in sharded), (
         "the sharded load run never scattered a query")
 
-    # The committed artifact must satisfy the standalone checker too.
+    # The report just written must satisfy the standalone checker too.
     import subprocess
     import sys
 

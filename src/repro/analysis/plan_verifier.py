@@ -64,10 +64,12 @@ from ..sqlengine.sqlast import (
     ValuesClause,
     WindowCall,
     WindowFrame,
+    children,
+    walk,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Any, Iterable, Iterator, NoReturn
+    from typing import Any, Iterable, NoReturn
 
     from ..sqlengine.catalog import Catalog
     from ..sqlengine.executor import EngineConfig
@@ -242,40 +244,6 @@ def _expr_kind(expr: Expr, cols: list[ColInfo]) -> tuple[Optional[str], bool]:
             return _expr_kind(expr.args[0], cols)[0], True
         return None, True
     return None, True
-
-
-def _walk_exprs(expr: Expr) -> "Iterator[Expr]":
-    """Yield *expr* and every sub-expression, excluding subquery bodies."""
-    yield expr
-    children: list[Expr] = []
-    if isinstance(expr, BinaryOp):
-        children = [expr.left, expr.right]
-    elif isinstance(expr, UnaryOp):
-        children = [expr.operand]
-    elif isinstance(expr, (FuncCall,)):
-        children = list(expr.args)
-    elif isinstance(expr, AggCall):
-        children = [expr.arg] if expr.arg is not None else []
-    elif isinstance(expr, WindowCall):
-        children = list(expr.args) + list(expr.partition_by) + \
-            [o.expr for o in expr.order_by]
-    elif isinstance(expr, CaseExpr):
-        for cond, value in expr.branches:
-            children.extend((cond, value))
-        if expr.default is not None:
-            children.append(expr.default)
-    elif isinstance(expr, CastExpr):
-        children = [expr.operand]
-    elif isinstance(expr, BetweenExpr):
-        children = [expr.operand, expr.low, expr.high]
-    elif isinstance(expr, (IsNull, LikeExpr)):
-        children = [expr.operand]
-    elif isinstance(expr, (InList,)):
-        children = [expr.operand] + list(expr.items)
-    elif isinstance(expr, InSubquery):
-        children = [expr.operand]
-    for child in children:
-        yield from _walk_exprs(child)
 
 
 EnvSchemas = Optional[dict]
@@ -857,46 +825,39 @@ class _Verifier:
 
     def visit_Project(self, op: p.Project, path: str) -> _RelInfo:
         rel = self.child(op.child, path)
-        for item in op.select.items:
-            for sub in _walk_exprs(item.expr):
-                if isinstance(sub, WindowCall) and \
-                        id(sub) not in rel.window_ids:
-                    self.fail("window.placement",
-                              f"projection uses window function "
-                              f"{sub.func} but no Window child below "
-                              f"computes it", path)
+        for sub in walk(op.select):
+            if isinstance(sub, WindowCall) and id(sub) not in rel.window_ids:
+                self.fail("window.placement",
+                          f"projection uses window function {sub.func} but "
+                          f"no Window child below computes it", path)
         return self._projected(op.select, rel, path)
 
     def visit_HashAggregate(self, op: p.HashAggregate, path: str) -> _RelInfo:
         rel = self.child(op.child, path)
         select = op.select
-        all_exprs = [it.expr for it in select.items] + list(select.group_by)
-        if select.having is not None:
-            all_exprs.append(select.having)
-        self.check_mark_refs(all_exprs, rel.cols, path)
+        self.check_mark_refs(children(select), rel.cols, path)
         all_direct = self._all_direct(rel)
-        for expr in all_exprs:
-            for sub in _walk_exprs(expr):
-                if isinstance(sub, WindowCall):
-                    self.fail("window.in-aggregate",
-                              f"window function {sub.func} inside a "
-                              f"HashAggregate (windows evaluate over the "
-                              f"post-aggregate relation)", path)
-                if isinstance(sub, AggCall) and sub.arg is not None and \
-                        sub.func.upper() in ("SUM", "AVG", "STDDEV", "VAR"):
-                    kind, direct = self._planner_kind(sub.arg, rel.cols,
-                                                      all_direct)
-                    # "string" kind from a column is object dtype, which
-                    # legally holds all-NULL / promoted-numeric data — only
-                    # the planner's bind-time data probe can confirm
-                    # string-ness.  Statically certain cases: date columns
-                    # (their own dtype) and string literals.
-                    definite = kind == "date" or (
-                        kind == "string" and isinstance(sub.arg, Literal)
-                    )
-                    if direct and definite:
-                        self.fail("agg.input",
-                                  f"{sub.func} over a {kind} argument", path)
+        for sub in walk(select):
+            if isinstance(sub, WindowCall):
+                self.fail("window.in-aggregate",
+                          f"window function {sub.func} inside a "
+                          f"HashAggregate (windows evaluate over the "
+                          f"post-aggregate relation)", path)
+            if isinstance(sub, AggCall) and sub.arg is not None and \
+                    sub.func.upper() in ("SUM", "AVG", "STDDEV", "VAR"):
+                kind, direct = self._planner_kind(sub.arg, rel.cols,
+                                                  all_direct)
+                # "string" kind from a column is object dtype, which
+                # legally holds all-NULL / promoted-numeric data — only
+                # the planner's bind-time data probe can confirm
+                # string-ness.  Statically certain cases: date columns
+                # (their own dtype) and string literals.
+                definite = kind == "date" or (
+                    kind == "string" and isinstance(sub.arg, Literal)
+                )
+                if direct and definite:
+                    self.fail("agg.input",
+                              f"{sub.func} over a {kind} argument", path)
         return self._projected(select, rel, path)
 
     # -- reshaping / ordering ---------------------------------------------
@@ -957,17 +918,13 @@ class _Verifier:
 
         stage = op.child
         if isinstance(stage, p.HashAggregate):
-            exprs = [it.expr for it in stage.select.items]
-            if stage.select.having is not None:
-                exprs.append(stage.select.having)
-            for expr in exprs:
-                for sub in _walk_exprs(expr):
-                    if isinstance(sub, AggCall) and (
-                            sub.distinct or sub.func not in MERGEABLE_AGGS):
-                        self.fail("shard.agg.mergeable",
-                                  f"partial stage computes "
-                                  f"{p.expr_to_str(sub)}, which has no "
-                                  f"partial/final decomposition", path)
+            for sub in walk(stage.select):
+                if isinstance(sub, AggCall) and (
+                        sub.distinct or sub.func not in MERGEABLE_AGGS):
+                    self.fail("shard.agg.mergeable",
+                              f"partial stage computes "
+                              f"{p.expr_to_str(sub)}, which has no "
+                              f"partial/final decomposition", path)
             below = stage.child
         elif isinstance(stage, p.TopK) and isinstance(stage.child, p.Project):
             keys_ok = all(

@@ -13,7 +13,6 @@ still holds and the result gathered by the codes (:meth:`Evaluator._lifted`).
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,13 +24,12 @@ from .functions import call_function
 from .sqlast import (
     AggCall, BetweenExpr, BinaryOp, CaseExpr, CastExpr, ColumnRef, ExistsExpr,
     Expr, FuncCall, InList, InSubquery, IsNull, LikeExpr, Literal, Parameter,
-    ScalarSubquery, Star, UnaryOp, WindowCall,
+    ScalarSubquery, Star, UnaryOp, WindowCall, children, expr_key, walk,
 )
 from .table import Chunk, DictColumn, isna
 
-__all__ = ["Scope", "Evaluator", "children", "expr_columns",
-           "contains_aggregate", "has_subquery", "has_window", "expr_key",
-           "map_children"]
+__all__ = ["Scope", "Evaluator", "expr_columns", "contains_aggregate",
+           "has_subquery", "has_window"]
 
 
 class Scope:
@@ -59,35 +57,9 @@ class Scope:
         return self.unqualified.get(ref.name)
 
 
-def children(expr: Expr) -> tuple:
-    """The direct sub-expressions of *expr* — the one place that knows where
-    each node keeps them.  Subquery bodies are not entered."""
-    if isinstance(expr, BinaryOp):
-        return (expr.left, expr.right)
-    if isinstance(expr, (UnaryOp, CastExpr, IsNull, LikeExpr, InSubquery)):
-        return (expr.operand,)
-    if isinstance(expr, FuncCall):
-        return tuple(expr.args)
-    if isinstance(expr, AggCall):
-        return () if expr.arg is None else (expr.arg,)
-    if isinstance(expr, CaseExpr):
-        out = tuple(e for branch in expr.branches for e in branch)
-        return out if expr.default is None else out + (expr.default,)
-    if isinstance(expr, InList):
-        return (expr.operand, *expr.items)
-    if isinstance(expr, BetweenExpr):
-        return (expr.operand, expr.low, expr.high)
-    if isinstance(expr, WindowCall):
-        return (*expr.args, *expr.partition_by,
-                *(o.expr for o in expr.order_by))
-    return ()
-
-
 def expr_columns(expr: Expr) -> list[ColumnRef]:
     """All column references in *expr* (excluding subquery bodies)."""
-    if isinstance(expr, ColumnRef):
-        return [expr]
-    return [ref for child in children(expr) for ref in expr_columns(child)]
+    return [e for e in walk(expr) if isinstance(e, ColumnRef)]
 
 
 def aggregates_of(expr: Expr):
@@ -107,68 +79,13 @@ def contains_aggregate(expr: Expr) -> bool:
 
 def has_subquery(expr: Expr) -> bool:
     """Does *expr* contain an IN/EXISTS/scalar subquery anywhere?"""
-    return isinstance(expr, (InSubquery, ExistsExpr, ScalarSubquery)) \
-        or any(has_subquery(child) for child in children(expr))
+    return any(isinstance(e, (InSubquery, ExistsExpr, ScalarSubquery))
+               for e in walk(expr))
 
 
 def has_window(expr: Expr) -> bool:
-    """Does *expr* contain a window call anywhere (CASE branches and
-    BETWEEN bounds included)?"""
-    return isinstance(expr, WindowCall) \
-        or any(has_window(child) for child in children(expr))
-
-
-def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
-    """A shallow copy of *expr* with *fn* applied to each direct
-    sub-expression — the rebuild step of every bottom-up expression
-    rewrite.  Aggregate arguments and subquery bodies are not entered."""
-    out = copy.copy(expr)
-    for attr in ("left", "right", "operand", "low", "high"):
-        child = getattr(out, attr, None)
-        if isinstance(child, Expr):
-            setattr(out, attr, fn(child))
-    if getattr(out, "args", None):
-        out.args = [fn(a) if isinstance(a, Expr) else a for a in out.args]
-    if isinstance(out, InList):
-        out.items = [fn(i) for i in out.items]
-    if getattr(out, "branches", None):
-        out.branches = [(fn(c), fn(v)) for c, v in out.branches]
-        if out.default is not None:
-            out.default = fn(out.default)
-    return out
-
-
-def expr_key(expr: Expr) -> str:
-    """A structural key used to match SELECT items against GROUP BY exprs."""
-    if isinstance(expr, ColumnRef):
-        return f"col:{expr.table or ''}.{expr.name}"
-    if isinstance(expr, Parameter):
-        return f"param:{expr.key!r}"
-    if isinstance(expr, Literal):
-        return f"lit:{expr.value!r}"
-    if isinstance(expr, BinaryOp):
-        return f"({expr_key(expr.left)}{expr.op}{expr_key(expr.right)})"
-    if isinstance(expr, UnaryOp):
-        return f"({expr.op}{expr_key(expr.operand)})"
-    if isinstance(expr, FuncCall):
-        return f"{expr.name}({','.join(expr_key(a) for a in expr.args)})"
-    if isinstance(expr, CastExpr):
-        return f"cast({expr_key(expr.operand)},{expr.type_name})"
-    if isinstance(expr, CaseExpr):
-        parts = [f"{expr_key(c)}->{expr_key(v)}" for c, v in expr.branches]
-        if expr.default is not None:
-            parts.append(f"else->{expr_key(expr.default)}")
-        return f"case({';'.join(parts)})"
-    if isinstance(expr, LikeExpr):
-        return (f"like({expr_key(expr.operand)},{expr.pattern},"
-                f"{expr.negated},{expr.escape})")
-    if isinstance(expr, BetweenExpr):
-        return f"between({expr_key(expr.operand)},{expr_key(expr.low)},{expr_key(expr.high)})"
-    if isinstance(expr, IsNull):
-        return f"isnull({expr_key(expr.operand)},{expr.negated})"
-    if isinstance(expr, InList):
-        return f"in({expr_key(expr.operand)},{','.join(expr_key(i) for i in expr.items)})"
-    return repr(expr)
+    """Does *expr* contain a window call anywhere?"""
+    return any(isinstance(e, WindowCall) for e in walk(expr))
 
 
 _CMP_OPS = {"=", "<>", "<", "<=", ">", ">="}

@@ -11,7 +11,6 @@ surface as mid-query failures.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -19,32 +18,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import SQLBindError
-from .sqlast import Parameter
+from .sqlast import Parameter, walk
 
 __all__ = ["ParamSignature", "signature_of", "bind_parameters",
            "iter_parameters"]
 
 
-def _walk(node, out: list[Parameter]) -> None:
-    """Collect Parameter nodes from an AST subtree (any dataclass graph)."""
-    if isinstance(node, Parameter):
-        out.append(node)
-        return
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        for f in dataclasses.fields(node):
-            _walk(getattr(node, f.name), out)
-        return
-    if isinstance(node, (list, tuple)):
-        for item in node:
-            _walk(item, out)
-
-
 def iter_parameters(query) -> list[Parameter]:
     """Every Parameter node in the statement, in AST order (subqueries,
     CTEs, and compound-select operands included)."""
-    out: list[Parameter] = []
-    _walk(query, out)
-    return out
+    return [n for n in walk(query, deep=True) if isinstance(n, Parameter)]
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,7 @@ import numpy as np
 
 from ..dataframe._common import coerce_array
 from ..errors import SQLBindError, SQLExecutionError, UnsupportedFeatureError
-from .expressions import (
-    Evaluator, Scope, expr_key, has_subquery, has_window, map_children,
-)
+from .expressions import Evaluator, Scope, has_subquery, has_window
 from .grouping import factorize_many, parallel_group_reduce
 from .joins import combine_chunks, join_positions
 from .parallel import parallel_arrays, parallel_map, parallel_masks
@@ -50,7 +48,7 @@ from .sqlast import (
     AggCall, BetweenExpr, BinaryOp, CaseExpr, CastExpr, ColumnRef, ExistsExpr,
     Expr, FuncCall, InList, InSubquery, IsNull, LikeExpr, Literal, OrderItem,
     Parameter, ScalarSubquery, Select, SelectItem, Star, UnaryOp,
-    ValuesClause, WindowCall, WindowFrame,
+    ValuesClause, WindowCall, WindowFrame, expr_key, map_children,
 )
 from .table import Chunk, DictColumn, isna, plain
 

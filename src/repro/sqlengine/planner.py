@@ -42,19 +42,19 @@ from .plan import (
     SetOp, Sort, SubqueryScan, TopK, Window, output_name,
 )
 from .expressions import (
-    aggregates_of, contains_aggregate, expr_columns, expr_key, has_subquery,
-    has_window, map_children,
+    aggregates_of, contains_aggregate, expr_columns, has_subquery, has_window,
 )
 from .table import Table
 from .sqlast import (
     AggCall, BetweenExpr, BinaryOp, ColumnRef, CompoundSelect, ExistsExpr,
-    Expr, InList, InSubquery, IsNull, LikeExpr, Literal, OrderItem,
+    Expr, InList, InSubquery, IsNull, LikeExpr, Literal, Node, OrderItem,
     Query, ScalarSubquery, Select, SelectItem, Star, SubqueryRef, TableRef,
-    UnaryOp, ValuesClause, WindowCall, WithQuery,
+    UnaryOp, ValuesClause, WindowCall, WithQuery, bodies, children, clauses,
+    expr_key, map_children, walk,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Any, Iterator
+    from typing import Any
 
     from .executor import EngineConfig
 
@@ -65,6 +65,9 @@ __all__ = ["Planner", "RelSchema", "split_conjuncts", "has_subquery",
 
 
 _SET_OP_NAMES = {"union": "UNION", "intersect": "INTERSECT", "except": "EXCEPT"}
+# sqlast.Select field -> the clause a user wrote.
+_CLAUSE_NAMES = {"joins": "ON", "where": "WHERE", "group_by": "GROUP BY",
+                 "having": "HAVING"}
 
 # Aggregates whose value over a table merges from per-partition partials.
 MERGEABLE_AGGS = frozenset({"SUM", "COUNT", "MIN", "MAX", "AVG"})
@@ -86,30 +89,10 @@ def split_conjuncts(expr: Expr | None) -> list[Expr]:
     return [expr]
 
 
-def subqueries_of(expr: Expr) -> Iterator[Select | CompoundSelect]:
-    """Yield Select bodies nested in an expression."""
-    if isinstance(expr, (InSubquery, ExistsExpr)):
-        yield expr.query
-    if isinstance(expr, ScalarSubquery):
-        yield expr.query
-    for attr in ("left", "right", "operand", "low", "high", "arg"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, Expr):
-            yield from subqueries_of(child)
-    for attr in ("args", "items"):
-        children = getattr(expr, attr, None)
-        if children:
-            for c in children:
-                if isinstance(c, Expr):
-                    yield from subqueries_of(c)
-    branches = getattr(expr, "branches", None)
-    if branches:
-        for cond, value in branches:
-            yield from subqueries_of(cond)
-            yield from subqueries_of(value)
-        default = getattr(expr, "default", None)
-        if default is not None:
-            yield from subqueries_of(default)
+def subqueries_of(expr: Expr) -> list[Select | CompoundSelect]:
+    """The query bodies nested in an expression (not those nested inside
+    another one)."""
+    return [body for e in walk(expr) for body in bodies(e)]
 
 
 def match_subquery_form(conj: Expr) -> tuple[str, bool, Expr] | None:
@@ -136,34 +119,8 @@ def collect_windows(select: Select) -> list[WindowCall]:
     operator per plan; the AST nodes double as stable keys (the plan cache
     keeps the parsed statement alive).
     """
-    calls: list[WindowCall] = []
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, WindowCall):
-            calls.append(e)
-            return  # nested windows inside window args are not supported
-        for attr in ("left", "right", "operand", "low", "high"):
-            child = getattr(e, attr, None)
-            if isinstance(child, Expr):
-                walk(child)
-        children = getattr(e, "args", None)
-        if children:
-            for c in children:
-                if isinstance(c, Expr):
-                    walk(c)
-        branches = getattr(e, "branches", None)
-        if branches:
-            for cond, value in branches:
-                walk(cond)
-                walk(value)
-            default = getattr(e, "default", None)
-            if default is not None:
-                walk(default)
-
-    for item in select.items:
-        if not isinstance(item.expr, Star):
-            walk(item.expr)
-    return calls
+    return [e for item in select.items for e in walk(item.expr)
+            if isinstance(e, WindowCall)]
 
 
 def collect_needed_columns(select: Select,
@@ -172,7 +129,8 @@ def collect_needed_columns(select: Select,
 
     Returns ``(refs, has_star, computed)``; *refs* drives projection pruning
     of scans.  Subquery bodies are walked too (their correlated references
-    must keep outer columns alive).  *computed* is the subset something
+    must keep outer columns alive); derived tables are not (each is planned
+    on its own).  *computed* is the subset something
     computes on — the columns worth a dictionary at the Scan.  That is all
     of them unless *select* is the statement's *final* body, whose bare
     select items (without DISTINCT, which keys on its items) leave the
@@ -183,86 +141,61 @@ def collect_needed_columns(select: Select,
     computed: set = set()
     star = False
 
-    def walk_expr(e: Expr, bare: bool = False) -> None:
+    def visit(body: Node, passes_through: bool = False) -> None:
         nonlocal star
-        if isinstance(e, Star):
-            star = True
-            return
-        found = {(ref.table, ref.name) for ref in expr_columns(e)}
-        refs.update(found)
-        if not bare:
-            computed.update(found)
-        for sub in subqueries_of(e):
-            walk_select(sub)
+        for clause, exprs in clauses(body):
+            for e in exprs:
+                if isinstance(e, Star):
+                    star = True
+                    continue
+                found = {(ref.table, ref.name) for ref in expr_columns(e)}
+                refs.update(found)
+                if not (passes_through and clause == "items"
+                        and isinstance(e, ColumnRef)):
+                    computed.update(found)
+                for sub in subqueries_of(e):
+                    visit(sub)
+        if isinstance(body, CompoundSelect):
+            for operand in bodies(body):
+                visit(operand)
 
-    def walk_select(s: Select | CompoundSelect) -> None:
-        if isinstance(s, CompoundSelect):
-            walk_select(s.left)
-            walk_select(s.right)
-            for o in s.order_by:
-                walk_expr(o.expr)
-            return
-        passes_through = final and s is select and not s.distinct
-        for item in s.items:
-            walk_expr(item.expr,
-                      passes_through and isinstance(item.expr, ColumnRef))
-        if s.where is not None:
-            walk_expr(s.where)
-        for g in s.group_by:
-            walk_expr(g)
-        if s.having is not None:
-            walk_expr(s.having)
-        for o in s.order_by:
-            walk_expr(o.expr)
-        for jc in s.joins:
-            if jc.condition is not None:
-                walk_expr(jc.condition)
-
-    walk_select(select)
+    visit(select, final and not select.distinct)
     return refs, star, computed
 
 
-def _statement_parts(body: object, relations: list, exprs: list) -> None:
-    """Collect every FROM/JOIN relation and every expression of *body*,
-    through set operations, derived tables and subqueries alike."""
-    if isinstance(body, ValuesClause):
-        return
-    if isinstance(body, CompoundSelect):
-        _statement_parts(body.left, relations, exprs)
-        _statement_parts(body.right, relations, exprs)
-        exprs.extend(o.expr for o in body.order_by)
-        return
-    own = [it.expr for it in body.items] + list(body.group_by) \
-        + [o.expr for o in body.order_by] \
-        + [jc.condition for jc in body.joins if jc.condition is not None]
-    own += [e for e in (body.where, body.having) if e is not None]
-    exprs.extend(own)
-    for rel in body.relations + [jc.relation for jc in body.joins]:
-        relations.append(rel)
-        if isinstance(rel, SubqueryRef):
-            _statement_parts(rel.query, relations, exprs)
-    for expr in own:
-        for sub in subqueries_of(expr):
-            _statement_parts(sub, relations, exprs)
+def _window_placement(body: Select | CompoundSelect) -> None:
+    """Reject a window call in any clause but the select list, before
+    anything is planned."""
+    for clause, exprs in clauses(body):
+        if clause == "items" or not any(has_window(e) for e in exprs):
+            continue
+        if clause == "order_by":
+            raise UnsupportedFeatureError(
+                "window functions in ORDER BY are not supported (select the "
+                "window call under an alias and order by that)")
+        raise SQLBindError(
+            f"window functions are not allowed in "
+            f"{_CLAUSE_NAMES.get(clause, clause)}")
 
 
-def _cte_columns_read(name: str, readers: list[tuple[list, list]]) -> set[str] | None:
-    """Names of the columns of CTE *name* that *readers* — the
-    ``(relations, expressions)`` of each later CTE and of the main query —
-    can read: references qualified by one of its bindings, and every
-    unqualified one.  None when a ``*`` sits in a body that reads the CTE,
-    which keeps everything."""
+def _cte_columns_read(name: str, readers: list[list[Node]]) -> set[str] | None:
+    """Names of the columns of CTE *name* that *readers* — every node of
+    each later CTE and of the main query, through set operations, derived
+    tables and subqueries alike — can read: references qualified by one of
+    its bindings, and every unqualified one.  None when a ``*`` sits in a
+    body that reads the CTE, which keeps everything."""
     read: set[str] = set()
-    for relations, exprs in readers:
-        bindings = {rel.binding for rel in relations
-                    if isinstance(rel, TableRef) and rel.name == name}
+    for nodes in readers:
+        bindings = {n.binding for n in nodes
+                    if isinstance(n, TableRef) and n.name == name}
         if not bindings:
             continue
-        for expr in exprs:
-            if isinstance(expr, Star):
+        for n in nodes:
+            if isinstance(n, Star):
                 return None
-            read.update(ref.name for ref in expr_columns(expr)
-                        if ref.table is None or ref.table in bindings)
+            if isinstance(n, ColumnRef) and (n.table is None
+                                             or n.table in bindings):
+                read.add(n.name)
     return read
 
 
@@ -287,16 +220,11 @@ def prune_cte_columns(query: Query) -> Query:
     if not query.ctes:
         return query
     ctes = list(query.ctes)
-    readers: list[tuple[list, list]] = []
-
-    def now_a_reader(body: object) -> None:
-        readers.append(([], []))
-        _statement_parts(body, *readers[-1])
-
-    now_a_reader(query.body)
+    readers = [walk(query.body, deep=True)]
     for i in range(len(ctes) - 1, -1, -1):
         if i + 1 < len(ctes):
-            now_a_reader(ctes[i + 1].query)     # in its final, pruned form
+            # in its final, pruned form
+            readers.append(walk(ctes[i + 1].query, deep=True))
         cte, body = ctes[i], ctes[i].query
         if not isinstance(body, Select) or body.distinct \
                 or any(isinstance(it.expr, Star) for it in body.items) \
@@ -777,6 +705,7 @@ class Planner:
         schemas are compatible (arity always; column types where statically
         known), pick the build side for symmetric operations by cardinality
         estimate, and attach the compound's trailing ORDER BY/LIMIT."""
+        _window_placement(comp)
         left = self.plan_body(comp.left, env)
         right = self.plan_body(comp.right, env)
         if len(left.output_columns) != len(right.output_columns):
@@ -841,28 +770,34 @@ class Planner:
                     f"incompatible types ({lk} vs {rk})"
                 )
 
+    def _base_tables(self, select: Select, env: dict[str, RelSchema]) -> dict[str, Table] | None:
+        """The catalog table behind each FROM/JOIN binding of *select*; None
+        when any relation is a CTE, a derived table or unknown, i.e. column
+        kinds cannot be known without executing."""
+        tables: dict[str, Table] = {}
+        for rel in select.relations + [jc.relation for jc in select.joins]:
+            if not isinstance(rel, TableRef) or rel.name in env \
+                    or not self.catalog.has(rel.name):
+                return None
+            tables[rel.binding] = self.catalog.get(rel.name)
+        return tables
+
+    def _binding_kinds(self, tables: dict[str, Table]) -> dict[str, dict[str, str | None]]:
+        """Per-binding column kinds, so qualified references resolve through
+        their own alias and same-named columns of different types across
+        bindings degrade to unknown instead of misclassifying."""
+        return {binding: {col: self._KIND_CLASSES.get(dt.kind)
+                          for col, dt in zip(table.columns, table.dtypes)}
+                for binding, table in tables.items()}
+
     def _body_kinds(self, body: Select | CompoundSelect, env: dict[str, RelSchema]) -> list[str | None]:
         if isinstance(body, CompoundSelect):
             return self._body_kinds(body.left, env)
-        kinds: list = []
-        # Per-binding column kinds, so qualified references resolve through
-        # their own alias and same-named columns of different types across
-        # bindings degrade to unknown instead of misclassifying.
-        binding_kinds: dict[str, dict[str, str | None]] = {}
-        relations = list(body.relations) + [jc.relation for jc in body.joins]
-        for rel in relations:
-            if isinstance(rel, TableRef) and rel.name not in env \
-                    and self.catalog.has(rel.name):
-                table = self.catalog.get(rel.name)
-                binding_kinds[rel.binding] = {
-                    col: self._KIND_CLASSES.get(dt.kind)
-                    for col, dt in zip(table.columns, table.dtypes)
-                }
-            else:
-                return [None] * len(body.items)
-        for item in body.items:
-            kinds.append(self._item_kind(item.expr, binding_kinds))
-        return kinds
+        tables = self._base_tables(body, env)
+        if tables is None:
+            return [None] * len(body.items)
+        binding_kinds = self._binding_kinds(tables)
+        return [self._item_kind(item.expr, binding_kinds) for item in body.items]
 
     def _item_kind(self, expr: Expr, binding_kinds: dict[str, dict[str, str | None]]) -> str | None:
         if isinstance(expr, Star):
@@ -901,24 +836,11 @@ class Planner:
         strings (an all-NULL or promoted-numeric column is stored as object
         too), so string-ness is confirmed against a strided data sample —
         the catalog is in memory, exactly like the selectivity probe."""
-        binding_kinds: dict[str, dict[str, str | None]] = {}
-        binding_tables: dict[str, Table] = {}
-        relations = list(select.relations) + [jc.relation for jc in select.joins]
-        for rel in relations:
-            if isinstance(rel, TableRef) and rel.name not in env \
-                    and self.catalog.has(rel.name):
-                table = self.catalog.get(rel.name)
-                binding_tables[rel.binding] = table
-                binding_kinds[rel.binding] = {
-                    col: self._KIND_CLASSES.get(dt.kind)
-                    for col, dt in zip(table.columns, table.dtypes)
-                }
-            else:
-                return
-        exprs = [item.expr for item in select.items]
-        if select.having is not None:
-            exprs.append(select.having)
-        for expr in exprs:
+        binding_tables = self._base_tables(select, env)
+        if binding_tables is None:
+            return
+        binding_kinds = self._binding_kinds(binding_tables)
+        for expr in children(select):
             for agg in aggregates_of(expr):
                 if agg.func not in self._NUMERIC_AGGS or agg.arg is None:
                     continue
@@ -965,6 +887,7 @@ class Planner:
         filter → Window (when the select list contains window calls) →
         Project / HashAggregate → Distinct → Sort → Limit.
         """
+        _window_placement(select)
         refs, star, computed = collect_needed_columns(select, final)
 
         sources = [self._make_source(rel, env, refs, star, computed)
@@ -1676,7 +1599,7 @@ class Planner:
                 raise _Unanalyzable
         return _Frame(bindings, columns, opaque)
 
-    def _outer_refs(self, body: Select | CompoundSelect,
+    def _outer_refs(self, body: Select | CompoundSelect | ValuesClause,
                     env: dict[str, RelSchema],
                     frames: list) -> list[ColumnRef]:
         """Column references inside a subquery body that escape every
@@ -1684,52 +1607,21 @@ class Planner:
         resolve in the outer query.  Raises :class:`_Unanalyzable` when an
         unqualified name cannot be classified (opaque derived tables,
         unknown relations)."""
-        out: list[ColumnRef] = []
-        self._walk_outer_refs(body, env, list(frames), out)
-        return out
-
-    def _walk_outer_refs(self, body: Select | CompoundSelect,
-                         env: dict[str, RelSchema], frames: list,
-                         out: list[ColumnRef]) -> None:
         if isinstance(body, CompoundSelect):
-            self._walk_outer_refs(body.left, env, frames, out)
-            self._walk_outer_refs(body.right, env, frames, out)
-            return  # compound ORDER BY names refer to the compound's output
-        if isinstance(body, ValuesClause):
-            for row in body.rows:
-                for e in row:
-                    self._walk_expr_refs(e, env, frames, out)
-            return
-        frames.append(self._frame_of(body, env))
-        try:
-            for item in body.items:
-                if not isinstance(item.expr, Star):
-                    self._walk_expr_refs(item.expr, env, frames, out)
-            if body.where is not None:
-                self._walk_expr_refs(body.where, env, frames, out)
-            for g in body.group_by:
-                self._walk_expr_refs(g, env, frames, out)
-            if body.having is not None:
-                self._walk_expr_refs(body.having, env, frames, out)
-            for o in body.order_by:
-                self._walk_expr_refs(o.expr, env, frames, out)
-            for jc in body.joins:
-                if jc.condition is not None:
-                    self._walk_expr_refs(jc.condition, env, frames, out)
-            for rel in list(body.relations) + \
-                    [jc.relation for jc in body.joins]:
-                if isinstance(rel, SubqueryRef):
-                    self._walk_outer_refs(rel.query, env, frames, out)
-        finally:
-            frames.pop()
-
-    def _walk_expr_refs(self, expr: Expr, env: dict[str, RelSchema],
-                        frames: list, out: list[ColumnRef]) -> None:
-        for ref in expr_columns(expr):
-            if not _ref_in_frames(ref, frames):
-                out.append(ref)
-        for sub in subqueries_of(expr):
-            self._walk_outer_refs(sub, env, frames, out)
+            # Its ORDER BY names refer to the compound's output.
+            return [ref for operand in bodies(body)
+                    for ref in self._outer_refs(operand, env, frames)]
+        if isinstance(body, Select):
+            frames = frames + [self._frame_of(body, env)]
+        out: list[ColumnRef] = []
+        for expr in children(body):
+            out += [ref for ref in expr_columns(expr)
+                    if not _ref_in_frames(ref, frames)]
+            for sub in subqueries_of(expr):
+                out += self._outer_refs(sub, env, frames)
+        for derived in bodies(body):
+            out += self._outer_refs(derived, env, frames)
+        return out
 
     def _expr_side(self, expr: Expr, env: dict[str, RelSchema],
                    frame: "_Frame", outer_bindings: set,

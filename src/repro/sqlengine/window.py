@@ -566,7 +566,8 @@ def evaluate_window_calls(chunk, scope, calls, config, subquery_cb=None,
     kernels then reduce morsel-parallel across ``config.threads`` workers.
     Returns ``{id(call): array}`` keyed like the plan's AST nodes.
     """
-    from .expressions import Evaluator, expr_key
+    from .expressions import Evaluator
+    from .sqlast import expr_key
 
     evaluator = Evaluator(chunk, scope, subquery_executor=subquery_cb,
                           params=params)

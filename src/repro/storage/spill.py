@@ -37,9 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SQLBindError
-from ..sqlengine.expressions import Evaluator, expr_key
+from ..sqlengine.expressions import Evaluator
 from ..sqlengine.joins import join_positions
 from ..sqlengine.plan import aggregate
+from ..sqlengine.sqlast import expr_key
 from ..sqlengine.table import Chunk, concat_columns, plain
 
 __all__ = ["chunk_nbytes", "spillable_keys", "grace_join_positions",

@@ -388,6 +388,11 @@ WINDOW_CORPUS = [
     "SELECT t.cust, t.rn FROM (SELECT cust, ROW_NUMBER() OVER "
     "(PARTITION BY cust ORDER BY amt DESC, id) AS rn FROM sales) AS t "
     "WHERE t.rn = 1",
+    # A window call among the items of an IN list, and as its operand.
+    "SELECT id, 1 IN (ROW_NUMBER() OVER (PARTITION BY cust ORDER BY id), 7) "
+    "AS first_or_seventh FROM sales",
+    "SELECT id, ROW_NUMBER() OVER (PARTITION BY cust ORDER BY id) IN (1, 2) "
+    "AS early FROM sales",
 ]
 
 

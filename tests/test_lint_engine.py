@@ -6,7 +6,8 @@ Fragments are parsed directly and visited with the real ``_Linter``
 against a *virtual* repo path, so path-scoped rules (ENG001 only in
 ``sqlengine/plan.py``, ENG002 only in engine packages, ENG007 relative
 import resolution, ENG008 only in ``sqlengine/`` and ``storage/``, ENG009
-only in ``server/``) see the same inputs they do in production.
+only in ``server/``, ENG010 everywhere but ``sqlengine/sqlast.py``) see the
+same inputs they do in production.
 """
 
 from __future__ import annotations
@@ -226,6 +227,38 @@ class TestDistributionInPlanner:
         src = "from .sqlast import Select\nfrom .parser import parse\n"
         assert lint(src, ENGINE) == []
         assert lint("from ..sqlengine.sqlast import Select\n", STORAGE) == []
+
+
+class TestAstShapeInSqlast:
+    SQLAST = REPO / "src/repro/sqlengine/sqlast.py"
+    PROBES = [
+        "def f(e):\n    return getattr(e, 'operand', None)\n",
+        "def f(e):\n    return getattr(e, \"branches\")\n",
+        "def f(e):\n"
+        "    for attr in ('left', 'right', 'low'):\n"
+        "        child = getattr(e, attr, None)\n",
+    ]
+
+    @pytest.mark.parametrize("src", PROBES)
+    def test_probing_for_child_fields(self, src):
+        for path in (ENGINE, STORAGE, REPO / "src/repro/analysis/x.py"):
+            (finding,) = lint(src, path)
+            assert finding.rule == "ENG010" and finding.symbol == "f"
+
+    @pytest.mark.parametrize("src", PROBES)
+    def test_sqlast_itself_may(self, src):
+        assert lint(src, self.SQLAST) == []
+
+    def test_declared_traversal_and_unrelated_names_are_fine(self):
+        src = ("def f(node, table):\n"
+               "    for name, kind in type(node)._slots:\n"
+               "        value = getattr(node, name)\n"
+               "    for side in ('left', 'right'):\n"
+               "        print(side)\n"
+               "    for attr in ('nrows', 'stored'):\n"
+               "        print(getattr(table, attr))\n"
+               "    return getattr(table, 'has_zone_maps', False), node.left\n")
+        assert lint(src, ENGINE) == []
 
 
 class TestRunner:

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro import connect
+from repro.bench.differential import load_sqlite, rows_equal, run_differential
 from repro.bench.storage import store_tpch
 from repro.errors import ShardError
 from repro.server.shard import ShardedDatabase
@@ -232,6 +233,32 @@ def test_merge_kernels_match_serial(name, workers, merge_env):
     assert sharded.shard_stats["scattered"] == before + 1, (
         f"{name} fell back to serial — the merge path was not exercised")
     assert_chunks_match(base, got, f"{name}[workers={workers}]")
+
+
+# A select item that negates its group key has a different value per group
+# than the key: the split must not hand it the key's ``__k<i>`` column.
+NEGATED_GROUP_KEYS = [
+    "SELECT bucket NOT IN (1, 2) AS x, COUNT(*) AS c FROM events "
+    "GROUP BY bucket IN (1, 2) ORDER BY c",
+    "SELECT bucket NOT BETWEEN 3 AND 5 AS x, COUNT(*) AS c FROM events "
+    "GROUP BY bucket BETWEEN 3 AND 5 ORDER BY c",
+]
+
+
+@pytest.mark.parametrize("sql", NEGATED_GROUP_KEYS)
+def test_negated_item_is_not_its_group_key(sql, merge_env):
+    """serial = the sharded plan in-process = shard workers = sqlite3."""
+    serial, sharded = merge_env
+    conn = load_sqlite(serial)
+    try:
+        ours, theirs = run_differential(serial, conn, sql)
+    finally:
+        conn.close()
+    assert rows_equal(ours, theirs) == (True, "")
+    base = serial.execute_chunk(sql)
+    cfg = EngineConfig(shard_workers=2)
+    assert_chunks_match(base, serial.execute_chunk(sql, cfg), "in-process")
+    assert_chunks_match(base, sharded.execute_chunk(sql, cfg), "workers")
 
 
 def test_encoded_columns_cross_the_exchange_as_codes(merge_env, monkeypatch):

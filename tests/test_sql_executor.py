@@ -312,6 +312,52 @@ class TestCTEsValuesWindows:
             db.execute("SELECT ROW_NUMBER() OVER () AS rn FROM t", config=config)
 
 
+    # A window call outside the select list is a user error, reported with
+    # one typed error from the planner: the same from explain_plan (nothing
+    # runs) and from execute.
+    MISPLACED_WINDOWS = [
+        ("SELECT a FROM t WHERE ROW_NUMBER() OVER (ORDER BY a) = 1",
+         SQLBindError, "WHERE"),
+        ("SELECT t.a FROM t JOIN u ON t.b = u.b "
+         "AND t.a = ROW_NUMBER() OVER (ORDER BY u.w)", SQLBindError, "ON"),
+        ("SELECT COUNT(*) FROM t GROUP BY ROW_NUMBER() OVER (ORDER BY a)",
+         SQLBindError, "GROUP BY"),
+        ("SELECT b, COUNT(*) FROM t GROUP BY b "
+         "HAVING ROW_NUMBER() OVER (ORDER BY b) = 1", SQLBindError, "HAVING"),
+        ("SELECT a FROM t ORDER BY ROW_NUMBER() OVER (ORDER BY c)",
+         UnsupportedFeatureError, "ORDER BY"),
+        ("SELECT a FROM t UNION SELECT a FROM t "
+         "ORDER BY ROW_NUMBER() OVER (ORDER BY a)",
+         UnsupportedFeatureError, "ORDER BY"),
+        ("SELECT a FROM t WHERE a IN "
+         "(SELECT a FROM t WHERE RANK() OVER (ORDER BY a) = 1)",
+         SQLBindError, "WHERE"),
+    ]
+
+    @pytest.mark.parametrize("sql, error, clause", MISPLACED_WINDOWS)
+    def test_misplaced_window_is_rejected_at_plan_time(self, db, sql, error,
+                                                       clause):
+        with pytest.raises(error, match=clause) as planned:
+            db.explain_plan(sql)
+        with pytest.raises(error) as executed:
+            db.execute(sql)
+        assert str(executed.value) == str(planned.value)
+
+    def test_translated_window_in_where_fails_at_plan_time(self):
+        """``covariance_dense`` over a table registered without a primary
+        key still translates to ``WHERE r1.ID = ROW_NUMBER() OVER ()``
+        (ROADMAP 5c, translator half); until it does not, the engine
+        refuses that SQL before running anything."""
+        from repro.workloads.covariance import (
+            covariance_dense, dense_table, make_matrix,
+        )
+
+        db = connect()
+        db.register("matrix", dense_table(make_matrix(20, 3, 1.0)))
+        with pytest.raises(SQLBindError, match="not allowed in WHERE"):
+            db.explain_plan(covariance_dense.sql(db=db))
+
+
 class TestEngineConfigs:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_threads_agree(self, db, threads):

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Validate committed benchmark result JSONs against their CI gates.
+"""Validate generated benchmark result JSONs against their CI gates.
 
-Every ``benchmarks/results/*.json`` is a machine-readable claim ("adaptive
+Every ``benchmarks/results/*.json`` (written by the ``benchmarks/`` suite,
+not tracked) is a machine-readable claim ("adaptive
 re-optimization gives ≥1.5x", "the network serving tier sustains ≥N QPS
 with zero errors"); this checker re-asserts each claim so a regenerated
 result that quietly regressed — or a new results file nobody wrote a gate
@@ -9,7 +10,7 @@ for — fails CI instead of rotting in the tree.
 
 Run from anywhere::
 
-    python tools/check_bench_results.py          # check the committed tree
+    python tools/check_bench_results.py          # check benchmarks/results/
     python tools/check_bench_results.py FILE...  # check specific files
 
 Exit status is non-zero when any gate fails; each failure prints a
@@ -89,7 +90,7 @@ def check_serving_net(data: dict, problems: list[str], name: str) -> None:
             )
 
 
-# file name -> gate function.  A committed JSON without a gate is itself a
+# file name -> gate function.  A result JSON without a gate is itself a
 # failure: results must make checkable claims.
 GATES = {
     "adaptive_execution.json": check_adaptive_execution,
@@ -103,7 +104,7 @@ def check_file(path: Path, problems: list[str]) -> None:
     if gate is None:
         problems.append(
             f"{name}: no gate registered in tools/check_bench_results.py — "
-            "add one (a committed result must be a checkable claim)"
+            "add one (a result file must be a checkable claim)"
         )
         return
     try:

@@ -58,6 +58,17 @@ ENG009 distribution-in-planner
     — at any level, lazily included: a server module that can parse or
     take apart a ``Select`` is a second, syntactic analyzer in the making.
 
+ENG010 ast-shape-in-sqlast
+    ``sqlengine/sqlast.py`` alone says which fields of a SQL AST node hold
+    its children (``sqlast.children`` / ``bodies`` / ``clauses`` /
+    ``map_children`` / ``walk`` / ``expr_key`` derive from that).  Anywhere
+    else, ``getattr(x, "<name>")`` with a literal child-field name
+    (``left right operand low high arg args items branches default
+    partition_by order_by query``), or a ``for attr in ("left", "right",
+    ...)`` loop that feeds such names to ``getattr``, is a second,
+    hand-written copy of a node's shape — the kind that forgot
+    ``InList.items`` in one walker and ``negated`` in one key.
+
 Findings are identified as ``path:RULE:symbol`` (symbol = nearest
 enclosing ``Class.function``, or ``<module>``); adding that line to
 ``tools/lint_engine_allow.txt`` suppresses the finding.  Run:
@@ -92,6 +103,12 @@ EXECUTOR_CLIENT_PACKAGES = ("sqlengine", "storage")
 EXECUTOR_MODULE = "src/repro/sqlengine/executor.py"
 # Modules the serving tier must not import (ENG009).
 SERVER_FORBIDDEN_MODULES = ("repro.sqlengine.parser", "repro.sqlengine.sqlast")
+# The module that declares the SQL AST's shape, and the child-field names
+# nothing else may probe for (ENG010).
+AST_MODULE = "src/repro/sqlengine/sqlast.py"
+AST_CHILD_FIELDS = frozenset(
+    "left right operand low high arg args items branches default "
+    "partition_by order_by query".split())
 
 
 class Finding:
@@ -120,6 +137,15 @@ def _is_name(node: ast.expr, name: str) -> bool:
     return (isinstance(node, ast.Name) and node.id == name) or (
         isinstance(node, ast.Attribute) and node.attr == name
     )
+
+
+def _is_getattr(call: ast.Call) -> bool:
+    return isinstance(call.func, ast.Name) and call.func.id == "getattr" \
+        and len(call.args) >= 2
+
+
+def _child_field(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and node.value in AST_CHILD_FIELDS
 
 
 def _calls_in(node: ast.AST):
@@ -235,6 +261,25 @@ class _Linter(ast.NodeVisitor):
             self.emit("ENG005", node,
                       "time.time() — use time.perf_counter() (or "
                       "time.monotonic()) for durations/deadlines")
+        if self.rel != AST_MODULE and _is_getattr(node) \
+                and _child_field(node.args[1]):
+            self.emit("ENG010", node,
+                      f"getattr(..., {node.args[1].value!r}) probes an AST "
+                      f"node's shape — use the traversals sqlast derives "
+                      f"from its declaration")
+        self.generic_visit(node)
+
+    def visit_For(self, node: ast.For) -> None:
+        names = node.iter.elts \
+            if isinstance(node.iter, (ast.Tuple, ast.List, ast.Set)) else []
+        if self.rel != AST_MODULE and isinstance(node.target, ast.Name) \
+                and any(_child_field(n) for n in names) and any(
+                    _is_getattr(call) and _is_name(call.args[1], node.target.id)
+                    for call in _calls_in(node)):
+            self.emit("ENG010", node,
+                      "loop over literal AST child-field names feeding "
+                      "getattr — use the traversals sqlast derives from "
+                      "its declaration")
         self.generic_visit(node)
 
     # -- ENG006 -----------------------------------------------------------

@@ -14,7 +14,7 @@ from .series import Series
 if TYPE_CHECKING:  # pragma: no cover
     from .frame import DataFrame
 
-__all__ = ["GroupBy", "SeriesGroupBy", "factorize_keys", "group_reduce",
+__all__ = ["GroupBy", "SeriesGroupBy", "factorize_keys",
            "group_transform", "group_cumsum", "group_rank", "group_shift"]
 
 
@@ -45,124 +45,22 @@ def factorize_keys(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarra
     return ids, key_arrays, len(uniques)
 
 
-def group_reduce(values: np.ndarray, gids: np.ndarray, ngroups: int, func: str) -> np.ndarray:
-    """Reduce *values* per group id with aggregate *func* (null-skipping)."""
-    valid = ~isna_array(values)
+def _reduce(values: np.ndarray, gids: np.ndarray, ngroups: int,
+            func: str) -> np.ndarray:
+    """*func* per group through the engine's grouped reducer (``size``
+    counts every row, NULLs included)."""
+    from ..sqlengine.grouping import GroupedColumn, GroupLayout
+
+    layout = GroupLayout(len(gids), gids, ngroups)
     if func == "size":
-        return np.bincount(gids, minlength=ngroups).astype(np.int64)
-    if func == "count":
-        return np.bincount(gids[valid], minlength=ngroups).astype(np.int64)
-    if func == "nunique":
-        return _group_nunique(values[valid], gids[valid], ngroups)
-
-    if values.dtype == object or values.dtype.kind == "M":
-        return _group_reduce_python(values, gids, ngroups, func, valid)
-
-    vals = values.astype(np.float64) if func in ("mean", "std", "var") else values
-    if func == "sum":
-        # bincount-with-weights is an order of magnitude faster than
-        # np.add.at and releases the GIL.
-        out = np.bincount(gids[valid], weights=vals[valid].astype(np.float64),
-                          minlength=ngroups)
-        if vals.dtype.kind in ("i", "u", "b") and np.abs(out).max(initial=0) < 2**52:
-            return out.astype(np.int64)
-        return out
-    if func == "mean":
-        sums = np.bincount(gids[valid], weights=vals[valid], minlength=ngroups)
-        counts = np.bincount(gids[valid], minlength=ngroups)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return sums / counts
-    if func in ("min", "max"):
-        fill = np.inf if func == "min" else -np.inf
-        v = vals[valid].astype(np.float64)
-        g = gids[valid]
-        out = np.full(ngroups, fill, dtype=np.float64)
-        if len(g):
-            order = np.argsort(g, kind="stable")
-            sorted_g = g[order]
-            boundaries = np.empty(len(sorted_g), dtype=bool)
-            boundaries[0] = True
-            boundaries[1:] = sorted_g[1:] != sorted_g[:-1]
-            starts = np.nonzero(boundaries)[0]
-            ufunc = np.minimum if func == "min" else np.maximum
-            reduced = ufunc.reduceat(v[order], starts)
-            out[sorted_g[starts]] = reduced
-        if values.dtype.kind in ("i", "u") and np.isfinite(out).all():
-            return out.astype(values.dtype)
-        out[out == fill] = np.nan  # empty groups aggregate to NULL
-        return out
-    if func in ("std", "var"):
-        sums = np.bincount(gids[valid], weights=vals[valid], minlength=ngroups)
-        sq = np.bincount(gids[valid], weights=vals[valid] ** 2, minlength=ngroups)
-        counts = np.bincount(gids[valid], minlength=ngroups).astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            var = (sq - sums**2 / counts) / (counts - 1)
-        var = np.where(var < 0, 0.0, var)
-        return np.sqrt(var) if func == "std" else var
-    if func == "first":
-        return _group_reduce_python(values, gids, ngroups, "first", valid)
-    raise DataFrameError(f"unsupported aggregate: {func!r}")
-
-
-def _group_nunique(values: np.ndarray, gids: np.ndarray, ngroups: int) -> np.ndarray:
-    """Distinct non-null values per group (*values* already null-free):
-    sort the (group, value code) pairs and count the runs per group."""
-    if not len(values):
-        return np.zeros(ngroups, dtype=np.int64)
-    kind = values.dtype.kind
-    if kind == "M":
-        values = values.astype("datetime64[D]").astype(np.int64)
-    if kind in ("i", "u", "b", "M") and \
-            (int(values.max()) - int(values.min()) + 1) * ngroups < 2**62:
-        codes = values.astype(np.int64) - int(values.min())
-    elif kind == "O":
-        from ..sqlengine.table import encode
-
-        codes = encode(values).codes.astype(np.int64)
-    else:  # floats, and integers too sparse to pack by value
-        codes = np.unique(values, return_inverse=True)[1]
-    span = int(codes.max()) + 1
-    pairs = gids * span + codes
-    pairs.sort()
-    run_starts = np.ones(len(pairs), dtype=bool)
-    run_starts[1:] = pairs[1:] != pairs[:-1]
-    return np.bincount(pairs[run_starts] // span,
-                       minlength=ngroups).astype(np.int64)
-
-
-def _group_reduce_python(values: np.ndarray, gids: np.ndarray, ngroups: int, func: str, valid: np.ndarray) -> np.ndarray:
-    buckets: list[list] = [[] for _ in range(ngroups)]
-    for i in range(len(values)):
-        if valid[i]:
-            buckets[gids[i]].append(values[i])
-    out = np.empty(ngroups, dtype=object)
-    for g, bucket in enumerate(buckets):
-        if not bucket:
-            out[g] = None
-        elif func == "min":
-            out[g] = min(bucket)
-        elif func == "max":
-            out[g] = max(bucket)
-        elif func == "sum":
-            out[g] = sum(bucket)
-        elif func == "mean":
-            out[g] = sum(bucket) / len(bucket)
-        elif func == "first":
-            out[g] = bucket[0]
-        else:
-            raise DataFrameError(f"unsupported aggregate {func!r} for object column")
-    if values.dtype.kind == "M" and all(v is not None for v in out):
-        return np.array(out.tolist(), dtype="datetime64[D]")
-    return out
+        return layout.counts
+    return GroupedColumn(layout, values).reduce(func)
 
 
 def group_transform(values: np.ndarray, gids: np.ndarray, ngroups: int,
                     func: str) -> np.ndarray:
     """Per-group aggregate broadcast back to member rows (original order)."""
-    if func == "size":
-        return np.bincount(gids, minlength=ngroups).astype(np.int64)[gids]
-    reduced = group_reduce(values, gids, ngroups, func)
-    return reduced[gids]
+    return _reduce(values, gids, ngroups, func)[gids]
 
 
 def _group_layout(gids: np.ndarray):
@@ -291,7 +189,7 @@ class GroupBy:
         return [c for c in self._frame.columns if c not in self._keys]
 
     def _agg_single(self, col: str, func: str) -> np.ndarray:
-        return group_reduce(self._frame[col].values, self._gids, self._ngroups, func)
+        return _reduce(self._frame[col].values, self._gids, self._ngroups, func)
 
     def aggregate(self, spec=None, **named):
         cols: dict[str, np.ndarray] = {}
@@ -412,7 +310,8 @@ class SeriesGroupBy:
 
     def _reduce(self, func: str) -> Series:
         parent = self._parent
-        vals = group_reduce(parent._frame[self._column].values, parent._gids, parent._ngroups, func)
+        vals = _reduce(parent._frame[self._column].values, parent._gids,
+                       parent._ngroups, func)
         order = parent._result_order()
         keys = [a[order] for a in parent._key_arrays]
         index = (

@@ -21,6 +21,7 @@ from ..errors import SQLBindError
 from ..dataframe._common import coerce_array, isna_array
 from ..dataframe.strings import like_to_regex
 from .functions import call_function
+from .grouping import GroupedColumn, GroupLayout
 from .sqlast import (
     AggCall, BetweenExpr, BinaryOp, CaseExpr, CastExpr, ColumnRef, ExistsExpr,
     Expr, FuncCall, InList, InSubquery, IsNull, LikeExpr, Literal, Parameter,
@@ -29,7 +30,7 @@ from .sqlast import (
 from .table import Chunk, DictColumn, isna
 
 __all__ = ["Scope", "Evaluator", "expr_columns", "contains_aggregate",
-           "has_subquery", "has_window"]
+           "has_subquery", "has_window", "sql_aggregate"]
 
 
 class Scope:
@@ -86,6 +87,32 @@ def has_subquery(expr: Expr) -> bool:
 def has_window(expr: Expr) -> bool:
     """Does *expr* contain a window call anywhere?"""
     return any(isinstance(e, WindowCall) for e in walk(expr))
+
+
+_REDUCTIONS = {"SUM": "sum", "AVG": "mean", "MIN": "min", "MAX": "max",
+               "COUNT": "count", "STDDEV": "std", "VAR": "var"}
+
+
+def sql_aggregate(call: AggCall, layout: GroupLayout,
+                  column: GroupedColumn | None) -> np.ndarray:
+    """*call* per group of *layout* with SQL semantics, over *column* (its
+    evaluated argument; None for ``COUNT(*)``): NULLs are skipped, and an
+    aggregate over no non-NULL value is NULL — COUNT 0."""
+    if column is None:
+        return layout.counts
+    if call.distinct:
+        if call.func == "COUNT":
+            return column.reduce("nunique")
+        column = column.distinct()
+    result = column.reduce(_REDUCTIONS[call.func])
+    if call.func == "SUM":
+        empty = column.counts == 0  # SQL SUM over no row is NULL, not 0
+        if empty.any():
+            result = result.astype(np.float64)
+            result[empty] = np.nan
+    elif result.dtype == object:
+        result = coerce_array(result)
+    return result
 
 
 _CMP_OPS = {"=", "<>", "<", "<=", ">", ">="}
@@ -204,16 +231,17 @@ class Evaluator:
         self.params = params
         self._has_dict = DictColumn in map(type, chunk.arrays)
         self._lift_slots: dict[int, tuple[Expr, int | None]] = {}
-        # grouped-mode state, set by plan.aggregate when aggregating
-        self.gids: np.ndarray | None = None
-        self.ngroups: int | None = None
-        self.group_first: np.ndarray | None = None  # first row position per group
+        # Grouped mode, entered by plan.aggregate once the operator's
+        # aggregates are computed: the group layout, and the GROUP BY key
+        # columns and the aggregates by expr_key.
+        self.layout: GroupLayout | None = None
         self.group_key_values: dict[str, np.ndarray] = {}
+        self.aggregates: dict[str, np.ndarray] = {}
 
     @property
     def nrows(self) -> int:
-        if self.gids is not None:
-            return int(self.ngroups or 0)
+        if self.layout is not None:
+            return self.layout.ngroups
         return self.chunk.nrows
 
     # -- entry points -------------------------------------------------------
@@ -330,9 +358,9 @@ class Evaluator:
 
     def _column(self, slot: int) -> np.ndarray:
         col = self.chunk.arrays[slot]
-        if self.gids is not None:
+        if self.layout is not None:
             # Non-aggregate column in grouped context: representative value.
-            return col[self.group_first]
+            return col[self.layout.first]
         return col
 
     def _eval_Literal(self, expr: Literal):
@@ -350,7 +378,7 @@ class Evaluator:
             raise SQLBindError(f"no value bound for placeholder {expr!r}") from None
 
     def _eval_ColumnRef(self, expr: ColumnRef):
-        if self.gids is not None:
+        if self.layout is not None:
             key = expr_key(expr)
             if key in self.group_key_values:
                 return self.group_key_values[key]
@@ -436,41 +464,23 @@ class Evaluator:
         return call_function(expr.name, args, self.nrows)
 
     def _eval_AggCall(self, expr: AggCall):
-        if self.gids is None:
+        """An aggregate the operator computed (plan.aggregate).  One it did
+        not — ORDER BY naming an aggregate that is not projected — is
+        reduced here over the same layout and remembered."""
+        if self.layout is None:
             raise SQLBindError("aggregate used outside of an aggregation context")
-        from ..dataframe.groupby import group_reduce
-
-        func = {"SUM": "sum", "MIN": "min", "MAX": "max", "AVG": "mean",
-                "COUNT": "count", "STDDEV": "std", "VAR": "var"}[expr.func]
-        if expr.func == "COUNT" and expr.arg is None:
-            return np.bincount(self.gids, minlength=self.ngroups).astype(np.int64)
-        if expr.distinct:
-            func = "nunique"
-        # Aggregate argument is evaluated on the *full* chunk.
-        saved = (self.gids, self.ngroups, self.group_first)
-        self.gids = None
-        try:
-            arg = self.eval_array(expr.arg)
-        finally:
-            self.gids, self.ngroups, self.group_first = saved
-        if isinstance(arg, DictColumn):
-            if func in ("count", "nunique"):
-                # Counting needs the codes only; NULL rows are dropped here.
-                valid = ~arg.isna()
-                return group_reduce(arg.codes[valid], self.gids[valid],
-                                    int(self.ngroups), func)
-            arg = arg.decode()
-        result = group_reduce(arg, self.gids, int(self.ngroups), func)
-        if result.dtype == object:
-            result = coerce_array(result)
-        if func == "sum":
-            # SQL SUM over an empty group is NULL (Pandas would say 0).
-            valid = ~isna_array(arg)
-            counts = np.bincount(self.gids[valid], minlength=int(self.ngroups))
-            if (counts == 0).any():
-                result = result.astype(np.float64)
-                result[counts == 0] = np.nan
-        return result
+        key = expr_key(expr)
+        value = self.aggregates.get(key)
+        if value is None:
+            layout, column = self.layout, None
+            if expr.arg is not None:
+                self.layout = None  # the argument is evaluated per input row
+                try:
+                    column = GroupedColumn(layout, self.eval_array(expr.arg))
+                finally:
+                    self.layout = layout
+            value = self.aggregates[key] = sql_aggregate(expr, layout, column)
+        return value
 
     def _eval_CaseExpr(self, expr: CaseExpr):
         conditions = [self.eval_mask(c) for c, _ in expr.branches]
@@ -488,8 +498,9 @@ class Evaluator:
         for v in values:
             if v.dtype != target:
                 target = np.promote_types(v.dtype, target) if v.dtype != object and target != object else np.dtype(object)
-        values = [v.astype(target) for v in values]
-        return np.select(conditions, values, default=default.astype(target))
+        values = [v.astype(target, copy=False) for v in values]
+        return np.select(conditions, values,
+                         default=default.astype(target, copy=False))
 
     def _eval_CastExpr(self, expr: CastExpr):
         value = self._array(expr.operand)

@@ -34,14 +34,19 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..dataframe._common import coerce_array
 from ..errors import SQLBindError, SQLExecutionError, UnsupportedFeatureError
-from .expressions import Evaluator, Scope, has_subquery, has_window
-from .grouping import factorize_many, parallel_group_reduce
+from .expressions import (
+    Evaluator, Scope, aggregates_of, has_subquery, has_window, sql_aggregate,
+)
+from .grouping import (
+    GroupedColumn, GroupLayout, factorize_many, sum_of_products, sum_result,
+)
 from .joins import combine_chunks, join_positions
 from .parallel import parallel_arrays, parallel_map, parallel_masks
 from .sqlast import (
@@ -64,7 +69,8 @@ __all__ = [
     "SemiJoin", "AntiJoin", "MarkJoin", "ScalarSubqueryScan",
     "AdaptiveSource", "AdaptiveJoin", "Materialized",
     "PhysicalPlan", "expr_to_str", "window_to_str", "frame_to_str",
-    "output_name", "aggregate", "order_arrays", "values_chunk",
+    "output_name", "AggregateBatch", "aggregate", "order_arrays",
+    "values_chunk",
 ]
 
 
@@ -1229,41 +1235,115 @@ class Project(Operator):
         return OpResult(Chunk(names, arrays), scope, order_eval=evaluator)
 
 
-_PARTIAL_AGG_FUNCS = {"SUM": "sum", "AVG": "mean", "MIN": "min",
-                      "MAX": "max", "COUNT": "count"}
+@dataclass
+class AggregateBatch:
+    """The aggregates one :class:`HashAggregate` computes, collected once
+    per plan.
 
-
-def _partial_aggregate(expr: Expr, evaluator: Evaluator, gids: np.ndarray,
-                       ngroups: int, threads: int) -> np.ndarray | None:
-    """Partition-parallel partial reduction for a bare aggregate item.
-
-    Returns ``None`` when *expr* isn't a plain partial-mergeable
-    aggregate; the caller falls back to the grouped evaluator.
+    Every :class:`AggCall` of the select items and HAVING is listed once
+    under its ``expr_key`` (an aggregate written twice is computed once), and
+    each distinct argument once: per execution it is evaluated and wrapped
+    in one :class:`~.grouping.GroupedColumn`, whose NULL mask, counts and
+    sums every call over it shares (AVG reads SUM and COUNT).  For a
+    global aggregate, the SUMs over a product ``x * y`` are also listed
+    with their distinct factors (``products``: call, left, right indexes
+    into ``factors``); an execution whose factors all come out numeric,
+    NULL-free and finite computes them as one matrix product
+    (:func:`~.grouping.sum_of_products`), any other takes the ordinary
+    reducer.
     """
-    if not isinstance(expr, AggCall) or expr.distinct:
-        return None
-    func = _PARTIAL_AGG_FUNCS.get(expr.func)
-    if func is None:
-        return None
-    if expr.arg is None:
-        if expr.func != "COUNT":
-            return None
-        return parallel_group_reduce(None, gids, ngroups, "size", threads)
-    if has_subquery(expr.arg) or has_window(expr.arg):
-        return None
-    evaluator.gids = None  # evaluate the argument per input row
-    try:
-        arg = evaluator.eval_array(expr.arg)
-    finally:
-        evaluator.gids = gids
-    return parallel_group_reduce(arg, gids, ngroups, func, threads,
-                                 sql_null_empty=(func == "sum"))
+
+    select: Select
+    calls: dict[str, AggCall] = field(default_factory=dict)
+    args: list[Expr] = field(default_factory=list)
+    arg_of: list[int] = field(default_factory=list)   # -1 = COUNT(*)
+    factors: list[Expr] = field(default_factory=list)
+    products: list[tuple[int, int, int]] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, select: Select) -> "AggregateBatch":
+        batch = cls(select)
+        arg_keys: dict[str, int] = {}
+        factor_keys: dict[str, int] = {}
+
+        def index(seen: dict[str, int], out: list[Expr], expr: Expr) -> int:
+            key = expr_key(expr)
+            if key not in seen:
+                seen[key] = len(out)
+                out.append(expr)
+            return seen[key]
+
+        exprs = [it.expr for it in select.items]
+        if select.having is not None:
+            exprs.append(select.having)
+        for call in (c for e in exprs for c in aggregates_of(e)):
+            key = expr_key(call)
+            if key in batch.calls:
+                continue  # written before
+            i = len(batch.calls)
+            batch.calls[key] = call
+            arg = call.arg
+            batch.arg_of.append(-1 if arg is None
+                                else index(arg_keys, batch.args, arg))
+            if not select.group_by and call.func == "SUM" and \
+                    not call.distinct and isinstance(arg, BinaryOp) and \
+                    arg.op == "*":
+                batch.products.append((i, index(factor_keys, batch.factors, arg.left),
+                                       index(factor_keys, batch.factors, arg.right)))
+        return batch
+
+    def compute(self, evaluator: Evaluator,
+                layout: GroupLayout) -> tuple[list[np.ndarray], int]:
+        """Every call per group of *layout*, in :attr:`calls` order, with
+        *evaluator* (row mode) evaluating the arguments; also returns how
+        many calls the matrix product computed."""
+        values: list[np.ndarray | None] = [None] * len(self.calls)
+        matmul = self._products(evaluator, values) \
+            if self.products and layout.nrows else 0
+        columns: dict[int, GroupedColumn] = {}
+        for i, call in enumerate(self.calls.values()):
+            if values[i] is not None:
+                continue
+            j = self.arg_of[i]
+            if j >= 0 and j not in columns:
+                columns[j] = GroupedColumn(layout,
+                                           evaluator.eval_array(self.args[j]))
+            values[i] = sql_aggregate(call, layout, columns.get(j))
+        return values, matmul
+
+    def _products(self, evaluator: Evaluator, values: list) -> int:
+        """Fill *values* of the product SUMs whose factors qualify; return
+        how many did."""
+        factors = [evaluator.eval_array(f) for f in self.factors]
+        # A float factor is NULL-free and finite exactly when its sum is
+        # finite (NaN and ±inf survive addition; a sum overflowing to inf
+        # is refused too, and takes the ordinary reducer like the rest).
+        with np.errstate(invalid="ignore", over="ignore"):
+            clean = [not isinstance(f, DictColumn) and f.dtype.kind in "iuf"
+                     and (f.dtype.kind != "f" or bool(np.isfinite(f.sum())))
+                     for f in factors]
+        chosen = [(i, a, b) for i, a, b in self.products if clean[a] and clean[b]]
+        if not chosen:
+            return 0
+        lefts = sorted({a for _, a, _ in chosen})
+        rights = sorted({b for _, _, b in chosen})
+        left = [factors[a] for a in lefts]
+        sums = sum_of_products(left, left if rights == lefts
+                               else [factors[b] for b in rights])
+        row = {a: k for k, a in enumerate(lefts)}
+        col = {b: k for k, b in enumerate(rights)}
+        for i, a, b in chosen:
+            values[i] = sum_result(np.array([sums[row[a], col[b]]]),
+                                   factors[a].dtype.kind in "iu"
+                                   and factors[b].dtype.kind in "iu")
+        return len(chosen)
 
 
-def aggregate(ctx: ExecContext, select: Select, chunk: Chunk,
+def aggregate(ctx: ExecContext, batch: AggregateBatch, chunk: Chunk,
               scope: Scope) -> tuple[Chunk, Evaluator, np.ndarray | None]:
-    """Grouped projection of *chunk*: factorize the GROUP BY keys, reduce
-    every select item per group, apply HAVING.
+    """Grouped projection of *chunk*: factorize the GROUP BY keys into one
+    :class:`~.grouping.GroupLayout`, compute the *batch* over it, project
+    every select item, apply HAVING.
 
     Returns ``(output, evaluator, having_mask)``: the grouped-mode evaluator
     still covers every group (ORDER BY may name a non-projected aggregate),
@@ -1271,68 +1351,30 @@ def aggregate(ctx: ExecContext, select: Select, chunk: Chunk,
     made it into ``output``.  :class:`HashAggregate` runs this over its
     whole input, the spilling path once per grace partition.
     """
-    cb = ctx.subquery_cb()
-    params = ctx.params
-    threads = ctx.config.threads
+    select = batch.select
     items = _expand_items(select, chunk, scope)
-
-    evaluator = Evaluator(chunk, scope, subquery_executor=cb, params=params)
+    evaluator = Evaluator(chunk, scope, subquery_executor=ctx.subquery_cb(),
+                          params=ctx.params)
+    threads = ctx.config.threads
     if select.group_by:
         key_arrays = [evaluator.eval_array(g) for g in select.group_by]
         gids, key_uniques, ngroups = factorize_many(key_arrays)
+        layout = GroupLayout(chunk.nrows, gids, ngroups, threads)
     else:
         # A global aggregate always yields exactly one row (NULL/0 on
         # empty input), matching SQL semantics.
-        gids = np.zeros(chunk.nrows, dtype=np.int64)
-        ngroups = 1
+        layout = GroupLayout(chunk.nrows, threads=threads)
         key_uniques = []
-    group_first = np.zeros(ngroups, dtype=np.int64)
-    if chunk.nrows:
-        # First occurrence of each group id: assign positions in reverse
-        # order so the smallest position is written last and wins.
-        positions = np.arange(chunk.nrows - 1, -1, -1, dtype=np.int64)
-        group_first[gids[positions]] = positions
+    values, matmul = batch.compute(evaluator, layout)
     ctx.note(f"hash aggregate: {len(select.group_by)} key(s), "
-             f"{chunk.nrows} rows -> {ngroups} groups")
-    evaluator.gids = gids
-    evaluator.ngroups = ngroups
-    evaluator.group_first = group_first
+             f"{chunk.nrows} rows -> {layout.ngroups} groups, "
+             f"{len(batch.calls)} aggregates, {matmul} via matmul")
+    evaluator.layout = layout
+    evaluator.aggregates = dict(zip(batch.calls, values))
     for gexpr, uniq in zip(select.group_by, key_uniques):
         evaluator.group_key_values[expr_key(gexpr)] = uniq
-
-    parallel = threads > 1 and chunk.nrows >= 4096
-    arrays: list[np.ndarray | None] = [None] * len(items)
-    pending: list[tuple[int, SelectItem]] = []
-    serial: list[tuple[int, SelectItem]] = []
-    for i, it in enumerate(items):
-        if parallel:
-            arrays[i] = _partial_aggregate(it.expr, evaluator, gids, ngroups, threads)
-        if arrays[i] is None:
-            # Items with subqueries stay off the worker pool: the nested
-            # query runs through this executor, whose plan map and notes
-            # belong to one thread, and dispatches its own parallel
-            # operators.
-            (serial if has_subquery(it.expr) else pending).append((i, it))
-
-    if parallel and len(pending) > 1:
-        # Remaining expressions are independent: evaluate them across
-        # the worker pool (NumPy reductions release the GIL).
-        def eval_item(it: SelectItem) -> np.ndarray:
-            ev = Evaluator(chunk, scope, subquery_executor=cb, params=params)
-            ev.gids = gids
-            ev.ngroups = ngroups
-            ev.group_first = group_first
-            ev.group_key_values = evaluator.group_key_values
-            return ev.eval_array(it.expr)
-
-        results = parallel_map(threads, eval_item, [it for _, it in pending])
-        for (i, _), arr in zip(pending, results):
-            arrays[i] = arr
-    else:
-        serial = pending + serial
-    for i, it in serial:
-        arrays[i] = evaluator.eval_array(it.expr)
-    out = Chunk([output_name(it, i) for i, it in enumerate(items)], arrays)
+    out = Chunk([output_name(it, i) for i, it in enumerate(items)],
+                [evaluator.eval_array(it.expr) for it in items])
 
     having_mask = None
     if select.having is not None:
@@ -1343,15 +1385,18 @@ def aggregate(ctx: ExecContext, select: Select, chunk: Chunk,
 
 @dataclass
 class HashAggregate(Operator):
-    """Grouped projection: factorize keys, reduce aggregates, apply HAVING.
-
-    Reductions over large inputs run partition-parallel (partial
-    per-partition reductions merged by the combinators in :mod:`.grouping`).
-    """
+    """Grouped projection: factorize keys, compute the aggregates, apply
+    HAVING (:func:`aggregate`)."""
 
     child: Operator
     select: Select
     est_rows: float | None = None
+
+    @cached_property
+    def batch(self) -> AggregateBatch:
+        """Collected on the first execution and kept with the plan, so a
+        warm execution starts computing at once."""
+        return AggregateBatch.of(self.select)
 
     def children(self) -> list[Operator]:
         return [self.child]
@@ -1374,7 +1419,7 @@ class HashAggregate(Operator):
             input_bytes = chunk_nbytes(res.chunk)
             if input_bytes > budget:
                 spilled = grace_aggregate(
-                    ctx, self.select, res.chunk, res.scope,
+                    ctx, self.batch, res.chunk, res.scope,
                     nparts=max(2, ctx.config.spill_partitions),
                 )
                 if spilled is not None:
@@ -1387,7 +1432,7 @@ class HashAggregate(Operator):
                     )
                     return OpResult(chunk, res.scope, order_eval=order_eval)
         chunk, order_eval, having_mask = aggregate(
-            ctx, self.select, res.chunk, res.scope)
+            ctx, self.batch, res.chunk, res.scope)
         return OpResult(chunk, res.scope, order_eval=order_eval,
                         having_mask=having_mask)
 
@@ -1406,17 +1451,13 @@ class Distinct(Operator):
         return "Distinct"
 
     def execute(self, ctx: ExecContext) -> OpResult:
-        from .grouping import factorize_many
-
         res = self.child.run(ctx)
         ctx.checkpoint()
         chunk = res.chunk
         if chunk.nrows:
             gids, _, ngroups = factorize_many(chunk.arrays)
-            positions = np.arange(len(gids) - 1, -1, -1, dtype=np.int64)
-            first = np.zeros(ngroups, dtype=np.int64)
-            first[gids[positions]] = positions
-            chunk = chunk.take(np.sort(first))
+            layout = GroupLayout(chunk.nrows, gids, ngroups, ctx.config.threads)
+            chunk = chunk.take(np.sort(layout.first))
         # Ordering must reference output columns from here on.
         return OpResult(chunk, res.scope, order_eval=None)
 

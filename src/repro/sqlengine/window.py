@@ -21,8 +21,8 @@ split at partition boundaries into ``~threads`` slices and each slice is
 reduced on the pool (NumPy kernels release the GIL).  Results concatenate
 in slice order: ranking/offset/COUNT/MIN/MAX kernels are bit-identical to
 a serial evaluation; SUM/AVG agree up to floating-point summation order
-(their prefix sums associate per slice), the same tolerance the parallel
-hash aggregate is held to.
+(their prefix sums associate per slice) — unlike the hash aggregate's sums,
+which never split their rows (see :mod:`.grouping`).
 
 Kernels never mutate their inputs: sort keys are always derived into fresh
 arrays (``_sort_key`` copies before any in-place fill or negation), so the

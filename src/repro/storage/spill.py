@@ -16,7 +16,8 @@ the same partition, so per-partition results compose exactly:
 * **aggregate**: partitioning by group-key hash keeps every group wholly
   inside one partition, and row order *within* a partition preserves input
   order, so each group's reduction consumes its rows in the same sequence
-  as the in-memory path — float sums agree bitwise at ``threads=1``.
+  as the in-memory path — float sums agree bitwise (a grouped sum never
+  splits its rows, at any thread count).
 
 Key hashing normalizes all numeric dtypes through ``float64`` (int 2 and
 float 2.0 compare equal in joins, so they must co-partition); ``-0.0``
@@ -277,11 +278,12 @@ class _SpilledOrderEval:
         return self._values[key]
 
 
-def grace_aggregate(ctx, select, chunk: Chunk, scope, nparts: int = 8):
+def grace_aggregate(ctx, batch, chunk: Chunk, scope, nparts: int = 8):
     """Spill-to-disk grouped aggregation.
 
     Partitions *chunk* rows by group-key hash, spills the partitions, and
-    runs the in-memory :func:`~repro.sqlengine.plan.aggregate` over one
+    runs the in-memory :func:`~repro.sqlengine.plan.aggregate` of *batch*
+    (the operator's :class:`~repro.sqlengine.plan.AggregateBatch`) over one
     partition at a time.  Every group lands wholly inside one partition, so the
     concatenated per-partition outputs are exactly the in-memory result
     rows (in partition order; any final ORDER BY re-sorts them).
@@ -290,6 +292,7 @@ def grace_aggregate(ctx, select, chunk: Chunk, scope, nparts: int = 8):
     group keys cannot be hashed consistently (non-string object values) —
     the caller then falls back to the in-memory path.
     """
+    select = batch.select
     # Spill files hold plain arrays only.
     chunk = Chunk(chunk.columns, [plain(a) for a in chunk.arrays])
     evaluator = Evaluator(chunk, scope, subquery_executor=ctx.subquery_cb(),
@@ -321,7 +324,7 @@ def grace_aggregate(ctx, select, chunk: Chunk, scope, nparts: int = 8):
             arrays = [spill.load(f"p{p}.c{ci}")
                       for ci in range(len(chunk.columns))]
             part_chunk = Chunk(list(chunk.columns), arrays)
-            out_p, eval_p, hmask = aggregate(ctx, select, part_chunk, scope)
+            out_p, eval_p, hmask = aggregate(ctx, batch, part_chunk, scope)
             outs.append(out_p)
             for item in order_items:
                 okey = expr_key(item.expr)

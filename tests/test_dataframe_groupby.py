@@ -178,9 +178,16 @@ class TestGroupWindowOps:
         assert gdf.groupby("k").cumcount().tolist() == [0, 0, 1, 1, 2]
 
 
+def _nunique(values, gids, ngroups):
+    from repro.sqlengine.grouping import GroupedColumn, GroupLayout
+
+    return GroupedColumn(GroupLayout(len(gids), gids, ngroups),
+                         values).reduce("nunique")
+
+
 def _nunique_bucket_loop(values, gids, ngroups):
-    """The per-row implementation ``group_reduce(..., "nunique")`` replaced,
-    kept as the oracle for the sort-based one."""
+    """The per-row implementation the sort-based ``nunique`` reduction
+    replaced, kept as its oracle."""
     from repro.dataframe._common import isna_array
 
     valid = ~isna_array(values)
@@ -209,9 +216,7 @@ class TestGroupNunique:
                  dtype="datetime64[D]"),
     ], ids=["ints", "sparse-ints", "floats-nan", "strings-none", "bools", "dates-nat"])
     def test_matches_the_bucket_loop(self, values):
-        from repro.dataframe.groupby import group_reduce
-
-        got = group_reduce(values, self.GIDS, self.NGROUPS, "nunique")
+        got = _nunique(values, self.GIDS, self.NGROUPS)
         want = _nunique_bucket_loop(values, self.GIDS, self.NGROUPS)
         assert got.dtype == np.int64 and got.tolist() == want.tolist()
         assert got[3] == 0                      # the empty group
@@ -220,22 +225,17 @@ class TestGroupNunique:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64, object, "datetime64[D]"])
     def test_empty_input(self, dtype):
-        from repro.dataframe.groupby import group_reduce
-
-        got = group_reduce(np.array([], dtype=dtype), np.array([], dtype=np.int64),
-                           3, "nunique")
+        got = _nunique(np.array([], dtype=dtype), np.array([], dtype=np.int64), 3)
         assert got.dtype == np.int64 and got.tolist() == [0, 0, 0]
 
     def test_random_against_the_bucket_loop(self):
-        from repro.dataframe.groupby import group_reduce
-
         rng = np.random.default_rng(5)
         gids = rng.integers(0, 40, 3000)
         for values in (rng.integers(-5, 5, 3000),
                        np.where(rng.random(3000) < 0.2, np.nan,
                                 rng.integers(0, 6, 3000).astype(float)),
                        rng.choice(np.array(["p", "q", "", None], dtype=object), 3000)):
-            assert group_reduce(values, gids, 41, "nunique").tolist() == \
+            assert _nunique(values, gids, 41).tolist() == \
                 _nunique_bucket_loop(values, gids, 41).tolist()
 
     def test_through_the_dataframe_and_sql_surfaces(self):

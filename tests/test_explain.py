@@ -43,6 +43,14 @@ class TestExplain:
         assert "hash aggregate: 1 key(s)" in plan
         assert "top-k: 1 key(s)" in plan
 
+    def test_aggregate_note_counts_the_batch_and_the_matrix_product(self, db):
+        # SUM(a * c) written twice is one aggregate; both SUMs of products
+        # of NULL-free finite columns are cells of one matrix product.
+        plan = db.explain("SELECT SUM(a * c) AS s, SUM(c * c) AS q, "
+                          "SUM(a * c) + COUNT(*) AS r FROM t")
+        assert ("hash aggregate: 0 key(s), 4 rows -> 1 groups, "
+                "3 aggregates, 2 via matmul") in plan
+
     def test_aggregate_and_sort_without_topk_rewrite(self, db):
         plan = db.explain("SELECT b, SUM(c) AS s FROM t GROUP BY b ORDER BY s LIMIT 2",
                           config=EngineConfig(topk_rewrite=False))

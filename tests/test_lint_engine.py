@@ -6,8 +6,8 @@ Fragments are parsed directly and visited with the real ``_Linter``
 against a *virtual* repo path, so path-scoped rules (ENG001 only in
 ``sqlengine/plan.py``, ENG002 only in engine packages, ENG007 relative
 import resolution, ENG008 only in ``sqlengine/`` and ``storage/``, ENG009
-only in ``server/``, ENG010 everywhere but ``sqlengine/sqlast.py``) see the
-same inputs they do in production.
+only in ``server/``, ENG010 everywhere but ``sqlengine/sqlast.py``, ENG011
+only in ``sqlengine/``) see the same inputs they do in production.
 """
 
 from __future__ import annotations
@@ -259,6 +259,33 @@ class TestAstShapeInSqlast:
                "        print(getattr(table, attr))\n"
                "    return getattr(table, 'has_zone_maps', False), node.left\n")
         assert lint(src, ENGINE) == []
+
+
+class TestGroupbyReverseDependency:
+    @pytest.mark.parametrize("src", [
+        "from ..dataframe.groupby import group_reduce\n",
+        "from repro.dataframe.groupby import GroupBy\n",
+        "from ..dataframe import groupby\n",
+        "import repro.dataframe.groupby\n",
+        # Lazy imports count too: the parent tree's one violation was one.
+        "def f(values):\n    from ..dataframe.groupby import group_reduce\n"
+        "    return group_reduce(values)\n",
+    ])
+    def test_engine_module_importing_dataframe_groupby(self, src):
+        for path in (ENGINE, PLAN):
+            (finding,) = lint(src, path)
+            assert finding.rule == "ENG011"
+
+    def test_other_dataframe_modules_and_other_packages_are_fine(self):
+        assert lint("from ..dataframe._common import isna_array\n"
+                    "from ..dataframe import DataFrame\n", ENGINE) == []
+        src = "from ..sqlengine.grouping import GroupLayout\n"
+        assert lint(src, REPO / "src/repro/dataframe/groupby.py") == []
+        assert lint("from ..dataframe.groupby import GroupBy\n", STORAGE) == []
+
+    def test_no_allowlist_entry(self):
+        assert not any(":ENG011:" in entry
+                       for entry in lint_engine.load_allowlist())
 
 
 class TestRunner:

@@ -187,8 +187,8 @@ def test_kernels_thread_equivalent(threads):
             b = framed_aggregate(layout, vals, func, frame, threads=threads)
             if func in ("SUM", "AVG"):
                 # Prefix sums associate differently per slice; results agree
-                # up to float summation order (same tolerance the engine's
-                # parallel hash aggregate is held to).
+                # up to float summation order (the engine's aggregate
+                # tolerance, tests/test_aggregate_layout.py).
                 np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9,
                                            err_msg=f"{func} {frame}")
             else:

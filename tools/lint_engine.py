@@ -69,6 +69,14 @@ ENG010 ast-shape-in-sqlast
     hand-written copy of a node's shape — the kind that forgot
     ``InList.items`` in one walker and ``negated`` in one key.
 
+ENG011 groupby-reverse-dependency
+    The grouped reducer (``GroupLayout`` / ``GroupedColumn``) lives in
+    ``sqlengine/grouping.py`` and ``DataFrame.groupby`` calls it, not the
+    reverse.  No module under ``src/repro/sqlengine/`` may import
+    ``repro.dataframe.groupby`` — at any level, lazily included: an engine
+    that reaches into the DataFrame library for its kernels grows a second
+    copy of them there.
+
 Findings are identified as ``path:RULE:symbol`` (symbol = nearest
 enclosing ``Class.function``, or ``<module>``); adding that line to
 ``tools/lint_engine_allow.txt`` suppresses the finding.  Run:
@@ -103,6 +111,8 @@ EXECUTOR_CLIENT_PACKAGES = ("sqlengine", "storage")
 EXECUTOR_MODULE = "src/repro/sqlengine/executor.py"
 # Modules the serving tier must not import (ENG009).
 SERVER_FORBIDDEN_MODULES = ("repro.sqlengine.parser", "repro.sqlengine.sqlast")
+# The module the SQL engine must not import (ENG011).
+ENGINE_FORBIDDEN_MODULE = "repro.dataframe.groupby"
 # The module that declares the SQL AST's shape, and the child-field names
 # nothing else may probe for (ENG010).
 AST_MODULE = "src/repro/sqlengine/sqlast.py"
@@ -329,6 +339,12 @@ class _Linter(ast.NodeVisitor):
                               f"import of {target!r} from the serving tier "
                               f"— distribution is decided by the planner "
                               f"on operators, not on SQL text or AST")
+        if self.rel.startswith("src/repro/sqlengine/") and ENGINE_FORBIDDEN_MODULE in (
+                resolved, *(f"{resolved}.{n}" for n in names)):
+            self.emit("ENG011", node,
+                      f"import of {ENGINE_FORBIDDEN_MODULE!r} from the SQL "
+                      f"engine — the grouped reducer lives in "
+                      f"sqlengine/grouping.py and the DataFrame calls it")
         if self.stack:
             return  # lazy (function-level) import: exactly what we want
         if resolved == "repro.analysis" \

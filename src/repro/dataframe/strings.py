@@ -15,18 +15,27 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .series import Series
 
-__all__ = ["StringAccessor", "like_to_regex"]
+__all__ = ["StringAccessor", "like_matcher"]
 
 
-def like_to_regex(pattern: str, escape: str | None = None) -> "re.Pattern[str]":
-    """Compile a SQL LIKE pattern (``%``/``_`` wildcards) to a regex.
+def like_matcher(pattern: str, escape: str | None = None
+                 ) -> Callable[[str], "re.Match[str] | None"]:
+    """Compile a SQL LIKE pattern (``%``/``_`` wildcards) into one regex and
+    return the function that tests a string against it (a match object,
+    or None).
+
+    The whole string must match: the end is anchored with ``\\Z`` (``$``
+    would also match before a final newline).  A leading ``%`` becomes a
+    ``search`` instead of a ``.*`` prefix, and a trailing ``%`` drops the
+    end anchor, so ``'%special%requests%'`` is a search for
+    ``special.*requests``.
 
     *escape*, when given, is the single character of an ``ESCAPE 'c'``
     clause: the character following it matches literally (including ``%``,
     ``_``, and the escape character itself).  A trailing bare escape
     character matches itself, like sqlite.
     """
-    out = []
+    out: list[str] = []  # regex pieces; ".*" only for a wildcard %
     i = 0
     while i < len(pattern):
         ch = pattern[i]
@@ -35,13 +44,22 @@ def like_to_regex(pattern: str, escape: str | None = None) -> "re.Pattern[str]":
             i += 2
             continue
         if ch == "%":
-            out.append(".*")
+            if not out or out[-1] != ".*":
+                out.append(".*")
         elif ch == "_":
             out.append(".")
         else:
             out.append(re.escape(ch))
         i += 1
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
+    search = out[:1] == [".*"]
+    if search:
+        del out[0]
+    if out[-1:] == [".*"]:
+        del out[-1]
+    else:
+        out.append(r"\Z")
+    regex = re.compile("".join(out), re.DOTALL)
+    return regex.search if search else regex.match
 
 
 class StringAccessor:
@@ -90,8 +108,8 @@ class StringAccessor:
 
     def like(self, pattern: str) -> "Series":
         """SQL LIKE semantics; convenience used by tests and workloads."""
-        compiled = like_to_regex(pattern)
-        return self._map_bool(lambda s: compiled.match(s) is not None)
+        matches = like_matcher(pattern)
+        return self._map_bool(lambda s: matches(s) is not None)
 
     def isin_substrings(self, substrings: list[str]) -> "Series":
         return self._map_bool(lambda s: any(sub in s for sub in substrings))

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import SQLBindError
 from ..dataframe._common import coerce_array, isna_array
-from ..dataframe.strings import like_to_regex
+from ..dataframe.strings import like_matcher
 from .functions import call_function
 from .grouping import GroupedColumn, GroupLayout
 from .sqlast import (
@@ -583,15 +583,15 @@ class Evaluator:
             # x LIKE NULL (or NOT LIKE NULL) is NULL: no row qualifies.
             return np.zeros(n, dtype=bool)
         operand = self._array(expr.operand).astype(object)
-        regex = like_to_regex(str(pattern), expr.escape)
+        matches = like_matcher(str(pattern), expr.escape)
         if expr.negated:
             # NULL operands stay false under NOT LIKE too (NOT NULL is NULL).
             return np.array(
-                [isinstance(v, str) and regex.match(v) is None for v in operand],
+                [isinstance(v, str) and matches(v) is None for v in operand],
                 dtype=bool,
             )
         return np.array(
-            [isinstance(v, str) and regex.match(v) is not None for v in operand],
+            [isinstance(v, str) and matches(v) is not None for v in operand],
             dtype=bool,
         )
 

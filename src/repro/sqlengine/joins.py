@@ -2,8 +2,9 @@
 
 Every key reaches the kernels as one ``int64`` per row (:func:`_int_keys`):
 integer-class columns as they are, string columns as dictionary codes, the
-rest through a joint ``np.unique``.  The join builds a dense counting index
-over the build side once and probes it with pure fancy indexing, which
+rest through a joint ``np.unique``.  The join builds one index over the
+build side — a direct-address table when its keys are dense and distinct,
+else a counting index — and probes it with pure fancy indexing, which
 releases the GIL, so probing is morsel-parallel across the shared worker
 pool when the caller passes ``threads > 1``.  Partition results concatenate
 in partition order, so the output row order is bit-identical to a serial
@@ -18,7 +19,7 @@ from .grouping import factorize_many
 from .parallel import parallel_map, parallel_masks, run_partitions
 from .table import Chunk, DictColumn, as_dict, gather, isna
 
-__all__ = ["join_positions", "combine_chunks", "semi_join_mask",
+__all__ = ["JoinMatch", "join_positions", "combine_chunks", "semi_join_mask",
            "semi_join_flags"]
 
 
@@ -117,12 +118,26 @@ def _int_keys(left_keys: list, right_keys: list) -> tuple[np.ndarray, np.ndarray
     return lk, rk
 
 
+class JoinMatch(tuple):
+    """``(left_pos, right_pos, left_missing, right_missing)`` — it unpacks
+    as that 4-tuple — plus ``index``, the index the build side got:
+    ``"direct index"``, ``"counting index"``, ``"hashed index"``, or
+    ``"no index"`` when a side is empty."""
+
+    index: str
+
+    def __new__(cls, arrays: tuple, index: str) -> "JoinMatch":
+        match = super().__new__(cls, arrays)
+        match.index = index
+        return match
+
+
 def join_positions(
     left_keys: list,
     right_keys: list,
     how: str = "inner",
     threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> JoinMatch:
     """Compute matching row positions for an equi-join.
 
     Returns ``(left_pos, right_pos, left_missing, right_missing)`` where the
@@ -132,8 +147,12 @@ def join_positions(
     Its unmatched left rows keep their place among the matches when a key
     is a string or a float and follow the matches when every key is
     integer-class — the order each kind of key has always produced, which
-    results without an ORDER BY expose.  With ``threads > 1`` the probe side
-    is partitioned across the worker pool.
+    results without an ORDER BY expose.  When the right side has more than
+    four times the left side's rows, and at least 4096, the index is built
+    on the left side instead and the two sides trade places in every rule
+    above (pairs ordered by right then left position, unmatched left rows
+    last).  With ``threads > 1`` the probe side is partitioned across the
+    worker pool.  The result's ``index`` names the index that was built.
     """
     nl = len(left_keys[0]) if left_keys else 0
     nr = len(right_keys[0]) if right_keys else 0
@@ -145,19 +164,21 @@ def join_positions(
         # row order than probing left-over-right.
         swapped_how = {"inner": "inner", "left": "right", "right": "left",
                        "full": "full"}[how]
-        rp, lp, rmiss, lmiss = join_positions(right_keys, left_keys,
-                                              swapped_how, threads)
-        return lp, rp, lmiss, rmiss
+        swapped = join_positions(right_keys, left_keys, swapped_how, threads)
+        rp, lp, rmiss, lmiss = swapped
+        return JoinMatch((lp, rp, lmiss, rmiss), swapped.index)
 
     if not nl or not nr:
         # Nothing can match; an outer join pads every row it preserves.
         keep_l = nl if how in ("left", "full") else 0
         keep_r = nr if how in ("right", "full") else 0
         pad_l, pad_r = np.zeros(keep_l, dtype=bool), np.ones(keep_r, dtype=bool)
-        return (np.concatenate([np.arange(keep_l), np.zeros(keep_r, np.int64)]),
-                np.concatenate([np.zeros(keep_l, np.int64), np.arange(keep_r)]),
-                np.concatenate([pad_l, pad_r]),
-                np.concatenate([~pad_l, ~pad_r]))
+        return JoinMatch(
+            (np.concatenate([np.arange(keep_l), np.zeros(keep_r, np.int64)]),
+             np.concatenate([np.zeros(keep_l, np.int64), np.arange(keep_r)]),
+             np.concatenate([pad_l, pad_r]),
+             np.concatenate([~pad_l, ~pad_r])),
+            "no index")
     lk, rk = _int_keys(left_keys, right_keys)
     in_place = not all(_is_fast_key(a) for a in left_keys + right_keys)
     return _join_positions_int(lk, rk, how, threads, in_place)
@@ -182,62 +203,78 @@ def _hash_table_size(n: int) -> int:
 
 
 def _join_positions_int(lk: np.ndarray, rk: np.ndarray, how: str,
-                        threads: int = 1, in_place: bool = False):
-    # Build a dense counting index once.  When the key span is modest
-    # (typical for surrogate keys) buckets are the keys themselves; for
-    # sparse keys (e.g. packed composites) keys hash into a prime-sized
-    # table and candidate pairs are verified vectorized.  Either way the
-    # probe is pure fancy indexing, which releases the GIL — so
-    # morsel-parallel probes genuinely overlap (a searchsorted-based probe
-    # holds the GIL and cannot scale across threads).
+                        threads: int = 1, in_place: bool = False) -> JoinMatch:
+    # Build the index once; the data picks which.  When the key span is
+    # modest (typical for surrogate keys) a bucket is a key itself, and if
+    # no two build rows share a key the index is a direct-address table —
+    # ``row[bucket]`` is the one build row holding that key, or -1 — whose
+    # probe is a single gather.  Duplicate keys get a counting index (build
+    # rows sorted by bucket, a count and a start per bucket), which a probe
+    # expands into every match.  Sparse keys (packed composites) hash into a
+    # prime-sized counting index whose candidate pairs are verified
+    # vectorized.  Every probe is pure fancy indexing, which releases the
+    # GIL — so morsel-parallel probes genuinely overlap.
     kmin = int(rk.min())
     span = int(rk.max()) - kmin + 1
     exact = 0 < span <= max(1 << 20, 2 * (len(rk) + len(lk)))
     if exact:
-        table_size = span
-        keys_r = rk.astype(np.int64) - kmin
+        # Key k is bucket k - kmin + 1, and every lookup clips: a probe key
+        # out of the build's range lands on one of the two empty edge
+        # buckets.
+        nbuckets = span + 2
+        buckets_r = rk - (kmin - 1)
     else:
-        table_size = _hash_table_size(len(rk))
-        keys_r = (rk.astype(np.int64) - kmin) % table_size
-    order = np.argsort(keys_r, kind="stable")
-    group_counts = np.bincount(keys_r, minlength=table_size)
-    group_starts = np.concatenate(
-        ([0], np.cumsum(group_counts[:-1], dtype=np.int64))
-    )
+        nbuckets = _hash_table_size(len(rk))
+        buckets_r = (rk - kmin) % nbuckets
+    counts_r = np.bincount(buckets_r, minlength=nbuckets)
 
-    def probe(start: int, stop: int):
-        keys = lk[start:stop].astype(np.int64) - kmin
+    def buckets(start: int, stop: int) -> np.ndarray:
         if exact:
-            in_bounds = (keys >= 0) & (keys < table_size)
-            keys = np.where(in_bounds, keys, 0)
-            counts = np.where(in_bounds, group_counts[keys], 0)
-        else:
-            keys = keys % table_size
-            counts = group_counts[keys]
-        lo = group_starts[keys]
-        left_pos = np.repeat(np.arange(start, stop, dtype=np.int64), counts)
-        right_pos = order[_ranges_gather(lo, counts)]
-        if not exact:
-            # Hash buckets may mix distinct keys: verify candidate pairs.
-            ok = rk[right_pos] == lk[left_pos]
-            if not ok.all():
-                left_pos = left_pos[ok]
-                right_pos = right_pos[ok]
-                counts = np.bincount(left_pos - start, minlength=stop - start)
-        return left_pos, right_pos, counts
+            return lk[start:stop] - (kmin - 1)
+        return (lk[start:stop] - kmin) % nbuckets
+
+    if exact and counts_r.max() <= 1:
+        index = "direct index"
+        row = np.full(nbuckets, -1, dtype=np.int64)
+        row[buckets_r] = np.arange(len(rk))
+
+        def probe(start: int, stop: int):
+            pos = row.take(buckets(start, stop), mode="clip")
+            hit = pos >= 0
+            at = np.flatnonzero(hit)
+            return at + start, pos[at], hit
+    else:
+        index = "counting index" if exact else "hashed index"
+        order = np.argsort(buckets_r, kind="stable")
+        starts_r = np.concatenate(([0], np.cumsum(counts_r[:-1])))
+
+        def probe(start: int, stop: int):
+            keys = buckets(start, stop)
+            counts = counts_r.take(keys, mode="clip")
+            left_pos = np.repeat(np.arange(start, stop, dtype=np.int64), counts)
+            right_pos = order[_ranges_gather(starts_r.take(keys, mode="clip"),
+                                             counts)]
+            if not exact:
+                # Hash buckets may mix distinct keys: verify candidate pairs.
+                ok = np.flatnonzero(rk[right_pos] == lk[left_pos])
+                if len(ok) < len(left_pos):
+                    left_pos = left_pos[ok]
+                    right_pos = right_pos[ok]
+                    counts = np.bincount(left_pos - start, minlength=stop - start)
+            return left_pos, right_pos, counts > 0
 
     parts = run_partitions(len(lk), threads, probe)
     if len(parts) == 1:
-        left_pos, right_pos, counts = parts[0]
+        left_pos, right_pos, hit = parts[0]
     else:
         left_pos = np.concatenate([p[0] for p in parts])
         right_pos = np.concatenate([p[1] for p in parts])
-        counts = np.concatenate([p[2] for p in parts])
+        hit = np.concatenate([p[2] for p in parts])
     left_missing = np.zeros(len(left_pos), dtype=bool)
     right_missing = np.zeros(len(right_pos), dtype=bool)
 
     if how in ("left", "full"):
-        unmatched = np.nonzero(counts == 0)[0]
+        unmatched = np.flatnonzero(~hit)
         if len(unmatched):
             # left_pos is sorted: *in_place* puts each unmatched row where
             # its matches would have been, otherwise they go to the end.
@@ -256,7 +293,7 @@ def _join_positions_int(lk: np.ndarray, rk: np.ndarray, how: str,
             right_pos = np.concatenate([right_pos, unmatched_r])
             left_missing = np.concatenate([left_missing, np.ones(len(unmatched_r), dtype=bool)])
             right_missing = np.concatenate([right_missing, np.zeros(len(unmatched_r), dtype=bool)])
-    return left_pos, right_pos, left_missing, right_missing
+    return JoinMatch((left_pos, right_pos, left_missing, right_missing), index)
 
 
 def combine_chunks(

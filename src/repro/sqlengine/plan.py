@@ -48,7 +48,7 @@ from .grouping import (
     GroupedColumn, GroupLayout, factorize_many, sum_of_products, sum_result,
 )
 from .joins import combine_chunks, join_positions
-from .parallel import parallel_arrays, parallel_map, parallel_masks
+from .parallel import parallel_arrays, parallel_masks
 from .sqlast import (
     AggCall, BetweenExpr, BinaryOp, CaseExpr, CastExpr, ColumnRef, ExistsExpr,
     Expr, FuncCall, InList, InSubquery, IsNull, LikeExpr, Literal, OrderItem,
@@ -423,7 +423,8 @@ def values_chunk(values: ValuesClause, params: object) -> Chunk:
 class Filter(Operator):
     """Pushed-down filter directly above a scan (no subqueries allowed).
 
-    The mask is evaluated over row partitions on the shared pool.
+    The mask is evaluated over row partitions on the shared pool; the kept
+    rows are gathered by their positions (:meth:`Chunk.mask`).
     """
 
     child: Operator
@@ -442,7 +443,6 @@ class Filter(Operator):
         res = self.child.run(ctx)
         ctx.checkpoint()
         chunk, scope = res.chunk, res.scope
-        config = ctx.config
         params = ctx.params
         n = chunk.nrows
         exprs = self.predicates
@@ -454,15 +454,7 @@ class Filter(Operator):
                 mask &= ev.eval_mask(e)
             return mask
 
-        mask = parallel_masks(n, config.threads, make_mask)
-        if config.threads > 1 and n >= 4096:
-            # Boolean-mask gathers release the GIL; materialize the
-            # surviving rows column-parallel.
-            out = Chunk(list(chunk.columns),
-                        parallel_map(config.threads, lambda a: a[mask],
-                                     chunk.arrays))
-        else:
-            out = chunk.mask(mask)
+        out = chunk.mask(parallel_masks(n, ctx.config.threads, make_mask))
         ctx.note(
             f"scan+filter {self.binding}: {len(exprs)} predicate(s) pushed down, "
             f"{n} -> {out.nrows} rows"
@@ -581,13 +573,17 @@ class HashJoin(Operator):
                             f"swapped — index built on {nl}-row side, "
                             f"probed with {nr} rows"
                         )
-            lp, rp, lmiss, rmiss = join_positions(lkeys, rkeys, self.how,
-                                                  threads=threads)
+            match = join_positions(lkeys, rkeys, self.how, threads=threads)
+            lp, rp, lmiss, rmiss = match
+            index = match.index
+        else:
+            index = "grace-partitioned"
         chunk = combine_chunks(left_chunk, right_chunk, lp, rp, lmiss, rmiss,
                                threads=threads)
         ctx.note(
             f"hash join + {self.right_binding} on {len(self.pairs)} key(s): "
-            f"{left_chunk.nrows} x {right_chunk.nrows} -> {chunk.nrows} rows"
+            f"{left_chunk.nrows} x {right_chunk.nrows} -> {chunk.nrows} rows, "
+            f"{index}"
         )
         scope = _merge_scopes(lres.scope, self.right_binding, right_chunk, left_chunk.ncols)
         if self.residual:
@@ -1471,6 +1467,7 @@ def order_arrays(order_by: list[OrderItem],
     below left in ``res.order_eval`` (and filtered by its HAVING mask).
     """
     out_chunk, order_eval, mask = res.chunk, res.order_eval, res.having_mask
+    kept = None if mask is None else np.flatnonzero(mask)
     arrays: list[np.ndarray] = []
     out_names = {c: i for i, c in enumerate(out_chunk.columns)}
     for item in order_by:
@@ -1482,7 +1479,7 @@ def order_arrays(order_by: list[OrderItem],
             try:
                 arr = order_eval.eval_array(expr)
                 if mask is not None and len(arr) == len(mask):
-                    arr = arr[mask]
+                    arr = arr[kept]
             except SQLBindError:
                 arr = None
         if arr is None or len(arr) != out_chunk.nrows:

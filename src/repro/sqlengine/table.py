@@ -397,7 +397,10 @@ class Chunk:
         return Chunk(list(self.columns), [a[positions] for a in self.arrays])
 
     def mask(self, mask: np.ndarray) -> "Chunk":
-        return Chunk(list(self.columns), [a[mask] for a in self.arrays])
+        """The rows where *mask* is true: one position list, then a
+        position gather per column (several times cheaper than boolean
+        indexing each column, whose cost grows with unpredictable masks)."""
+        return self.take(np.flatnonzero(mask))
 
     def slice(self, start: int, stop: int) -> "Chunk":
         return Chunk(list(self.columns), [a[start:stop] for a in self.arrays])

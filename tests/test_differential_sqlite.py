@@ -608,3 +608,83 @@ def test_dict_ordered_query_matches_sqlite_in_order(i, profile, dict_corpus):
     theirs = [tuple(map(norm_cell, row))
               for row in conn.execute(to_sqlite_sql(sql)).fetchall()]
     assert ours == theirs, f"dict-ordered[{i}][{profile}]\nsql: {sql}"
+
+
+# ---------------------------------------------------------------------------
+# LIKE against sqlite's case-sensitive LIKE, on a dictionary-encoded column
+# (the pattern runs once per dictionary entry) and on a column with more
+# distinct values than a dictionary may hold (the pattern runs per row)
+# ---------------------------------------------------------------------------
+
+LIKE_VALUES = ["", "a", "a\n", "xa\n", "\n", "aa", "aaa", "aaaa", "aXa",
+               "aa\naa", "ba", "a%", "%", "_", "x_y", "xay", None]
+
+LIKE_PATTERNS = [
+    "'a%a'", "'a'", "'%aa%aa%'", "'aaa'", "''", "'%'", "'%%'", "'_'",
+    "'%a'", "'a%'", "'%a%'", "'_a%'", "'%a_'",
+    "'a!%' ESCAPE '!'", "'!%%' ESCAPE '!'", "'%!_%' ESCAPE '!'",
+    "'x!_y' ESCAPE '!'", "'x_y' ESCAPE '!'", "'%!!%' ESCAPE '!'",
+]
+
+
+def _like_db():
+    db = connect()
+    n = 4 * len(LIKE_VALUES)
+    db.register("few", {
+        "id": np.arange(n, dtype=np.int64),
+        "s": np.array(LIKE_VALUES * 4, dtype=object)})
+    # Well over MAX_DICT_ENTRIES distinct values, some matching a pattern.
+    filler = [f"a{i}a" if i % 3 == 0 else f"f{i}" for i in range(5000)]
+    values = LIKE_VALUES + filler
+    db.register("many", {
+        "id": np.arange(len(values), dtype=np.int64),
+        "s": np.array(values, dtype=object)})
+    return db
+
+
+@pytest.fixture(scope="module")
+def like_corpus():
+    db = _like_db()
+    conn = load_sqlite(db)
+    conn.execute("PRAGMA case_sensitive_like=ON")
+    yield db, conn
+    conn.close()
+
+
+def test_like_tables_take_both_paths(like_corpus):
+    from repro.sqlengine.table import DictColumn
+
+    db, _ = like_corpus
+    assert isinstance(db.catalog.get("few").scan(["s"]).arrays[0], DictColumn)
+    assert not isinstance(db.catalog.get("many").scan(["s"]).arrays[0],
+                          DictColumn)
+
+
+@pytest.mark.parametrize("table", ["few", "many"])
+def test_like_does_not_match_before_a_trailing_newline(like_corpus, table):
+    # `$` also matches just before a final newline: 'a\n' LIKE 'a' was TRUE.
+    db, _ = like_corpus
+    ids = {v: i for i, v in enumerate(LIKE_VALUES)}
+    for pattern, value in (("a", "a\n"), ("%a", "xa\n"), ("a%a", "a")):
+        got = db.execute(f"SELECT id FROM {table} WHERE s LIKE '{pattern}' "
+                         f"AND id = {ids[value]}")["id"].tolist()
+        assert got == [], (pattern, value)
+
+
+def test_series_like_does_not_match_before_a_trailing_newline():
+    import repro.dataframe as rpd
+
+    s = rpd.Series(["a", "a\n", "xa\n", None])
+    assert s.str.like("a").tolist() == [True, False, False, False]
+    assert s.str.like("%a").tolist() == [True, False, False, False]
+    assert s.str.like("%a%").tolist() == [True, True, True, False]
+
+
+@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize("pattern", LIKE_PATTERNS)
+@pytest.mark.parametrize("table", ["few", "many"])
+def test_like_matches_sqlite(like_corpus, table, pattern, negated):
+    db, conn = like_corpus
+    op = "NOT LIKE" if negated else "LIKE"
+    assert_same_results(db, conn, f"SELECT id FROM {table} WHERE s {op} {pattern}",
+                        context=f"like[{table}]")

@@ -37,6 +37,21 @@ class TestExplain:
                           config=EngineConfig(join_reorder=False))
         assert "hash join + u" in plan
 
+    def test_join_names_the_index_the_data_picked(self, db):
+        # The build side is the right one: distinct dense keys get a
+        # direct-address table, a duplicate a counting index, keys sparser
+        # than the rows a hashed index.
+        db.register("dim", {"k": [1, 2, 3], "big": [10**12, 2 * 10**12, 7]})
+        db.register("fact", {"k": [1, 1, 2, 5], "big": [7, 10**12, 7, 9]})
+        config = EngineConfig(join_reorder=False)
+        for sql, index in (
+                ("SELECT fact.k FROM fact, dim WHERE fact.k = dim.k", "direct"),
+                ("SELECT dim.k FROM dim, fact WHERE dim.k = fact.k", "counting"),
+                ("SELECT fact.k FROM fact, dim WHERE fact.big = dim.big",
+                 "hashed")):
+            plan = db.explain(sql, config=config)
+            assert f"-> 3 rows, {index} index" in plan, sql
+
     def test_aggregate_and_sort(self, db):
         # ORDER BY + LIMIT fuses into the TopK operator by default.
         plan = db.explain("SELECT b, SUM(c) AS s FROM t GROUP BY b ORDER BY s LIMIT 2")

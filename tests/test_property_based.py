@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis) for core data structures and invariants.
 
-Three families:
+Four families:
 * DataFrame-library algebraic invariants (filter/sort/groupby/merge);
+* the join kernel, position for position, against a pure-Python reference;
 * SQL engine vs. the DataFrame library on equivalent operations;
 * optimizer semantics preservation on generated TondIR programs.
 """
@@ -124,6 +125,130 @@ class TestJoinProperties:
         unmatched_l = sum(1 for a in ls if a not in set(rs))
         unmatched_r = sum(1 for b in rs if b not in set(ls))
         assert len(lp) == inner + unmatched_l + unmatched_r
+
+
+# -- the join kernel against a pure-Python reference ---------------------------
+
+def reference_join(left: list, right: list, how: str, in_place: bool) -> list:
+    """``join_positions`` written out row by row, in the order its docstring
+    states.  *left* / *right* hold one hashable key per row, None for a row
+    with a NULL key (which matches nothing)."""
+    if len(right) > 4 * len(left) and len(right) >= 4096:
+        swapped = {"inner": "inner", "left": "right", "right": "left",
+                   "full": "full"}[how]
+        rp, lp, rmiss, lmiss = reference_join(right, left, swapped, in_place)
+        return [lp, rp, lmiss, rmiss]
+    table: dict = {}
+    for j, key in enumerate(right):
+        if key is not None:
+            table.setdefault(key, []).append(j)
+    rows, unmatched_left, matched_right = [], [], set()
+    for i, key in enumerate(left):
+        matches = table.get(key, []) if key is not None else []
+        rows += [(i, j, False, False) for j in matches]
+        matched_right.update(matches)
+        if not matches and how in ("left", "full"):
+            (rows if in_place else unmatched_left).append((i, 0, False, True))
+    rows += unmatched_left
+    if how in ("right", "full"):
+        rows += [(0, j, True, False) for j in range(len(right))
+                 if j not in matched_right]
+    return [list(col) for col in zip(*rows)] or [[], [], [], []]
+
+
+def _rows(arrays: list) -> list:
+    """One hashable key per row (None: a NULL — None, NaN or NaT — in
+    some column)."""
+    cols = [[None if v is None or v != v else v for v in a.tolist()]
+            for a in arrays]
+    return [None if None in row else row for row in zip(*cols)]
+
+
+def _draw_keys(kind: str, rng, n_build: int, n_probe: int):
+    """Build and probe key columns of one kind, and the index the build
+    side must get (None where the data leaves it open)."""
+    if kind == "unique":
+        build = rng.permutation(2 * n_build)[:n_build]
+        return [build], [rng.integers(-3, 2 * n_build + 3, n_probe)], "direct index"
+    if kind == "negative":
+        build = -1 - rng.permutation(n_build)
+        return [build], [rng.integers(-n_build - 3, 3, n_probe)], "direct index"
+    if kind == "duplicated":
+        # One key held by two rows (the least that rules out a direct
+        # index), or many keys held by many.
+        if rng.random() < 0.5:
+            build = rng.permutation(2 * n_build)[:n_build]
+            build[1:2] = build[:1]
+        else:
+            build = rng.integers(0, max(1, n_build // 2), n_build)
+        expect = "counting index" if len(np.unique(build)) < n_build else None
+        return [build], [rng.integers(-2, 2 * n_build + 2, n_probe)], expect
+    if kind == "sparse":
+        # Two columns of 2**20 values pack into keys far sparser than the
+        # row count; half the probe rows copy a build row.
+        build = [rng.integers(0, 1 << 20, n_build) for _ in range(2)]
+        probe = [rng.integers(0, 1 << 20, n_probe) for _ in range(2)]
+        if n_build:
+            copy = rng.random(n_probe) < 0.5
+            source = rng.integers(0, n_build, n_probe)
+            probe = [np.where(copy, b[source], p) for b, p in zip(build, probe)]
+        return build, probe, "hashed index"
+    if kind == "dates_with_nat":
+        base = np.datetime64("2000-01-01")
+        build = base + rng.permutation(2 * n_build)[:n_build].astype("timedelta64[D]")
+        probe = base + rng.integers(0, 2 * n_build + 2, n_probe).astype("timedelta64[D]")
+        build[rng.random(n_build) < 0.1] = np.datetime64("NaT")
+        probe[rng.random(n_probe) < 0.1] = np.datetime64("NaT")
+        return [build], [probe], None
+    if kind == "floats_with_nan":
+        build = rng.integers(0, max(1, n_build), n_build) * 0.5
+        probe = rng.integers(0, max(1, n_build), n_probe) * 0.5
+        build[rng.random(n_build) < 0.1] = np.nan
+        probe[rng.random(n_probe) < 0.1] = np.nan
+        return [build], [probe], None
+    assert kind == "strings"
+    words = np.array([f"w{i}" for i in range(2 * n_build + 2)] + [None], dtype=object)
+    build = words[rng.permutation(len(words) - 1)[:n_build]]
+    return [build], [words[rng.integers(0, len(words), n_probe)]], "direct index"
+
+
+# (build rows, probe rows, build on the right?): a serial-size join, a probe
+# large enough to partition across threads, and one whose right side is
+# large enough that the kernel swaps sides and builds on the left.
+JOIN_SHAPES = {"small": (30, 40, True), "partitioned": (3000, 5000, True),
+               "swapped": (600, 5000, False)}
+JOIN_KINDS = ["unique", "negative", "duplicated", "sparse", "dates_with_nat",
+              "floats_with_nan", "strings"]
+
+
+class TestJoinKernelReference:
+    """Exact ``(left_pos, right_pos, left_missing, right_missing)`` against
+    :func:`reference_join` for build sides with unique, duplicated, sparse
+    (hashed), negative and NULL keys, every ``how``, threads 1/2/4, and
+    both sides of the build-side swap."""
+
+    @pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+    @pytest.mark.parametrize("kind", JOIN_KINDS)
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           empty=st.sampled_from([None, "build", "probe"]))
+    def test_matches_reference(self, kind, shape, seed, empty):
+        rng = np.random.default_rng(seed)
+        n_build, n_probe, build_right = JOIN_SHAPES[shape]
+        if empty == "build":
+            n_build = 0
+        elif empty == "probe":
+            n_probe = 0
+        build, probe, index = _draw_keys(kind, rng, n_build, n_probe)
+        left, right = (probe, build) if build_right else (build, probe)
+        in_place = kind in ("floats_with_nan", "strings")
+        for how in ("inner", "left", "right", "full"):
+            want = reference_join(_rows(left), _rows(right), how, in_place)
+            for threads in (1, 2, 4):
+                got = join_positions(left, right, how, threads=threads)
+                assert [a.tolist() for a in got] == want, (how, threads)
+                if n_build and n_probe and index is not None:
+                    assert got.index == index
 
 
 class TestSortWindowProperties:

@@ -41,12 +41,12 @@ from ..core.tondir.ir import (
     Atom,
     ConstRelAtom,
     ExistsAtom,
-    FilterAtom,
     OuterAtom,
     Program,
     RelAtom,
     Rule,
-    term_vars,
+    atom_binds,
+    atom_vars,
 )
 from ..errors import IRInvariantError
 
@@ -66,8 +66,8 @@ def _check_atoms(atoms: Iterable[Atom], outer_bound: set[str], where: str,
     assigned: set[str] = set()
     rel_count = 0
     for atom in atoms:
+        bound.update(atom_binds(atom))
         if isinstance(atom, (RelAtom, ConstRelAtom)):
-            bound.update(atom.vars)
             rel_count += 1
         elif isinstance(atom, AssignAtom):
             if atom.var in assigned:
@@ -75,7 +75,6 @@ def _check_atoms(atoms: Iterable[Atom], outer_bound: set[str], where: str,
                       f"{where}: variable {atom.var!r} assigned twice",
                       stage)
             assigned.add(atom.var)
-            bound.add(atom.var)
 
     for atom in atoms:
         if isinstance(atom, ConstRelAtom):
@@ -84,20 +83,9 @@ def _check_atoms(atoms: Iterable[Atom], outer_bound: set[str], where: str,
                     _fail("ir.const-arity",
                           f"{where}: const row {i} has {len(row)} value(s) "
                           f"for {len(atom.vars)} variable(s)", stage)
-        elif isinstance(atom, AssignAtom):
-            dangling = term_vars(atom.term) - bound
-            if dangling:
-                _fail("ir.dangling-var",
-                      f"{where}: assignment of {atom.var!r} uses unbound "
-                      f"variable(s) {sorted(dangling)!r}", stage)
-        elif isinstance(atom, FilterAtom):
-            dangling = term_vars(atom.term) - bound
-            if dangling:
-                _fail("ir.dangling-var",
-                      f"{where}: filter uses unbound variable(s) "
-                      f"{sorted(dangling)!r}", stage)
         elif isinstance(atom, ExistsAtom):
             _check_atoms(atom.body, bound, where + " exists", stage)
+            continue
         elif isinstance(atom, OuterAtom):
             if atom.kind not in ("left", "right", "full"):
                 _fail("ir.outer-rel",
@@ -113,11 +101,11 @@ def _check_atoms(atoms: Iterable[Atom], outer_bound: set[str], where: str,
                 _fail("ir.outer-rel",
                       f"{where}: outer join of relation atom "
                       f"{atom.left_rel} with itself", stage)
-            dangling = {v for pair in atom.pairs for v in pair} - bound
-            if dangling:
-                _fail("ir.dangling-var",
-                      f"{where}: outer join keys use unbound variable(s) "
-                      f"{sorted(dangling)!r}", stage)
+        dangling = atom_vars(atom) - bound
+        if dangling:
+            _fail("ir.dangling-var",
+                  f"{where}: {atom!r} uses unbound variable(s) "
+                  f"{sorted(dangling)!r}", stage)
 
 
 def _check_rule(rule: Rule, stage: str) -> None:

@@ -112,8 +112,6 @@ class SQLGenerator:
     def _rule_sql(self, rule: Rule, is_sink: bool) -> str:
         defs: dict[str, str] = {}
         predicates: list[str] = []
-        from_items: list[str] = []  # comma-join items
-        rel_aliases: list[tuple[RelAtom | ConstRelAtom, str]] = []
         outer_atoms = [a for a in rule.body if isinstance(a, OuterAtom)]
 
         alias_counter = 0
@@ -124,7 +122,6 @@ class SQLGenerator:
             return f"r{alias_counter}"
 
         # First pass: bind relation accesses.
-        rel_atom_list = [a for a in rule.body if isinstance(a, (RelAtom, ConstRelAtom))]
         alias_of: dict[int, str] = {}
         for atom in rule.body:
             if isinstance(atom, RelAtom):
@@ -149,11 +146,7 @@ class SQLGenerator:
             elif isinstance(atom, ConstRelAtom):
                 alias = next_alias()
                 alias_of[id(atom)] = alias
-                rows = ", ".join(
-                    "(" + ", ".join(_const_sql(v, self.dialect) for v in row) + ")" for row in atom.rows
-                )
                 cols = [f"c{i}" for i in range(len(atom.vars))]
-                from_items.append(f"(VALUES {rows}) AS {alias}({', '.join(cols)})")
                 for var, col in zip(atom.vars, cols):
                     expr = f"{alias}.{col}"
                     if var in defs:
@@ -165,7 +158,7 @@ class SQLGenerator:
         if outer_atoms:
             from_sql = self._outer_from(rule, alias_of, defs)
         else:
-            from_items = []  # rebuild in body order
+            from_items = []  # comma-join items, in body order
             for atom in rule.body:
                 if isinstance(atom, RelAtom):
                     from_items.append(f"{atom.rel} AS {alias_of[id(atom)]}")
@@ -195,11 +188,7 @@ class SQLGenerator:
         for var in head.vars:
             if var not in defs:
                 raise TondIRError(f"head variable {var!r} is not bound in rule {head.rel!r}")
-            expr = defs[var]
-            if expr == var or expr.endswith(f".{var}"):
-                select_parts.append(f"{expr} AS {var}")
-            else:
-                select_parts.append(f"{expr} AS {var}")
+            select_parts.append(f"{defs[var]} AS {var}")
         distinct = "DISTINCT " if head.distinct else ""
         lines = [f"SELECT {distinct}" + ", ".join(select_parts)]
         if from_sql:
@@ -245,7 +234,6 @@ class SQLGenerator:
 
     # ------------------------------------------------------------------
     def _exists_sql(self, atom: ExistsAtom, outer_defs: dict[str, str]) -> str:
-        inner = SQLGenerator(self.schemas, self.dialect)
         defs: dict[str, str] = {}
         predicates: list[str] = []
         from_items: list[str] = []
@@ -426,16 +414,6 @@ class SQLGenerator:
         if name == "contains":
             pattern = str(term.args[1].value)
             return f"{args[0]} LIKE {_quote('%' + pattern + '%')}"
-        if name == "in_list":
-            values = term.args[1]
-            if not isinstance(values, Const) or not isinstance(values.value, (list, tuple)):
-                raise TondIRError("in_list requires a constant list")
-            items = ", ".join(_const_sql(v, self.dialect) for v in values.value)
-            return f"{args[0]} IN ({items})"
-        if name == "not_in_list":
-            values = term.args[1]
-            items = ", ".join(_const_sql(v, self.dialect) for v in values.value)
-            return f"{args[0]} NOT IN ({items})"
         if name == "isnull":
             return f"{args[0]} IS NULL"
         if name == "notnull":

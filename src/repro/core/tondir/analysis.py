@@ -2,90 +2,29 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .ir import (
-    Agg, AssignAtom, Atom, ConstRelAtom, ExistsAtom, Ext, FilterAtom,
-    OuterAtom, Program, RelAtom, Rule, Term, atom_vars, term_vars,
+    Agg, AssignAtom, Ext, OuterAtom, Program, RelAtom, Rule, Term, Win,
+    atom_binds, atom_terms, atom_vars, relation_accesses, walk,
 )
 
 __all__ = [
-    "references", "consumers", "contains_agg_term", "contains_win_term",
-    "contains_ext", "is_flow_breaker", "is_union_branch", "unique_head_vars",
-    "body_unique_vars", "used_vars",
+    "references", "consumers", "contains_term", "is_flow_breaker",
+    "is_union_branch", "unique_head_vars", "body_unique_vars", "used_vars",
 ]
 
 
-def _walk_terms(atom: Atom):
-    if isinstance(atom, AssignAtom):
-        yield atom.term
-    elif isinstance(atom, FilterAtom):
-        yield atom.term
-    elif isinstance(atom, ExistsAtom):
-        for inner in atom.body:
-            yield from _walk_terms(inner)
-
-
-def _term_contains(term: Term, predicate) -> bool:
-    if predicate(term):
-        return True
-    children = []
-    from .ir import BinOp, If, Win
-
-    if isinstance(term, BinOp):
-        children = [term.left, term.right]
-    elif isinstance(term, If):
-        children = [term.cond, term.then, term.otherwise]
-    elif isinstance(term, Agg) and term.arg is not None:
-        children = [term.arg]
-    elif isinstance(term, Ext):
-        children = list(term.args)
-    elif isinstance(term, Win):
-        children = list(term.args) + list(term.partition_by)
-        children += [t for t, _asc in term.order_by]
-    return any(_term_contains(c, predicate) for c in children)
-
-
-def contains_agg_term(rule: Rule) -> bool:
-    """Does the rule body contain any aggregate term?"""
-    for atom in rule.body:
-        for term in _walk_terms(atom):
-            if _term_contains(term, lambda t: isinstance(t, Agg)):
-                return True
-    return False
-
-
-def contains_win_term(rule: Rule) -> bool:
-    """Does the rule body contain any window term?"""
-    from .ir import Win
-
-    for atom in rule.body:
-        for term in _walk_terms(atom):
-            if _term_contains(term, lambda t: isinstance(t, Win)):
-                return True
-    return False
-
-
-def contains_ext(rule: Rule, name: str) -> bool:
-    """Does the rule body call external function *name* anywhere?"""
-    for atom in rule.body:
-        for term in _walk_terms(atom):
-            if _term_contains(term, lambda t: isinstance(t, Ext) and t.name == name):
-                return True
-    return False
+def contains_term(rule: Rule, predicate: Callable[[Term], bool]) -> bool:
+    """Does any term anywhere in the rule body (exists bodies included)
+    satisfy *predicate*?"""
+    return any(predicate(t) for atom in rule.body
+               for top in atom_terms(atom) for t in walk(top))
 
 
 def references(rule: Rule) -> set[str]:
     """Relations this rule reads (including inside exists bodies)."""
-    out: set[str] = set()
-
-    def visit(atoms):
-        for atom in atoms:
-            if isinstance(atom, RelAtom):
-                out.add(atom.rel)
-            elif isinstance(atom, ExistsAtom):
-                visit(atom.body)
-
-    visit(rule.body)
-    return out
+    return {atom.rel for atom, _nested in relation_accesses(rule.body)}
 
 
 def consumers(program: Program) -> dict[str, list[Rule]]:
@@ -128,15 +67,14 @@ def is_flow_breaker(rule: Rule, program: Program) -> bool:
         return True
     if rule.head.sort is not None:
         return True
-    if contains_agg_term(rule):
-        return True
     if any(isinstance(a, OuterAtom) for a in rule.body):
         return True
-    if contains_ext(rule, "uid"):
-        return True
-    if contains_win_term(rule):
-        return True
-    return False
+    return contains_term(rule, _breaks_flow)
+
+
+def _breaks_flow(term: Term) -> bool:
+    return isinstance(term, (Agg, Win)) or (
+        isinstance(term, Ext) and term.name == "uid")
 
 
 def used_vars(rule: Rule) -> set[str]:
@@ -153,23 +91,13 @@ def used_vars(rule: Rule) -> set[str]:
         used.update(v for v, _ in rule.head.sort.keys)
     binding_counts: dict[str, int] = {}
     for atom in rule.body:
-        if isinstance(atom, (RelAtom, ConstRelAtom)):
-            for v in atom.vars:
-                if v != "_":
-                    binding_counts[v] = binding_counts.get(v, 0) + 1
-        elif isinstance(atom, AssignAtom):
-            used.update(term_vars(atom.term))
-            # An assignment to a variable that a relation atom also binds is
-            # an equality constraint — both bindings are live.
-            binding_counts[atom.var] = binding_counts.get(atom.var, 0) + 1
-        elif isinstance(atom, FilterAtom):
-            used.update(term_vars(atom.term))
-        elif isinstance(atom, ExistsAtom):
-            used.update(atom_vars(atom))
-        elif isinstance(atom, OuterAtom):
-            for l, r in atom.pairs:
-                used.add(l)
-                used.add(r)
+        binds = atom_binds(atom)
+        for v in binds:
+            binding_counts[v] = binding_counts.get(v, 0) + 1
+        # An assignment to a variable that a relation atom also binds is an
+        # equality constraint — both bindings are live.  Inside exists,
+        # every variable can constrain.
+        used |= atom_vars(atom).difference(binds)
     used.update(v for v, c in binding_counts.items() if c > 1)
     return used
 

@@ -18,27 +18,79 @@ Grammar correspondence (paper Table IV):
 Outer joins are encoded with :class:`OuterAtom` markers, the translation of
 the paper's ``outer_left/outer_right/outer_full`` external atoms
 (Section III-C).
+
+This module is the one place that knows a node's shape.  What each field of
+a term or atom holds — a term, a tuple of terms, ``(term, ascending)``
+pairs, a variable it binds, variable pairs it references, a nested body,
+constant rows, or a plain attribute — is read off the field's annotation
+once, at class creation (:data:`_ROLES`); an annotation with no role fails
+at import.  Every traversal derives from that: :func:`children`,
+:func:`walk` and :func:`map_children` for terms, :func:`atom_terms`,
+:func:`atom_binds`, :func:`atom_vars`, :func:`rename_atom` and
+:func:`relation_accesses` for atoms, and :meth:`Program.copy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 __all__ = [
     "Term", "Var", "Const", "BinOp", "If", "Agg", "Ext", "Win",
     "Atom", "RelAtom", "ConstRelAtom", "ExistsAtom", "AssignAtom",
     "FilterAtom", "OuterAtom",
     "SortSpec", "Head", "Rule", "Program",
-    "term_vars", "atom_vars", "map_term_vars", "rename_term",
+    "children", "walk", "map_children", "term_vars", "map_term_vars",
+    "rename_term", "atom_terms", "atom_binds", "atom_vars", "rename_atom",
+    "relation_accesses",
 ]
+
+# A field annotated ``VarName`` holds a variable name; ``"_"`` is the
+# placeholder for an ignored column and is never renamed.
+VarName = str
+
+# What a field holds.
+_ATTR, _TERM, _TERMS, _KEYED, _BIND, _BINDS, _REFS, _BODY, _ROWS = range(9)
+
+# Field annotation (blanks removed) -> role.
+_ROLES = {
+    "str": _ATTR, "bool": _ATTR, "int": _ATTR, "object": _ATTR,
+    "Optional[tuple]": _ATTR,
+    "Term": _TERM,
+    "Optional[Term]": _TERM,                    # count(*) has no argument
+    "tuple[Term,...]": _TERMS,
+    "tuple[tuple[Term,bool],...]": _KEYED,      # (term, ascending) pairs
+    "VarName": _BIND,
+    "list[VarName]": _BINDS,
+    "list[tuple[VarName,VarName]]": _REFS,      # joined, not bound
+    "list[Atom]": _BODY,
+    "list[list[object]]": _ROWS,
+}
+
+
+class _Shaped:
+    """``_shape`` pairs every dataclass field, in declaration order, with
+    its role."""
+
+    _shape: tuple = ()
+
+    def __init_subclass__(cls) -> None:
+        shape = []
+        for name, annotation in cls.__dict__.get("__annotations__", {}).items():
+            role = _ROLES.get(annotation.replace(" ", ""))
+            if role is None:
+                raise TypeError(f"{cls.__name__}.{name}: no role for "
+                                f"annotation {annotation!r}")
+            shape.append((name, role))
+        cls._shape = tuple(shape)
+
 
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
 
-class Term:
+class Term(_Shaped):
     """Base class for TondIR terms."""
 
 
@@ -80,7 +132,7 @@ class If(Term):
 
 @dataclass(frozen=True)
 class Agg(Term):
-    func: str  # sum min max avg count count_distinct
+    func: str  # sum min max avg count count_distinct stddev var
     arg: Optional[Term]  # None for count(*)
     distinct: bool = False
 
@@ -139,7 +191,7 @@ class Win(Term):
 # ---------------------------------------------------------------------------
 
 
-class Atom:
+class Atom(_Shaped):
     """Base class for body atoms."""
 
 
@@ -148,7 +200,7 @@ class RelAtom(Atom):
     """Access to relation *rel*, binding positional columns to variables."""
 
     rel: str
-    vars: list[str]
+    vars: list[VarName]
 
     def __repr__(self) -> str:
         return f"{self.rel}({', '.join(self.vars)})"
@@ -159,7 +211,7 @@ class ConstRelAtom(Atom):
     """A constant inline relation (``[<c>]`` in the grammar)."""
 
     rows: list[list[object]]
-    vars: list[str]
+    vars: list[VarName]
 
     def __repr__(self) -> str:
         return f"const({self.rows!r} as {', '.join(self.vars)})"
@@ -181,7 +233,7 @@ class ExistsAtom(Atom):
 class AssignAtom(Atom):
     """``(x = t)`` where x is fresh — an assignment."""
 
-    var: str
+    var: VarName
     term: Term
 
     def __repr__(self) -> str:
@@ -210,7 +262,7 @@ class OuterAtom(Atom):
     kind: str  # left | right | full
     left_rel: int
     right_rel: int
-    pairs: list[tuple[str, str]]
+    pairs: list[tuple[VarName, VarName]]
 
     def __repr__(self) -> str:
         return f"outer_{self.kind}({self.pairs!r})"
@@ -250,6 +302,17 @@ class Head:
             extra += " distinct"
         return f"{self.rel}({', '.join(self.vars)}){extra}"
 
+    def renamed(self, renames: dict[str, str]) -> "Head":
+        """A new head (new lists) with variables renamed."""
+        def r(v: str) -> str:
+            return renames.get(v, v)
+
+        sort = self.sort
+        if sort is not None:
+            sort = SortSpec([(r(v), asc) for v, asc in sort.keys], sort.limit)
+        group = None if self.group is None else [r(v) for v in self.group]
+        return Head(self.rel, [r(v) for v in self.vars], group, sort, self.distinct)
+
 
 @dataclass
 class Rule:
@@ -266,13 +329,12 @@ class Rule:
         return {a.var for a in self.body if isinstance(a, AssignAtom)}
 
     def bound_vars(self) -> set[str]:
-        bound: set[str] = set()
-        for atom in self.body:
-            if isinstance(atom, (RelAtom, ConstRelAtom)):
-                bound.update(atom.vars)
-            elif isinstance(atom, AssignAtom):
-                bound.add(atom.var)
-        return bound
+        return {v for atom in self.body for v in atom_binds(atom)}
+
+    def renamed(self, renames: dict[str, str]) -> "Rule":
+        """A new rule — head, atoms and lists new — with variables renamed."""
+        return Rule(self.head.renamed(renames),
+                    [rename_atom(a, renames) for a in self.body])
 
 
 @dataclass
@@ -290,96 +352,164 @@ class Program:
         return None
 
     def copy(self) -> "Program":
-        import copy
-
-        return copy.deepcopy(self)
+        """A copy sharing no rule, head, atom or list with this program;
+        terms are frozen, so they are shared."""
+        return Program([rule.renamed({}) for rule in self.rules], self.sink)
 
 
 # ---------------------------------------------------------------------------
-# Helpers
+# Traversals derived from the declared shape
 # ---------------------------------------------------------------------------
 
 
-def term_vars(term: Term) -> set[str]:
-    """Free variables of a term."""
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Const):
-        return set()
-    if isinstance(term, BinOp):
-        return term_vars(term.left) | term_vars(term.right)
-    if isinstance(term, If):
-        return term_vars(term.cond) | term_vars(term.then) | term_vars(term.otherwise)
-    if isinstance(term, Agg):
-        return term_vars(term.arg) if term.arg is not None else set()
-    if isinstance(term, Ext):
-        out: set[str] = set()
-        for a in term.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(term, Win):
-        out = set()
-        for a in term.args:
-            out |= term_vars(a)
-        for p in term.partition_by:
-            out |= term_vars(p)
-        for t, _asc in term.order_by:
-            out |= term_vars(t)
-        return out
-    raise TypeError(f"not a term: {term!r}")
+def _field_terms(role: int, value) -> Sequence[Term]:
+    """The terms one field holds."""
+    if role == _TERM:
+        return () if value is None else (value,)
+    if role == _TERMS:
+        return value
+    if role == _KEYED:
+        return [t for t, _asc in value]
+    return ()
 
 
-def atom_vars(atom: Atom) -> set[str]:
-    """All variables an atom mentions (bound or used)."""
-    if isinstance(atom, (RelAtom, ConstRelAtom)):
-        return set(atom.vars)
-    if isinstance(atom, AssignAtom):
-        return {atom.var} | term_vars(atom.term)
-    if isinstance(atom, FilterAtom):
-        return term_vars(atom.term)
-    if isinstance(atom, ExistsAtom):
-        out: set[str] = set()
-        for a in atom.body:
-            out |= atom_vars(a)
-        return out
-    if isinstance(atom, OuterAtom):
-        out = set()
-        for l, r in atom.pairs:
-            out.add(l)
-            out.add(r)
-        return out
-    raise TypeError(f"not an atom: {atom!r}")
+def _map_field(role: int, value, fn: Callable[[Term], Term]):
+    """One field's value with *fn* applied to each term it holds."""
+    if role == _TERM:
+        return value if value is None else fn(value)
+    if role == _TERMS:
+        return tuple(map(fn, value))
+    if role == _KEYED:
+        return tuple((fn(t), asc) for t, asc in value)
+    return value
+
+
+def children(term: Term) -> list[Term]:
+    """The direct sub-terms of *term*, in field order."""
+    return [t for name, role in type(term)._shape
+            for t in _field_terms(role, getattr(term, name))]
+
+
+def walk(term: Term) -> list[Term]:
+    """*term* and every term under it, pre-order in field order."""
+    out = [term]
+    for child in children(term):
+        out.extend(walk(child))
+    return out
+
+
+def map_children(term: Term, fn: Callable[[Term], Term]) -> Term:
+    """A new *term* with *fn* applied to each of its :func:`children` —
+    the rebuild step of every bottom-up term rewrite."""
+    cls = type(term)
+    return cls(*[_map_field(role, getattr(term, name), fn)
+                 for name, role in cls._shape])
+
+
+def term_vars(term: Term) -> frozenset[str]:
+    """Free variables of a term, computed once per (frozen) term."""
+    found = term.__dict__.get("_vars")
+    if found is None:
+        found = frozenset((term.name,)) if isinstance(term, Var) \
+            else frozenset().union(*map(term_vars, children(term)))
+        object.__setattr__(term, "_vars", found)
+    return found
 
 
 def map_term_vars(term: Term, mapping: dict[str, Term]) -> Term:
-    """Substitute variables in a term by other terms."""
-    if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    if isinstance(term, Const):
+    """Substitute variables in a term by other terms; a sub-term with no
+    substituted variable is shared, not rebuilt."""
+    if mapping.keys().isdisjoint(term_vars(term)):
         return term
-    if isinstance(term, BinOp):
-        return BinOp(term.op, map_term_vars(term.left, mapping), map_term_vars(term.right, mapping))
-    if isinstance(term, If):
-        return If(
-            map_term_vars(term.cond, mapping),
-            map_term_vars(term.then, mapping),
-            map_term_vars(term.otherwise, mapping),
-        )
-    if isinstance(term, Agg):
-        return Agg(term.func, map_term_vars(term.arg, mapping) if term.arg is not None else None, term.distinct)
-    if isinstance(term, Ext):
-        return Ext(term.name, tuple(map_term_vars(a, mapping) for a in term.args))
-    if isinstance(term, Win):
-        return Win(
-            term.func,
-            tuple(map_term_vars(a, mapping) for a in term.args),
-            tuple(map_term_vars(p, mapping) for p in term.partition_by),
-            tuple((map_term_vars(t, mapping), asc) for t, asc in term.order_by),
-            term.frame,
-        )
-    raise TypeError(f"not a term: {term!r}")
+    if isinstance(term, Var):
+        return mapping[term.name]
+    return map_children(term, lambda t: map_term_vars(t, mapping))
 
 
 def rename_term(term: Term, renames: dict[str, str]) -> Term:
-    """Rename variables in a term."""
-    return map_term_vars(term, {old: Var(new) for old, new in renames.items()})
+    """Rename variables in a term; ``"_"`` is never renamed."""
+    return map_term_vars(term, {v: Var(renames[v]) for v in term_vars(term)
+                                if v in renames and v != "_"})
+
+
+def atom_terms(atom: Atom) -> list[Term]:
+    """The terms *atom* holds, nested bodies included, in field order."""
+    out: list[Term] = []
+    for name, role in type(atom)._shape:
+        value = getattr(atom, name)
+        if role == _BODY:
+            for inner in value:
+                out.extend(atom_terms(inner))
+        else:
+            out.extend(_field_terms(role, value))
+    return out
+
+
+def atom_binds(atom: Atom) -> list[str]:
+    """The variables *atom* binds in its own scope (relation columns, an
+    assignment's target), once per binding position; never ``"_"``."""
+    out: list[str] = []
+    for name, role in type(atom)._shape:
+        if role == _BIND:
+            out.append(getattr(atom, name))
+        elif role == _BINDS:
+            out.extend(getattr(atom, name))
+    return [v for v in out if v != "_"]
+
+
+def atom_vars(atom: Atom) -> set[str]:
+    """Every variable *atom* mentions — bound, referenced, or used by a
+    term, nested bodies included; never ``"_"``."""
+    out: set[str] = set()
+    for name, role in type(atom)._shape:
+        value = getattr(atom, name)
+        if role == _BIND:
+            out.add(value)
+        elif role == _BINDS:
+            out.update(value)
+        elif role == _REFS:
+            out.update(v for pair in value for v in pair)
+        elif role == _BODY:
+            out.update(*map(atom_vars, value))
+        else:
+            out.update(*map(term_vars, _field_terms(role, value)))
+    out.discard("_")
+    return out
+
+
+def rename_atom(atom: Atom, renames: dict[str, str]) -> Atom:
+    """A new atom — lists and nested atoms new — with every declared
+    variable position renamed per *renames*; ``"_"`` is never renamed.
+    Terms without a renamed variable are shared, not copied."""
+    def var(v: str) -> str:
+        return v if v == "_" else renames.get(v, v)
+
+    values = []
+    for name, role in type(atom)._shape:
+        value = getattr(atom, name)
+        if role == _BIND:
+            value = var(value)
+        elif role == _BINDS:
+            value = [var(v) for v in value]
+        elif role == _REFS:
+            value = [(var(left), var(right)) for left, right in value]
+        elif role == _BODY:
+            value = [rename_atom(inner, renames) for inner in value]
+        elif role == _ROWS:
+            value = [list(row) for row in value]
+        else:
+            value = _map_field(role, value, lambda t: rename_term(t, renames))
+        values.append(value)
+    return type(atom)(*values)
+
+
+def relation_accesses(atoms: list[Atom],
+                      nested: bool = False) -> Iterator[tuple[RelAtom, bool]]:
+    """Every :class:`RelAtom` in *atoms*, nested bodies entered, each with
+    whether it sits inside a nested body."""
+    for atom in atoms:
+        if isinstance(atom, RelAtom):
+            yield atom, nested
+        for name, role in type(atom)._shape:
+            if role == _BODY:
+                yield from relation_accesses(getattr(atom, name), True)

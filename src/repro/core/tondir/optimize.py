@@ -16,12 +16,12 @@ from __future__ import annotations
 import itertools
 
 from .analysis import (
-    body_unique_vars, consumers, is_flow_breaker, unique_head_vars, used_vars,
+    body_unique_vars, consumers, contains_term, is_flow_breaker,
+    unique_head_vars, used_vars,
 )
 from .ir import (
-    Agg, AssignAtom, Atom, BinOp, Const, ConstRelAtom, ExistsAtom, Ext,
-    FilterAtom, If, OuterAtom, Program, RelAtom, Rule, Term,
-    rename_term, term_vars,
+    Agg, AssignAtom, Const, Ext, FilterAtom, If, OuterAtom, Program, RelAtom,
+    Rule, Term, atom_vars, map_children, relation_accesses, rename_atom,
 )
 
 __all__ = ["optimize", "OPT_LEVELS", "local_dce", "global_dce",
@@ -55,7 +55,6 @@ def local_dce(program: Program) -> bool:
             removable = [
                 a for a in rule.body
                 if isinstance(a, AssignAtom) and a.var not in used
-                and not _has_side_effect(a.term)
             ]
             if not removable:
                 break
@@ -63,13 +62,6 @@ def local_dce(program: Program) -> bool:
                 rule.body.remove(atom)
             changed = True
     return changed
-
-
-def _has_side_effect(term: Term) -> bool:
-    # uid() numbering is positional; keep such assignments for safety.
-    if isinstance(term, Ext) and term.name == "uid":
-        return False
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +101,12 @@ def global_dce(program: Program) -> bool:
         used_positions: set[int] = set()
         for reader in readers:
             reader_used = used_vars(reader)
-
-            def visit(atoms):
-                for atom in atoms:
-                    if isinstance(atom, RelAtom) and atom.rel == rel:
-                        for pos, var in enumerate(atom.vars):
-                            if var != "_" and var in reader_used:
-                                used_positions.add(pos)
-                    elif isinstance(atom, ExistsAtom):
-                        # Inside exists, every bound variable can constrain.
-                        for inner in atom.body:
-                            if isinstance(inner, RelAtom) and inner.rel == rel:
-                                for pos, var in enumerate(inner.vars):
-                                    if var != "_":
-                                        used_positions.add(pos)
-
-            visit(reader.body)
+            for atom, nested in relation_accesses(reader.body):
+                if atom.rel == rel:
+                    # Inside exists, every bound variable can constrain.
+                    used_positions.update(
+                        pos for pos, var in enumerate(atom.vars)
+                        if var != "_" and (nested or var in reader_used))
         arity = len(producer.head.vars)
         if len(used_positions) == arity:
             continue
@@ -135,14 +117,9 @@ def global_dce(program: Program) -> bool:
         producer.head.vars = [producer.head.vars[i] for i in keep]
         # Shrink every access in consumers.
         for reader in readers:
-            def shrink(atoms):
-                for atom in atoms:
-                    if isinstance(atom, RelAtom) and atom.rel == rel and len(atom.vars) == arity:
-                        atom.vars = [atom.vars[i] for i in keep]
-                    elif isinstance(atom, ExistsAtom):
-                        shrink(atom.body)
-
-            shrink(reader.body)
+            for atom, _nested in relation_accesses(reader.body):
+                if atom.rel == rel and len(atom.vars) == arity:
+                    atom.vars = [atom.vars[i] for i in keep]
         changed = True
     if changed:
         # Pruned heads can strand assignments: clean locally again.
@@ -159,45 +136,41 @@ def group_aggregate_elimination(program: Program, base_unique: dict[str, set[str
 
     When the grouping column is unique in the rule's body, every group has
     exactly one row: the ``group`` clause is dropped and each aggregate
-    collapses to its argument (``count`` collapses to 1).
+    collapses to that row's value under pandas' NULL rules
+    (:func:`_collapse`).  A rule holding ``stddev`` or ``var`` keeps its
+    group: over one row those are NULL, not the row's value.
     """
     changed = False
     unique_of = unique_head_vars(program, base_unique)
     for rule in program.rules:
         if rule.head.group is None or len(rule.head.group) != 1:
             continue
-        key = rule.head.group[0]
-        body_unique = body_unique_vars(rule, unique_of)
-        if key not in body_unique:
+        if rule.head.group[0] not in body_unique_vars(rule, unique_of):
+            continue
+        if contains_term(rule, lambda t: isinstance(t, Agg)
+                         and t.func in ("stddev", "var")):
             continue
         rule.head.group = None
         for atom in rule.body:
             if isinstance(atom, AssignAtom):
-                atom.term = _collapse_aggregates(atom.term)
+                atom.term = _collapse(atom.term)
         changed = True
-    if changed:
-        unique_of = unique_head_vars(program, base_unique)
     return changed
 
 
-def _collapse_aggregates(term: Term) -> Term:
-    if isinstance(term, Agg):
-        if term.func == "count":
-            return Const(1)
-        if term.func == "count_distinct":
-            return Const(1)
-        return _collapse_aggregates(term.arg)
-    if isinstance(term, BinOp):
-        return BinOp(term.op, _collapse_aggregates(term.left), _collapse_aggregates(term.right))
-    if isinstance(term, If):
-        return If(
-            _collapse_aggregates(term.cond),
-            _collapse_aggregates(term.then),
-            _collapse_aggregates(term.otherwise),
-        )
-    if isinstance(term, Ext):
-        return Ext(term.name, tuple(_collapse_aggregates(a) for a in term.args))
-    return term
+def _collapse(term: Term) -> Term:
+    """An aggregate over a one-row group: ``sum(x)`` -> ``coalesce(x, 0)``,
+    ``count(x)`` / ``count_distinct(x)`` -> ``if(notnull(x), 1, 0)``,
+    ``count(*)`` -> ``1``, ``min`` / ``max`` / ``avg`` -> ``x``."""
+    if not isinstance(term, Agg):
+        return map_children(term, _collapse)
+    if term.arg is None:
+        return Const(1)
+    if term.func == "sum":
+        return Ext("coalesce", (term.arg, Const(0)))
+    if term.func in ("count", "count_distinct"):
+        return If(Ext("notnull", (term.arg,)), Const(1), Const(0))
+    return term.arg
 
 
 # ---------------------------------------------------------------------------
@@ -251,30 +224,9 @@ def _eliminate_one_self_join(rule: Rule, unique_of: dict[str, set[str]]) -> bool
 
 
 def _rename_rule_vars(rule: Rule, renames: dict[str, str]) -> None:
-    if not renames:
-        return
-    rule.head.vars = [renames.get(v, v) for v in rule.head.vars]
-    if rule.head.group is not None:
-        rule.head.group = [renames.get(v, v) for v in rule.head.group]
-    if rule.head.sort is not None:
-        rule.head.sort.keys = [(renames.get(v, v), asc) for v, asc in rule.head.sort.keys]
-    for atom in rule.body:
-        _rename_atom_vars(atom, renames)
-
-
-def _rename_atom_vars(atom: Atom, renames: dict[str, str]) -> None:
-    if isinstance(atom, (RelAtom, ConstRelAtom)):
-        atom.vars = [renames.get(v, v) for v in atom.vars]
-    elif isinstance(atom, AssignAtom):
-        atom.var = renames.get(atom.var, atom.var)
-        atom.term = rename_term(atom.term, renames)
-    elif isinstance(atom, FilterAtom):
-        atom.term = rename_term(atom.term, renames)
-    elif isinstance(atom, ExistsAtom):
-        for inner in atom.body:
-            _rename_atom_vars(inner, renames)
-    elif isinstance(atom, OuterAtom):
-        atom.pairs = [(renames.get(l, l), renames.get(r, r)) for l, r in atom.pairs]
+    if renames:
+        renamed = rule.renamed(renames)
+        rule.head, rule.body[:] = renamed.head, renamed.body
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +251,9 @@ def rule_inlining(program: Program) -> bool:
             )
             if total_accesses > 1 and not _is_cheap(producer):
                 continue
-            if any(_accesses_in_exists(r, producer.head.rel) for r in readers):
+            if any(nested and atom.rel == producer.head.rel
+                   for r in readers
+                   for atom, nested in relation_accesses(r.body)):
                 continue
             # Outer-join markers index relation atoms positionally; do not
             # shift them by splicing a body into such a reader.
@@ -322,15 +276,6 @@ def _is_cheap(rule: Rule) -> bool:
     return all(isinstance(a, (RelAtom, AssignAtom, FilterAtom)) for a in rule.body)
 
 
-def _accesses_in_exists(rule: Rule, rel: str) -> bool:
-    for atom in rule.body:
-        if isinstance(atom, ExistsAtom):
-            for inner in atom.body:
-                if isinstance(inner, RelAtom) and inner.rel == rel:
-                    return True
-    return False
-
-
 def _inline_into(reader: Rule, producer: Rule) -> None:
     """Replace each access to the producer's relation with its body."""
     while True:
@@ -342,38 +287,16 @@ def _inline_into(reader: Rule, producer: Rule) -> None:
         position = reader.body.index(access)
 
         # Map producer head vars -> reader's access vars; all other producer
-        # vars get fresh names to avoid capture.
-        renames: dict[str, str] = {}
-        for head_var, reader_var in zip(producer.head.vars, access.vars):
-            renames[head_var] = reader_var
-        producer_vars: set[str] = set()
-        for atom in producer.body:
-            if isinstance(atom, (RelAtom, ConstRelAtom)):
-                producer_vars.update(v for v in atom.vars if v != "_")
-            elif isinstance(atom, AssignAtom):
-                producer_vars.add(atom.var)
-                producer_vars.update(term_vars(atom.term))
-            elif isinstance(atom, FilterAtom):
-                producer_vars.update(term_vars(atom.term))
-            elif isinstance(atom, ExistsAtom):
-                from .ir import atom_vars
-
-                producer_vars.update(atom_vars(atom))
+        # vars — and a head var the access ignores with '_', which the
+        # producer may still use — get fresh names to avoid capture.
+        renames = {head_var: reader_var for head_var, reader_var
+                   in zip(producer.head.vars, access.vars) if reader_var != "_"}
+        producer_vars = set().union(*map(atom_vars, producer.body))
         for v in sorted(producer_vars):
             if v not in renames:
                 renames[v] = _fresh(v.strip("_"))
-
-        import copy
-
-        new_atoms: list[Atom] = []
-        for atom in producer.body:
-            cloned = copy.deepcopy(atom)
-            _rename_atom_vars(cloned, renames)
-            new_atoms.append(cloned)
-
-        # Drop '_' placeholders in the access: positions the reader ignores
-        # are dead in the inlined body and cleaned up by DCE later.
-        reader.body[position : position + 1] = new_atoms
+        reader.body[position : position + 1] = [
+            rename_atom(atom, renames) for atom in producer.body]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,16 @@ Lets programs be written/stored in the paper's concrete syntax::
     R2(a, s) sort(s desc) limit(10) :- R1(a, s).
     -- sink: R2
 
-Round-trips with ``repr(Program)``; used by tests and the examples.
+``parse_program(repr(p)) == p`` holds for programs built from
+:class:`RelAtom`, :class:`AssignAtom`, :class:`FilterAtom` and
+:class:`ExistsAtom` whose terms are :class:`Var`, :class:`Const` (an int, a
+float printed with a decimal point and no exponent, a str without quotes or
+backslashes, a bool, ``None``), :class:`BinOp`, :class:`If`, :class:`Agg`
+and :class:`Ext`, with variable and relation names that are not keywords and
+every ``sort`` naming at least one key.  It does not hold for date constants
+(``numpy.datetime64`` prints as ``np.datetime64(...)``), :class:`Win` terms,
+:class:`ConstRelAtom` or :class:`OuterAtom`, which the parser does not read.
+Used by tests and the examples.
 """
 
 from __future__ import annotations

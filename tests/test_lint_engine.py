@@ -7,7 +7,8 @@ against a *virtual* repo path, so path-scoped rules (ENG001 only in
 ``sqlengine/plan.py``, ENG002 only in engine packages, ENG007 relative
 import resolution, ENG008 only in ``sqlengine/`` and ``storage/``, ENG009
 only in ``server/``, ENG010 everywhere but ``sqlengine/sqlast.py``, ENG011
-only in ``sqlengine/``) see the same inputs they do in production.
+only in ``sqlengine/``, ENG012 everywhere but ``core/tondir/ir.py``) see the
+same inputs they do in production.
 """
 
 from __future__ import annotations
@@ -285,6 +286,48 @@ class TestGroupbyReverseDependency:
 
     def test_no_allowlist_entry(self):
         assert not any(":ENG011:" in entry
+                       for entry in lint_engine.load_allowlist())
+
+
+class TestTondirShapeInIr:
+    IR = REPO / "src/repro/core/tondir/ir.py"
+    LADDER = ("def walk_term(term, pred):\n"
+              "    if isinstance(term, BinOp):\n"
+              "        return walk_term(term.left, pred)\n"
+              "    if isinstance(term, (If, Agg)):\n"
+              "        return any(walk_term(c, pred) for c in children(term))\n"
+              "    return pred(term)\n")
+
+    def test_recursive_ladder_over_three_term_classes(self):
+        for path in (TONDIR, CORE, REPO / "src/repro/analysis/x.py"):
+            (finding,) = lint(self.LADDER, path)
+            assert finding.rule == "ENG012" and finding.symbol == "walk_term"
+
+    def test_method_calling_itself_counts(self):
+        src = ("class G:\n"
+               "    def render(self, t):\n"
+               "        if isinstance(t, (Var, Const, Win)):\n"
+               "            return self.render(t.args[0])\n")
+        (finding,) = lint(src, CORE)
+        assert finding.rule == "ENG012" and finding.symbol == "G.render"
+
+    def test_ir_module_itself_may(self):
+        assert lint(self.LADDER, self.IR) == []
+
+    def test_dispatch_without_recursion_and_short_ladders_are_fine(self):
+        dispatch = ("def render(t):\n"
+                    "    if isinstance(t, Var): return name(t)\n"
+                    "    if isinstance(t, Const): return lit(t)\n"
+                    "    if isinstance(t, BinOp): return binop(t)\n")
+        derived = ("def collapse(t):\n"
+                   "    if not isinstance(t, Agg):\n"
+                   "        return map_children(t, collapse)\n"
+                   "    return t.arg if isinstance(t.arg, Var) "
+                   "else collapse(t.arg)\n")
+        assert lint(dispatch, CORE) == [] and lint(derived, TONDIR) == []
+
+    def test_no_allowlist_entry(self):
+        assert not any(":ENG012:" in entry
                        for entry in lint_engine.load_allowlist())
 
 

@@ -2,8 +2,7 @@
 
 
 from repro.core.tondir.analysis import (
-    body_unique_vars, consumers, contains_agg_term, contains_ext,
-    is_flow_breaker, references, unique_head_vars, used_vars,
+    body_unique_vars, consumers, contains_term, is_flow_breaker, references, unique_head_vars, used_vars,
 )
 from repro.core.tondir.ir import (
     Agg, AssignAtom, BinOp, Const, ConstRelAtom, ExistsAtom, Ext, FilterAtom,
@@ -90,12 +89,12 @@ class TestAnalyses:
 
     def test_contains_agg(self):
         r = rule(Head("R", ["s"]), [RelAtom("T", ["a"]), AssignAtom("s", Agg("sum", Var("a")))])
-        assert contains_agg_term(r)
+        assert contains_term(r, lambda t: isinstance(t, Agg))
 
     def test_contains_ext(self):
         r = rule(Head("R", ["i"]), [RelAtom("T", ["a"]), AssignAtom("i", Ext("uid", ()))])
-        assert contains_ext(r, "uid")
-        assert not contains_ext(r, "year")
+        assert contains_term(r, lambda t: isinstance(t, Ext) and t.name == "uid")
+        assert not contains_term(r, lambda t: isinstance(t, Ext) and t.name == "year")
 
     def test_flow_breakers(self):
         base = [RelAtom("T", ["a"])]

@@ -1,9 +1,12 @@
 """Unit tests for the four TondIR optimization passes (Section IV)."""
 
+import numpy as np
 import pytest
 
+import repro.dataframe as rpd
+from repro import connect, pytond
 from repro.core.tondir.ir import (
-    Agg, AssignAtom, BinOp, Const, ExistsAtom, Ext, FilterAtom, Head,
+    Agg, AssignAtom, BinOp, Const, ExistsAtom, Ext, FilterAtom, Head, If,
     OuterAtom, Program, RelAtom, Rule, SortSpec, Var,
 )
 from repro.core.tondir.optimize import (
@@ -108,7 +111,8 @@ class TestGroupAggregateElimination:
         r = p.rules[0]
         assert r.head.group is None
         assign = next(a for a in r.body if isinstance(a, AssignAtom))
-        assert assign.term == Var("b")
+        # pandas sums a group holding only NULL to 0.
+        assert assign.term == Ext("coalesce", (Var("b"), Const(0)))
 
     def test_requires_uniqueness(self):
         p = self._program()
@@ -118,7 +122,7 @@ class TestGroupAggregateElimination:
     def test_count_becomes_one(self):
         p = Program(rules=[Rule(
             Head("R1", ["ID", "n"], group=["ID"]),
-            [RelAtom("R", ["ID", "a"]), AssignAtom("n", Agg("count", Var("a")))],
+            [RelAtom("R", ["ID", "a"]), AssignAtom("n", Agg("count", None))],
         )], sink="R1")
         group_aggregate_elimination(p, {"R": {"ID"}})
         assign = next(a for a in p.rules[0].body if isinstance(a, AssignAtom))
@@ -234,6 +238,30 @@ class TestRuleInlining:
         out = optimize(p, "O4")
         assert len(out.rules) == 2
 
+    def test_access_ignoring_a_column_the_producer_filters_on(self):
+        # H reads F(x, _); F filters on the ignored column.  Inlined, that
+        # column must get a fresh name, not become the placeholder.
+        from repro.core.codegen import generate_sql
+
+        p = Program(rules=[
+            Rule(Head("F", ["a", "b"]),
+                 [RelAtom("R", ["a", "b"]), FilterAtom(BinOp(">", Var("b"), Const(0)))]),
+            Rule(Head("G", ["a", "b"]),
+                 [RelAtom("F", ["a", "b"]), FilterAtom(BinOp(">", Var("a"), Const(1)))]),
+            Rule(Head("H", ["x"], distinct=True),
+                 [RelAtom("F", ["x", "_"]), FilterAtom(BinOp("<", Var("x"), Const(5)))]),
+            Rule(Head("out", ["a", "b", "x"]),
+                 [RelAtom("G", ["a", "b"]), RelAtom("H", ["x"])]),
+        ], sink="out")
+        out = optimize(p, "O4")
+        h = out.rule_for("H")
+        assert h.rel_atoms()[0].vars[1] != "_"
+        db = connect()
+        db.register("R", {"a": [1, 2, 3], "b": [1, -1, 2]})
+        got = db.execute(generate_sql(out, {"R": ["a", "b"]})).to_dict()
+        assert sorted(zip(got["a"], got["b"], got["x"])) == [
+            (3, 2, 1), (3, 2, 3)]
+
 
 class TestPipeline:
     def test_levels_defined(self):
@@ -283,3 +311,113 @@ class TestPipeline:
         assert sink_rule.head.group is None
         rels = sorted(a.rel for a in sink_rule.rel_atoms())
         assert rels == ["x", "y"]
+
+
+# One @pytond function per aggregate: the translator reads their source.
+
+@pytond()
+def _agg_sum(t):
+    return t.groupby('id').agg(v=('x', 'sum')).reset_index().sort_values('id')
+
+
+@pytond()
+def _agg_count(t):
+    return t.groupby('id').agg(v=('x', 'count')).reset_index().sort_values('id')
+
+
+@pytond()
+def _agg_nunique(t):
+    return t.groupby('id').agg(v=('x', 'nunique')).reset_index().sort_values('id')
+
+
+@pytond()
+def _agg_size(t):
+    return t.groupby('id').agg(v=('x', 'size')).reset_index().sort_values('id')
+
+
+@pytond()
+def _agg_mean(t):
+    return t.groupby('id').agg(v=('x', 'mean')).reset_index().sort_values('id')
+
+
+@pytond()
+def _agg_min(t):
+    return t.groupby('id').agg(v=('x', 'min')).reset_index().sort_values('id')
+
+
+@pytond()
+def _agg_max(t):
+    return t.groupby('id').agg(v=('x', 'max')).reset_index().sort_values('id')
+
+
+@pytond()
+def _agg_std(t):
+    return t.groupby('id').agg(v=('x', 'std')).reset_index().sort_values('id')
+
+
+@pytond()
+def _agg_var(t):
+    return t.groupby('id').agg(v=('x', 'var')).reset_index().sort_values('id')
+
+
+def _null_rule_env():
+    data = {"id": np.array([1, 2, 3, 4], dtype=np.int64),
+            "x": np.array([1.0, np.nan, 3.0, 4.0])}
+    db = connect()
+    db.register("t", data, primary_key="id")
+    return db, rpd.DataFrame(data)
+
+
+def _values(frame) -> list:
+    return [None if v != v else float(v) for v in frame.to_dict()["v"]]
+
+
+class TestGroupAggregateNullRules:
+    """O2 collapses a group-by over a unique key; each aggregate must still
+    answer what pandas answers for a one-row group whose value is NULL."""
+
+    @pytest.mark.parametrize("func, expected", [
+        ("sum", [1.0, 0.0, 3.0, 4.0]),
+        ("count", [1.0, 0.0, 1.0, 1.0]),
+        ("nunique", [1.0, 0.0, 1.0, 1.0]),
+        ("size", [1.0, 1.0, 1.0, 1.0]),
+        ("mean", [1.0, None, 3.0, 4.0]),
+        ("min", [1.0, None, 3.0, 4.0]),
+        ("max", [1.0, None, 3.0, 4.0]),
+    ])
+    @pytest.mark.parametrize("level", ["O1", "O4"])
+    @pytest.mark.parametrize("backend", ["hyper", "sqlite"])
+    def test_collapsed_aggregate_matches_python(self, func, expected, level, backend):
+        db, frame = _null_rule_env()
+        f = globals()[f"_agg_{func}"]
+        assert _values(f(frame)) == expected
+        assert _values(f.run(db, backend, level=level)) == expected
+        # The collapse fired: no rule of the O4 program groups any more.
+        assert all(r.head.group is None for r in f.tondir("O4", db).rules)
+
+    @pytest.mark.parametrize("func", ["std", "var"])
+    @pytest.mark.parametrize("level", ["O1", "O4"])
+    def test_spread_keeps_its_group(self, func, level):
+        # sqlite has no STDDEV / VAR: the native engine is the SQL side.
+        db, frame = _null_rule_env()
+        f = globals()[f"_agg_{func}"]
+        assert _values(f(frame)) == [None] * 4
+        assert _values(f.run(db, "hyper", level=level)) == [None] * 4
+        assert any(r.head.group == ["id"] for r in f.tondir("O4", db).rules)
+
+    def test_collapse_rules(self):
+        x = Var("x")
+        rules = [
+            (Agg("sum", x), Ext("coalesce", (x, Const(0)))),
+            (Agg("count", x), If(Ext("notnull", (x,)), Const(1), Const(0))),
+            (Agg("count_distinct", x), If(Ext("notnull", (x,)), Const(1), Const(0))),
+            (Agg("count", None), Const(1)),
+            (Agg("avg", x), x), (Agg("min", x), x), (Agg("max", x), x),
+        ]
+        for agg, collapsed in rules:
+            p = Program(rules=[Rule(
+                Head("R1", ["ID", "v"], group=["ID"]),
+                [RelAtom("R", ["ID", "x"]),
+                 AssignAtom("v", BinOp("+", agg, Const(1)))])], sink="R1")
+            assert group_aggregate_elimination(p, {"R": {"ID"}})
+            assert p.rules[0].body[1].term == BinOp("+", collapsed, Const(1)), agg

@@ -10,7 +10,7 @@ import pytest
 import repro.dataframe as rpd
 from repro import connect
 from repro.core.decorator import pytond
-from repro.core.tondir.analysis import contains_win_term, is_flow_breaker
+from repro.core.tondir.analysis import contains_term, is_flow_breaker
 from repro.core.tondir.ir import (
     AssignAtom, Head, Program, RelAtom, Rule, Var, Win,
 )
@@ -179,7 +179,7 @@ class TestOptimizerWindows:
         # with its partition/order variables intact.
         assigns = [a for a in v1.body if isinstance(a, AssignAtom)]
         assert [a.var for a in assigns] == ["run"]
-        assert contains_win_term(v1)
+        assert contains_term(v1, lambda t: isinstance(t, Win))
 
     def test_window_rules_are_flow_breakers(self):
         program = self._program()

@@ -77,6 +77,15 @@ ENG011 groupby-reverse-dependency
     that reaches into the DataFrame library for its kernels grows a second
     copy of them there.
 
+ENG012 tondir-shape-in-ir
+    ``core/tondir/ir.py`` alone says which fields of a TondIR term or atom
+    hold terms, variables or nested bodies (``children`` / ``walk`` /
+    ``map_children`` / ``atom_terms`` / ``atom_vars`` / ``rename_atom``
+    derive from that).  Anywhere else, a function that ``isinstance``-tests
+    three or more TondIR term classes (``Var Const BinOp If Agg Ext Win``)
+    and calls itself is a second, hand-written walk of the term tree — the
+    kind that forgot ``Win`` in one ladder and NULLs in another.
+
 Findings are identified as ``path:RULE:symbol`` (symbol = nearest
 enclosing ``Class.function``, or ``<module>``); adding that line to
 ``tools/lint_engine_allow.txt`` suppresses the finding.  Run:
@@ -119,6 +128,9 @@ AST_MODULE = "src/repro/sqlengine/sqlast.py"
 AST_CHILD_FIELDS = frozenset(
     "left right operand low high arg args items branches default "
     "partition_by order_by query".split())
+# The module that declares TondIR's shape, and its term classes (ENG012).
+TONDIR_IR_MODULE = "src/repro/core/tondir/ir.py"
+TONDIR_TERM_CLASSES = frozenset("Var Const BinOp If Agg Ext Win".split())
 
 
 class Finding:
@@ -188,6 +200,7 @@ class _Linter(ast.NodeVisitor):
 
     def _visit_func(self, node) -> None:
         self._check_mutable_defaults(node)
+        self._check_term_walk(node)
         self.stack.append(node.name)
         self.generic_visit(node)
         self.stack.pop()
@@ -303,6 +316,28 @@ class _Linter(ast.NodeVisitor):
                     _symbol_of(self.stack + [node.name]),
                     "mutable literal as parameter default is shared "
                     "across calls"))
+
+    # -- ENG012 -----------------------------------------------------------
+    def _check_term_walk(self, node) -> None:
+        if self.rel == TONDIR_IR_MODULE:
+            return
+        tested: set[str] = set()
+        recursive = False
+        for call in _calls_in(node):
+            if isinstance(call.func, ast.Name) and call.func.id == "isinstance" \
+                    and len(call.args) == 2:
+                classes = call.args[1]
+                for c in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+                    if isinstance(c, ast.Name) and c.id in TONDIR_TERM_CLASSES:
+                        tested.add(c.id)
+            recursive |= _is_name(call.func, node.name)
+        if len(tested) >= 3 and recursive:
+            self.findings.append(Finding(
+                "ENG012", self.path, node.lineno,
+                _symbol_of(self.stack + [node.name]),
+                f"recursive isinstance ladder over TondIR terms "
+                f"({', '.join(sorted(tested))}) — use the traversals "
+                f"core/tondir/ir.py derives from its declaration"))
 
     # -- ENG008 -----------------------------------------------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:

@@ -33,6 +33,7 @@ from ..errors import PlanInvariantError
 from ..sqlengine import plan as p
 from ..sqlengine.expressions import expr_columns
 from ..sqlengine.functions import FUNCTION_ALIASES
+from ..sqlengine.table import Chunk
 from ..sqlengine.planner import (
     _MAX_TOPK_LIMIT,
     MERGEABLE_AGGS,
@@ -563,8 +564,8 @@ class _Verifier:
             return _RelInfo([], opaque=True)
         chunk = op.result.chunk
         return _RelInfo([
-            ColInfo(name, op.binding, _DTYPE_KINDS.get(arr.dtype.kind))
-            for name, arr in zip(chunk.columns, chunk.arrays)
+            ColInfo(name, op.binding, _DTYPE_KINDS.get(chunk.dtype(i).kind))
+            for i, name in enumerate(chunk.columns)
         ])
 
     def visit_AdaptiveJoin(self, op: "p.AdaptiveJoin", path: str) -> _RelInfo:
@@ -1006,11 +1007,10 @@ def _env_cols(rel: "Any") -> list[ColInfo]:
     """Normalize an env entry (Chunk or RelSchema) to ColInfo columns."""
     if isinstance(rel, RelSchema):
         return [ColInfo(name, None) for name in rel.columns]
-    arrays = getattr(rel, "arrays", None)
-    if arrays is not None:
+    if isinstance(rel, Chunk):
         return [
-            ColInfo(name, None, _DTYPE_KINDS.get(arr.dtype.kind))
-            for name, arr in zip(rel.columns, arrays)
+            ColInfo(name, None, _DTYPE_KINDS.get(rel.dtype(i).kind))
+            for i, name in enumerate(rel.columns)
         ]
     return [ColInfo(name, None) for name in rel.columns]
 

@@ -32,7 +32,7 @@ from .sqlast import (
     BinaryOp, ColumnRef, CompoundSelect, Expr, Query, SelectItem, TableRef,
     ValuesClause,
 )
-from .table import Chunk, encode_watch, isna
+from .table import Chunk, encode_watch, gather_threads, isna
 
 __all__ = ["EngineConfig", "Executor"]
 
@@ -168,13 +168,14 @@ class Executor:
     # Entry points
     # ------------------------------------------------------------------
     def execute(self, query: Query) -> Chunk:
-        if self.stats is None:
-            return self._execute(query)
-        token = encode_watch.set(self.stats)
+        threads = gather_threads.set(self.config.threads)
+        watch = None if self.stats is None else encode_watch.set(self.stats)
         try:
             return self._execute(query)
         finally:
-            encode_watch.reset(token)
+            if watch is not None:
+                encode_watch.reset(watch)
+            gather_threads.reset(threads)
 
     def _execute(self, query: Query) -> Chunk:
         env: dict[str, Chunk] = {}
@@ -186,7 +187,7 @@ class Executor:
                         f"CTE {cte.name!r} declares {len(cte.column_names)} columns "
                         f"but produces {chunk.ncols}"
                     )
-                chunk = Chunk(list(cte.column_names), chunk.arrays)
+                chunk = chunk.renamed(list(cte.column_names))
             self.note(f"materialize CTE {cte.name} -> {chunk.nrows} rows x {chunk.ncols} cols")
             env[cte.name] = chunk
         # Dictionary-encoded columns stop here: callers, the wire and the
@@ -254,10 +255,10 @@ class Executor:
                 )
             if chunk.nrows == 0:
                 return None
-            return chunk.arrays[0][0]
+            return chunk.column(0)[0]
         if kind == "in":
             chunk = self._execute_select(select, env)
-            build = chunk.arrays[0]
+            build = chunk.column(0)
             matched = self._membership([operand], [build])
             return matched, bool(isna(build).any()), chunk.nrows == 0
         if kind == "exists":
@@ -319,7 +320,8 @@ class Executor:
         )
         inner_chunk = self._execute_select(inner_select, env, cacheable=False)
         outer_keys = [outer_eval.eval_array(ref) for _, ref in correlated]
-        return self._membership(outer_keys, list(inner_chunk.arrays))
+        return self._membership(outer_keys, [inner_chunk.column(i) for i in
+                                             range(len(outer_keys))])
 
     def _membership(self, probe_keys, build_keys):
         """Membership probe for interpreter-path subqueries.

@@ -204,6 +204,26 @@ _ROW_FORMS = (BinaryOp, UnaryOp, FuncCall, CastExpr, CaseExpr, InList,
 _CONSTANT = -1
 
 
+def _constant(value) -> np.ndarray | None:
+    """A typed scalar as the 0-d array of the dtype it broadcasts to (NULL
+    is a float NaN), or None for any other value."""
+    if value is None:
+        return np.array(np.nan)
+    if isinstance(value, (bool, np.bool_)):
+        return np.array(bool(value))
+    if isinstance(value, (int, np.integer)):
+        return np.array(int(value), dtype=np.int64)
+    if isinstance(value, (float, np.floating)):
+        return np.array(float(value))
+    if isinstance(value, np.datetime64):
+        return np.array(value, dtype="datetime64[D]")
+    if isinstance(value, str):
+        out = np.empty((), dtype=object)
+        out[()] = value
+        return out
+    return None
+
+
 class _DictionaryScope:
     """Scope of the one-column relation a lifted expression runs over:
     every reference in it is that column."""
@@ -229,7 +249,7 @@ class Evaluator:
         # Bound parameter values ({index_or_name: scalar}) for statements
         # with placeholders; None for parameterless statements.
         self.params = params
-        self._has_dict = DictColumn in map(type, chunk.arrays)
+        self._has_dict = DictColumn in map(chunk.kind, range(chunk.ncols))
         self._lift_slots: dict[int, tuple[Expr, int | None]] = {}
         # Grouped mode, entered by plan.aggregate once the operator's
         # aggregates are computed: the group layout, and the GROUP BY key
@@ -265,21 +285,12 @@ class Evaluator:
             return value
         n = self.nrows
         # Typed scalar fast paths: constants broadcast without the object
-        # round-trip (this dominates CASE/COALESCE evaluation cost).
-        if value is None:
-            return np.full(n, np.nan)
-        if isinstance(value, (bool, np.bool_)):
-            return np.full(n, bool(value))
-        if isinstance(value, (int, np.integer)):
-            return np.full(n, int(value), dtype=np.int64)
-        if isinstance(value, (float, np.floating)):
-            return np.full(n, float(value), dtype=np.float64)
-        if isinstance(value, np.datetime64):
-            return np.full(n, value, dtype="datetime64[D]")
+        # round-trip (this dominates COALESCE evaluation cost).
+        const = _constant(value)
+        if const is not None:
+            return np.full(n, const, dtype=const.dtype)
         out = np.empty(n, dtype=object)
         out[:] = value
-        if isinstance(value, str):
-            return out
         return coerce_array(out)
 
     def eval_mask(self, expr: Expr) -> np.ndarray:
@@ -314,8 +325,7 @@ class Evaluator:
             return known[1]
         if isinstance(expr, ColumnRef):
             slot = self.scope.resolve(expr)
-            if slot is not None and \
-                    not isinstance(self.chunk.arrays[slot], DictColumn):
+            if slot is not None and self.chunk.kind(slot) is not DictColumn:
                 slot = None
         elif isinstance(expr, (Literal, Parameter)):
             slot = _CONSTANT
@@ -357,7 +367,7 @@ class Evaluator:
         return value[col.codes]
 
     def _column(self, slot: int) -> np.ndarray:
-        col = self.chunk.arrays[slot]
+        col = self.chunk.column(slot)
         if self.layout is not None:
             # Non-aggregate column in grouped context: representative value.
             return col[self.layout.first]
@@ -483,24 +493,33 @@ class Evaluator:
         return value
 
     def _eval_CaseExpr(self, expr: CaseExpr):
+        """The branches as nested ``np.where`` from the last one up; a
+        constant branch value stays a 0-d array of the type it would
+        broadcast to, so the result's type is that of the broadcast
+        values."""
         conditions = [self.eval_mask(c) for c, _ in expr.branches]
-        values = [self._array(v) for _, v in expr.branches]
-        default = self._array(expr.default) if expr.default is not None else None
-        if default is None:
-            sample = values[0]
-            if sample.dtype == object:
-                default = np.full(self.nrows, None, dtype=object)
-            elif sample.dtype.kind == "M":
-                default = np.full(self.nrows, np.datetime64("NaT"), dtype=sample.dtype)
-            else:
-                default = np.full(self.nrows, np.nan)
+        values = [self._case_value(v) for _, v in expr.branches]
+        if expr.default is not None:
+            default = self._case_value(expr.default)
+        elif values[0].dtype == object:
+            default = np.array(None, dtype=object)
+        elif values[0].dtype.kind == "M":
+            default = np.array(np.datetime64("NaT"), dtype=values[0].dtype)
+        else:
+            default = np.array(np.nan)
         target = default.dtype
         for v in values:
             if v.dtype != target:
                 target = np.promote_types(v.dtype, target) if v.dtype != object and target != object else np.dtype(object)
-        values = [v.astype(target, copy=False) for v in values]
-        return np.select(conditions, values,
-                         default=default.astype(target, copy=False))
+        out = default.astype(target, copy=False)
+        for cond, value in zip(reversed(conditions), reversed(values)):
+            out = np.where(cond, value.astype(target, copy=False), out)
+        return out
+
+    def _case_value(self, expr: Expr) -> np.ndarray:
+        value = self._eval(expr)
+        const = _constant(value)
+        return self._broadcast(value) if const is None else const
 
     def _eval_CastExpr(self, expr: CastExpr):
         value = self._array(expr.operand)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grouping import factorize_many
-from .parallel import parallel_map, parallel_masks, run_partitions
-from .table import Chunk, DictColumn, as_dict, gather, isna
+from .parallel import parallel_masks, run_partitions
+from .table import Chunk, DictColumn, as_dict, isna
 
 __all__ = ["JoinMatch", "join_positions", "combine_chunks", "semi_join_mask",
            "semi_join_flags"]
@@ -300,20 +300,13 @@ def combine_chunks(
     left: Chunk, right: Chunk,
     left_pos: np.ndarray, right_pos: np.ndarray,
     left_missing: np.ndarray, right_missing: np.ndarray,
-    threads: int = 1,
 ) -> Chunk:
-    """Materialize the joined chunk from position/missing vectors.
-
-    Column gathers are independent and fancy indexing releases the GIL, so
-    with ``threads > 1`` they run across the worker pool.
-    """
-    columns = list(left.columns) + list(right.columns)
-    jobs = [(a, left_pos, left_missing) for a in left.arrays]
-    jobs += [(a, right_pos, right_missing) for a in right.arrays]
-    if threads > 1 and len(left_pos) < 4096:
-        threads = 1  # not worth the handoff
-    arrays = parallel_map(threads, lambda job: gather(*job), jobs)
-    return Chunk(columns, arrays)
+    """The joined chunk of position/missing vectors: every column a pending
+    gather of its side's positions (:meth:`Chunk.gathered`), gathered when
+    an operator above reads it."""
+    return Chunk(list(left.columns) + list(right.columns),
+                 left.gathered(left_pos, left_missing)
+                 + right.gathered(right_pos, right_missing))
 
 
 def _null_mask(keys: list) -> np.ndarray:

@@ -330,8 +330,7 @@ class Scan(Operator):
     def execute(self, ctx: ExecContext) -> OpResult:
         ctx.checkpoint()
         if self.table in ctx.env:
-            src = ctx.env[self.table]
-            chunk = Chunk(list(src.columns), list(src.arrays))
+            chunk = ctx.env[self.table]
             if self.keep_columns is not None:
                 chunk = chunk.project(self.keep_columns)
         else:
@@ -352,15 +351,13 @@ class Scan(Operator):
 def _watch_dict_columns(scan: "Scan", chunk: Chunk, stats) -> Chunk:
     """EXPLAIN ANALYZE bookkeeping for a scan's dictionary-encoded columns:
     list them on the Scan's line and have them report to *stats*."""
-    encoded = [(c, a) for c, a in zip(chunk.columns, chunk.arrays)
-               if isinstance(a, DictColumn)]
+    dictionaries = [(c, chunk.dictionary(i))
+                    for i, c in enumerate(chunk.columns)]
+    encoded = [(c, len(d) - 1) for c, d in dictionaries if d is not None]
     if not encoded:
         return chunk
-    stats.scan_dicts[id(scan)] = ", ".join(
-        f"{c}({a.null_code})" for c, a in encoded)
-    return Chunk(chunk.columns, [
-        a.watched(stats) if isinstance(a, DictColumn) else a
-        for a in chunk.arrays])
+    stats.scan_dicts[id(scan)] = ", ".join(f"{c}({n})" for c, n in encoded)
+    return chunk.watched(stats)
 
 
 @dataclass
@@ -384,7 +381,7 @@ class SubqueryScan(Operator):
         ctx.checkpoint()
         chunk = ctx.execute_body(self.body)
         if self.column_names is not None:
-            chunk = Chunk(list(self.column_names), chunk.arrays)
+            chunk = chunk.renamed(list(self.column_names))
         if self.keep_columns is not None:
             chunk = chunk.project(self.keep_columns)
         return OpResult(chunk, _single_scope(self.binding, chunk))
@@ -424,7 +421,9 @@ class Filter(Operator):
     """Pushed-down filter directly above a scan (no subqueries allowed).
 
     The mask is evaluated over row partitions on the shared pool; the kept
-    rows are gathered by their positions (:meth:`Chunk.mask`).
+    rows become a position list the columns are gathered by when an
+    operator above reads them (:meth:`Chunk.mask`), and when every row
+    passes the input flows on unchanged.
     """
 
     child: Operator
@@ -578,8 +577,7 @@ class HashJoin(Operator):
             index = match.index
         else:
             index = "grace-partitioned"
-        chunk = combine_chunks(left_chunk, right_chunk, lp, rp, lmiss, rmiss,
-                               threads=threads)
+        chunk = combine_chunks(left_chunk, right_chunk, lp, rp, lmiss, rmiss)
         ctx.note(
             f"hash join + {self.right_binding} on {len(self.pairs)} key(s): "
             f"{left_chunk.nrows} x {right_chunk.nrows} -> {chunk.nrows} rows, "
@@ -767,17 +765,15 @@ class AdaptiveJoin(Operator):
         for i, _ in order:
             offsets[i] = pos
             pos += results[i].chunk.ncols
-        arrays: list[np.ndarray] = []
-        names: list[str] = []
+        slots: list[int] = []
         scope = Scope()
         for i, _ in self.static_order:
             chunk = results[i].chunk
             base = offsets[i]
             for k, col in enumerate(chunk.columns):
-                scope.add(self.sources[i].binding, col, len(arrays))
-                arrays.append(out.chunk.arrays[base + k])
-                names.append(col)
-        return OpResult(Chunk(names, arrays), scope)
+                scope.add(self.sources[i].binding, col, len(slots))
+                slots.append(base + k)
+        return OpResult(out.chunk.select(slots), scope)
 
 
 @dataclass
@@ -843,7 +839,8 @@ def _subquery_probe_flags(ctx: ExecContext, res: OpResult,
                           subquery_executor=ctx.subquery_cb(),
                           params=ctx.params)
     probes = [evaluator.eval_array(e) for e in probe_exprs]
-    flags = semi_join_flags(probes, list(inner.arrays[:len(probes)]),
+    flags = semi_join_flags(probes,
+                            [inner.column(i) for i in range(len(probes))],
                             threads=ctx.config.threads)
     return flags, inner
 
@@ -907,7 +904,7 @@ def _null_aware_anti_flags(ctx: ExecContext, res: OpResult,
                           subquery_executor=ctx.subquery_cb(),
                           params=ctx.params)
     probes = [evaluator.eval_array(e) for e in probe_exprs]
-    build = list(inner.arrays[:len(probes)])
+    build = [inner.column(i) for i in range(len(probes))]
     value_null = isna(probes[0])
     build_value_null = isna(build[0]) if inner.nrows else \
         np.zeros(0, dtype=bool)
@@ -983,8 +980,7 @@ class AntiJoin(Operator):
 
 def _append_column(res: OpResult, name: str, array: np.ndarray) -> OpResult:
     """A new OpResult with one extra (unqualified) column appended."""
-    chunk = Chunk(list(res.chunk.columns) + [name],
-                  list(res.chunk.arrays) + [array])
+    chunk = res.chunk.with_columns([name], [array])
     scope = _copy_scope(res.scope)
     scope.add(None, name, chunk.ncols - 1)
     return OpResult(chunk, scope, order_eval=res.order_eval,
@@ -1067,7 +1063,7 @@ class ScalarSubqueryScan(Operator):
                 f"scalar subquery returned {inner.nrows} rows "
                 f"(expected at most one)"
             )
-        value = inner.arrays[0][0] if inner.nrows == 1 else None
+        value = inner.column(0)[0] if inner.nrows == 1 else None
         n = res.chunk.nrows
         if value is None:
             column = np.full(n, np.nan)
@@ -1075,7 +1071,7 @@ class ScalarSubqueryScan(Operator):
             column = np.empty(n, dtype=object)
             column[:] = value
         else:
-            column = np.full(n, value, dtype=inner.arrays[0].dtype)
+            column = np.full(n, value, dtype=inner.dtype(0))
         ctx.note(f"scalar subquery {self.scalar_name}: value={value!r}")
         return _append_column(res, self.scalar_name, column)
 
@@ -1184,8 +1180,8 @@ def _eval_with_windows(evaluator: Evaluator, expr: Expr,
     scope = _copy_scope(evaluator.scope)
     for i, k in enumerate(window_values):
         scope.add(None, f"__win_{k}", chunk.ncols + i)
-    widened = Chunk(list(chunk.columns) + [f"__win_{k}" for k in window_values],
-                    list(chunk.arrays) + list(window_values.values()))
+    widened = chunk.with_columns([f"__win_{k}" for k in window_values],
+                                 list(window_values.values()))
     return Evaluator(widened, scope,
                      subquery_executor=evaluator.subquery_executor,
                      params=evaluator.params).eval_array(substitute(expr))
@@ -1474,7 +1470,7 @@ def order_arrays(order_by: list[OrderItem],
         expr = item.expr
         arr = None
         if isinstance(expr, ColumnRef) and expr.table is None and expr.name in out_names:
-            arr = out_chunk.arrays[out_names[expr.name]]
+            arr = out_chunk.column(out_names[expr.name])
         elif order_eval is not None:
             try:
                 arr = order_eval.eval_array(expr)

@@ -11,7 +11,9 @@ short-circuits — and counts the re-plans.
 :meth:`render` produces the EXPLAIN ANALYZE text: the executed plan tree
 with ``est`` vs ``actual`` rows and inclusive elapsed milliseconds per
 node (a ``Scan`` also lists the dictionary-encoded columns it produced),
-followed by the dictionary counters and the adaptive events.  Operators
+followed by the dictionary counters, the late-materialization counters
+(pending columns gathered, and those no operator ever read) and the
+adaptive events.  Operators
 that never executed (e.g. sources of a skipped subquery) show their
 estimate only.
 """
@@ -74,6 +76,10 @@ class RuntimeStats:
     # id(Scan) -> "column(dictionary size), ..." of the encoded columns
     # that Scan produced.
     scan_dicts: dict[int, str] = field(default_factory=dict)
+    # One entry per pending column a selection or join made (see
+    # sqlengine.table, "late materialization"): whether it was gathered,
+    # or handed on to a later selection.
+    late_columns: list = field(default_factory=list)
     # The counters above are bumped from kernel worker threads.
     _dict_lock: threading.Lock = field(default_factory=threading.Lock,
                                        repr=False, compare=False)
@@ -145,6 +151,12 @@ class RuntimeStats:
             lines.append(f"Dictionary columns: dict_lifted={self.dict_lifted} "
                          f"dict_decoded_rows={self.dict_decoded_rows} "
                          f"dict_encoded_rows={self.dict_encoded_rows}")
+        if self.late_columns:
+            gathered = sum(c.gathered for c in self.late_columns)
+            never = sum(not (c.gathered or c.passed_on)
+                        for c in self.late_columns)
+            lines.append(f"Late columns: gathered={gathered} "
+                         f"never_gathered={never}")
         if self.events:
             lines.append("Adaptive events:")
             lines.extend(f"  {event}" for event in self.events)

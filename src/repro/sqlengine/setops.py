@@ -138,7 +138,4 @@ def execute_set_op(op: str, all_: bool, left: Chunk, right: Chunk,
         positions = set_op_positions(op, all_, gids[:nl], gids[nl:],
                                      ngroups, threads=threads)
         source = Chunk(list(columns), [a[:nl] for a in combined])
-    if threads > 1 and len(positions) >= 4096:
-        arrays = parallel_map(threads, lambda a: a[positions], source.arrays)
-        return Chunk(list(columns), arrays)
     return source.take(positions)

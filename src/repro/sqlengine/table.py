@@ -1,20 +1,32 @@
-"""In-memory columnar tables, runtime chunks and the two column
+"""In-memory columnar tables, runtime chunks and the column
 representations a chunk can hold.
 
-A chunk column is either a plain NumPy array or a :class:`DictColumn` —
-``int32`` codes into a dictionary of distinct values.  A ``DictColumn`` is
-born in a scan, under one rule — an object (string) column with at most
-:data:`MAX_DICT_ENTRIES` distinct values — in two places: :meth:`Table.scan`
-of a RAM-resident table, which encodes lazily and keeps the encoding, and
-:meth:`StoredTable.scan <repro.storage.table.StoredTable.scan>`, whose
-columns are stored as codes + dictionary.  From there the codes flow
-through gathers, joins and group/sort/semi-join kernels as 4-byte integers
-and expressions over the column are evaluated on the dictionary
-(:class:`~.expressions.Evaluator`).  Code that was not taught about the
-representation asks :func:`plain` for an object array;
-:meth:`Chunk.decoded` does so for a whole result.  A kernel handed a plain
-string column encodes it itself, per call (:func:`as_dict`); an analyzed
-execution counts those rows (``RuntimeStats.dict_encoded_rows``).
+A materialized chunk column is either a plain NumPy array or a
+:class:`DictColumn` — ``int32`` codes into a dictionary of distinct values.
+A ``DictColumn`` is born in a scan, under one rule — an object (string)
+column with at most :data:`MAX_DICT_ENTRIES` distinct values — in two
+places: :meth:`Table.scan` of a RAM-resident table, which encodes lazily and
+keeps the encoding, and :meth:`StoredTable.scan
+<repro.storage.table.StoredTable.scan>`, whose columns are stored as codes +
+dictionary.  From there the codes flow through gathers, joins and
+group/sort/semi-join kernels as 4-byte integers and expressions over the
+column are evaluated on the dictionary (:class:`~.expressions.Evaluator`).
+Code that was not taught about the representation asks :func:`plain` for an
+object array; :meth:`Chunk.decoded` does so for a whole result.  A kernel
+handed a plain string column encodes it itself, per call (:func:`as_dict`);
+an analyzed execution counts those rows (``RuntimeStats.dict_encoded_rows``).
+
+A chunk column may also be a gather not yet done (late materialization):
+rows :class:`Selection` of a materialized source column.  ``take``,
+``mask``, ``slice`` and the join's :meth:`Chunk.gathered` compose
+positions — one ``int64`` gather per input relation, shared by all of its
+columns — instead of gathering every column, and :meth:`Chunk.column`
+gathers the one column a consumer reads (and keeps it).  An outer join's
+``NULL`` padding travels in the selection too (``missing``, and the
+``nullable`` flag that keeps the padded column's promoted type after a
+later selection drops every padded row).  :attr:`Chunk.arrays` is the
+boundary where every column is materialized: results, serialization and set
+operations.
 """
 
 from __future__ import annotations
@@ -27,13 +39,11 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..errors import SQLBindError
-from ..dataframe._common import (
-    coerce_array, combine_dtypes, isna_array, take_with_nulls,
-)
+from ..dataframe._common import coerce_array, combine_dtypes, isna_array
 
-__all__ = ["Table", "Chunk", "DictColumn", "MAX_DICT_ENTRIES", "encode",
-           "encode_watch", "as_dict", "plain", "isna", "gather",
-           "concat_columns"]
+__all__ = ["Table", "Chunk", "DictColumn", "Selection", "MAX_DICT_ENTRIES",
+           "encode", "encode_watch", "gather_threads", "as_dict", "plain",
+           "isna", "gather", "concat_columns"]
 
 # A scanned object column is dictionary-encoded when it has at most this
 # many distinct values: every expression lifted onto the dictionary costs
@@ -42,8 +52,14 @@ __all__ = ["Table", "Chunk", "DictColumn", "MAX_DICT_ENTRIES", "encode",
 MAX_DICT_ENTRIES = 4096
 
 # The RuntimeStats of the analyzed execution running in this context (set by
-# Executor.execute; None otherwise), told when a kernel encodes a column.
+# Executor.execute; None otherwise), told when a kernel encodes a column and
+# which pending columns were gathered.
 encode_watch: ContextVar = ContextVar("encode_watch", default=None)
+# EngineConfig.threads of the execution running in this context (set by
+# Executor.execute): a pending gather of at least PARALLEL_GATHER_ROWS rows
+# splits by row ranges over that many threads of the shared pool.
+gather_threads: ContextVar = ContextVar("gather_threads", default=1)
+PARALLEL_GATHER_ROWS = 1 << 16
 
 
 class DictColumn:
@@ -204,10 +220,13 @@ def isna(col) -> np.ndarray:
 
 
 def gather(col, positions: np.ndarray, missing: np.ndarray):
-    """Join gather of either representation (see ``take_with_nulls``)."""
-    if isinstance(col, DictColumn):
-        return col.take_with_nulls(positions, missing)
-    return take_with_nulls(col, positions, missing)
+    """Rows *positions* of *col* (either representation), NULL where
+    *missing* is set (the position there is not read): an outer-join
+    gather done now (see :class:`Selection`)."""
+    if not missing.any():
+        return _gather_selection(col, Selection(positions))
+    return _gather_selection(col, Selection(np.where(missing, 0, positions),
+                                            missing, True))
 
 
 def concat_columns(parts: list):
@@ -350,18 +369,187 @@ class Table:
         return f"Table({self.name!r}, cols={self.columns}, n={self.nrows})"
 
 
+class Selection:
+    """The rows a chunk keeps of one input relation: ``positions`` into that
+    relation's columns, shared by every pending column that comes from it.
+
+    ``missing`` (None, or a mask) flags rows an outer join padded with NULL;
+    their positions are valid but unread.  ``nullable`` says an outer join
+    padded some row on the way here, so the gathered column takes the
+    padded type (int and bool become float64, anything but float and date
+    becomes object) even when a later selection dropped every padded row —
+    exactly what gathering at the join and again afterwards produces.
+    """
+
+    __slots__ = ("positions", "missing", "nullable")
+
+    def __init__(self, positions: np.ndarray, missing: np.ndarray | None = None,
+                 nullable: bool = False):
+        self.positions = positions
+        self.missing = missing
+        self.nullable = nullable
+
+    def take(self, positions: np.ndarray,
+             missing: np.ndarray | None = None) -> "Selection":
+        """This selection's rows *positions* (*missing*: padded rows)."""
+        before = _rows(self.missing, positions)
+        if before is not None:
+            missing = before if missing is None else before | missing
+        return Selection(self.positions[positions], missing,
+                         self.nullable or missing is not None)
+
+    def slice(self, start: int, stop: int) -> "Selection":
+        return Selection(self.positions[start:stop],
+                         _rows(self.missing, slice(start, stop)),
+                         self.nullable)
+
+
+def _rows(missing: np.ndarray | None, rows) -> np.ndarray | None:
+    """Rows *rows* of a padding mask; None when none of them is padding."""
+    if missing is None:
+        return None
+    missing = missing[rows]
+    return missing if missing.any() else None
+
+
+class _Lineage:
+    """EXPLAIN ANALYZE bookkeeping of one pending column: whether it was
+    gathered, or handed on to a later selection (the slices a partitioned
+    operator evaluates share their column's lineage)."""
+
+    __slots__ = ("gathered", "passed_on")
+
+    def __init__(self):
+        self.gathered = False
+        self.passed_on = False
+
+
+class _Pending:
+    """A chunk column not yet gathered: rows *sel* of the materialized
+    column *source*.  :meth:`get` gathers it once and keeps the result;
+    two threads racing to gather compute the same value."""
+
+    __slots__ = ("source", "sel", "value", "lineage")
+
+    def __init__(self, source, sel: Selection, lineage: _Lineage | None):
+        self.source = source
+        self.sel = sel
+        self.value = None
+        self.lineage = lineage
+
+    def __len__(self) -> int:
+        return len(self.sel.positions)
+
+    def get(self):
+        value = self.value
+        if value is None:
+            value = self.value = _gather_selection(self.source, self.sel)
+            if self.lineage is not None:
+                self.lineage.gathered = True
+        return value
+
+
+def _take(arr: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``arr[positions]``, split by row ranges over the execution's threads
+    when it is large (fancy indexing of a non-object array releases the
+    GIL)."""
+    threads = gather_threads.get()
+    n = len(positions)
+    if threads < 2 or n < PARALLEL_GATHER_ROWS or arr.dtype == object:
+        return arr[positions]
+    from .parallel import run_partitions
+
+    out = np.empty(n, dtype=arr.dtype)
+    run_partitions(n, threads, lambda start, stop: arr.take(
+        positions[start:stop], out=out[start:stop], mode="clip"))
+    return out
+
+
+def _padded_dtype(col) -> np.dtype:
+    """The type an outer join's NULL padding gives a column of *col*."""
+    if isinstance(col, DictColumn):
+        return col.dtype
+    kind = col.dtype.kind
+    if not len(col):
+        # Every row is padding (take_with_nulls' all-null column).
+        return np.dtype(object if kind == "O" else
+                        "datetime64[D]" if kind == "M" else np.float64)
+    if kind in "iub":
+        return np.dtype(np.float64)
+    return col.dtype if kind in "fM" else np.dtype(object)
+
+
+def _gather_selection(col, sel: Selection):
+    """Rows *sel* of the materialized column *col*."""
+    positions, missing = sel.positions, sel.missing
+    if isinstance(col, DictColumn):
+        if missing is not None:
+            return col.take_with_nulls(positions, missing)
+        return DictColumn(_take(col.codes, positions), col.dictionary,
+                          col.watch)
+    if not sel.nullable:
+        return _take(col, positions)
+    dtype = _padded_dtype(col)
+    null = None if dtype == object else \
+        np.datetime64("NaT") if dtype.kind == "M" else np.nan
+    if not len(col):
+        return np.full(len(positions), null, dtype=dtype)
+    out = _take(col, positions).astype(dtype, copy=False)
+    if missing is not None:
+        out[missing] = null
+    return out
+
+
 class Chunk:
-    """A runtime relation: ordered column names + equal-length arrays."""
+    """A runtime relation: ordered column names + equal-length columns.
 
-    __slots__ = ("columns", "arrays")
+    A column is materialized (a NumPy array or a :class:`DictColumn`) or
+    pending (see the module docstring).  Operators read a column through
+    :meth:`column` / :meth:`kind` / :meth:`dtype`, which gather only that
+    column; :attr:`arrays` materializes all of them.  A chunk is never
+    mutated: every operation returns a new one (or itself).
+    """
 
-    def __init__(self, columns: list[str], arrays: list[np.ndarray]):
+    __slots__ = ("columns", "_cols")
+
+    def __init__(self, columns: list[str], arrays: list):
         self.columns = columns
-        self.arrays = arrays
+        self._cols = arrays
+
+    @property
+    def arrays(self) -> list:
+        """Every column, materialized: the boundary where a relation
+        leaves late materialization."""
+        return [c.get() if type(c) is _Pending else c for c in self._cols]
+
+    def column(self, i: int):
+        """Column *i*, gathered now if it was pending (and kept)."""
+        c = self._cols[i]
+        return c.get() if type(c) is _Pending else c
+
+    def kind(self, i: int) -> type:
+        """The class column *i* has (or will have once gathered):
+        ``np.ndarray`` or :class:`DictColumn`."""
+        c = self._cols[i]
+        c = c.source if type(c) is _Pending else c
+        return DictColumn if isinstance(c, DictColumn) else np.ndarray
+
+    def dtype(self, i: int) -> np.dtype:
+        """The dtype column *i* has (or will have once gathered)."""
+        c = self._cols[i]
+        if type(c) is _Pending:
+            return _padded_dtype(c.source) if c.sel.nullable else c.source.dtype
+        return c.dtype
+
+    def dictionary(self, i: int) -> np.ndarray | None:
+        """The dictionary of column *i* when it is a :class:`DictColumn`."""
+        c = self._cols[i]
+        c = c.source if type(c) is _Pending else c
+        return c.dictionary if isinstance(c, DictColumn) else None
 
     @property
     def nrows(self) -> int:
-        return len(self.arrays[0]) if self.arrays else 0
+        return len(self._cols[0]) if self._cols else 0
 
     @property
     def ncols(self) -> int:
@@ -380,30 +568,99 @@ class Chunk:
         keep = [i for i, c in enumerate(self.columns) if c in names]
         if len(keep) == len(self.columns):
             return self
-        if not keep:
-            keep = [0]
-        return Chunk([self.columns[i] for i in keep], [self.arrays[i] for i in keep])
+        return self.select(keep or [0])
+
+    def select(self, slots: list[int]) -> "Chunk":
+        """The columns at *slots*, in that order, as they are."""
+        return Chunk([self.columns[i] for i in slots],
+                     [self._cols[i] for i in slots])
+
+    def renamed(self, names: list[str]) -> "Chunk":
+        return Chunk(names, self._cols)
+
+    def with_columns(self, names: list[str], arrays: list) -> "Chunk":
+        """This relation with materialized columns *arrays* appended."""
+        return Chunk(self.columns + names, self._cols + list(arrays))
+
+    def watched(self, watch) -> "Chunk":
+        """This relation with its dictionary columns reporting to *watch*."""
+        cols = []
+        for c in self._cols:
+            if type(c) is _Pending and isinstance(c.source, DictColumn):
+                c = _Pending(c.source.watched(watch), c.sel, c.lineage)
+            elif isinstance(c, DictColumn):
+                c = c.watched(watch)
+            cols.append(c)
+        return Chunk(self.columns, cols)
 
     def decoded(self) -> "Chunk":
         """This relation with every column a plain array: what leaves the
         engine as a final result."""
-        if not any(isinstance(a, DictColumn) for a in self.arrays):
+        if not any(type(c) is _Pending or isinstance(c, DictColumn)
+                   for c in self._cols):
             return self
         return Chunk(self.columns, [
             a.decode(counted=False) if isinstance(a, DictColumn) else a
             for a in self.arrays])
 
+    def gathered(self, positions: np.ndarray,
+                 missing: np.ndarray | None = None) -> list:
+        """Every column as a pending gather of rows *positions*, where
+        *missing* (if any row is set) flags rows to pad with NULL: one
+        composed position array per input selection, no column gathered."""
+        if missing is not None and not missing.any():
+            missing = None
+        cols = self._cols if self.nrows else self.arrays
+        watch = encode_watch.get()
+        own = None
+        composed: dict[int, Selection] = {}
+        out = []
+        for c in cols:
+            if type(c) is _Pending:
+                sel = composed.get(id(c.sel))
+                if sel is None:
+                    sel = composed[id(c.sel)] = c.sel.take(positions, missing)
+                source = c.source
+                if c.lineage is not None:
+                    c.lineage.passed_on = True
+            else:
+                if own is None:
+                    own = Selection(positions, missing, missing is not None)
+                sel, source = own, c
+            lineage = None
+            if watch is not None:
+                lineage = _Lineage()
+                watch.late_columns.append(lineage)
+            out.append(_Pending(source, sel, lineage))
+        return out
+
     def take(self, positions: np.ndarray) -> "Chunk":
-        return Chunk(list(self.columns), [a[positions] for a in self.arrays])
+        return Chunk(list(self.columns), self.gathered(positions))
 
     def mask(self, mask: np.ndarray) -> "Chunk":
-        """The rows where *mask* is true: one position list, then a
-        position gather per column (several times cheaper than boolean
-        indexing each column, whose cost grows with unpredictable masks)."""
-        return self.take(np.flatnonzero(mask))
+        """The rows where *mask* is true (this chunk when that is all of
+        them): one position list the columns gather from when read."""
+        positions = np.flatnonzero(mask)
+        if len(positions) == self.nrows:
+            return self
+        return self.take(positions)
 
     def slice(self, start: int, stop: int) -> "Chunk":
-        return Chunk(list(self.columns), [a[start:stop] for a in self.arrays])
+        if start == 0 and stop >= self.nrows:
+            return self
+        sliced: dict[int, Selection] = {}
+        cols = []
+        for c in self._cols:
+            if type(c) is not _Pending:
+                cols.append(c[start:stop])
+            elif c.value is not None:
+                cols.append(c.value[start:stop])
+            else:
+                sel = sliced.get(id(c.sel))
+                if sel is None:
+                    sel = sliced[id(c.sel)] = c.sel.slice(start, stop)
+                cols.append(_Pending(c.source, sel, c.lineage))
+        return Chunk(list(self.columns), cols)
 
     def head(self, n: int) -> "Chunk":
         return self.slice(0, n)
@@ -413,12 +670,17 @@ class Chunk:
         if not chunks:
             return Chunk([], [])
         first = chunks[0]
-        arrays = [concat_columns([c.arrays[i] for c in chunks])
+        parts = [c.arrays for c in chunks]
+        arrays = [concat_columns([p[i] for p in parts])
                   for i in range(first.ncols)]
         return Chunk(list(first.columns), arrays)
 
     def to_dict(self) -> dict[str, list]:
         return {c: a.tolist() for c, a in zip(self.columns, self.arrays)}
+
+    def __reduce__(self):
+        # Pickled materialized: a pending column never ships its source.
+        return Chunk, (list(self.columns), self.arrays)
 
     def __repr__(self) -> str:
         return f"Chunk(cols={self.columns}, n={self.nrows})"

@@ -42,7 +42,7 @@ from ..sqlengine.expressions import Evaluator
 from ..sqlengine.joins import join_positions
 from ..sqlengine.plan import aggregate
 from ..sqlengine.sqlast import expr_key
-from ..sqlengine.table import Chunk, concat_columns, plain
+from ..sqlengine.table import Chunk, DictColumn, concat_columns, plain
 
 __all__ = ["chunk_nbytes", "spillable_keys", "grace_join_positions",
            "grace_aggregate", "partition_ids", "SpillStats"]
@@ -63,10 +63,13 @@ class SpillStats:
 def chunk_nbytes(chunk: Chunk) -> int:
     """Estimated resident size of a runtime chunk in bytes."""
     total = 0
-    for arr in chunk.arrays:
-        total += int(arr.nbytes)
-        if arr.dtype == object:
-            total += len(arr) * _OBJECT_ELEM_BYTES
+    n = chunk.nrows
+    for i in range(chunk.ncols):
+        # Read off the dtypes: a pending column is not gathered to be sized.
+        dtype = chunk.dtype(i)
+        total += n * (4 if chunk.kind(i) is DictColumn else dtype.itemsize)
+        if dtype == object:
+            total += n * _OBJECT_ELEM_BYTES
     return total
 
 

@@ -7,8 +7,9 @@ against a *virtual* repo path, so path-scoped rules (ENG001 only in
 ``sqlengine/plan.py``, ENG002 only in engine packages, ENG007 relative
 import resolution, ENG008 only in ``sqlengine/`` and ``storage/``, ENG009
 only in ``server/``, ENG010 everywhere but ``sqlengine/sqlast.py``, ENG011
-only in ``sqlengine/``, ENG012 everywhere but ``core/tondir/ir.py``) see the
-same inputs they do in production.
+only in ``sqlengine/``, ENG012 everywhere but ``core/tondir/ir.py``, ENG013
+only in the operator modules of ``sqlengine/``) see the same inputs they do
+in production.
 """
 
 from __future__ import annotations
@@ -329,6 +330,54 @@ class TestTondirShapeInIr:
     def test_no_allowlist_entry(self):
         assert not any(":ENG012:" in entry
                        for entry in lint_engine.load_allowlist())
+
+
+class TestChunkArraysInOperators:
+    JOINS = REPO / "src/repro/sqlengine/joins.py"
+    EXPRESSIONS = REPO / "src/repro/sqlengine/expressions.py"
+    # The parent tree's sites: the Evaluator and the join's combine_chunks
+    # read every column to use one (or to gather them all eagerly).
+    EVALUATOR = ("class Evaluator:\n"
+                 "    def __init__(self, chunk):\n"
+                 "        self._has_dict = DictColumn in map(type, chunk.arrays)\n"
+                 "    def _column(self, slot):\n"
+                 "        return self.chunk.arrays[slot]\n")
+    COMBINE = ("def combine_chunks(left, right, lp, rp):\n"
+               "    return [gather(a, lp) for a in left.arrays] + \\\n"
+               "        [gather(a, rp) for a in right.arrays]\n")
+
+    def test_arrays_reads_in_operator_modules(self):
+        found = lint(self.EVALUATOR, self.EXPRESSIONS)
+        assert rules(found) == ["ENG013", "ENG013"]
+        assert [f.symbol for f in found] == ["Evaluator.__init__",
+                                             "Evaluator._column"]
+        found = lint(self.COMBINE, self.JOINS)
+        assert rules(found) == ["ENG013", "ENG013"]
+        assert {f.symbol for f in found} == {"combine_chunks"}
+        for module in ("plan", "executor", "setops", "window", "grouping"):
+            path = REPO / f"src/repro/sqlengine/{module}.py"
+            assert rules(lint("x = chunk.arrays[0]\n", path)) == ["ENG013"]
+
+    def test_column_reads_and_other_modules_are_fine(self):
+        src = ("def probe(chunk, n):\n"
+               "    kinds = [chunk.kind(i) for i in range(chunk.ncols)]\n"
+               "    return chunk.column(0), chunk.dtype(1), kinds\n")
+        assert lint(src, self.EXPRESSIONS) == []
+        # The boundaries outside the operator modules: the chunk itself,
+        # result conversion, spill and shard serialization.
+        for path in ("src/repro/sqlengine/table.py",
+                     "src/repro/sqlengine/database.py",
+                     "src/repro/storage/spill.py",
+                     "src/repro/server/shard.py"):
+            assert lint("x = chunk.arrays\n", REPO / path) == []
+        # Only reads count: a class of its own may keep an ``arrays`` field.
+        assert lint("self.arrays = []\n", self.JOINS) == []
+
+    def test_allowlisted_sites_are_the_whole_row_operators(self):
+        entries = {e for e in lint_engine.load_allowlist() if ":ENG013:" in e}
+        assert entries == {
+            "src/repro/sqlengine/setops.py:ENG013:execute_set_op",
+            "src/repro/sqlengine/plan.py:ENG013:Distinct.execute"}
 
 
 class TestRunner:

@@ -86,6 +86,15 @@ ENG012 tondir-shape-in-ir
     and calls itself is a second, hand-written walk of the term tree — the
     kind that forgot ``Win`` in one ladder and NULLs in another.
 
+ENG013 chunk-arrays-in-operators
+    ``Chunk.arrays`` gathers every pending column of a chunk (late
+    materialization, ``sqlengine/table.py``).  In the operator modules —
+    ``sqlengine/{plan,joins,expressions,executor,setops,window,grouping}.py``
+    — an operator reads the columns it uses through ``Chunk.column`` /
+    ``kind`` / ``dtype``, so that a column no operator reads is never
+    gathered; any ``.arrays`` read there is flagged.  The places that need
+    every column (set operations, ``Distinct``) are allowlisted.
+
 Findings are identified as ``path:RULE:symbol`` (symbol = nearest
 enclosing ``Class.function``, or ``<module>``); adding that line to
 ``tools/lint_engine_allow.txt`` suppresses the finding.  Run:
@@ -128,6 +137,10 @@ AST_MODULE = "src/repro/sqlengine/sqlast.py"
 AST_CHILD_FIELDS = frozenset(
     "left right operand low high arg args items branches default "
     "partition_by order_by query".split())
+# The operator modules that read chunk columns one at a time (ENG013).
+CHUNK_READER_MODULES = frozenset(
+    f"src/repro/sqlengine/{m}.py" for m in
+    "plan joins expressions executor setops window grouping".split())
 # The module that declares TondIR's shape, and its term classes (ENG012).
 TONDIR_IR_MODULE = "src/repro/core/tondir/ir.py"
 TONDIR_TERM_CLASSES = frozenset("Var Const BinOp If Agg Ext Win".split())
@@ -339,8 +352,14 @@ class _Linter(ast.NodeVisitor):
                 f"({', '.join(sorted(tested))}) — use the traversals "
                 f"core/tondir/ir.py derives from its declaration"))
 
-    # -- ENG008 -----------------------------------------------------------
+    # -- ENG008, ENG013 ---------------------------------------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:
+        if self.rel in CHUNK_READER_MODULES and node.attr == "arrays" \
+                and isinstance(node.ctx, ast.Load):
+            self.emit("ENG013", node,
+                      ".arrays gathers every column of a chunk — read the "
+                      "columns the operator uses with Chunk.column / kind / "
+                      "dtype")
         if self.executor_client and node.attr.startswith("_") \
                 and not node.attr.startswith("__") \
                 and _is_name(node.value, "executor"):

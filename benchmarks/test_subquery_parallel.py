@@ -1,14 +1,14 @@
-"""Subquery decorrelation benchmark: planned semi/anti joins vs the
-residual expression-interpreter path.
+"""Subquery decorrelation benchmark: planned semi/anti joins vs a per-row
+membership loop.
 
-``subquery_decorrelate=True`` (the default) plans ``IN (SELECT ...)`` /
-``NOT IN (SELECT ...)`` as SemiJoin/AntiJoin over the vectorized,
-morsel-parallel membership kernel; ``subquery_decorrelate=False`` is the
-engine's *reference mode* — the residual interpreter end-to-end, with the
-audited per-row membership loop (``joins.semi_join_mask``) standing in for
-every probe.  On 200k-row inputs the planned path must be ≥5x faster than
-that reference (the acceptance criterion for the subquery tentpole);
-row-level agreement between the two paths is always asserted first.
+The planner plans ``IN (SELECT ...)`` / ``NOT IN (SELECT ...)`` /
+correlated ``EXISTS`` as SemiJoin/AntiJoin over the vectorized,
+morsel-parallel membership kernel.  The baseline is the audited per-row
+reference (``tests.helpers.semi_join_mask``: one Python set probe per row)
+over the same key arrays — the membership loop alone, without scanning,
+filtering or counting.  On 200k-row inputs each whole planned query must
+be ≥5x faster than that loop; the query's count and the loop's are
+asserted equal first.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from repro import connect
 from repro.sqlengine import EngineConfig
 from repro.sqlengine.parallel import shutdown_pools
+from tests.helpers import semi_join_mask
 
 from conftest import save_series
 
@@ -46,8 +47,9 @@ def _available_cores() -> int:
 
 def _make_db(n: int):
     """Integer surrogate keys (the dense-presence-bitmap fast path) plus a
-    string-keyed mirror (the C-looped set-containment path) — the residual
-    interpreter walks Python rows either way."""
+    string-keyed mirror (the C-looped set-containment path) — the per-row
+    loop walks Python rows either way.  Also returns the probe and build
+    key arrays of the integer and the string IN."""
     rng = np.random.default_rng(31)
     n_accounts = max(n // 5, 1000)
     names = np.array([f"acct-{i:07d}" for i in range(n_accounts)],
@@ -60,88 +62,95 @@ def _make_db(n: int):
         "actor_name": names[actor_of_event],
         "amt": np.round(rng.uniform(0.0, 100.0, n), 2),
     }, primary_key="id")
+    flagged = (rng.random(n_accounts) < 0.4).astype(np.int64)
     db.register("accounts", {
         "actor": np.arange(n_accounts, dtype=np.int64),
         "actor_name": names,
-        "flagged": (rng.random(n_accounts) < 0.4).astype(np.int64),
+        "flagged": flagged,
     })
-    return db
+    keys = {"int": (actor_of_event, np.flatnonzero(flagged == 1)),
+            "str": (names[actor_of_event], names[flagged == 1])}
+    return db, keys
 
 
-def _best_ms(db, sql: str, config: EngineConfig, repeats: int = 3) -> float:
+def _best_ms(run, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        db.execute_chunk(sql, config)
+        run()
         best = min(best, time.perf_counter() - start)
     return best * 1000.0
 
 
-def test_planned_semi_join_beats_residual_path(benchmark):
+def test_planned_semi_join_beats_per_row_loop(benchmark):
     n = max(N_ROWS, 50_000)
-    db = _make_db(n)
+    db, keys = _make_db(n)
 
-    residual_cfg = EngineConfig(threads=1, subquery_decorrelate=False)
     planned1_cfg = EngineConfig(threads=1)
     planned4_cfg = EngineConfig(threads=4)
 
-    # The decorrelated plans must be visible and produce identical rows.
-    for sql, node in ((IN_SQL, "SemiJoin"), (NOT_IN_SQL, "AntiJoin"),
-                      (EXISTS_SQL, "SemiJoin"), (STR_IN_SQL, "SemiJoin")):
-        assert node in db.explain_plan(sql), sql
-        reference = db.execute_chunk(sql, residual_cfg).arrays[0][0]
-        for cfg in (planned1_cfg, planned4_cfg):
-            assert db.execute_chunk(sql, cfg).arrays[0][0] == reference, sql
+    def loop(kind):
+        probe, build = keys[kind]
+        return lambda: semi_join_mask([probe], [build])
 
-    benchmark.pedantic(
-        lambda: db.execute_chunk(IN_SQL, planned4_cfg), rounds=1, iterations=1,
-    )
-    residual_ms = _best_ms(db, IN_SQL, residual_cfg)
-    planned1_ms = _best_ms(db, IN_SQL, planned1_cfg)
-    planned4_ms = _best_ms(db, IN_SQL, planned4_cfg)
-    anti_residual_ms = _best_ms(db, NOT_IN_SQL, residual_cfg)
-    anti_planned_ms = _best_ms(db, NOT_IN_SQL, planned4_cfg)
-    exists_residual_ms = _best_ms(db, EXISTS_SQL, residual_cfg)
-    exists_planned_ms = _best_ms(db, EXISTS_SQL, planned4_cfg)
-    str_residual_ms = _best_ms(db, STR_IN_SQL, residual_cfg)
-    str_planned_ms = _best_ms(db, STR_IN_SQL, planned4_cfg)
+    # The decorrelated plans must be visible and count what the loop does.
+    matched = int(loop("int")().sum())
+    for sql, node, kind, want in (
+            (IN_SQL, "SemiJoin", "int", matched),
+            (NOT_IN_SQL, "AntiJoin", "int", n - matched),
+            (EXISTS_SQL, "SemiJoin", "int", matched),
+            (STR_IN_SQL, "SemiJoin", "str", int(loop("str")().sum()))):
+        assert node in db.explain_plan(sql), sql
+        for cfg in (planned1_cfg, planned4_cfg):
+            assert db.execute_chunk(sql, cfg).arrays[0][0] == want, sql
+
+    def query(sql, cfg):
+        return lambda: db.execute_chunk(sql, cfg)
+
+    benchmark.pedantic(query(IN_SQL, planned4_cfg), rounds=1, iterations=1)
+    loop_ms = _best_ms(loop("int"))
+    str_loop_ms = _best_ms(loop("str"))
+    planned1_ms = _best_ms(query(IN_SQL, planned1_cfg))
+    planned4_ms = _best_ms(query(IN_SQL, planned4_cfg))
+    anti_planned_ms = _best_ms(query(NOT_IN_SQL, planned4_cfg))
+    exists_planned_ms = _best_ms(query(EXISTS_SQL, planned4_cfg))
+    str_planned_ms = _best_ms(query(STR_IN_SQL, planned4_cfg))
     cores = _available_cores()
     save_series(
         "subquery_parallel",
         f"IN-subquery over {n} events x {max(n // 5, 1000)} accounts, "
         f"cores={cores}\n"
-        f"IN residual interpreter (threads=1) {residual_ms:8.2f} ms\n"
+        f"per-row membership loop (int keys)  {loop_ms:8.2f} ms\n"
+        f"per-row membership loop (str keys)  {str_loop_ms:8.2f} ms\n"
         f"IN SemiJoin (threads=1)             {planned1_ms:8.2f} ms\n"
         f"IN SemiJoin (threads=4)             {planned4_ms:8.2f} ms\n"
-        f"NOT IN residual                     {anti_residual_ms:8.2f} ms\n"
         f"NOT IN AntiJoin (threads=4)         {anti_planned_ms:8.2f} ms\n"
-        f"EXISTS residual                     {exists_residual_ms:8.2f} ms\n"
         f"EXISTS SemiJoin (threads=4)         {exists_planned_ms:8.2f} ms\n"
-        f"string-key IN residual              {str_residual_ms:8.2f} ms\n"
         f"string-key IN SemiJoin (threads=4)  {str_planned_ms:8.2f} ms\n"
-        f"IN planned vs residual (serial)   {residual_ms / planned1_ms:8.2f}x\n"
-        f"NOT IN planned vs residual        {anti_residual_ms / anti_planned_ms:8.2f}x\n"
-        f"string-key planned vs residual    {str_residual_ms / str_planned_ms:8.2f}x",
+        f"IN planned vs loop (serial)       {loop_ms / planned1_ms:8.2f}x\n"
+        f"NOT IN planned vs loop            {loop_ms / anti_planned_ms:8.2f}x\n"
+        f"string-key planned vs loop        {str_loop_ms / str_planned_ms:8.2f}x",
     )
-    # Acceptance: each planned rewrite is >= 5x the interpreter path, even
-    # serially (the win is vectorization; threads only add on top).
-    assert planned1_ms * 5 <= residual_ms, (
+    # Acceptance: each whole planned query is >= 5x the membership loop
+    # alone, even serially (the win is vectorization; threads only add on
+    # top).
+    assert planned1_ms * 5 <= loop_ms, (
         f"planned SemiJoin ({planned1_ms:.2f} ms) not >=5x faster than the "
-        f"residual path ({residual_ms:.2f} ms)"
+        f"per-row loop ({loop_ms:.2f} ms)"
     )
-    assert anti_planned_ms * 5 <= anti_residual_ms, (
+    assert anti_planned_ms * 5 <= loop_ms, (
         f"planned AntiJoin ({anti_planned_ms:.2f} ms) not >=5x faster than "
-        f"the residual path ({anti_residual_ms:.2f} ms)"
+        f"the per-row loop ({loop_ms:.2f} ms)"
     )
-    assert exists_planned_ms * 5 <= exists_residual_ms, (
+    assert exists_planned_ms * 5 <= loop_ms, (
         f"planned EXISTS SemiJoin ({exists_planned_ms:.2f} ms) not >=5x "
-        f"faster than the residual path ({exists_residual_ms:.2f} ms)"
+        f"faster than the per-row loop ({loop_ms:.2f} ms)"
     )
     # String keys can't use the presence bitmap; the C-looped containment
     # still clears a conservative bound over the per-row Python loop.
-    assert str_planned_ms * 3 <= str_residual_ms, (
+    assert str_planned_ms * 3 <= str_loop_ms, (
         f"string-key SemiJoin ({str_planned_ms:.2f} ms) not >=3x faster "
-        f"than the residual path ({str_residual_ms:.2f} ms)"
+        f"than the per-row loop ({str_loop_ms:.2f} ms)"
     )
     if cores >= 4:
         assert planned4_ms <= planned1_ms * 1.5, (

@@ -10,13 +10,13 @@ is a planner (or hand-built-plan) bug, never a user error, and raises
 ``>``-separated path from the plan root to the offending node.
 
 The verifier is deliberately *lenient about the unknown*: a column
-reference that does not resolve in the synthesized schema may still
-resolve at runtime through an enclosing scope (correlated subqueries in
-residual predicates) or legitimately fail with a user-facing
-``SQLBindError`` — neither is a plan bug, so unresolved user references
-are skipped.  Only planner-generated constructs (``__mark_N`` /
-``__scalar_N`` columns, join key pairs whose sides both resolve, SetOp
-column lists, zone-map chunk selections) are held to strict rules, which
+reference that does not resolve in the synthesized schema may
+legitimately fail at runtime with a user-facing ``SQLBindError`` — not a
+plan bug, so unresolved user references are skipped.  Only
+planner-generated constructs (``__mark_N`` / ``__scalar_N`` columns, join
+key pairs whose sides both resolve, SetOp column lists, zone-map chunk
+selections, subquery forms, which the planner must have replaced) are
+held to strict rules, which
 is what keeps the false-positive rate at zero across the TPC-H suite,
 the plan-shape goldens, and the fuzz corpus.
 
@@ -39,7 +39,6 @@ from ..sqlengine.planner import (
     MERGEABLE_AGGS,
     RelSchema,
     _chunk_may_match,
-    has_subquery,
 )
 from ..sqlengine.sqlast import (
     AggCall,
@@ -65,7 +64,7 @@ from ..sqlengine.sqlast import (
     ValuesClause,
     WindowCall,
     WindowFrame,
-    children,
+    clauses,
     walk,
 )
 
@@ -77,6 +76,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sqlengine.table import Table
 
 _MARK_RE = re.compile(r"^__(mark|scalar)_\d+$")
+_VALUE_RE = re.compile(r"^\$\d+$")
+_SUBQUERY_FORMS = (InSubquery, ExistsExpr, ScalarSubquery)
 
 # numpy dtype kind -> verifier kind class (same partition the planner uses
 # for join-key compatibility estimates).
@@ -201,11 +202,8 @@ def _expr_kind(expr: Expr, cols: list[ColInfo]) -> tuple[Optional[str], bool]:
                 return "numeric", nullable or expr.op in ("/", "%")
             return None, True  # date arithmetic etc.: leave unknown
         return None, True
-    if isinstance(expr, (IsNull, LikeExpr, BetweenExpr, InList, InSubquery,
-                         ExistsExpr)):
+    if isinstance(expr, (IsNull, LikeExpr, BetweenExpr, InList)):
         return "numeric", True
-    if isinstance(expr, ScalarSubquery):
-        return None, True
     if isinstance(expr, CaseExpr):
         kinds = set()
         for _, value in expr.branches:
@@ -265,14 +263,22 @@ class _Verifier:
     def fail(self, invariant: str, message: str, path: str) -> "NoReturn":
         raise PlanInvariantError(invariant, message, path)
 
-    def check_mark_refs(self, exprs: "Iterable[Expr]", cols: list[ColInfo],
-                        path: str) -> None:
-        """Planner-introduced __mark_N/__scalar_N refs must be in scope."""
+    def check_exprs(self, exprs: "Iterable[Expr]", cols: list[ColInfo],
+                    path: str) -> None:
+        """Planner-introduced __mark_N/__scalar_N refs must be in scope, and
+        no subquery form is left for an evaluator."""
         for expr in exprs:
-            for ref in expr_columns(expr):
-                if _MARK_RE.match(ref.name) and _resolve(cols, ref) is None:
+            for node in walk(expr):
+                if isinstance(node, _SUBQUERY_FORMS):
+                    self.fail("expr.subquery",
+                              f"{type(node).__name__} left in an operator "
+                              f"expression (the planner replaces every "
+                              f"subquery form)", path)
+                if isinstance(node, ColumnRef) and \
+                        _MARK_RE.match(node.name) and \
+                        _resolve(cols, node) is None:
                     self.fail("mark.scope",
-                              f"reference to {ref.name!r} which is not "
+                              f"reference to {node.name!r} which is not "
                               f"produced by any operator below", path)
 
     # -- entry points -----------------------------------------------------
@@ -425,12 +431,7 @@ class _Verifier:
 
     def visit_Filter(self, op: p.Filter, path: str) -> _RelInfo:
         rel = self.child(op.child, path)
-        for pred in op.predicates:
-            if has_subquery(pred):
-                self.fail("filter.subquery",
-                          "subquery predicate pushed below a join boundary "
-                          "(must stay in a ResidualFilter)", path)
-        self.check_mark_refs(op.predicates, rel.cols, path)
+        self.check_exprs(op.predicates, rel.cols, path)
         self._check_prune_soundness(op, path)
         return _RelInfo(rel.cols, opaque=rel.opaque)
 
@@ -463,7 +464,7 @@ class _Verifier:
 
     def visit_ResidualFilter(self, op: p.ResidualFilter, path: str) -> _RelInfo:
         rel = self.child(op.child, path)
-        self.check_mark_refs(op.predicates, rel.cols, path)
+        self.check_exprs(op.predicates, rel.cols, path)
         return _RelInfo(rel.cols, opaque=rel.opaque)
 
     # -- joins ------------------------------------------------------------
@@ -500,7 +501,7 @@ class _Verifier:
                       f"(planner rejects this as unsupported)", path)
         for i, (lexpr, rexpr) in enumerate(op.pairs):
             self._check_pair(i, lexpr, rexpr, left, right, path)
-        self.check_mark_refs(op.residual, left.cols + right.cols, path)
+        self.check_exprs(op.residual, left.cols + right.cols, path)
         lcols = left.cols
         rcols = right.cols
         if op.how in ("left", "full"):
@@ -621,7 +622,7 @@ class _Verifier:
             self.fail("subquery.probe-arity",
                       f"{len(op.probe_exprs)} probe expression(s) against a "
                       f"subplan producing {len(inner.cols)} column(s)", path)
-        self.check_mark_refs(op.probe_exprs, rel.cols, path)
+        self.check_exprs(op.probe_exprs, rel.cols, path)
         if inner.opaque or rel.opaque:
             return
         for i, probe in enumerate(op.probe_exprs[:len(inner.cols)]):
@@ -683,19 +684,35 @@ class _Verifier:
                        internal=True)
         return _RelInfo(rel.cols + [mark], opaque=rel.opaque)
 
+    def _check_value_arity(self, inner: _RelInfo, path: str) -> None:
+        if not inner.opaque and len(inner.cols) != 1:
+            self.fail("subquery.scalar-arity",
+                      f"scalar or IN subquery produces {len(inner.cols)} "
+                      f"column(s), expected exactly 1", path)
+
     def visit_ScalarSubqueryScan(self, op: p.ScalarSubqueryScan,
                                  path: str) -> _RelInfo:
         rel = self.child(op.child, path)
         inner = self.subplan(op.subplan, path)
-        if not inner.opaque and len(inner.cols) != 1:
-            self.fail("subquery.scalar-arity",
-                      f"scalar subquery produces {len(inner.cols)} "
-                      f"column(s), expected exactly 1", path)
+        self._check_value_arity(inner, path)
         self._define_mark(op.scalar_name, "__scalar_", path)
         kind = inner.cols[0].kind if not inner.opaque and inner.cols else None
         scalar = ColInfo(op.scalar_name, None, kind, nullable=True,
                          internal=True)
         return _RelInfo(rel.cols + [scalar], opaque=rel.opaque)
+
+    def visit_InitPlan(self, op: p.InitPlan, path: str) -> _RelInfo:
+        rel = self.child(op.child, path)
+        for name, kind, plan in op.values:
+            if not _VALUE_RE.match(name) or \
+                    kind not in ("scalar", "in", "exists", "not exists"):
+                self.fail("value.name",
+                          f"InitPlan value {name!r} of kind {kind!r} (want "
+                          f"$N of scalar / in / [not] exists)", path)
+            inner = self.subplan(plan, path)
+            if kind in ("scalar", "in"):
+                self._check_value_arity(inner, path)
+        return rel
 
     # -- window -----------------------------------------------------------
 
@@ -814,7 +831,7 @@ class _Verifier:
         if items is None:
             return _RelInfo([], opaque=True)
         exprs = [it.expr for it in items]
-        self.check_mark_refs(exprs, rel.cols, path)
+        self.check_exprs(exprs, rel.cols, path)
         all_direct = self._all_direct(rel)
         cols = []
         for i, it in enumerate(items):
@@ -826,6 +843,8 @@ class _Verifier:
 
     def visit_Project(self, op: p.Project, path: str) -> _RelInfo:
         rel = self.child(op.child, path)
+        # Sort / TopK above evaluate these keys over this input.
+        self.check_exprs([o.expr for o in op.select.order_by], rel.cols, path)
         for sub in walk(op.select):
             if isinstance(sub, WindowCall) and id(sub) not in rel.window_ids:
                 self.fail("window.placement",
@@ -836,7 +855,10 @@ class _Verifier:
     def visit_HashAggregate(self, op: p.HashAggregate, path: str) -> _RelInfo:
         rel = self.child(op.child, path)
         select = op.select
-        self.check_mark_refs(children(select), rel.cols, path)
+        # WHERE and ON were planned below; the rest is evaluated here.
+        self.check_exprs([e for clause, exprs in clauses(select)
+                          if clause not in ("joins", "where") for e in exprs],
+                         rel.cols, path)
         all_direct = self._all_direct(rel)
         for sub in walk(select):
             if isinstance(sub, WindowCall):

@@ -5,34 +5,23 @@ Layering (see ``docs/ARCHITECTURE.md``): the :mod:`.planner` compiles each
 :mod:`.plan` carry it out — scans, joins, projection, aggregation, ordering
 and window functions all execute there.  What is left here is what needs a
 per-execution owner: the CTE environment, plan lookup (plus the static
-verifier on a miss), bound parameters, cancellation and deadline, the
-stats/trace sinks, and the residual-subquery callback — the one place that
-must plan and run a nested ``SELECT`` while an outer expression is being
-evaluated.
+verifier on a miss), bound parameters, cancellation and deadline, and the
+stats/trace sinks.  Subqueries are planned like everything else, so nothing
+here runs a nested ``SELECT`` on an expression's behalf.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
-import numpy as np
-
-from ..errors import (
-    QueryCancelledError, QueryTimeoutError, SQLBindError, SQLExecutionError,
-    UnsupportedFeatureError,
-)
+from ..errors import QueryCancelledError, QueryTimeoutError, SQLBindError
 from .catalog import Catalog
-from .expressions import Evaluator, expr_columns
-from .joins import semi_join_mask
 from .plan import ExecContext, PhysicalPlan, values_chunk
-from .planner import Planner, RelSchema, _conjoin, split_conjuncts
-from .sqlast import (
-    BinaryOp, ColumnRef, CompoundSelect, Expr, Query, SelectItem, TableRef,
-    ValuesClause,
-)
-from .table import Chunk, encode_watch, gather_threads, isna
+from .planner import Planner, RelSchema
+from .sqlast import Query, ValuesClause
+from .table import Chunk, encode_watch, gather_threads
 
 __all__ = ["EngineConfig", "Executor"]
 
@@ -51,10 +40,6 @@ class EngineConfig:
     plan_cache_size: int = 256
     # Whether ORDER BY + LIMIT fuses into the parallel TopK operator.
     topk_rewrite: bool = True
-    # Whether the planner rewrites IN/NOT IN/EXISTS/NOT EXISTS and scalar
-    # subqueries into SemiJoin/AntiJoin/MarkJoin/ScalarSubqueryScan plan
-    # nodes; off, every subquery runs through the residual interpreter path.
-    subquery_decorrelate: bool = True
     # Out-of-core execution (see repro.storage): when set, a HashJoin whose
     # smaller input or a HashAggregate whose input exceeds this many bytes
     # runs the grace-partition spill-to-disk path instead of building its
@@ -120,7 +105,7 @@ class Executor:
     :class:`~.database.Database` plan-cache entry that owns the parsed AST
     (ids are only stable while the AST is alive, which the entry
     guarantees).  Without one, a map scoped to this Executor is used, so
-    repeated subquery bodies within a statement still plan once.
+    a body executed twice within a statement still plans once.
     """
 
     def __init__(self, catalog: Catalog, config: EngineConfig | None = None,
@@ -204,7 +189,7 @@ class Executor:
     # Plan lookup
     # ------------------------------------------------------------------
     def plan_for(self, select, env: dict[str, Chunk],
-                 cacheable: bool = True, final: bool = False) -> PhysicalPlan:
+                 final: bool = False) -> PhysicalPlan:
         """Fetch (or build and remember) the physical plan for a body
         (a plain SELECT or a compound select; *final*: the statement's own
         body, whose rows are the result)."""
@@ -226,115 +211,17 @@ class Executor:
             from ..analysis import verify_plan
 
             verify_plan(plan, self.catalog, self.config, env)
-        if cacheable:
-            self.plans[id(select)] = plan
-            # Derived-table bodies were planned as part of this plan; register
-            # their subplans so SubqueryScan execution reuses them.
-            for body, subplan in plan.subquery_plans():
-                self.plans.setdefault(id(body), subplan)
+        self.plans[id(select)] = plan
+        # Derived-table bodies were planned as part of this plan; register
+        # their subplans so SubqueryScan execution reuses them.
+        for body, subplan in plan.derived_table_plans():
+            self.plans.setdefault(id(body), subplan)
         return plan
 
     def _execute_select(self, select, env: dict[str, Chunk],
-                        cacheable: bool = True, final: bool = False) -> Chunk:
+                        final: bool = False) -> Chunk:
         """Execute a SELECT or compound-select body through its plan."""
-        plan = self.plan_for(select, env, cacheable=cacheable, final=final)
+        plan = self.plan_for(select, env, final=final)
         if self.stats is not None:
             self.stats.record_plan(plan)
-        return plan.execute(ExecContext(self, env))
-
-    # ------------------------------------------------------------------
-    # Subqueries
-    # ------------------------------------------------------------------
-    def subquery(self, kind: str, select, env, outer_eval: Evaluator, operand):
-        if kind == "scalar":
-            chunk = self._execute_select(select, env)
-            if chunk.nrows > 1:
-                raise SQLExecutionError(
-                    f"scalar subquery returned {chunk.nrows} rows "
-                    "(expected at most one)"
-                )
-            if chunk.nrows == 0:
-                return None
-            return chunk.column(0)[0]
-        if kind == "in":
-            chunk = self._execute_select(select, env)
-            build = chunk.column(0)
-            matched = self._membership([operand], [build])
-            return matched, bool(isna(build).any()), chunk.nrows == 0
-        if kind == "exists":
-            return self._execute_exists(select, env, outer_eval)
-        raise SQLBindError(f"unknown subquery kind {kind!r}")
-
-    def _execute_exists(self, select, env, outer_eval: Evaluator) -> np.ndarray:
-        if isinstance(select, CompoundSelect):
-            # Compound EXISTS bodies are never correlated-decomposed; the
-            # whole compound executes once.
-            chunk = self._execute_select(select, env)
-            return np.full(outer_eval.nrows, chunk.nrows > 0)
-        inner_cols: set[str] = set()
-        inner_bindings: set[str] = set()
-        for rel in select.relations:
-            if isinstance(rel, TableRef):
-                inner_bindings.add(rel.binding)
-                if rel.name in env:
-                    inner_cols.update(env[rel.name].columns)
-                else:
-                    inner_cols.update(self.catalog.schema(rel.name).columns)
-            else:
-                raise UnsupportedFeatureError("EXISTS over subquery relations is not supported")
-
-        def is_inner(ref: ColumnRef) -> bool:
-            if ref.table is not None:
-                return ref.table in inner_bindings
-            return ref.name in inner_cols
-
-        correlated: list[tuple[Expr, Expr]] = []
-        remaining: list[Expr] = []
-        for conj in split_conjuncts(select.where):
-            if isinstance(conj, BinaryOp) and conj.op == "=":
-                l_refs = expr_columns(conj.left)
-                r_refs = expr_columns(conj.right)
-                l_inner = all(is_inner(r) for r in l_refs) and bool(l_refs)
-                r_inner = all(is_inner(r) for r in r_refs) and bool(r_refs)
-                l_outer = bool(l_refs) and all(not is_inner(r) for r in l_refs)
-                r_outer = bool(r_refs) and all(not is_inner(r) for r in r_refs)
-                if l_inner and r_outer:
-                    correlated.append((conj.left, conj.right))
-                    continue
-                if r_inner and l_outer:
-                    correlated.append((conj.right, conj.left))
-                    continue
-            remaining.append(conj)
-
-        if not correlated:
-            chunk = self._execute_select(select, env)
-            return np.full(outer_eval.nrows, chunk.nrows > 0)
-
-        inner_select = replace(
-            select,
-            items=[SelectItem(expr=e, alias=f"k{i}") for i, (e, _) in enumerate(correlated)],
-            where=_conjoin(remaining),
-            order_by=[],
-            limit=None,
-            distinct=False,
-        )
-        inner_chunk = self._execute_select(inner_select, env, cacheable=False)
-        outer_keys = [outer_eval.eval_array(ref) for _, ref in correlated]
-        return self._membership(outer_keys, [inner_chunk.column(i) for i in
-                                             range(len(outer_keys))])
-
-    def _membership(self, probe_keys, build_keys):
-        """Membership probe for interpreter-path subqueries.
-
-        Under the default config the planner has already lifted every WHERE
-        conjunct it can, so whatever reaches here (SELECT-list/HAVING
-        predicates, non-decorrelatable shapes) still deserves the vectorized
-        kernel.  With ``subquery_decorrelate=False`` the engine runs in
-        reference mode — the audited per-row implementation end-to-end —
-        which is also what the subquery benchmark measures against.
-        """
-        if self.config.subquery_decorrelate:
-            from .joins import semi_join_flags
-
-            return semi_join_flags(probe_keys, build_keys)
-        return semi_join_mask(probe_keys, build_keys)
+        return plan.execute(ExecContext(self, env, self.params))

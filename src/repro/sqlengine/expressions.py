@@ -1,9 +1,11 @@
 """Expression evaluation over runtime chunks.
 
 The evaluator resolves column references through a :class:`Scope` (alias ->
-slot mapping built by the operators), applies SQL null semantics (comparisons
-with NULL are false, arithmetic propagates NULL via NaN/None), and delegates
-subquery forms back to the executor through a callback.
+slot mapping built by the operators) and applies SQL null semantics
+(comparisons with NULL are false, arithmetic propagates NULL via NaN/None).
+It never sees a subquery: the planner replaces each one with a column of a
+subquery operator below or a placeholder an ``InitPlan`` above binds
+(``$N``; for ``x IN (SELECT ...)`` a set-valued item of an ``InList``).
 
 Dictionary-encoded columns (:class:`~.table.DictColumn`) get one rule, not
 one per operator: a sub-expression whose only column input is a single
@@ -13,7 +15,7 @@ still holds and the result gathered by the codes (:meth:`Evaluator._lifted`).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .sqlast import (
     Expr, FuncCall, InList, InSubquery, IsNull, LikeExpr, Literal, Parameter,
     ScalarSubquery, Star, UnaryOp, WindowCall, children, expr_key, walk,
 )
-from .table import Chunk, DictColumn, isna
+from .table import Chunk, DictColumn
 
 __all__ = ["Scope", "Evaluator", "expr_columns", "contains_aggregate",
            "has_subquery", "has_window", "sql_aggregate"]
@@ -236,18 +238,11 @@ class _DictionaryScope:
 class Evaluator:
     """Evaluates expressions over a chunk, with optional grouped mode."""
 
-    def __init__(
-        self,
-        chunk: Chunk,
-        scope: Scope,
-        subquery_executor: Callable | None = None,
-        params: dict | None = None,
-    ):
+    def __init__(self, chunk: Chunk, scope: Scope, params: dict | None = None):
         self.chunk = chunk
         self.scope = scope
-        self.subquery_executor = subquery_executor
-        # Bound parameter values ({index_or_name: scalar}) for statements
-        # with placeholders; None for parameterless statements.
+        # Bound placeholder values ({index_or_name: value}); None when the
+        # statement has none.
         self.params = params
         self._has_dict = DictColumn in map(chunk.kind, range(chunk.ncols))
         self._lift_slots: dict[int, tuple[Expr, int | None]] = {}
@@ -418,6 +413,10 @@ class Evaluator:
                 a, b = lv[i], rv[i]
                 out[i] = None if a is None or b is None else str(a) + str(b)
             return out
+        # A NULL scalar (literal, placeholder, empty scalar subquery)
+        # propagates as NaN.
+        left = np.nan if left is None else left
+        right = np.nan if right is None else right
         # Date +/- interval.
         left, right = self._coerce_interval(left, right, op)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -544,16 +543,24 @@ class Evaluator:
         ``x IN (...)`` is TRUE on a match, UNKNOWN (→ false) when ``x`` is
         NULL or the list contains a NULL and nothing matched.  ``NOT IN``
         negates the three-valued result, so an unmatched row is only kept
-        when neither the operand nor any list item is NULL.
+        when neither the operand nor any list item is NULL.  A placeholder
+        bound to an array — the value column of an uncorrelated ``IN
+        (SELECT ...)`` — stands for every value in it; ``NOT IN`` an empty
+        one is TRUE for every row, NULL operands included.
         """
+        from .joins import semi_join_flags
+
         n = self.nrows
         operand = self._array(expr.operand)
         mask = np.zeros(n, dtype=bool)
         item_null = np.zeros(n, dtype=bool)
         scalars: list = []
+        sets: list[np.ndarray] = []
         for item in expr.items:
             value = self._eval(item)
-            if isinstance(value, np.ndarray):
+            if isinstance(item, Parameter) and isinstance(value, np.ndarray):
+                sets.append(value)
+            elif isinstance(value, np.ndarray):
                 mask |= _null_safe_compare(operand, value, "=", n)
                 item_null |= isna_array(value)
             elif _is_null_scalar(value):
@@ -563,8 +570,6 @@ class Evaluator:
         if scalars:
             # All scalar literals resolve in one membership probe rather
             # than one full-column compare per item (long generated lists).
-            from .joins import semi_join_flags
-
             if operand.dtype.kind == "M":
                 build = np.array(
                     [np.datetime64(v, "D") if isinstance(v, str) else v
@@ -572,8 +577,13 @@ class Evaluator:
             else:
                 build = coerce_array(np.array(scalars, dtype=object))
             mask |= semi_join_flags([operand], [build])
+        for values in sets:
+            mask |= semi_join_flags([operand], [values])
+            item_null |= bool(isna_array(values).any())
         if not expr.negated:
             return mask
+        if len(sets) == len(expr.items) and not any(map(len, sets)):
+            return np.ones(n, dtype=bool)
         return ~mask & ~item_null & ~isna_array(operand)
 
     def _eval_BetweenExpr(self, expr: BetweenExpr):
@@ -613,41 +623,6 @@ class Evaluator:
             [isinstance(v, str) and matches(v) is not None for v in operand],
             dtype=bool,
         )
-
-    # -- subquery forms (delegated to the executor) ------------------------------
-    def _eval_ScalarSubquery(self, expr: ScalarSubquery):
-        if self.subquery_executor is None:
-            raise SQLBindError("scalar subquery not supported in this context")
-        return self.subquery_executor("scalar", expr.query, self)
-
-    def _eval_InSubquery(self, expr: InSubquery):
-        """``x [NOT] IN (SELECT ...)`` via the executor callback.
-
-        The callback returns ``(matched, build_has_null, build_empty)`` so
-        the three-valued ``NOT IN`` semantics can be applied here: over an
-        empty inner result NOT IN is TRUE for every row (NULL operands
-        included); a NULL anywhere — operand or inner result — otherwise
-        makes the unmatched case UNKNOWN, which filters the row out.
-        """
-        if self.subquery_executor is None:
-            raise SQLBindError("IN subquery not supported in this context")
-        operand = self.eval_array(expr.operand)
-        matched, build_has_null, build_empty = self.subquery_executor(
-            "in", expr.query, self, operand
-        )
-        if not expr.negated:
-            return matched
-        if build_empty:
-            return np.ones(self.nrows, dtype=bool)
-        if build_has_null:
-            return np.zeros(self.nrows, dtype=bool)
-        return ~matched & ~isna(operand)
-
-    def _eval_ExistsExpr(self, expr: ExistsExpr):
-        if self.subquery_executor is None:
-            raise SQLBindError("EXISTS not supported in this context")
-        mask = self.subquery_executor("exists", expr.query, self, None)
-        return ~mask if expr.negated else mask
 
     def _eval_WindowCall(self, expr: WindowCall):
         raise SQLBindError("window functions are evaluated by the executor")

@@ -17,10 +17,9 @@ import numpy as np
 
 from .grouping import factorize_many
 from .parallel import parallel_masks, run_partitions
-from .table import Chunk, DictColumn, as_dict, isna
+from .table import Chunk, DictColumn, as_dict
 
-__all__ = ["JoinMatch", "join_positions", "combine_chunks", "semi_join_mask",
-           "semi_join_flags"]
+__all__ = ["JoinMatch", "join_positions", "combine_chunks", "semi_join_flags"]
 
 
 def _ranges_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -307,43 +306,6 @@ def combine_chunks(
     return Chunk(list(left.columns) + list(right.columns),
                  left.gathered(left_pos, left_missing)
                  + right.gathered(right_pos, right_missing))
-
-
-def _null_mask(keys: list) -> np.ndarray:
-    """Rows where any key column is NULL (those rows never equi-match)."""
-    out = np.zeros(len(keys[0]) if keys else 0, dtype=bool)
-    for a in keys:
-        out |= isna(a)
-    return out
-
-
-def semi_join_mask(probe_keys: list[np.ndarray], build_keys: list[np.ndarray]) -> np.ndarray:
-    """Boolean mask over probe rows that have a match in build keys.
-
-    This is the *reference* membership implementation (a Python hash set,
-    one tuple per row): simple enough to audit for SQL NULL semantics — a
-    NULL on either side never matches.  (The ``np.isin`` path it replaced
-    wrongly matched NaN↔NaN and NaT↔NaT.)  It runs end-to-end when
-    ``EngineConfig.subquery_decorrelate`` is off — the engine's auditable
-    reference mode, and the baseline the subquery benchmark measures
-    against.  Under the default config every probe, including the
-    interpreter fallbacks for SELECT-list/HAVING subqueries, goes through
-    the vectorized, morsel-parallel :func:`semi_join_flags`; a property
-    test pins the two implementations to identical results.
-    """
-    n = len(probe_keys[0]) if probe_keys else 0
-    if not n:
-        return np.zeros(0, dtype=bool)
-    build_null = _null_mask(build_keys)
-    keys = set()
-    for j in range(len(build_null)):
-        if not build_null[j]:
-            keys.add(tuple(a[j] for a in build_keys))
-    probe_null = _null_mask(probe_keys)
-    out = np.zeros(n, dtype=bool)
-    for i in range(n):
-        out[i] = (not probe_null[i]) and tuple(a[i] for a in probe_keys) in keys
-    return out
 
 
 def semi_join_flags(probe_keys: list, build_keys: list,

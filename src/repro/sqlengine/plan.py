@@ -18,10 +18,13 @@ operators that run them; window functions are evaluated by the
 :class:`Window` operator over the kernels in :mod:`.window`.  What an
 operator needs from the per-execution driver (:class:`~.executor.Executor`)
 goes through :class:`ExecContext`: the trace note, the cancellation check,
-running a derived-table body, the residual-subquery callback, and the
+running a derived-table body, the bound placeholder values, and the
 scatter hook of :class:`Exchange` — the partition boundary the planner
 places between a partial and a final ``HashAggregate``/``TopK`` stage when
-``EngineConfig.shard_workers > 0``.
+``EngineConfig.shard_workers > 0``.  Subqueries are operators too
+(``SemiJoin``, ``AntiJoin``, ``MarkJoin``, ``ScalarSubqueryScan``,
+``InitPlan``): each runs its planned subquery once per execution, so no
+expression ever calls back into the driver.
 
 Filter masks, projections, ``HashJoin`` probes, ``HashAggregate``
 reductions, and ``Window`` partition reductions are partitioned across the
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
@@ -42,7 +45,7 @@ import numpy as np
 from ..dataframe._common import coerce_array
 from ..errors import SQLBindError, SQLExecutionError, UnsupportedFeatureError
 from .expressions import (
-    Evaluator, Scope, aggregates_of, has_subquery, has_window, sql_aggregate,
+    Evaluator, Scope, aggregates_of, has_window, sql_aggregate,
 )
 from .grouping import (
     GroupedColumn, GroupLayout, factorize_many, sum_of_products, sum_result,
@@ -50,10 +53,10 @@ from .grouping import (
 from .joins import combine_chunks, join_positions
 from .parallel import parallel_arrays, parallel_masks
 from .sqlast import (
-    AggCall, BetweenExpr, BinaryOp, CaseExpr, CastExpr, ColumnRef, ExistsExpr,
-    Expr, FuncCall, InList, InSubquery, IsNull, LikeExpr, Literal, OrderItem,
-    Parameter, ScalarSubquery, Select, SelectItem, Star, UnaryOp,
-    ValuesClause, WindowCall, WindowFrame, expr_key, map_children,
+    AggCall, BetweenExpr, BinaryOp, CaseExpr, CastExpr, ColumnRef, Expr,
+    FuncCall, InList, IsNull, LikeExpr, Literal, OrderItem, Parameter, Select,
+    SelectItem, Star, UnaryOp, ValuesClause, WindowCall, WindowFrame,
+    expr_key, map_children,
 )
 from .table import Chunk, DictColumn, isna, plain
 
@@ -66,7 +69,7 @@ __all__ = [
     "ExecContext", "OpResult", "Operator", "Scan", "SubqueryScan", "DualScan",
     "Filter", "CrossJoin", "HashJoin", "ResidualFilter", "Window", "Project",
     "HashAggregate", "Distinct", "Sort", "TopK", "Limit", "Exchange", "SetOp",
-    "SemiJoin", "AntiJoin", "MarkJoin", "ScalarSubqueryScan",
+    "SemiJoin", "AntiJoin", "MarkJoin", "ScalarSubqueryScan", "InitPlan",
     "AdaptiveSource", "AdaptiveJoin", "Materialized",
     "PhysicalPlan", "expr_to_str", "window_to_str", "frame_to_str",
     "output_name", "AggregateBatch", "aggregate", "order_arrays",
@@ -85,7 +88,10 @@ def expr_to_str(expr: Expr) -> str:
     if isinstance(expr, ColumnRef):
         return f"{expr.table}.{expr.name}" if expr.table else expr.name
     if isinstance(expr, Parameter):
-        return f":{expr.name}" if expr.name is not None else "?"
+        if expr.name is None:
+            return "?"
+        # An InitPlan's value ($N) is not a user placeholder (:name).
+        return expr.name if expr.name[0] == "$" else f":{expr.name}"
     if isinstance(expr, Star):
         return "*"
     if isinstance(expr, BinaryOp):
@@ -107,13 +113,6 @@ def expr_to_str(expr: Expr) -> str:
     if isinstance(expr, InList):
         neg = "NOT " if expr.negated else ""
         return f"{expr_to_str(expr.operand)} {neg}IN (...)"
-    if isinstance(expr, InSubquery):
-        neg = "NOT " if expr.negated else ""
-        return f"{expr_to_str(expr.operand)} {neg}IN (subquery)"
-    if isinstance(expr, ExistsExpr):
-        return ("NOT " if expr.negated else "") + "EXISTS (subquery)"
-    if isinstance(expr, ScalarSubquery):
-        return "(subquery)"
     if isinstance(expr, BetweenExpr):
         neg = "NOT " if expr.negated else ""
         return (f"{expr_to_str(expr.operand)} {neg}BETWEEN "
@@ -184,16 +183,13 @@ class ExecContext:
 
     executor: "Executor"
     env: dict[str, Chunk]
+    # Bound placeholder values of this execution (None when the statement
+    # has none), plus the subquery values an InitPlan above has bound.
+    params: Optional[dict]
 
     @property
     def config(self) -> "EngineConfig":
         return self.executor.config
-
-    @property
-    def params(self) -> object:
-        """Bound placeholder values of this execution (None when the
-        statement has no parameters)."""
-        return self.executor.params
 
     @property
     def exchange(self) -> "Callable[..., list[Chunk]] | None":
@@ -212,15 +208,6 @@ class ExecContext:
     def execute_body(self, body: object) -> Chunk:
         """Run a derived-table body (VALUES, SELECT or compound select)."""
         return self.executor.execute_body(body, self.env)
-
-    def subquery_cb(self) -> "Callable[..., object]":
-        env = self.env
-
-        def cb(kind: str, sub_select: object, outer_eval: object,
-               operand: object = None) -> object:
-            return self.executor.subquery(kind, sub_select, env, outer_eval, operand)
-
-        return cb
 
 
 @dataclass
@@ -796,8 +783,7 @@ class ResidualFilter(Operator):
         ctx.checkpoint()
         chunk = res.chunk
         before = chunk.nrows
-        evaluator = Evaluator(chunk, res.scope, subquery_executor=ctx.subquery_cb(),
-                              params=ctx.params)
+        evaluator = Evaluator(chunk, res.scope, params=ctx.params)
         mask = np.ones(chunk.nrows, dtype=bool)
         for conj in self.predicates:
             mask &= evaluator.eval_mask(conj)
@@ -835,9 +821,7 @@ def _subquery_probe_flags(ctx: ExecContext, res: OpResult,
     n = res.chunk.nrows
     if not probe_exprs:
         return np.full(n, inner.nrows > 0), inner
-    evaluator = Evaluator(res.chunk, res.scope,
-                          subquery_executor=ctx.subquery_cb(),
-                          params=ctx.params)
+    evaluator = Evaluator(res.chunk, res.scope, params=ctx.params)
     probes = [evaluator.eval_array(e) for e in probe_exprs]
     flags = semi_join_flags(probes,
                             [inner.column(i) for i in range(len(probes))],
@@ -900,9 +884,7 @@ def _null_aware_anti_flags(ctx: ExecContext, res: OpResult,
     inner = subplan.execute(ctx)
     n = res.chunk.nrows
     threads = ctx.config.threads
-    evaluator = Evaluator(res.chunk, res.scope,
-                          subquery_executor=ctx.subquery_cb(),
-                          params=ctx.params)
+    evaluator = Evaluator(res.chunk, res.scope, params=ctx.params)
     probes = [evaluator.eval_array(e) for e in probe_exprs]
     build = [inner.column(i) for i in range(len(probes))]
     value_null = isna(probes[0])
@@ -1058,12 +1040,7 @@ class ScalarSubqueryScan(Operator):
         res = self.child.run(ctx)
         ctx.checkpoint()
         inner = self.subplan.execute(ctx)
-        if inner.nrows > 1:
-            raise SQLExecutionError(
-                f"scalar subquery returned {inner.nrows} rows "
-                f"(expected at most one)"
-            )
-        value = inner.column(0)[0] if inner.nrows == 1 else None
+        value = _scalar_value(inner)
         n = res.chunk.nrows
         if value is None:
             column = np.full(n, np.nan)
@@ -1074,6 +1051,55 @@ class ScalarSubqueryScan(Operator):
             column = np.full(n, value, dtype=inner.dtype(0))
         ctx.note(f"scalar subquery {self.scalar_name}: value={value!r}")
         return _append_column(res, self.scalar_name, column)
+
+
+def _scalar_value(inner: Chunk) -> object:
+    """The value of a scalar subquery's result: its one cell, None (NULL)
+    for no row, an error for more than one (SQL's cardinality rule)."""
+    if inner.nrows > 1:
+        raise SQLExecutionError(
+            f"scalar subquery returned {inner.nrows} rows "
+            f"(expected at most one)"
+        )
+    return inner.column(0)[0] if inner.nrows == 1 else None
+
+
+@dataclass
+class InitPlan(Operator):
+    """Bind the values of uncorrelated subqueries, then run *child*.
+
+    Each entry of ``values`` is ``(name, kind, subplan)``: the planner
+    replaced the subquery with the placeholder ``name`` (``$N``), and this
+    operator, at the plan's root, runs ``subplan`` once per execution and
+    binds what the placeholder reads — ``scalar``: the one value (NULL for
+    no row); ``exists`` / ``not exists``: a boolean; ``in``: the value
+    column, which ``x [NOT] IN ($N)`` probes as a set.  Every operator
+    below, Exchange workers included, sees them in ``ctx.params``.
+    """
+
+    child: Operator
+    values: list = field(default_factory=list)
+    est_rows: float | None = None
+
+    def children(self) -> list[Operator]:
+        return [self.child] + [plan.root for _, _, plan in self.values]
+
+    def label(self) -> str:
+        return "InitPlan " + ", ".join(f"{name} = {kind.upper()}"
+                                       for name, kind, _ in self.values)
+
+    def execute(self, ctx: ExecContext) -> OpResult:
+        bound = dict(ctx.params or {})
+        for name, kind, plan in self.values:
+            ctx.checkpoint()
+            inner = plan.execute(ctx)
+            if kind == "scalar":
+                bound[name] = _scalar_value(inner)
+            elif kind == "in":
+                bound[name] = plain(inner.column(0))
+            else:
+                bound[name] = (inner.nrows > 0) != (kind == "not exists")
+        return self.child.run(replace(ctx, params=bound))
 
 
 @dataclass
@@ -1110,10 +1136,8 @@ class Window(Operator):
             )
         res = self.child.run(ctx)
         ctx.checkpoint()
-        values = evaluate_window_calls(
-            res.chunk, res.scope, self.calls, config, ctx.subquery_cb(),
-            params=ctx.params,
-        )
+        values = evaluate_window_calls(res.chunk, res.scope, self.calls,
+                                       config, params=ctx.params)
         specs = {
             (tuple(map(expr_to_str, c.partition_by)),
              tuple(expr_to_str(o.expr) for o in c.order_by))
@@ -1183,7 +1207,6 @@ def _eval_with_windows(evaluator: Evaluator, expr: Expr,
     widened = chunk.with_columns([f"__win_{k}" for k in window_values],
                                  list(window_values.values()))
     return Evaluator(widened, scope,
-                     subquery_executor=evaluator.subquery_executor,
                      params=evaluator.params).eval_array(substitute(expr))
 
 
@@ -1207,16 +1230,12 @@ class Project(Operator):
         ctx.checkpoint()
         chunk, scope = res.chunk, res.scope
         window_values = res.window_values or {}
-        cb = ctx.subquery_cb()
         params = ctx.params
         items = _expand_items(self.select, chunk, scope)
-        evaluator = Evaluator(chunk, scope, subquery_executor=cb, params=params)
-        # Items with subqueries stay off the worker pool (see aggregate()).
-        if (chunk.nrows > 1 and not window_values
-                and not any(has_subquery(it.expr) for it in items)):
+        evaluator = Evaluator(chunk, scope, params=params)
+        if chunk.nrows > 1 and not window_values:
             def make_arrays(start: int, stop: int) -> list[np.ndarray]:
-                ev = Evaluator(chunk.slice(start, stop), scope,
-                               subquery_executor=cb, params=params)
+                ev = Evaluator(chunk.slice(start, stop), scope, params=params)
                 return [ev.eval_array(it.expr) for it in items]
 
             arrays = parallel_arrays(chunk.nrows, ctx.config.threads, make_arrays)
@@ -1345,8 +1364,7 @@ def aggregate(ctx: ExecContext, batch: AggregateBatch, chunk: Chunk,
     """
     select = batch.select
     items = _expand_items(select, chunk, scope)
-    evaluator = Evaluator(chunk, scope, subquery_executor=ctx.subquery_cb(),
-                          params=ctx.params)
+    evaluator = Evaluator(chunk, scope, params=ctx.params)
     threads = ctx.config.threads
     if select.group_by:
         key_arrays = [evaluator.eval_array(g) for g in select.group_by]
@@ -1621,16 +1639,14 @@ class Exchange(Operator):
         """The Scans under *root* if every operator there can run in a
         shard worker, which has the stored tables and the bound parameters
         and nothing else (no CTE env, no planner): scans, filters and
-        inner/cross joins, residual predicates subquery-free.  Else None."""
+        inner/cross joins.  Else None."""
         scans: list[Scan] = []
         stack = [root]
         while stack:
             op = stack.pop()
             if not isinstance(op, (Scan, Filter, ResidualFilter, HashJoin,
                                    CrossJoin)) \
-                    or (isinstance(op, HashJoin) and op.how != "inner") \
-                    or (isinstance(op, ResidualFilter)
-                        and any(has_subquery(e) for e in op.predicates)):
+                    or (isinstance(op, HashJoin) and op.how != "inner"):
                 return None
             if isinstance(op, Scan):
                 scans.append(op)
@@ -1651,7 +1667,7 @@ class Exchange(Operator):
                 ids = range(lo, hi) if op.chunk_ids is None else op.chunk_ids
                 op.chunk_ids = [cid for cid in ids if lo <= cid < hi]
             stack.extend(op.children())
-        return child.run(ExecContext(executor, {})).chunk
+        return child.run(ExecContext(executor, {}, executor.params)).chunk
 
 
 _SET_OP_SQL = {"union": "UNION", "intersect": "INTERSECT", "except": "EXCEPT"}
@@ -1727,7 +1743,7 @@ class PhysicalPlan:
         walk(self.root, 0)
         return "\n".join(lines)
 
-    def subquery_plans(self) -> "Iterator[tuple[object, PhysicalPlan]]":
+    def derived_table_plans(self) -> "Iterator[tuple[object, PhysicalPlan]]":
         """Yield ``(body, subplan)`` for every derived table in the tree
         (recursively), so callers can register them for reuse."""
 

@@ -10,7 +10,11 @@ Decisions made here:
 * **predicate pushdown** — WHERE conjuncts owned by a single FROM source
   become a :class:`~.plan.Filter` directly above that source's scan;
   equality conjuncts spanning two sources become hash-join edges; the rest
-  (subqueries, correlated references, 3+-source predicates) stay residual;
+  (subquery predicates, 3+-source predicates) stay residual;
+* **subqueries** — every IN / EXISTS / scalar subquery, in any clause,
+  becomes a SemiJoin / AntiJoin / MarkJoin / ScalarSubqueryScan or a value
+  an InitPlan binds (see "subqueries" below); a shape that cannot be
+  unnested is an error here, never a run-time fallback;
 * **projection pruning** — each scan keeps only columns referenced anywhere
   in the statement (including nested subqueries), and a CTE keeps only the
   output columns its consumers read (:func:`prune_cte_columns`, applied to
@@ -37,9 +41,10 @@ from ..errors import SQLBindError, UnsupportedFeatureError
 from .catalog import Catalog
 from .plan import (
     AdaptiveJoin, AdaptiveSource, AntiJoin, CrossJoin, Distinct, DualScan,
-    Exchange, Filter, HashAggregate, HashJoin, Limit, MarkJoin, Operator,
-    PhysicalPlan, Project, ResidualFilter, Scan, ScalarSubqueryScan, SemiJoin,
-    SetOp, Sort, SubqueryScan, TopK, Window, output_name,
+    Exchange, Filter, HashAggregate, HashJoin, InitPlan, Limit, MarkJoin,
+    Operator, PhysicalPlan, Project, ResidualFilter, Scan, ScalarSubqueryScan,
+    SemiJoin, SetOp, Sort, SubqueryScan, TopK, Window, expr_to_str,
+    output_name,
 )
 from .expressions import (
     aggregates_of, contains_aggregate, expr_columns, has_subquery, has_window,
@@ -48,9 +53,9 @@ from .table import Table
 from .sqlast import (
     AggCall, BetweenExpr, BinaryOp, ColumnRef, CompoundSelect, ExistsExpr,
     Expr, InList, InSubquery, IsNull, LikeExpr, Literal, Node, OrderItem,
-    Query, ScalarSubquery, Select, SelectItem, Star, SubqueryRef, TableRef,
-    UnaryOp, ValuesClause, WindowCall, WithQuery, bodies, children, clauses,
-    expr_key, map_children, walk,
+    Parameter, Query, ScalarSubquery, Select, SelectItem, Star, SubqueryRef,
+    TableRef, UnaryOp, ValuesClause, WindowCall, WithQuery, bodies, children,
+    clauses, expr_key, map_children, walk,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -124,21 +129,24 @@ def collect_windows(select: Select) -> list[WindowCall]:
 
 
 def collect_needed_columns(select: Select,
-                           final: bool = False) -> tuple[set, bool, set]:
+                           final: bool = False) -> tuple[set, bool, set, set]:
     """All (qualifier, name) column references in the whole statement.
 
-    Returns ``(refs, has_star, computed)``; *refs* drives projection pruning
-    of scans.  Subquery bodies are walked too (their correlated references
-    must keep outer columns alive); derived tables are not (each is planned
-    on its own).  *computed* is the subset something
-    computes on — the columns worth a dictionary at the Scan.  That is all
-    of them unless *select* is the statement's *final* body, whose bare
-    select items (without DISTINCT, which keys on its items) leave the
-    engine untouched; the output of a CTE, derived table or subquery body
-    is read by a consumer that groups, joins or filters on it.
+    Returns ``(refs, has_star, computed, nesting)``; *refs* drives
+    projection pruning of scans.  Subquery bodies are walked too (their
+    correlated references must keep outer columns alive); derived tables
+    are not (each is planned on its own).  *computed* is the subset
+    something computes on — the columns worth a dictionary at the Scan.
+    That is all of them unless *select* is the statement's *final* body,
+    whose bare select items (without DISTINCT, which keys on its items)
+    leave the engine untouched; the output of a CTE, derived table or
+    subquery body is read by a consumer that groups, joins or filters on
+    it.  *nesting* names the clauses of *select* itself that hold a
+    subquery.
     """
     refs: set = set()
     computed: set = set()
+    nesting: set = set()
     star = False
 
     def visit(body: Node, passes_through: bool = False) -> None:
@@ -154,13 +162,15 @@ def collect_needed_columns(select: Select,
                         and isinstance(e, ColumnRef)):
                     computed.update(found)
                 for sub in subqueries_of(e):
+                    if body is select:
+                        nesting.add(clause)
                     visit(sub)
         if isinstance(body, CompoundSelect):
             for operand in bodies(body):
                 visit(operand)
 
     visit(select, final and not select.distinct)
-    return refs, star, computed
+    return refs, star, computed, nesting
 
 
 def _window_placement(body: Select | CompoundSelect) -> None:
@@ -345,8 +355,7 @@ def _split_aggregate(select: Select,
         if key in keys:
             return keys[key]
         if isinstance(e, AggCall):
-            if e.distinct or e.func not in MERGEABLE_AGGS or (
-                    e.arg is not None and has_subquery(e.arg)):
+            if e.distinct or e.func not in MERGEABLE_AGGS:
                 raise _NotMergeable
             if e.func == "AVG":
                 return BinaryOp(
@@ -354,14 +363,11 @@ def _split_aggregate(select: Select,
                     AggCall("SUM", partial_column("COUNT", e.arg)))
             return AggCall("SUM" if e.func == "COUNT" else e.func,
                            partial_column(e.func, e.arg))
-        if isinstance(e, (ColumnRef, Star, WindowCall, InSubquery,
-                          ExistsExpr, ScalarSubquery)):
+        if isinstance(e, (ColumnRef, Star, WindowCall)):
             raise _NotMergeable
         return map_children(e, rewrite)
 
     try:
-        if any(has_subquery(g) for g in select.group_by):
-            raise _NotMergeable
         items = [SelectItem(rewrite(it.expr), name)
                  for it, name in zip(select.items, out_columns)]
         having = None if select.having is None else rewrite(select.having)
@@ -393,7 +399,15 @@ class RelSchema:
 
 class _Unanalyzable(Exception):
     """A subquery shape whose name resolution cannot be decided statically
-    (unknown relation, opaque derived table); the predicate stays residual."""
+    (unknown relation, opaque derived table)."""
+
+
+def _unplannable(reason: str) -> UnsupportedFeatureError:
+    return UnsupportedFeatureError(f"subquery cannot be planned: {reason}")
+
+
+_ONLY_EQUALITIES = ("outer columns may appear only in top-level equalities "
+                    "of the WHERE clause")
 
 
 @dataclass
@@ -888,7 +902,7 @@ class Planner:
         Project / HashAggregate → Distinct → Sort → Limit.
         """
         _window_placement(select)
-        refs, star, computed = collect_needed_columns(select, final)
+        refs, star, computed, nesting = collect_needed_columns(select, final)
 
         sources = [self._make_source(rel, env, refs, star, computed)
                    for rel in select.relations]
@@ -911,20 +925,20 @@ class Planner:
                 computed
             )
 
-        if residual and self.config.subquery_decorrelate:
-            root, residual, est = self._plan_subquery_predicates(
-                root, residual, binding_columns, env, est
-            )
-        if residual:
-            est = max(1.0, est * 0.5 ** len(residual))
-            root = ResidualFilter(root, residual, est_rows=est)
+        root, est = self._residual_filter(root, residual, binding_columns,
+                                          env, est)
 
         # Positional ORDER BY / GROUP BY items are resolved once, here, so
         # every operator (and its EXPLAIN label) sees real expressions.
-        out_columns = self._output_columns(select, acc_columns, binding_columns)
+        item_names = self._item_names(select, acc_columns, binding_columns)
+        out_columns = [name for names in item_names for name in names]
         select = replace(
             select, group_by=_resolve_group_ordinals(select),
             order_by=_resolve_order_ordinals(select.order_by, out_columns))
+        values: list[tuple[str, str, PhysicalPlan]] = []
+        if nesting - {"joins", "where"}:
+            root, select = self._plan_clause_subqueries(
+                root, select, item_names, binding_columns, env, values)
 
         has_agg = bool(select.group_by) or any(
             contains_aggregate(item.expr) for item in select.items
@@ -957,7 +971,8 @@ class Planner:
             root = Distinct(root, est_rows=est)
         root, est = self._attach_order_limit(root, select.order_by,
                                              select.limit, est)
-
+        if values:
+            root = InitPlan(root, values, est_rows=est)
         return PhysicalPlan(root, out_columns, est_rows=est)
 
     # -- distribution -------------------------------------------------------
@@ -1016,8 +1031,7 @@ class Planner:
         name that column, so both stages sort what the Project produced."""
         if not (self.config.shard_workers > 0 and self.config.topk_rewrite
                 and select.order_by and select.limit is not None
-                and select.limit <= _MAX_TOPK_LIMIT and not select.distinct
-                and not any(has_subquery(it.expr) for it in select.items)):
+                and select.limit <= _MAX_TOPK_LIMIT and not select.distinct):
             return project, select
         by_expr: dict[str, str] = {}
         if not any(isinstance(it.expr, Star) for it in select.items):
@@ -1340,6 +1354,9 @@ class Planner:
             raise UnsupportedFeatureError(
                 f"{self.config.name}: non-equi conditions on outer joins are not supported"
             )
+        # Subquery conjuncts of an inner join filter its output, like WHERE.
+        on_subqueries = [c for c in residual if has_subquery(c)]
+        residual = [c for c in residual if not has_subquery(c)]
         if not pairs and kind != "cross":
             raise UnsupportedFeatureError(
                 "explicit join requires at least one equi condition"
@@ -1362,184 +1379,235 @@ class Planner:
         acc_columns = acc_columns + src.pruned_columns
         binding_columns = dict(binding_columns)
         binding_columns[src.binding] = list(src.pruned_columns)
+        root, est = self._residual_filter(root, on_subqueries,
+                                          binding_columns, env, est)
         return root, acc_columns, binding_columns, est
 
-    # -- subquery decorrelation ----------------------------------------------
+    # -- subqueries ------------------------------------------------------------
     #
-    # WHERE conjuncts containing subqueries arrive here as residual
-    # predicates.  Three rewrites lift them into the plan (see
-    # docs/ARCHITECTURE.md "Subqueries & decorrelation" for the rule table):
+    # Every IN / EXISTS / scalar subquery is planned, in whatever clause it
+    # sits; none reaches an Evaluator (docs/ARCHITECTURE.md "Subqueries &
+    # decorrelation" has the position x form table).
     #
-    # * a conjunct that *is* ``[NOT] IN (SELECT ...)`` / ``[NOT] EXISTS``
-    #   becomes a SemiJoin / AntiJoin above the join tree;
-    # * a subquery predicate nested under OR/CASE becomes a MarkJoin whose
-    #   boolean mark column replaces the predicate in the residual filter;
-    # * an uncorrelated scalar subquery becomes a ScalarSubqueryScan whose
-    #   broadcast column replaces the subquery node.
+    # * WHERE and inner-join ON conjuncts: a conjunct that *is* ``[NOT] IN``
+    #   / ``[NOT] EXISTS`` becomes a SemiJoin / AntiJoin above the join
+    #   tree; a form nested under OR/CASE becomes a MarkJoin whose boolean
+    #   mark column replaces it in the residual filter, and an uncorrelated
+    #   scalar subquery a ScalarSubqueryScan whose broadcast column
+    #   replaces it.
+    # * Select items, GROUP BY, HAVING, ORDER BY and window specs: a
+    #   correlated form becomes a MarkJoin below the operator evaluating
+    #   the clause; an uncorrelated one is a value of the execution, which
+    #   an InitPlan at the plan's root computes once and binds as the
+    #   placeholder ``$N`` that replaces the form.
     #
-    # Anything else (non-equality correlation, correlated NOT IN with
-    # unanalyzable shapes, subqueries over unknown relations) stays on the
-    # residual interpreter path, which remains the semantics reference.
+    # A shape _decorrelate cannot plan raises at plan time.
+
+    def _residual_filter(self, root: Operator, residual: list[Expr],
+                         binding_columns: dict[str, list[str]],
+                         env: dict[str, RelSchema], est: float
+                         ) -> tuple[Operator, float]:
+        """*root* filtered by the *residual* conjuncts, their subquery forms
+        planned first."""
+        if not residual:
+            return root, est
+        root, residual, est = self._plan_subquery_predicates(
+            root, residual, binding_columns, env, est)
+        if residual:
+            est = max(1.0, est * 0.5 ** len(residual))
+            root = ResidualFilter(root, residual, est_rows=est)
+        return root, est
 
     def _plan_subquery_predicates(self, root: Operator, residual: list[Expr],
                                   binding_columns: dict[str, list[str]],
                                   env: dict[str, RelSchema], est: float
                                   ) -> tuple[Operator, list[Expr], float]:
-        outer_bindings = set(binding_columns)
-        outer_columns: set[str] = set()
-        for cols in binding_columns.values():
-            outer_columns.update(cols)
         kept: list[Expr] = []
         for conj in residual:
             if not has_subquery(conj):
                 kept.append(conj)
                 continue
             form = match_subquery_form(conj)
-            if form is not None:
+            if form is not None and not (form[0] == "in"
+                                         and has_subquery(form[2].operand)):
                 kind, negated, node = form
-                spec = self._decorrelate(node, env, outer_bindings,
-                                         outer_columns, kind)
-                if spec is not None:
-                    subplan, probe_exprs = spec
-                    est = max(1.0, est * 0.5)
-                    if kind == "in":
-                        if negated:
-                            root = AntiJoin(root, subplan, probe_exprs,
-                                            null_aware=True, est_rows=est)
-                        else:
-                            root = SemiJoin(root, subplan, probe_exprs,
-                                            source="IN", est_rows=est)
-                    else:
-                        if negated:
-                            root = AntiJoin(root, subplan, probe_exprs,
-                                            null_aware=False, est_rows=est)
-                        else:
-                            root = SemiJoin(root, subplan, probe_exprs,
-                                            source="EXISTS", est_rows=est)
-                    continue
-            rewritten, factories = self._mark_rewrite(conj, env,
-                                                      outer_bindings,
-                                                      outer_columns)
-            if factories:
-                for make in factories:
-                    root = make(root)
-                kept.append(rewritten)
-            else:
-                kept.append(conj)
+                subplan, probe_exprs = self._decorrelate(
+                    node, kind, env, binding_columns)
+                est = max(1.0, est * 0.5)
+                if negated:
+                    root = AntiJoin(root, subplan, probe_exprs,
+                                    null_aware=kind == "in", est_rows=est)
+                else:
+                    root = SemiJoin(root, subplan, probe_exprs,
+                                    source=kind.upper(), est_rows=est)
+                continue
+            rewrite, factories = self._subquery_rewriter(env, binding_columns)
+            rewritten = rewrite(conj)
+            for make in factories:
+                root = make(root)
+            kept.append(rewritten)
         return root, kept, est
 
-    def _mark_rewrite(self, conj: Expr, env: dict[str, RelSchema],
-                      outer_bindings: set, outer_columns: set
-                      ) -> tuple[Expr, list] | None:
-        """Rewrite subquery predicates nested inside *conj* into mark/scalar
-        column references.  Returns ``(rewritten, factories)`` where each
-        factory wraps the current root in the MarkJoin/ScalarSubqueryScan
-        that produces one referenced column."""
+    def _plan_clause_subqueries(self, root: Operator, select: Select,
+                                item_names: list[list[str]],
+                                binding_columns: dict[str, list[str]],
+                                env: dict[str, RelSchema],
+                                values: list) -> tuple[Operator, Select]:
+        """Plan the subquery forms of the clauses evaluated above the
+        residual filter: *root* grows the MarkJoins, *values* the InitPlan
+        entries, and the returned Select reads their columns and
+        placeholders.  A rewritten select item keeps its output name."""
+        rewrite, factories = self._subquery_rewriter(env, binding_columns,
+                                                     values)
+        items = []
+        for item, names in zip(select.items, item_names):
+            expr = rewrite(item.expr)
+            items.append(item if expr is item.expr
+                         else SelectItem(expr, names[0]))
+        having = None if select.having is None else rewrite(select.having)
+        select = replace(
+            select, items=items, group_by=[rewrite(g) for g in select.group_by],
+            having=having,
+            order_by=[replace(o, expr=rewrite(o.expr)) for o in select.order_by])
+        for make in factories:
+            root = make(root)
+        return root, select
+
+    def _subquery_rewriter(self, env: dict[str, RelSchema],
+                           binding_columns: dict[str, list[str]],
+                           values: list | None = None):
+        """``(rewrite, factories)``: *rewrite* returns an expression with
+        each subquery form replaced by the column or placeholder carrying
+        its result (an expression without one comes back as is), and
+        appends to *factories* one function per column, wrapping the
+        current root in the MarkJoin / ScalarSubqueryScan producing it.
+        With *values* (``(name, kind, subplan)`` entries of an InitPlan),
+        uncorrelated forms become placeholders; without, columns.  A form
+        written twice is planned once."""
         factories: list = []
+        planned: dict = {}
 
-        def rewrite(e: Expr) -> Expr:
+        def replace_forms(e: Expr) -> Expr:
             form = match_subquery_form(e)
-            if form is not None:
-                kind, negated, node = form
-                spec = self._decorrelate(node, env, outer_bindings,
-                                         outer_columns, kind)
-                if spec is None:
-                    return e
-                subplan, probe_exprs = spec
-                name = f"__mark_{self._mark_counter}"
-                self._mark_counter += 1
+            if form is None and not isinstance(e, ScalarSubquery):
+                return map_children(e, replace_forms)
+            # Only clauses share forms (a GROUP BY key in the select list).
+            key = id(e) if values is None else expr_key(e)
+            if key not in planned:
+                planned[key] = plan_form(*(form or ("scalar", False, e)))
+            return planned[key]
+
+        def plan_form(kind: str, negated: bool, node: Any) -> Expr:
+            if kind == "in":
+                node = replace(node, operand=replace_forms(node.operand))
+            subplan, probe = self._decorrelate(node, kind, env,
+                                               binding_columns)
+            correlated = len(probe) > (kind == "in")
+            n = self._mark_counter
+            self._mark_counter += 1
+            if values is not None and not correlated:
+                name = f"${n}"
+                values.append((name, "not exists" if kind == "exists"
+                               and negated else kind, subplan))
                 if kind == "in":
-                    mode = "anti-null" if negated else "semi"
-                    source = "NOT IN" if negated else "IN"
-                else:
-                    mode = "anti" if negated else "semi"
-                    source = "NOT EXISTS" if negated else "EXISTS"
+                    return InList(node.operand, [Parameter(name=name)],
+                                  negated=negated)
+                return Parameter(name=name)
+            if kind == "scalar":
+                name = f"__scalar_{n}"
                 factories.append(
-                    lambda root, subplan=subplan, probe=probe_exprs,
-                    name=name, mode=mode, source=source:
-                    MarkJoin(root, subplan, probe, mark_name=name, mode=mode,
-                             source=source,
-                             est_rows=_est_or_default(root.est_rows))
-                )
+                    lambda root: ScalarSubqueryScan(
+                        root, subplan, scalar_name=name,
+                        est_rows=_est_or_default(root.est_rows)))
                 return ColumnRef(name=name)
-            if isinstance(e, ScalarSubquery):
-                spec = self._decorrelate(e, env, outer_bindings,
-                                         outer_columns, "scalar")
-                if spec is None:
-                    return e
-                subplan, _ = spec
-                name = f"__scalar_{self._mark_counter}"
-                self._mark_counter += 1
-                factories.append(
-                    lambda root, subplan=subplan, name=name:
-                    ScalarSubqueryScan(root, subplan, scalar_name=name,
-                                       est_rows=_est_or_default(root.est_rows))
-                )
-                return ColumnRef(name=name)
-            return map_children(e, rewrite)
+            if any(contains_aggregate(p) or has_window(p) for p in probe):
+                raise _unplannable(
+                    "a correlated subquery cannot compare an aggregate or "
+                    "window value")
+            name = f"__mark_{n}"
+            if kind == "in":
+                mode = "anti-null" if negated else "semi"
+            else:
+                mode = "anti" if negated else "semi"
+            source = ("NOT " if negated else "") + kind.upper()
+            factories.append(
+                lambda root: MarkJoin(
+                    root, subplan, probe, mark_name=name, mode=mode,
+                    source=source, est_rows=_est_or_default(root.est_rows)))
+            return ColumnRef(name=name)
 
-        return rewrite(conj), factories
+        def rewrite(expr: Expr) -> Expr:
+            return replace_forms(expr) if has_subquery(expr) else expr
 
-    def _decorrelate(self, node: Any, env: dict[str, RelSchema],
-                     outer_bindings: set, outer_columns: set,
-                     kind: str) -> tuple[PhysicalPlan, list[Expr]] | None:
-        """Try to turn one subquery predicate into ``(subplan, probe_exprs)``.
+        return rewrite, factories
 
-        ``probe_exprs`` pair positionally with the subplan's output columns
-        (for ``kind="in"`` the first pair is the IN operand vs the
-        subquery's value column; the rest are equality-correlation keys).
-        Returns ``None`` when the shape must stay on the residual path.
+    def _decorrelate(self, node: Any, kind: str, env: dict[str, RelSchema],
+                     binding_columns: dict[str, list[str]]
+                     ) -> tuple[PhysicalPlan, list[Expr]]:
+        """Plan one subquery form as ``(subplan, probe_exprs)``.
+
+        ``probe_exprs`` pair positionally with the subplan's output
+        columns: for ``kind="in"`` the IN operand against the value column,
+        then one outer expression per equality-correlation key.  An
+        uncorrelated body is planned as written.  A correlated one must be
+        a plain SELECT over base tables whose outer references all sit in
+        top-level WHERE equalities; any other shape raises
+        :class:`UnsupportedFeatureError`.
         """
         body = node.query
+        outer_bindings = set(binding_columns)
+        outer_columns = {c for cols in binding_columns.values() for c in cols}
         try:
             outer_refs = self._outer_refs(body, env, [])
         except _Unanalyzable:
-            return None
+            raise _unplannable("a name in the subquery cannot be resolved "
+                               "statically (name the derived table's "
+                               "columns)") from None
         for ref in outer_refs:
-            if ref.table is not None:
-                if ref.table not in outer_bindings:
-                    return None
-            elif ref.name not in outer_columns:
-                return None
-
-        if kind == "in" and (has_subquery(node.operand)
-                             or has_window(node.operand)):
-            return None
+            if (ref.table not in outer_bindings if ref.table is not None
+                    else ref.name not in outer_columns):
+                raise SQLBindError(
+                    f"cannot resolve column {expr_to_str(ref)!r} in a "
+                    f"subquery")
 
         if not outer_refs:
             subplan = self.plan_body(body, env)
-            if kind in ("in", "scalar") and len(subplan.output_columns) != 1:
-                return None
-            probe = [node.operand] if kind == "in" else []
-            return subplan, probe
+            width = len(subplan.output_columns)
+            if kind in ("in", "scalar") and width != 1:
+                raise SQLBindError(
+                    f"sub-select returns {width} columns - expected 1")
+            return subplan, [node.operand] if kind == "in" else []
 
-        # Correlated: restricted shape — plain SELECT over base tables,
-        # every outer reference consumed by a top-level equality conjunct.
-        if kind == "scalar" or not isinstance(body, Select):
-            return None
+        if kind == "scalar":
+            raise _unplannable("correlated scalar subqueries are not "
+                               "supported")
+        if not isinstance(body, Select):
+            raise _unplannable("a correlated subquery must be a plain SELECT")
         if body.joins or body.group_by or body.having is not None \
                 or body.limit is not None:
-            return None
+            raise _unplannable("a correlated subquery cannot have JOIN, "
+                               "GROUP BY, HAVING or LIMIT")
         if not all(isinstance(rel, TableRef) for rel in body.relations):
-            return None
-        if kind == "in" and (len(body.items) != 1
-                             or isinstance(body.items[0].expr, Star)):
-            return None
+            raise _unplannable("a correlated subquery must read base tables")
+        if kind == "in" and len(body.items) != 1:
+            raise SQLBindError(f"sub-select returns {len(body.items)} "
+                               f"columns - expected 1")
+        if kind == "in" and isinstance(body.items[0].expr, Star):
+            raise _unplannable("a correlated IN subquery cannot select *")
         if any(contains_aggregate(it.expr) or has_window(it.expr)
                for it in body.items if not isinstance(it.expr, Star)):
             # Aggregates/windows in a correlated body compute over the whole
             # inner relation per outer group; hoisting the correlation
             # equality out of the WHERE would change their input.
-            return None
-        try:
-            frame = self._frame_of(body, env)
-        except _Unanalyzable:
-            return None
+            raise _unplannable("a correlated subquery cannot select an "
+                               "aggregate or window function")
+        frame = self._frame_of(body, env)  # cannot raise: _outer_refs did not
         for item in body.items:
             if not isinstance(item.expr, Star) and self._expr_side(
                     item.expr, env, frame, outer_bindings, outer_columns
             ) not in ("inner", "none"):
-                return None
+                raise _unplannable("a correlated subquery cannot select an "
+                                   "outer column")
 
         correlated: list[tuple[Expr, Expr]] = []
         remaining: list[Expr] = []
@@ -1549,20 +1617,20 @@ class Planner:
             if side in ("inner", "none"):
                 remaining.append(conj)
                 continue
-            if not (isinstance(conj, BinaryOp) and conj.op == "="):
-                return None
-            ls = self._expr_side(conj.left, env, frame, outer_bindings,
-                                 outer_columns)
-            rs = self._expr_side(conj.right, env, frame, outer_bindings,
-                                 outer_columns)
+            ls = rs = None
+            if isinstance(conj, BinaryOp) and conj.op == "=":
+                ls = self._expr_side(conj.left, env, frame, outer_bindings,
+                                     outer_columns)
+                rs = self._expr_side(conj.right, env, frame, outer_bindings,
+                                     outer_columns)
             if ls == "inner" and rs == "outer":
                 correlated.append((conj.left, conj.right))
             elif ls == "outer" and rs == "inner":
                 correlated.append((conj.right, conj.left))
             else:
-                return None
+                raise _unplannable(_ONLY_EQUALITIES)
         if not correlated:
-            return None
+            raise _unplannable(_ONLY_EQUALITIES)
 
         value_items = list(body.items) if kind == "in" else []
         items = value_items + [
@@ -1664,15 +1732,19 @@ class Planner:
         return "none"
 
     # -- output schema -------------------------------------------------------
-    def _output_columns(self, select: Select, acc_columns: list[str],
-                        binding_columns: dict[str, list[str]]) -> list[str]:
-        names: list[str] = []
+    def _item_names(self, select: Select, acc_columns: list[str],
+                    binding_columns: dict[str, list[str]]) -> list[list[str]]:
+        """The output-column names of each select item (a ``*`` names
+        every column it expands to)."""
+        out: list[list[str]] = []
+        count = 0
         for item in select.items:
             if isinstance(item.expr, Star):
                 owned = (None if item.expr.table is None
                          else set(binding_columns.get(item.expr.table, [])))
-                names.extend(c for c in acc_columns
-                             if owned is None or c in owned)
+                names = [c for c in acc_columns if owned is None or c in owned]
             else:
-                names.append(output_name(item, len(names)))
-        return names
+                names = [output_name(item, count)]
+            count += len(names)
+            out.append(names)
+        return out

@@ -557,8 +557,7 @@ def _const_arg(evaluator, expr, what: str):
     return value
 
 
-def evaluate_window_calls(chunk, scope, calls, config, subquery_cb=None,
-                          params=None) -> dict:
+def evaluate_window_calls(chunk, scope, calls, config, params=None) -> dict:
     """Evaluate every :class:`~.sqlast.WindowCall` of one SELECT body.
 
     Calls are grouped by ``(PARTITION BY, ORDER BY)`` spec so each distinct
@@ -569,8 +568,7 @@ def evaluate_window_calls(chunk, scope, calls, config, subquery_cb=None,
     from .expressions import Evaluator
     from .sqlast import expr_key
 
-    evaluator = Evaluator(chunk, scope, subquery_executor=subquery_cb,
-                          params=params)
+    evaluator = Evaluator(chunk, scope, params=params)
     n = chunk.nrows
     threads = config.threads
     layouts: dict[tuple, WindowLayout] = {}

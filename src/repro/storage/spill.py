@@ -298,8 +298,7 @@ def grace_aggregate(ctx, batch, chunk: Chunk, scope, nparts: int = 8):
     select = batch.select
     # Spill files hold plain arrays only.
     chunk = Chunk(chunk.columns, [plain(a) for a in chunk.arrays])
-    evaluator = Evaluator(chunk, scope, subquery_executor=ctx.subquery_cb(),
-                          params=ctx.params)
+    evaluator = Evaluator(chunk, scope, params=ctx.params)
     keys = [np.asarray(evaluator.eval_array(g)) for g in select.group_by]
     if any(_key_class(k) is None for k in keys):
         return None

@@ -25,12 +25,13 @@ from repro.dataframe._common import take_with_nulls
 from repro.sqlengine import RuntimeStats
 from repro.sqlengine import table as table_mod
 from repro.sqlengine.grouping import factorize, factorize_many
-from repro.sqlengine.joins import join_positions, semi_join_flags, semi_join_mask
+from repro.sqlengine.joins import join_positions, semi_join_flags
 from repro.sqlengine.table import (
     Chunk, DictColumn, Table, as_dict, concat_columns, encode, gather, isna,
     plain,
 )
 from repro.sqlengine.window import sort_positions
+from tests.helpers import semi_join_mask
 
 VALUES = ["", "a", "b", "ab", "B", "zz", None]
 values = st.sampled_from(VALUES)

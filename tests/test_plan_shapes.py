@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro import connect
+from repro.errors import UnsupportedFeatureError
 from repro.sqlengine import EngineConfig
 
 
@@ -487,29 +488,30 @@ class TestSubqueryPlanShape:
         assert "ScalarSubqueryScan __scalar_0" in plan
         assert "Filter(residual) (c > __scalar_0)" in plan
 
-    def test_decorrelation_disabled_stays_residual(self, db):
-        cfg = EngineConfig(subquery_decorrelate=False)
-        plan = db.explain_plan(
-            "SELECT a FROM t WHERE b IN (SELECT b FROM u)", config=cfg)
-        assert "SemiJoin" not in plan
-        assert "Filter(residual)" in plan
-
-    def test_correlated_window_subquery_stays_residual(self, db):
+    def test_correlated_window_subquery_refused(self, db):
         # Hoisting the correlation equality out of the WHERE would change a
         # window function's input (it must run per correlation group), so
-        # this shape must not decorrelate.
-        plan = db.explain_plan(
-            "SELECT a FROM t WHERE a IN "
-            "(SELECT ROW_NUMBER() OVER (ORDER BY w) FROM u WHERE u.b = t.b)")
-        assert "SemiJoin" not in plan
-        assert "Filter(residual)" in plan
+        # this shape is not unnested, and nothing else can run it.
+        with pytest.raises(UnsupportedFeatureError, match="window"):
+            db.explain_plan(
+                "SELECT a FROM t WHERE a IN "
+                "(SELECT ROW_NUMBER() OVER (ORDER BY w) FROM u "
+                "WHERE u.b = t.b)")
 
-    def test_non_equality_correlation_stays_residual(self, db):
+    def test_non_equality_correlation_refused(self, db):
+        with pytest.raises(UnsupportedFeatureError, match="equalities"):
+            db.explain_plan(
+                "SELECT a FROM t WHERE EXISTS "
+                "(SELECT 1 FROM big WHERE big.k > t.a)")
+
+    def test_select_list_subqueries_plan_init_plan_and_mark_join(self, db):
         plan = db.explain_plan(
-            "SELECT a FROM t WHERE EXISTS "
-            "(SELECT 1 FROM big WHERE big.k > t.a)")
-        assert "SemiJoin" not in plan
-        assert "Filter(residual)" in plan
+            "SELECT a, (SELECT SUM(w) FROM u) AS s, EXISTS "
+            "(SELECT 1 FROM u WHERE u.b = t.b) AS e FROM t")
+        lines = [ln.strip().split()[0] for ln in plan.splitlines()]
+        assert lines[:3] == ["InitPlan", "Project", "MarkJoin"]
+        assert "InitPlan $0 = SCALAR" in plan
+        assert "Project a, $0, __mark_1" in plan
 
     def test_semi_join_inner_plan_rendered_as_child(self, db):
         plan = db.explain_plan(
@@ -557,13 +559,6 @@ class TestPlanCache:
         sql = "SELECT t.a FROM t, u WHERE t.b = u.b"
         db.execute(sql, config=EngineConfig(join_reorder=True))
         db.execute(sql, config=EngineConfig(join_reorder=False))
-        assert db.plan_cache_stats["hits"] == 0
-        assert db.plan_cache_stats["entries"] == 2
-
-    def test_decorrelation_keyed_in_plan_cache(self, db):
-        sql = "SELECT a FROM t WHERE b IN (SELECT b FROM u)"
-        db.execute(sql, config=EngineConfig(subquery_decorrelate=True))
-        db.execute(sql, config=EngineConfig(subquery_decorrelate=False))
         assert db.plan_cache_stats["hits"] == 0
         assert db.plan_cache_stats["entries"] == 2
 

@@ -27,6 +27,8 @@ from repro.sqlengine.sqlast import (
     InSubquery,
     Literal,
     OrderItem,
+    Parameter,
+    ScalarSubquery,
     Select,
     SelectItem,
     ValuesClause,
@@ -161,10 +163,17 @@ class TestZoneMaps:
 
 
 class TestFilters:
-    def test_subquery_below_join_boundary(self, db):
+    def test_subquery_left_in_filter(self, db):
         pred = InSubquery(ColumnRef("a"), sel((Literal(1), None)))
-        expect("filter.subquery", p.Filter(scan(), "t", [pred]),
+        expect("expr.subquery", p.Filter(scan(), "t", [pred]),
                ["a", "b", "c"], db)
+
+    def test_subquery_left_in_projection(self, db):
+        item = ScalarSubquery(sel((ColumnRef("w"), None),
+                                  relations=[]))
+        expect("expr.subquery",
+               p.Project(scan(), sel((ColumnRef("a"), None), (item, "v"))),
+               ["a", "v"], db)
 
     def test_mark_out_of_scope_in_residual(self, db):
         expect("mark.scope",
@@ -266,6 +275,22 @@ class TestSubqueryOperators:
                           probe_exprs=[], mark_name="__mark_0",
                           mode="anti-null"),
                ["a", "b", "c", "__mark_0"], db)
+
+    def test_init_plan_value_not_single_column(self, db):
+        expect("subquery.scalar-arity",
+               p.InitPlan(p.Project(scan(), sel((Parameter(name="$0"), "v"))),
+                          [("$0", "in", subplan(("b", "w")))]),
+               ["v"], db)
+
+    def test_init_plan_value_name(self, db):
+        expect("value.name",
+               p.InitPlan(scan(), [("__scalar_0", "scalar", subplan())]),
+               ["a", "b", "c"], db)
+
+    def test_init_plan_passes(self, db):
+        accept(p.InitPlan(p.Project(scan(), sel((Parameter(name="$0"), "v"))),
+                          [("$0", "scalar", subplan())]),
+               ["v"], db)
 
     def test_semi_join_passes(self, db):
         accept(p.SemiJoin(scan(), subplan=subplan(("w",)),
@@ -591,7 +616,6 @@ def test_tpch_plan_verifies(q, tpch_db):
     tpch_db.explain_plan(sql, config=EngineConfig(verify_plans=True))
 
 
-@pytest.mark.parametrize("decorrelate", [True, False])
 @pytest.mark.parametrize("knobs", [
     {},
     {"topk_rewrite": False},
@@ -599,11 +623,10 @@ def test_tpch_plan_verifies(q, tpch_db):
     {"memory_budget": 64, "spill_partitions": 2},
     {"join_reorder": False},
 ])
-def test_knob_matrix_verifies(tpch_db, decorrelate, knobs):
-    # Subquery decorrelation × physical knobs over the queries that
-    # exercise semi/anti/mark/scalar rewrites, TopK, and spill planning.
-    config = EngineConfig(verify_plans=True,
-                          subquery_decorrelate=decorrelate, **knobs)
+def test_knob_matrix_verifies(tpch_db, knobs):
+    # Physical knobs over the queries that exercise semi/anti/mark/scalar
+    # rewrites, TopK, and spill planning.
+    config = EngineConfig(verify_plans=True, **knobs)
     for q in (2, 4, 15, 17, 18, 21, 22):
         sql = TPCH_QUERIES[q].sql("duckdb", level="O4", db=tpch_db)
         tpch_db.explain_plan(sql, config=config)

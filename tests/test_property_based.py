@@ -20,8 +20,9 @@ from repro.core.tondir.ir import (
 from repro.core.tondir.optimize import optimize
 from repro.sqlengine import EngineConfig
 from repro.sqlengine.grouping import factorize_many
-from repro.sqlengine.joins import join_positions, semi_join_mask
+from repro.sqlengine.joins import join_positions, semi_join_flags
 from repro.sqlengine.window import row_number, sort_positions
+from tests.helpers import semi_join_mask
 
 ints = st.integers(min_value=-100, max_value=100)
 int_lists = st.lists(ints, min_size=0, max_size=40)
@@ -112,9 +113,10 @@ class TestJoinProperties:
     def test_semi_join_matches_membership(self, ls, rs):
         l = np.array(ls, dtype=np.int64)
         r = np.array(rs, dtype=np.int64)
-        mask = semi_join_mask([l], [r])
+        mask = semi_join_flags([l], [r])
         rset = set(rs)
         assert mask.tolist() == [x in rset for x in ls]
+        assert mask.tolist() == semi_join_mask([l], [r]).tolist()
 
     @given(key_lists, key_lists)
     def test_full_join_row_count(self, ls, rs):

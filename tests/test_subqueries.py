@@ -1,6 +1,6 @@
 """Planner-native subqueries: kernel units, NULL-semantics regressions,
-scalar-subquery cardinality errors, dataframe semi/anti rides, and
-hypothesis properties (planned result ≡ residual-path result).
+scalar-subquery cardinality errors, shapes refused at plan time, dataframe
+semi/anti rides, and hypothesis properties (planned result ≡ sqlite3).
 """
 
 from __future__ import annotations
@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import repro.dataframe as rpd
 from repro import connect
-from repro.errors import SQLExecutionError
-from repro.sqlengine import EngineConfig
-from repro.sqlengine.joins import semi_join_flags, semi_join_mask
-
-RESIDUAL = EngineConfig(subquery_decorrelate=False)
-PLANNED = EngineConfig(subquery_decorrelate=True)
+from repro.bench.differential import assert_same_results, load_sqlite
+from repro.errors import (
+    SQLBindError, SQLExecutionError, UnsupportedFeatureError,
+)
+from repro.sqlengine.joins import semi_join_flags
+from tests.helpers import semi_join_mask
 
 
 # ---------------------------------------------------------------------------
@@ -125,39 +125,37 @@ def db():
     return db
 
 
-def _ids(db, sql, config=None):
-    return sorted(db.execute(sql, config).to_dict()["id"])
+def _ids(db, sql):
+    return sorted(db.execute(sql).to_dict()["id"])
 
 
-@pytest.mark.parametrize("config", [PLANNED, RESIDUAL],
-                         ids=["planned", "residual"])
 class TestNotInNullSemantics:
-    def test_inner_null_drops_every_unmatched_row(self, db, config):
+    def test_inner_null_drops_every_unmatched_row(self, db):
         # u.y = {2.0, NULL, 7.0}: NOT IN is FALSE for 2.0, UNKNOWN otherwise.
         sql = "SELECT id FROM t WHERE x NOT IN (SELECT y FROM u)"
-        assert _ids(db, sql, config) == []
+        assert _ids(db, sql) == []
 
-    def test_null_free_inner_keeps_unmatched_non_null_rows(self, db, config):
+    def test_null_free_inner_keeps_unmatched_non_null_rows(self, db):
         sql = "SELECT id FROM t WHERE x NOT IN (SELECT y FROM u WHERE y > 0.0)"
-        assert _ids(db, sql, config) == [1, 3, 5]  # NaN operands dropped
+        assert _ids(db, sql) == [1, 3, 5]  # NaN operands dropped
 
-    def test_empty_inner_keeps_all_rows_even_null_operands(self, db, config):
+    def test_empty_inner_keeps_all_rows_even_null_operands(self, db):
         sql = "SELECT id FROM t WHERE x NOT IN (SELECT y FROM v)"
-        assert _ids(db, sql, config) == [1, 2, 3, 4, 5, 6]
+        assert _ids(db, sql) == [1, 2, 3, 4, 5, 6]
 
-    def test_string_not_in_with_inner_nulls(self, db, config):
+    def test_string_not_in_with_inner_nulls(self, db):
         sql = ("SELECT id FROM t WHERE s NOT IN "
                "(SELECT z FROM u WHERE z IS NOT NULL)")
-        assert _ids(db, sql, config) == [2, 4]
+        assert _ids(db, sql) == [2, 4]
 
-    def test_positive_in_never_matches_nulls(self, db, config):
+    def test_positive_in_never_matches_nulls(self, db):
         sql = "SELECT id FROM t WHERE x IN (SELECT y FROM u)"
-        assert _ids(db, sql, config) == [2]
+        assert _ids(db, sql) == [2]
 
-    def test_not_wrapped_in_is_null_aware_on_both_paths(self, db, config):
-        # NOT (x IN (...)) must fold into the three-valued NOT IN on the
-        # residual path too, not a two-valued ~mask (which would leak NULL
-        # operands and rows poisoned by inner NULLs).
+    def test_not_wrapped_in_is_null_aware(self, db):
+        # NOT (x IN (...)) must fold into the three-valued NOT IN, not a
+        # two-valued ~mask (which would leak NULL operands and rows
+        # poisoned by inner NULLs).
         base = "SELECT id FROM t WHERE {}"
         for wrapped, plain in [
             ("NOT (x IN (SELECT y FROM u))",
@@ -167,82 +165,160 @@ class TestNotInNullSemantics:
             ("NOT (x IN (1.0, NULL))", "x NOT IN (1.0, NULL)"),
             ("NOT (x NOT IN (1.0, 5.0))", "x IN (1.0, 5.0)"),
         ]:
-            assert _ids(db, base.format(wrapped), config) == \
-                _ids(db, base.format(plain), config), wrapped
+            assert _ids(db, base.format(wrapped)) == \
+                _ids(db, base.format(plain)), wrapped
 
-    def test_not_in_literal_list_with_null(self, db, config):
-        assert _ids(db, "SELECT id FROM t WHERE x NOT IN (1.0, NULL)",
-                    config) == []
-        assert _ids(db, "SELECT id FROM t WHERE x NOT IN (1.0, 5.0)",
-                    config) == [2, 3]
+    def test_not_in_literal_list_with_null(self, db):
+        assert _ids(db, "SELECT id FROM t WHERE x NOT IN (1.0, NULL)") == []
+        assert _ids(db, "SELECT id FROM t WHERE x NOT IN (1.0, 5.0)") == \
+            [2, 3]
 
-    def test_correlated_not_in_planned_only(self, db, config):
-        # Correlated [NOT] IN is a capability the decorrelated plan *adds*:
-        # the residual interpreter cannot resolve outer references from an
-        # inner subquery execution and raises a bind error.
+    def test_correlated_not_in(self, db):
         sql = ("SELECT id FROM t WHERE x NOT IN "
                "(SELECT y FROM u WHERE u.k = t.g)")
-        if config is RESIDUAL:
-            from repro.errors import SQLBindError
-
-            with pytest.raises(SQLBindError):
-                _ids(db, sql, config)
-            return
         # Per-group inner sets: g=1 -> {2.0}, g=2 -> {NULL}, g=3 -> {7.0}.
-        assert _ids(db, sql, config) == [1, 5]
+        assert _ids(db, sql) == [1, 5]
+
+    def test_select_list_not_in_over_empty_subquery(self, db):
+        # An empty set makes NOT IN TRUE for every row, NULL operands too.
+        out = db.execute("SELECT id, x NOT IN (SELECT y FROM v) AS f FROM t")
+        assert [bool(v) for v in out.to_dict()["f"]] == [True] * 6
 
 
-@pytest.mark.parametrize("config", [PLANNED, RESIDUAL],
-                         ids=["planned", "residual"])
 class TestScalarSubqueries:
-    def test_multi_row_scalar_subquery_raises(self, db, config):
+    def test_multi_row_scalar_subquery_raises(self, db):
         with pytest.raises(SQLExecutionError, match="scalar subquery"):
-            db.execute("SELECT id FROM t WHERE x > (SELECT y FROM u)", config)
+            db.execute("SELECT id FROM t WHERE x > (SELECT y FROM u)")
 
-    def test_multi_row_scalar_in_select_list_raises(self, db, config):
+    def test_multi_row_scalar_in_select_list_raises(self, db):
         with pytest.raises(SQLExecutionError, match="scalar subquery"):
-            db.execute("SELECT id, (SELECT y FROM u) AS v FROM t", config)
+            db.execute("SELECT id, (SELECT y FROM u) AS v FROM t")
 
-    def test_empty_scalar_subquery_is_null(self, db, config):
+    def test_empty_scalar_subquery_is_null(self, db):
         sql = "SELECT id FROM t WHERE x > (SELECT y FROM v)"
-        assert _ids(db, sql, config) == []
+        assert _ids(db, sql) == []
 
-    def test_aggregate_scalar_subquery(self, db, config):
+    def test_aggregate_scalar_subquery(self, db):
         sql = "SELECT id FROM t WHERE x > (SELECT AVG(y) FROM u)"  # avg=4.5
-        assert _ids(db, sql, config) == [5]
+        assert _ids(db, sql) == [5]
+
+    def test_null_scalar_value_in_arithmetic(self, db):
+        # An empty scalar subquery is NULL, and NULL + x is NULL, as for the
+        # literal.
+        for sql in ("SELECT id, g + (SELECT z FROM u WHERE k > 9) AS v FROM t",
+                    "SELECT id, g + NULL AS v FROM t"):
+            out = db.execute(sql).to_dict()
+            assert all(np.isnan(v) for v in out["v"]), sql
+
+    def test_values_beside_bound_placeholders(self, db):
+        # The InitPlan's values join the statement's own bound parameters,
+        # which also reach the subquery it runs.
+        sql = ("SELECT id, (SELECT MAX(y) FROM u WHERE y < ?) AS m, "
+               "x IN (SELECT y FROM u WHERE k = ?) AS f FROM t WHERE id > ?")
+        out = db.execute(sql, params=[5.0, 1, 4]).to_dict()
+        assert out == {"id": [5, 6], "m": [2.0, 2.0], "f": [False, False]}
+        out = db.execute(sql, params=[9.0, 1, 0]).to_dict()
+        assert out["m"] == [7.0] * 6
+        assert out["f"] == [False, True, False, False, False, False]
+
+    def test_scalar_beside_aggregate_over_empty_input(self, db):
+        # A value, not a broadcast column: no outer row survives the
+        # WHERE, yet the global aggregate's one row still reads it.
+        sql = ("SELECT COUNT(*) + (SELECT MAX(y) FROM u) AS c "
+               "FROM t WHERE x > 100")
+        assert db.execute(sql).to_dict() == {"c": [7.0]}
+        assert "InitPlan $" in db.explain_plan(sql)
 
 
-@pytest.mark.parametrize("config", [PLANNED, RESIDUAL],
-                         ids=["planned", "residual"])
 class TestExistsShapes:
-    def test_correlated_exists(self, db, config):
+    def test_correlated_exists(self, db):
         sql = ("SELECT id FROM t WHERE EXISTS "
                "(SELECT 1 FROM u WHERE u.k = t.g AND u.y > 1.0)")
-        assert _ids(db, sql, config) == [1, 2, 5, 6]
+        assert _ids(db, sql) == [1, 2, 5, 6]
 
-    def test_correlated_not_exists(self, db, config):
+    def test_correlated_not_exists(self, db):
         sql = ("SELECT id FROM t WHERE NOT EXISTS "
                "(SELECT 1 FROM u WHERE u.k = t.g AND u.y > 1.0)")
-        assert _ids(db, sql, config) == [3, 4]
+        assert _ids(db, sql) == [3, 4]
 
-    def test_uncorrelated_exists(self, db, config):
-        assert _ids(db, "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM v)",
-                    config) == []
-        assert _ids(db, "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM u)",
-                    config) == [1, 2, 3, 4, 5, 6]
+    def test_uncorrelated_exists(self, db):
+        assert _ids(db, "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM v)") \
+            == []
+        assert _ids(db, "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM u)") \
+            == [1, 2, 3, 4, 5, 6]
 
-    def test_exists_under_or_with_plain_predicate(self, db, config):
+    def test_exists_under_or_with_plain_predicate(self, db):
         sql = ("SELECT id FROM t WHERE NOT EXISTS "
                "(SELECT 1 FROM u WHERE u.k = t.g) OR x = 1.0")
-        assert _ids(db, sql, config) == [1]
+        assert _ids(db, sql) == [1]
 
-    def test_select_list_subquery_predicate_fallback(self, db, config):
-        # SELECT-list predicates are not lifted into the plan; both configs
-        # must still agree (fast kernel vs reference loop in the fallback).
+    def test_select_list_in_subquery(self, db):
         sql = "SELECT id, x IN (SELECT y FROM u WHERE y > 0.0) AS f FROM t"
-        out = db.execute(sql, config).to_dict()
+        out = db.execute(sql).to_dict()
         assert [bool(v) for v in out["f"]] == \
             [False, True, False, False, False, False]
+
+    def test_having_aggregate_in_subquery(self, db):
+        # Per-group sums 3.0, 3.0, 5.0 against the value set {3.0, NULL,
+        # 8.0}: the set is a value of the execution, probed per group.
+        sql = ("SELECT g FROM t GROUP BY g "
+               "HAVING SUM(x) IN (SELECT y + 1.0 FROM u)")
+        assert db.execute(sql).to_dict() == {"g": [1, 2]}
+        sql = sql.replace(" IN ", " NOT IN ")
+        assert db.execute(sql).to_dict() == {"g": []}
+
+    def test_having_exists_on_group_key(self, db):
+        # The mark is computed below the aggregate; HAVING reads it as the
+        # group's value (it depends on the group key only).
+        sql = ("SELECT g, COUNT(*) AS n FROM t GROUP BY g "
+               "HAVING EXISTS (SELECT 1 FROM u WHERE u.k = t.g AND u.y > 1.0)")
+        assert db.execute(sql).to_dict() == {"g": [1, 3], "n": [2, 2]}
+        assert "MarkJoin __mark_0 = EXISTS on [t.g]" in db.explain_plan(sql)
+
+
+class TestRefusedAtPlanTime:
+    """Shapes the planner does not unnest raise while planning — in
+    ``explain_plan`` as in ``execute`` — instead of returning rows that
+    differ from sqlite3's."""
+
+    def test_correlated_exists_with_limit(self, db):
+        # sqlite3: no row (LIMIT 0 leaves every EXISTS empty).
+        sql = ("SELECT id FROM t WHERE EXISTS "
+               "(SELECT 1 FROM u WHERE u.k = t.g LIMIT 0)")
+        with pytest.raises(UnsupportedFeatureError, match="LIMIT"):
+            db.explain_plan(sql)
+        with pytest.raises(UnsupportedFeatureError, match="LIMIT"):
+            db.execute("SELECT id, EXISTS (SELECT 1 FROM u WHERE u.k = t.g "
+                       "LIMIT 0) AS f FROM t")
+
+    def test_correlated_exists_over_global_aggregate(self, db):
+        # sqlite3: every row (a global aggregate always yields one row).
+        sql = ("SELECT id FROM t WHERE EXISTS (SELECT MAX(y) FROM u "
+               "WHERE u.k = t.g AND u.y > 100)")
+        with pytest.raises(UnsupportedFeatureError, match="aggregate"):
+            db.explain_plan(sql)
+        with pytest.raises(UnsupportedFeatureError, match="aggregate"):
+            db.execute(sql)
+
+    def test_two_column_subquery_as_a_value(self, db):
+        # sqlite3: "sub-select returns 2 columns - expected 1".
+        for sql in ("SELECT id FROM t WHERE x IN (SELECT y, k FROM u)",
+                    "SELECT (SELECT y, k FROM u WHERE k = 1) AS v FROM t"):
+            with pytest.raises(SQLBindError, match="2 columns"):
+                db.explain_plan(sql)
+            with pytest.raises(SQLBindError, match="2 columns"):
+                db.execute(sql)
+
+    def test_correlated_scalar_subquery(self, db):
+        sql = ("SELECT id, (SELECT MAX(y) FROM u WHERE u.k = t.g) AS m "
+               "FROM t")
+        with pytest.raises(UnsupportedFeatureError, match="correlated scalar"):
+            db.explain_plan(sql)
+
+    def test_non_equality_correlation(self, db):
+        sql = "SELECT id FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.k > t.g)"
+        with pytest.raises(UnsupportedFeatureError, match="equalities"):
+            db.execute(sql)
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +357,13 @@ class TestDataframeSemiAnti:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis: planned ≡ residual on random inputs
+# Hypothesis: planned ≡ sqlite3 on random inputs
 # ---------------------------------------------------------------------------
 
 nullable_ints = st.lists(st.one_of(st.integers(0, 8), st.none()),
                          min_size=0, max_size=40)
 group_keys = st.lists(st.integers(0, 5), min_size=0, max_size=40)
 
-# Shapes both paths support: the planned plan must reproduce the residual
-# interpreter's rows exactly.  Correlated [NOT] IN is planned-only (the
-# residual path cannot execute it at all) and is covered by the unit tests
-# above plus the sqlite differential fuzz corpus.
 DECORRELATION_TEMPLATES = [
     "SELECT id FROM o WHERE v IN (SELECT w FROM i)",
     "SELECT id FROM o WHERE v NOT IN (SELECT w FROM i)",
@@ -301,10 +373,18 @@ DECORRELATION_TEMPLATES = [
     "SELECT id FROM o WHERE v IN (SELECT w FROM i WHERE w > 2.0) OR g = 1",
     "SELECT id FROM o WHERE v > (SELECT AVG(w) FROM i)",
     "SELECT id FROM o WHERE NOT (v IN (SELECT w FROM i))",
-]
-PLANNED_ONLY_TEMPLATES = [
     "SELECT id FROM o WHERE v NOT IN (SELECT w FROM i WHERE i.g = o.g)",
     "SELECT id FROM o WHERE v IN (SELECT w FROM i WHERE i.g = o.g)",
+    "SELECT id, g + (SELECT MAX(w) FROM i) AS s FROM o",
+    "SELECT g, COUNT(*) AS n FROM o GROUP BY g "
+    "HAVING SUM(v) > (SELECT MIN(w) FROM i)",
+]
+# Boolean select items: the engine's are two-valued (UNKNOWN is FALSE), so
+# sqlite3 reads the same predicate through COALESCE(.., 0).
+BOOLEAN_ITEM_TEMPLATES = [
+    "v NOT IN (SELECT w FROM i)",
+    "v IN (SELECT w FROM i WHERE i.g = o.g)",
+    "NOT EXISTS (SELECT 1 FROM i WHERE i.g = o.g AND i.w > 3.0)",
 ]
 
 
@@ -312,7 +392,7 @@ class TestDecorrelationProperties:
     @given(outer=st.tuples(nullable_ints, group_keys),
            inner=st.tuples(nullable_ints, group_keys))
     @settings(max_examples=30, deadline=None)
-    def test_planned_equals_residual(self, outer, inner):
+    def test_planned_equals_sqlite(self, outer, inner):
         from repro.dataframe._common import coerce_array
 
         ov, og = outer
@@ -330,22 +410,27 @@ class TestDecorrelationProperties:
             if n_i else np.zeros(0),
             "g": np.array(ig[:n_i], dtype=np.int64),
         })
+        conn = load_sqlite(db)
         for sql in DECORRELATION_TEMPLATES:
-            planned = sorted(db.execute(sql, PLANNED).to_dict()["id"])
-            residual = sorted(db.execute(sql, RESIDUAL).to_dict()["id"])
-            assert planned == residual, sql
+            assert_same_results(db, conn, sql, context=sql)
+        for pred in BOOLEAN_ITEM_TEMPLATES:
+            sql = f"SELECT id, {pred} AS f FROM o"
+            assert_same_results(
+                db, conn, sql, context=sql,
+                oracle_sql=f"SELECT id, COALESCE(({pred}), 0) AS f FROM o")
+        conn.close()
 
     def test_templates_actually_decorrelate(self):
-        """Every template (except the residual-only control) must plan at
-        least one of the new nodes when decorrelation is on."""
+        """Every template plans one of the subquery operators."""
         db = connect()
         db.register("o", {"id": np.arange(4, dtype=np.int64),
                           "v": np.arange(4, dtype=np.int64) * 1.0,
                           "g": np.array([0, 1, 0, 1], dtype=np.int64)})
         db.register("i", {"w": np.array([1.0, 2.0]),
                           "g": np.array([0, 1], dtype=np.int64)})
-        for sql in DECORRELATION_TEMPLATES + PLANNED_ONLY_TEMPLATES:
-            plan = db.explain_plan(sql, config=PLANNED)
+        for sql in DECORRELATION_TEMPLATES + [
+                f"SELECT {pred} FROM o" for pred in BOOLEAN_ITEM_TEMPLATES]:
+            plan = db.explain_plan(sql)
             assert any(node in plan for node in
                        ("SemiJoin", "AntiJoin", "MarkJoin",
-                        "ScalarSubqueryScan")), sql
+                        "ScalarSubqueryScan", "InitPlan")), sql

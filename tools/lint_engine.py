@@ -46,9 +46,9 @@ ENG007 eager-analysis-import
 ENG008 executor-private-access
     Operators (``sqlengine/``) and the spill path (``storage/``) talk to
     the per-execution driver through its public surface (``note``,
-    ``check_runtime``, ``execute_body``, ``subquery``, ``stats`` …).  An
+    ``check_runtime``, ``execute_body``, ``params``, ``stats`` …).  An
     ``executor._x`` / ``<expr>.executor._x`` attribute access outside
-    ``sqlengine/executor.py`` grows the operator→interpreter cycle back.
+    ``sqlengine/executor.py`` grows the operator→driver cycle back.
 
 ENG009 distribution-in-planner
     The planner alone decides what a query distributes (it places

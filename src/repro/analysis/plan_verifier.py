@@ -13,10 +13,9 @@ The verifier is deliberately *lenient about the unknown*: a column
 reference that does not resolve in the synthesized schema may
 legitimately fail at runtime with a user-facing ``SQLBindError`` — not a
 plan bug, so unresolved user references are skipped.  Only
-planner-generated constructs (``__mark_N`` / ``__scalar_N`` columns, join
-key pairs whose sides both resolve, SetOp column lists, zone-map chunk
-selections, subquery forms, which the planner must have replaced) are
-held to strict rules, which
+planner-generated constructs (``__mark_N`` columns, join key pairs whose
+sides both resolve, SetOp column lists, zone-map chunk selections, subquery
+forms, which the planner must have replaced) are held to strict rules, which
 is what keeps the false-positive rate at zero across the TPC-H suite,
 the plan-shape goldens, and the fuzz corpus.
 
@@ -75,7 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sqlengine.executor import EngineConfig
     from ..sqlengine.table import Table
 
-_MARK_RE = re.compile(r"^__(mark|scalar)_\d+$")
+_MARK_RE = re.compile(r"^__mark_\d+$")
 _VALUE_RE = re.compile(r"^\$\d+$")
 _SUBQUERY_FORMS = (InSubquery, ExistsExpr, ScalarSubquery)
 
@@ -110,7 +109,7 @@ class ColInfo:
     binding: Optional[str] = None  # qualifier it resolves under, if any
     kind: Optional[str] = None     # "numeric" | "string" | "date" | None
     nullable: bool = True
-    internal: bool = False         # planner-introduced __mark_N/__scalar_N
+    internal: bool = False         # planner-introduced __mark_N
     # True when the kind is *planner-grade* knowledge: derived from a base
     # catalog column (possibly through bare-reference projections), the
     # same information the planner's own ``_body_kinds`` admission checks
@@ -256,7 +255,7 @@ class _Verifier:
         self.env: dict[str, list[ColInfo]] = {}
         for name, rel in (env or {}).items():
             self.env[name] = _env_cols(rel)
-        self.marks: dict[str, str] = {}  # mark/scalar name -> defining path
+        self.marks: dict[str, str] = {}  # mark name -> defining path
 
     # -- helpers ----------------------------------------------------------
 
@@ -265,7 +264,7 @@ class _Verifier:
 
     def check_exprs(self, exprs: "Iterable[Expr]", cols: list[ColInfo],
                     path: str) -> None:
-        """Planner-introduced __mark_N/__scalar_N refs must be in scope, and
+        """Planner-introduced __mark_N refs must be in scope, and
         no subquery form is left for an evaluator."""
         for expr in exprs:
             for node in walk(expr):
@@ -641,65 +640,32 @@ class _Verifier:
                           f"probe {i}: incomparable dtypes "
                           f"({pkind} vs {ikind})", path)
 
-    def visit_SemiJoin(self, op: p.SemiJoin, path: str) -> _RelInfo:
-        rel = self.child(op.child, path)
-        inner = self.subplan(op.subplan, path)
-        self._check_probes(op, rel, inner, path)
-        return _RelInfo(rel.cols, opaque=rel.opaque)
-
-    def visit_AntiJoin(self, op: p.AntiJoin, path: str) -> _RelInfo:
-        rel = self.child(op.child, path)
-        inner = self.subplan(op.subplan, path)
-        if op.null_aware and not op.probe_exprs:
-            self.fail("subquery.null-aware-probe",
-                      "null-aware anti join (NOT IN) requires probe "
-                      "expressions", path)
-        self._check_probes(op, rel, inner, path)
-        return _RelInfo(rel.cols, opaque=rel.opaque)
-
-    def _define_mark(self, name: str, prefix: str, path: str) -> None:
-        if not name.startswith(prefix):
-            self.fail("mark.name",
-                      f"appended column {name!r} must start with "
-                      f"{prefix!r} (star expansion skips that prefix; "
-                      f"anything else leaks into SELECT * output)", path)
-        if name in self.marks:
-            self.fail("mark.unique",
-                      f"column {name!r} defined twice (also at "
-                      f"{self.marks[name]})", path)
-        self.marks[name] = path
-
     def visit_MarkJoin(self, op: p.MarkJoin, path: str) -> _RelInfo:
         rel = self.child(op.child, path)
         inner = self.subplan(op.subplan, path)
-        if op.mode not in ("semi", "anti", "anti-null"):
-            self.fail("mark.mode", f"unknown mark mode {op.mode!r}", path)
-        if op.mode == "anti-null" and not op.probe_exprs:
-            self.fail("subquery.null-aware-probe",
-                      "null-aware mark join (NOT IN) requires probe "
-                      "expressions", path)
+        keys = len(op.probe_exprs) - (op.source == "IN")
+        if op.source not in ("IN", "EXISTS") or keys < 1:
+            self.fail("subquery.correlated",
+                      f"{op.source} subquery join with {max(keys, 0)} "
+                      f"correlation key(s) (an IN or EXISTS with at least "
+                      f"one; an uncorrelated form is an InitPlan value)",
+                      path)
         self._check_probes(op, rel, inner, path)
-        self._define_mark(op.mark_name, "__mark_", path)
+        if op.mark_name is None:
+            return _RelInfo(rel.cols, opaque=rel.opaque)
+        if not op.mark_name.startswith("__mark_"):
+            self.fail("mark.name",
+                      f"appended column {op.mark_name!r} must start with "
+                      f"'__mark_' (star expansion skips that prefix; "
+                      f"anything else leaks into SELECT * output)", path)
+        if op.mark_name in self.marks:
+            self.fail("mark.unique",
+                      f"column {op.mark_name!r} defined twice (also at "
+                      f"{self.marks[op.mark_name]})", path)
+        self.marks[op.mark_name] = path
         mark = ColInfo(op.mark_name, None, "numeric", nullable=False,
                        internal=True)
         return _RelInfo(rel.cols + [mark], opaque=rel.opaque)
-
-    def _check_value_arity(self, inner: _RelInfo, path: str) -> None:
-        if not inner.opaque and len(inner.cols) != 1:
-            self.fail("subquery.scalar-arity",
-                      f"scalar or IN subquery produces {len(inner.cols)} "
-                      f"column(s), expected exactly 1", path)
-
-    def visit_ScalarSubqueryScan(self, op: p.ScalarSubqueryScan,
-                                 path: str) -> _RelInfo:
-        rel = self.child(op.child, path)
-        inner = self.subplan(op.subplan, path)
-        self._check_value_arity(inner, path)
-        self._define_mark(op.scalar_name, "__scalar_", path)
-        kind = inner.cols[0].kind if not inner.opaque and inner.cols else None
-        scalar = ColInfo(op.scalar_name, None, kind, nullable=True,
-                         internal=True)
-        return _RelInfo(rel.cols + [scalar], opaque=rel.opaque)
 
     def visit_InitPlan(self, op: p.InitPlan, path: str) -> _RelInfo:
         rel = self.child(op.child, path)
@@ -710,8 +676,12 @@ class _Verifier:
                           f"InitPlan value {name!r} of kind {kind!r} (want "
                           f"$N of scalar / in / [not] exists)", path)
             inner = self.subplan(plan, path)
-            if kind in ("scalar", "in"):
-                self._check_value_arity(inner, path)
+            if kind in ("scalar", "in") and not inner.opaque and \
+                    len(inner.cols) != 1:
+                self.fail("subquery.scalar-arity",
+                          f"scalar or IN subquery produces "
+                          f"{len(inner.cols)} column(s), expected exactly 1",
+                          path)
         return rel
 
     # -- window -----------------------------------------------------------
@@ -782,8 +752,7 @@ class _Verifier:
                 if rel.opaque:
                     return None
                 for col in rel.cols:
-                    if col.internal or col.name.startswith(("__mark_",
-                                                            "__scalar_")):
+                    if col.internal or col.name.startswith("__mark_"):
                         continue
                     if item.expr.table is not None and not any(
                             c.binding == item.expr.table

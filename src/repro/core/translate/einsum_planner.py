@@ -208,10 +208,6 @@ def _reshape_row_to_vector(em: _Emitter, wide: SymFrame, n: int) -> SymFrame:
     return _array_frame(em, 1, body, ["ID", out])
 
 
-def _const_row(values: list[float]) -> list[Const]:
-    return [Const(float(v)) for v in values]
-
-
 def _lower_dense_binary(em: _Emitter, inputs: list[str], output: str, operands: list) -> object:
     a_idx, b_idx = inputs
     a, b = operands

@@ -145,10 +145,6 @@ class SymConstArray:
 
     values: list  # 1-D or 2-D python list of numbers
 
-    @property
-    def is_vector(self) -> bool:
-        return not isinstance(self.values[0], list)
-
 
 @dataclass
 class SymStrAccessor:

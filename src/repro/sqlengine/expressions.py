@@ -29,7 +29,7 @@ from .sqlast import (
     Expr, FuncCall, InList, InSubquery, IsNull, LikeExpr, Literal, Parameter,
     ScalarSubquery, Star, UnaryOp, WindowCall, children, expr_key, walk,
 )
-from .table import Chunk, DictColumn
+from .table import Chunk, DictColumn, isna
 
 __all__ = ["Scope", "Evaluator", "expr_columns", "contains_aggregate",
            "has_subquery", "has_window", "sql_aggregate"]
@@ -195,6 +195,18 @@ def _null_safe_compare(left, right, op: str, n: int) -> np.ndarray:
             if side is not None and side.dtype.kind == "M":
                 result &= ~np.isnat(side)
     return result
+
+
+def _arithmetic_operand(value):
+    """*value* as an operand of arithmetic: a NULL scalar (literal,
+    placeholder, empty scalar subquery) and an object column holding only
+    NULLs (whose type nothing tells) become NaN, which propagates NULL."""
+    if value is None:
+        return np.nan
+    if isinstance(value, np.ndarray) and value.dtype == object \
+            and isna_array(value).all():
+        return np.full(value.shape, np.nan)
+    return value
 
 
 # The row-wise scalar forms: their value on a row is a function of that
@@ -413,10 +425,7 @@ class Evaluator:
                 a, b = lv[i], rv[i]
                 out[i] = None if a is None or b is None else str(a) + str(b)
             return out
-        # A NULL scalar (literal, placeholder, empty scalar subquery)
-        # propagates as NaN.
-        left = np.nan if left is None else left
-        right = np.nan if right is None else right
+        left, right = _arithmetic_operand(left), _arithmetic_operand(right)
         # Date +/- interval.
         left, right = self._coerce_interval(left, right, op)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -442,19 +451,17 @@ class Evaluator:
         return left, right
 
     def _eval_UnaryOp(self, expr: UnaryOp):
-        if expr.op == "NOT" and isinstance(expr.operand, (InSubquery, InList)):
+        if expr.op == "NOT" and isinstance(expr.operand, InList):
             # Fold the NOT into the IN node itself: its evaluator implements
             # the three-valued negation (NULL-aware NOT IN), whereas a plain
             # two-valued ~mask would leak rows whose predicate is UNKNOWN.
-            # This keeps the residual path identical to the planned
-            # AntiJoin/SemiJoin rewrite of NOT-wrapped conjuncts.
             from dataclasses import replace as _replace
 
             return self._eval(_replace(expr.operand,
                                        negated=not expr.operand.negated))
         value = self._eval(expr.operand)
         if expr.op == "-":
-            return -value
+            return -_arithmetic_operand(value)
         if expr.op == "NOT":
             if isinstance(value, np.ndarray):
                 return ~value.astype(bool)
@@ -544,9 +551,10 @@ class Evaluator:
         NULL or the list contains a NULL and nothing matched.  ``NOT IN``
         negates the three-valued result, so an unmatched row is only kept
         when neither the operand nor any list item is NULL.  A placeholder
-        bound to an array — the value column of an uncorrelated ``IN
-        (SELECT ...)`` — stands for every value in it; ``NOT IN`` an empty
-        one is TRUE for every row, NULL operands included.
+        bound to a column — the value set of an uncorrelated ``[NOT] IN
+        (SELECT ...)`` — stands for every value in it under the same rules;
+        ``NOT IN`` an empty one is TRUE for every row, NULL operands
+        included.
         """
         from .joins import semi_join_flags
 
@@ -555,10 +563,11 @@ class Evaluator:
         mask = np.zeros(n, dtype=bool)
         item_null = np.zeros(n, dtype=bool)
         scalars: list = []
-        sets: list[np.ndarray] = []
+        sets: list = []
         for item in expr.items:
-            value = self._eval(item)
-            if isinstance(item, Parameter) and isinstance(value, np.ndarray):
+            value = self._eval(item, keep_dict=isinstance(item, Parameter))
+            if isinstance(item, Parameter) and \
+                    isinstance(value, (np.ndarray, DictColumn)):
                 sets.append(value)
             elif isinstance(value, np.ndarray):
                 mask |= _null_safe_compare(operand, value, "=", n)
@@ -579,7 +588,7 @@ class Evaluator:
             mask |= semi_join_flags([operand], [build])
         for values in sets:
             mask |= semi_join_flags([operand], [values])
-            item_null |= bool(isna_array(values).any())
+            item_null |= bool(isna(values).any())
         if not expr.negated:
             return mask
         if len(sets) == len(expr.items) and not any(map(len, sets)):

@@ -335,7 +335,6 @@ def semi_join_flags(probe_keys: list, build_keys: list,
 
 def _membership_int(pk: np.ndarray, bk: np.ndarray, threads: int) -> np.ndarray:
     """Membership of int64 probe keys in int64 build keys (no NULLs left)."""
-    bk = np.unique(bk)
     kmin = int(bk.min())
     span = int(bk.max()) - kmin + 1
     if 0 < span <= max(1 << 20, 4 * (len(bk) + len(pk))):
@@ -349,6 +348,7 @@ def _membership_int(pk: np.ndarray, bk: np.ndarray, threads: int) -> np.ndarray:
 
         return parallel_masks(len(pk), threads, probe_exact)
 
+    bk = np.unique(bk)
     table_size = _hash_table_size(len(bk))
     hashed = (bk - kmin) % table_size
     order = np.argsort(hashed, kind="stable")

@@ -21,10 +21,11 @@ goes through :class:`ExecContext`: the trace note, the cancellation check,
 running a derived-table body, the bound placeholder values, and the
 scatter hook of :class:`Exchange` — the partition boundary the planner
 places between a partial and a final ``HashAggregate``/``TopK`` stage when
-``EngineConfig.shard_workers > 0``.  Subqueries are operators too
-(``SemiJoin``, ``AntiJoin``, ``MarkJoin``, ``ScalarSubqueryScan``,
-``InitPlan``): each runs its planned subquery once per execution, so no
-expression ever calls back into the driver.
+``EngineConfig.shard_workers > 0``.  Subqueries are operators too: an
+``InitPlan`` binds the value of each uncorrelated one, a ``MarkJoin``
+computes a correlated ``[NOT] IN`` / ``[NOT] EXISTS`` per outer row; each
+runs its planned subquery once per execution, so no expression ever calls
+back into the driver.
 
 Filter masks, projections, ``HashJoin`` probes, ``HashAggregate``
 reductions, and ``Window`` partition reductions are partitioned across the
@@ -58,7 +59,7 @@ from .sqlast import (
     SelectItem, Star, UnaryOp, ValuesClause, WindowCall, WindowFrame,
     expr_key, map_children,
 )
-from .table import Chunk, DictColumn, isna, plain
+from .table import Chunk, DictColumn, as_dict, isna, plain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Callable, Iterator
@@ -69,7 +70,7 @@ __all__ = [
     "ExecContext", "OpResult", "Operator", "Scan", "SubqueryScan", "DualScan",
     "Filter", "CrossJoin", "HashJoin", "ResidualFilter", "Window", "Project",
     "HashAggregate", "Distinct", "Sort", "TopK", "Limit", "Exchange", "SetOp",
-    "SemiJoin", "AntiJoin", "MarkJoin", "ScalarSubqueryScan", "InitPlan",
+    "MarkJoin", "InitPlan",
     "AdaptiveSource", "AdaptiveJoin", "Materialized",
     "PhysicalPlan", "expr_to_str", "window_to_str", "frame_to_str",
     "output_name", "AggregateBatch", "aggregate", "order_arrays",
@@ -80,6 +81,14 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Rendering helpers
 # ---------------------------------------------------------------------------
+
+def _is_value_set(expr: Expr) -> bool:
+    """Is *expr* ``x [NOT] IN ($N)``, the probe of an uncorrelated ``IN
+    (SELECT ...)`` whose value set an InitPlan binds?"""
+    return isinstance(expr, InList) and all(
+        isinstance(item, Parameter) and str(item.name)[0] == "$"
+        for item in expr.items)
+
 
 def expr_to_str(expr: Expr) -> str:
     """Compact SQL-ish rendering of an expression for EXPLAIN output."""
@@ -112,7 +121,10 @@ def expr_to_str(expr: Expr) -> str:
         return "CASE ... END"
     if isinstance(expr, InList):
         neg = "NOT " if expr.negated else ""
-        return f"{expr_to_str(expr.operand)} {neg}IN (...)"
+        items = "..."
+        if _is_value_set(expr):
+            items = ", ".join(map(expr_to_str, expr.items))
+        return f"{expr_to_str(expr.operand)} {neg}IN ({items})"
     if isinstance(expr, BetweenExpr):
         neg = "NOT " if expr.negated else ""
         return (f"{expr_to_str(expr.operand)} {neg}BETWEEN "
@@ -794,171 +806,8 @@ class ResidualFilter(Operator):
 
 
 # ---------------------------------------------------------------------------
-# Decorrelated subquery operators
+# Correlated subqueries
 # ---------------------------------------------------------------------------
-
-def _skip_subquery_event(ctx: ExecContext, what: str) -> None:
-    """Note an adaptive empty-outer short-circuit (subquery never runs)."""
-    stats = ctx.executor.stats
-    if stats is not None:
-        stats.event(f"{what}: empty outer input, subquery skipped")
-    ctx.note(f"adaptive: {what} skipped subquery on empty outer input")
-
-
-def _subquery_probe_flags(ctx: ExecContext, res: OpResult,
-                          subplan: "PhysicalPlan",
-                          probe_exprs: list[Expr]) -> tuple[np.ndarray, Chunk]:
-    """Execute the inner subplan and compute per-outer-row match flags.
-
-    ``probe_exprs`` pair positionally with the subplan's output columns; an
-    empty list is the uncorrelated-EXISTS shape (flags broadcast whether the
-    inner result is non-empty).  NULLs never match (see
-    :func:`~.joins.semi_join_flags`).
-    """
-    from .joins import semi_join_flags
-
-    inner = subplan.execute(ctx)
-    n = res.chunk.nrows
-    if not probe_exprs:
-        return np.full(n, inner.nrows > 0), inner
-    evaluator = Evaluator(res.chunk, res.scope, params=ctx.params)
-    probes = [evaluator.eval_array(e) for e in probe_exprs]
-    flags = semi_join_flags(probes,
-                            [inner.column(i) for i in range(len(probes))],
-                            threads=ctx.config.threads)
-    return flags, inner
-
-
-@dataclass
-class SemiJoin(Operator):
-    """Keep outer rows with at least one match in the subquery result.
-
-    The planner rewrites ``IN (SELECT ...)`` and (equality-correlated or
-    uncorrelated) ``EXISTS`` into this node.  The build side is the planned
-    subquery (executed once per query); the probe is morsel-parallel over
-    the GIL-free membership kernel.
-    """
-
-    child: Operator
-    subplan: "PhysicalPlan" = None  # type: ignore[assignment]
-    probe_exprs: list[Expr] = field(default_factory=list)
-    source: str = "IN"  # "IN" | "EXISTS", for EXPLAIN only
-    est_rows: float | None = None
-
-    def children(self) -> list[Operator]:
-        return [self.child, self.subplan.root]
-
-    def label(self) -> str:
-        probes = ", ".join(expr_to_str(p) for p in self.probe_exprs)
-        on = f" on [{probes}]" if probes else ""
-        return f"SemiJoin {self.source}{on}"
-
-    def execute(self, ctx: ExecContext) -> OpResult:
-        res = self.child.run(ctx)
-        ctx.checkpoint()
-        if ctx.config.adaptive_execution and res.chunk.nrows == 0:
-            _skip_subquery_event(ctx, f"semi join ({self.source.lower()})")
-            return OpResult(res.chunk, res.scope)
-        flags, inner = _subquery_probe_flags(ctx, res, self.subplan,
-                                             self.probe_exprs)
-        chunk = res.chunk.mask(flags)
-        ctx.note(f"semi join ({self.source.lower()} subquery): "
-                 f"{res.chunk.nrows} x {inner.nrows} -> {chunk.nrows} rows")
-        return OpResult(chunk, res.scope)
-
-
-def _null_aware_anti_flags(ctx: ExecContext, res: OpResult,
-                           subplan: "PhysicalPlan",
-                           probe_exprs: list[Expr]) -> tuple[np.ndarray, int]:
-    """``NOT IN`` keep-flags with three-valued NULL semantics.
-
-    ``probe_exprs[0]`` is the IN operand (pairing with inner output column
-    0); the remaining pairs are equality-correlation keys.  Per outer row,
-    with S the correlated inner value set: keep when S is empty; otherwise
-    keep only when the operand is non-NULL, S contains no NULL, and no
-    member of S equals the operand (any NULL in play makes the unmatched
-    case UNKNOWN, which drops the row).
-    """
-    from .joins import semi_join_flags
-
-    inner = subplan.execute(ctx)
-    n = res.chunk.nrows
-    threads = ctx.config.threads
-    evaluator = Evaluator(res.chunk, res.scope, params=ctx.params)
-    probes = [evaluator.eval_array(e) for e in probe_exprs]
-    build = [inner.column(i) for i in range(len(probes))]
-    value_null = isna(probes[0])
-    build_value_null = isna(build[0]) if inner.nrows else \
-        np.zeros(0, dtype=bool)
-
-    if len(probes) == 1:  # uncorrelated NOT IN
-        if inner.nrows == 0:
-            return np.ones(n, dtype=bool), 0
-        if build_value_null.any():
-            return np.zeros(n, dtype=bool), inner.nrows
-        matched = semi_join_flags(probes, build, threads=threads)
-        return ~matched & ~value_null, inner.nrows
-
-    corr_probes, corr_build = probes[1:], build[1:]
-    group_nonempty = semi_join_flags(corr_probes, corr_build, threads=threads)
-    if build_value_null.any():
-        null_groups = [b[build_value_null] for b in corr_build]
-        group_has_null = semi_join_flags(corr_probes, null_groups,
-                                         threads=threads)
-    else:
-        group_has_null = np.zeros(n, dtype=bool)
-    matched = semi_join_flags(probes, build, threads=threads)
-    keep = ~group_nonempty | (~value_null & ~group_has_null & ~matched)
-    return keep, inner.nrows
-
-
-@dataclass
-class AntiJoin(Operator):
-    """Keep outer rows with *no* match in the subquery result.
-
-    ``null_aware=False`` is ``NOT EXISTS`` (a NULL correlation key simply
-    never matches, so the row is kept); ``null_aware=True`` is ``NOT IN``,
-    where NULLs on either side make the predicate UNKNOWN and drop the row
-    (see :func:`_null_aware_anti_flags`).
-    """
-
-    child: Operator
-    subplan: "PhysicalPlan" = None  # type: ignore[assignment]
-    probe_exprs: list[Expr] = field(default_factory=list)
-    null_aware: bool = False
-    est_rows: float | None = None
-
-    def children(self) -> list[Operator]:
-        return [self.child, self.subplan.root]
-
-    def label(self) -> str:
-        probes = ", ".join(expr_to_str(p) for p in self.probe_exprs)
-        on = f" on [{probes}]" if probes else ""
-        kind = "NOT IN (null-aware)" if self.null_aware else "NOT EXISTS"
-        return f"AntiJoin {kind}{on}"
-
-    def execute(self, ctx: ExecContext) -> OpResult:
-        res = self.child.run(ctx)
-        ctx.checkpoint()
-        if ctx.config.adaptive_execution and res.chunk.nrows == 0:
-            _skip_subquery_event(
-                ctx, f"anti join ({'not in' if self.null_aware else 'not exists'})"
-            )
-            return OpResult(res.chunk, res.scope)
-        if self.null_aware:
-            keep, inner_rows = _null_aware_anti_flags(
-                ctx, res, self.subplan, self.probe_exprs
-            )
-        else:
-            flags, inner = _subquery_probe_flags(ctx, res, self.subplan,
-                                                 self.probe_exprs)
-            keep, inner_rows = ~flags, inner.nrows
-        chunk = res.chunk.mask(keep)
-        ctx.note(f"anti join ({'not in' if self.null_aware else 'not exists'} "
-                 f"subquery): {res.chunk.nrows} x {inner_rows} "
-                 f"-> {chunk.nrows} rows")
-        return OpResult(chunk, res.scope)
-
 
 def _append_column(res: OpResult, name: str, array: np.ndarray) -> OpResult:
     """A new OpResult with one extra (unqualified) column appended."""
@@ -971,22 +820,31 @@ def _append_column(res: OpResult, name: str, array: np.ndarray) -> OpResult:
 
 @dataclass
 class MarkJoin(Operator):
-    """Compute a subquery predicate as a boolean *mark* column.
+    """A correlated ``[NOT] IN`` / ``[NOT] EXISTS``, computed as one match
+    flag per outer row.
 
-    Used when an IN/EXISTS predicate sits under OR/CASE rather than as a
-    top-level WHERE conjunct: the row set cannot be filtered directly, so
-    the match flags are appended as a column (``__mark_N``) which the
-    rewritten residual predicate references.  ``mode`` folds the predicate's
-    own negation and NULL handling into the mark, so the stored column is
-    the plain two-valued truth of the original predicate.
+    ``probe_exprs`` pair positionally with the subplan's output columns:
+    for ``IN`` the operand against the value column, then one outer
+    expression per equality-correlation key — at least one, since the
+    planner binds an uncorrelated form as an :class:`InitPlan` value
+    instead.  The subplan runs once per execution and the probe is
+    morsel-parallel over the GIL-free membership kernel.  ``negated``
+    makes the flag ``NOT EXISTS`` (a NULL key never matches, so the row is
+    kept) or ``NOT IN`` (three-valued: see :meth:`_flags`).
+
+    With no ``mark_name`` the predicate is a whole WHERE / ON conjunct and
+    the operator keeps the rows whose flag is set (EXPLAIN calls it a
+    ``SemiJoin`` / ``AntiJoin``); otherwise it appends the flags as the
+    boolean column ``__mark_N`` that the expression above reads in the
+    form's place.
     """
 
     child: Operator
     subplan: "PhysicalPlan" = None  # type: ignore[assignment]
     probe_exprs: list[Expr] = field(default_factory=list)
-    mark_name: str = "__mark_0"
-    mode: str = "semi"  # "semi" | "anti" | "anti-null"
-    source: str = "IN"  # for EXPLAIN only
+    source: str = "IN"  # "IN" | "EXISTS"
+    negated: bool = False
+    mark_name: Optional[str] = None
     est_rows: float | None = None
 
     def children(self) -> list[Operator]:
@@ -994,74 +852,66 @@ class MarkJoin(Operator):
 
     def label(self) -> str:
         probes = ", ".join(expr_to_str(p) for p in self.probe_exprs)
-        on = f" on [{probes}]" if probes else ""
-        return f"MarkJoin {self.mark_name} = {self.source}{on}"
+        form = ("NOT " if self.negated else "") + self.source
+        if self.mark_name is not None:
+            return f"MarkJoin {self.mark_name} = {form} on [{probes}]"
+        if not self.negated:
+            return f"SemiJoin {form} on [{probes}]"
+        null_aware = " (null-aware)" if self.source == "IN" else ""
+        return f"AntiJoin {form}{null_aware} on [{probes}]"
 
     def execute(self, ctx: ExecContext) -> OpResult:
         res = self.child.run(ctx)
         ctx.checkpoint()
+        form = ("not " if self.negated else "") + self.source.lower()
+        what = (f"mark join {self.mark_name}" if self.mark_name is not None
+                else f"{'anti' if self.negated else 'semi'} join ({form})")
         if ctx.config.adaptive_execution and res.chunk.nrows == 0:
-            _skip_subquery_event(ctx, f"mark join {self.mark_name}")
-            return _append_column(res, self.mark_name,
-                                  np.zeros(0, dtype=bool))
-        if self.mode == "anti-null":
-            mark, _ = _null_aware_anti_flags(ctx, res, self.subplan,
-                                             self.probe_exprs)
+            stats = ctx.executor.stats
+            if stats is not None:
+                stats.event(f"{what}: empty outer input, subquery skipped")
+            ctx.note(f"adaptive: {what} skipped subquery on empty outer "
+                     f"input")
+            flags, inner_rows = np.zeros(0, dtype=bool), 0
         else:
-            flags, _ = _subquery_probe_flags(ctx, res, self.subplan,
-                                             self.probe_exprs)
-            mark = ~flags if self.mode == "anti" else flags
-        ctx.note(f"mark join {self.mark_name}: {res.chunk.nrows} rows")
-        return _append_column(res, self.mark_name, mark)
+            flags, inner_rows = self._flags(ctx, res)
+        if self.mark_name is not None:
+            ctx.note(f"{what}: {res.chunk.nrows} x {inner_rows}, "
+                     f"{int(flags.sum())} marked")
+            return _append_column(res, self.mark_name, flags)
+        chunk = res.chunk.mask(flags)
+        ctx.note(f"{what}: {res.chunk.nrows} x {inner_rows} -> "
+                 f"{chunk.nrows} rows")
+        return OpResult(chunk, res.scope)
 
+    def _flags(self, ctx: ExecContext, res: OpResult) -> tuple[np.ndarray, int]:
+        """The per-row truth of the predicate (UNKNOWN is false), and the
+        subquery's row count.
 
-@dataclass
-class ScalarSubqueryScan(Operator):
-    """Evaluate an uncorrelated scalar subquery once, broadcast the value.
+        For ``NOT IN``, with S the inner value set of the row's
+        correlation keys: TRUE when S is empty; otherwise only when the
+        operand is non-NULL, S holds no NULL and no member of S equals the
+        operand (any NULL in play makes the unmatched case UNKNOWN).
+        """
+        from .joins import semi_join_flags
 
-    The single-cell result is appended as a column (``__scalar_N``)
-    referenced by the rewritten predicate above.  More than one inner row
-    is a hard error (SQL scalar subquery cardinality rule); zero rows
-    yield NULL.
-    """
-
-    child: Operator
-    subplan: "PhysicalPlan" = None  # type: ignore[assignment]
-    scalar_name: str = "__scalar_0"
-    est_rows: float | None = None
-
-    def children(self) -> list[Operator]:
-        return [self.child, self.subplan.root]
-
-    def label(self) -> str:
-        return f"ScalarSubqueryScan {self.scalar_name}"
-
-    def execute(self, ctx: ExecContext) -> OpResult:
-        res = self.child.run(ctx)
-        ctx.checkpoint()
         inner = self.subplan.execute(ctx)
-        value = _scalar_value(inner)
-        n = res.chunk.nrows
-        if value is None:
-            column = np.full(n, np.nan)
-        elif isinstance(value, str):
-            column = np.empty(n, dtype=object)
-            column[:] = value
-        else:
-            column = np.full(n, value, dtype=inner.dtype(0))
-        ctx.note(f"scalar subquery {self.scalar_name}: value={value!r}")
-        return _append_column(res, self.scalar_name, column)
-
-
-def _scalar_value(inner: Chunk) -> object:
-    """The value of a scalar subquery's result: its one cell, None (NULL)
-    for no row, an error for more than one (SQL's cardinality rule)."""
-    if inner.nrows > 1:
-        raise SQLExecutionError(
-            f"scalar subquery returned {inner.nrows} rows "
-            f"(expected at most one)"
-        )
-    return inner.column(0)[0] if inner.nrows == 1 else None
+        threads = ctx.config.threads
+        evaluator = Evaluator(res.chunk, res.scope, params=ctx.params)
+        probes = [evaluator.eval_array(e) for e in self.probe_exprs]
+        build = [inner.column(i) for i in range(len(probes))]
+        matched = semi_join_flags(probes, build, threads=threads)
+        if not self.negated:
+            return matched, inner.nrows
+        if self.source == "EXISTS":
+            return ~matched, inner.nrows
+        keys, key_build = probes[1:], build[1:]
+        group_nonempty = semi_join_flags(keys, key_build, threads=threads)
+        null_values = isna(build[0])
+        group_has_null = semi_join_flags(
+            keys, [b[null_values] for b in key_build], threads=threads)
+        return (~group_nonempty | (~isna(probes[0]) & ~group_has_null
+                                   & ~matched)), inner.nrows
 
 
 @dataclass
@@ -1094,9 +944,16 @@ class InitPlan(Operator):
             ctx.checkpoint()
             inner = plan.execute(ctx)
             if kind == "scalar":
-                bound[name] = _scalar_value(inner)
+                if inner.nrows > 1:  # SQL's cardinality rule
+                    raise SQLExecutionError(
+                        f"scalar subquery returned {inner.nrows} rows "
+                        f"(expected at most one)")
+                bound[name] = inner.column(0)[0] if inner.nrows else None
             elif kind == "in":
-                bound[name] = plain(inner.column(0))
+                # Strings are encoded once, not by every probe.
+                values = inner.column(0)
+                bound[name] = as_dict(values) if values.dtype == object \
+                    else values
             else:
                 bound[name] = (inner.nrows > 0) != (kind == "not exists")
         return self.child.run(replace(ctx, params=bound))
@@ -1172,8 +1029,8 @@ def _expand_items(select: Select, chunk: Chunk, scope: Scope) -> list[SelectItem
     for item in select.items:
         if isinstance(item.expr, Star):
             for col in chunk.columns:
-                if col.startswith(("__mark_", "__scalar_")):
-                    continue  # planner-introduced mark/scalar columns
+                if col.startswith("__mark_"):
+                    continue  # planner-introduced mark columns
                 if item.expr.table is not None:
                     slot = scope.qualified.get((item.expr.table, col))
                     if slot is None:

@@ -10,11 +10,12 @@ Decisions made here:
 * **predicate pushdown** — WHERE conjuncts owned by a single FROM source
   become a :class:`~.plan.Filter` directly above that source's scan;
   equality conjuncts spanning two sources become hash-join edges; the rest
-  (subquery predicates, 3+-source predicates) stay residual;
+  (correlated subquery predicates, 3+-source predicates) stay residual;
 * **subqueries** — every IN / EXISTS / scalar subquery, in any clause,
-  becomes a SemiJoin / AntiJoin / MarkJoin / ScalarSubqueryScan or a value
-  an InitPlan binds (see "subqueries" below); a shape that cannot be
-  unnested is an error here, never a run-time fallback;
+  becomes a value an InitPlan binds when it is uncorrelated, before any
+  predicate is placed, and a MarkJoin when it is correlated (see
+  "subqueries" below); a shape that cannot be unnested is an error here,
+  never a run-time fallback;
 * **projection pruning** — each scan keeps only columns referenced anywhere
   in the statement (including nested subqueries), and a CTE keeps only the
   output columns its consumers read (:func:`prune_cte_columns`, applied to
@@ -40,11 +41,10 @@ from typing import TYPE_CHECKING
 from ..errors import SQLBindError, UnsupportedFeatureError
 from .catalog import Catalog
 from .plan import (
-    AdaptiveJoin, AdaptiveSource, AntiJoin, CrossJoin, Distinct, DualScan,
-    Exchange, Filter, HashAggregate, HashJoin, InitPlan, Limit, MarkJoin,
-    Operator, PhysicalPlan, Project, ResidualFilter, Scan, ScalarSubqueryScan,
-    SemiJoin, SetOp, Sort, SubqueryScan, TopK, Window, expr_to_str,
-    output_name,
+    AdaptiveJoin, AdaptiveSource, CrossJoin, Distinct, DualScan, Exchange,
+    Filter, HashAggregate, HashJoin, InitPlan, Limit, MarkJoin, Operator,
+    PhysicalPlan, Project, ResidualFilter, Scan, SetOp, Sort, SubqueryScan,
+    TopK, Window, _is_value_set, expr_to_str, output_name,
 )
 from .expressions import (
     aggregates_of, contains_aggregate, expr_columns, has_subquery, has_window,
@@ -101,10 +101,13 @@ def subqueries_of(expr: Expr) -> list[Select | CompoundSelect]:
 
 
 def match_subquery_form(conj: Expr) -> tuple[str, bool, Expr] | None:
-    """Match a conjunct that *is* an IN/EXISTS subquery predicate, possibly
-    under a chain of NOTs.  Returns ``(kind, negated, node)`` with kind
-    ``"in"`` | ``"exists"`` and the NOT chain folded into *negated*, or
-    ``None`` when the conjunct is some other shape."""
+    """Match an expression that *is* a subquery form: a scalar subquery, or
+    an IN/EXISTS predicate possibly under a chain of NOTs.  Returns
+    ``(kind, negated, node)`` with kind ``"scalar"`` | ``"in"`` |
+    ``"exists"`` and the NOT chain folded into *negated*, or ``None`` when
+    the expression is some other shape."""
+    if isinstance(conj, ScalarSubquery):
+        return "scalar", False, conj
     negated = False
     e = conj
     while isinstance(e, UnaryOp) and e.op == "NOT":
@@ -558,6 +561,8 @@ def _selectivity(expr: Expr, schema: RelSchema) -> float:
     if isinstance(expr, BetweenExpr):
         return 0.75 if expr.negated else 0.25
     if isinstance(expr, InList):
+        if _is_value_set(expr):
+            return 0.5  # a subquery's value set: its size is a run-time fact
         if isinstance(expr.operand, ColumnRef) and expr.operand.name in schema.unique:
             # Each list item matches at most one row of a unique column —
             # the generic 5%-per-item guess is off by orders of magnitude
@@ -902,7 +907,10 @@ class Planner:
         Project / HashAggregate → Distinct → Sort → Limit.
         """
         _window_placement(select)
+        values: list[tuple[str, str, PhysicalPlan]] = []
         refs, star, computed, nesting = collect_needed_columns(select, final)
+        if nesting:
+            select = self._bind_values(select, env, values)
 
         sources = [self._make_source(rel, env, refs, star, computed)
                    for rel in select.relations]
@@ -935,10 +943,9 @@ class Planner:
         select = replace(
             select, group_by=_resolve_group_ordinals(select),
             order_by=_resolve_order_ordinals(select.order_by, out_columns))
-        values: list[tuple[str, str, PhysicalPlan]] = []
         if nesting - {"joins", "where"}:
             root, select = self._plan_clause_subqueries(
-                root, select, item_names, binding_columns, env, values)
+                root, select, item_names, binding_columns, env)
 
         has_agg = bool(select.group_by) or any(
             contains_aggregate(item.expr) for item in select.items
@@ -1185,6 +1192,10 @@ class Planner:
         table = self.catalog.get(s.table_name)
         if table.nrows == 0:
             return None
+        # A subquery's value set is bound at run time: it keeps the 0.5
+        # guess of _selectivity, and the sample judges the rest.
+        guess = 0.5 ** sum(map(_is_value_set, preds))
+        preds = [p for p in preds if not _is_value_set(p)]
         needed = {ref.name for p in preds for ref in expr_columns(p)}
         columns = [c for c in table.columns if c in needed]
         if not columns:
@@ -1206,7 +1217,7 @@ class Planner:
                 mask &= ev.eval_mask(p)
         except Exception:
             return None  # unevaluable statically (correlated refs, etc.)
-        return float(mask.mean()) if chunk.nrows else None
+        return float(mask.mean()) * guess if chunk.nrows else None
 
     # -- zone-map chunk pruning ---------------------------------------------
     def _prune_scan_chunks(self, s: _Source, preds: list[Expr]) -> int | None:
@@ -1387,78 +1398,112 @@ class Planner:
     #
     # Every IN / EXISTS / scalar subquery is planned, in whatever clause it
     # sits; none reaches an Evaluator (docs/ARCHITECTURE.md "Subqueries &
-    # decorrelation" has the position x form table).
+    # decorrelation" has the table).  What decides the plan is correlation,
+    # not the clause:
     #
-    # * WHERE and inner-join ON conjuncts: a conjunct that *is* ``[NOT] IN``
-    #   / ``[NOT] EXISTS`` becomes a SemiJoin / AntiJoin above the join
-    #   tree; a form nested under OR/CASE becomes a MarkJoin whose boolean
-    #   mark column replaces it in the residual filter, and an uncorrelated
-    #   scalar subquery a ScalarSubqueryScan whose broadcast column
-    #   replaces it.
-    # * Select items, GROUP BY, HAVING, ORDER BY and window specs: a
-    #   correlated form becomes a MarkJoin below the operator evaluating
-    #   the clause; an uncorrelated one is a value of the execution, which
-    #   an InitPlan at the plan's root computes once and binds as the
-    #   placeholder ``$N`` that replaces the form.
+    # * An uncorrelated form is a value of the execution: before anything
+    #   is placed, _bind_values replaces it with the placeholder ``$N`` (for
+    #   ``x [NOT] IN (SELECT ...)``: ``x [NOT] IN ($N)``), which the InitPlan
+    #   at the plan's root binds, so the predicate is pushed down, joined
+    #   on or evaluated like any other.
+    # * A correlated ``[NOT] IN`` / ``[NOT] EXISTS`` becomes a MarkJoin: a
+    #   whole WHERE / ON conjunct filters above the join tree, anything
+    #   else (a form under OR / CASE, or in a clause above the residual
+    #   filter) is replaced by the MarkJoin's ``__mark_N`` column.
     #
     # A shape _decorrelate cannot plan raises at plan time.
+
+    def _bind_values(self, select: Select, env: dict[str, RelSchema],
+                     values: list) -> Select:
+        """*select* with each uncorrelated subquery form, in every clause,
+        replaced by a value for the InitPlan: a scalar subquery or ``[NOT]
+        EXISTS`` by ``$N``, ``x [NOT] IN (SELECT ...)`` by ``x [NOT] IN
+        ($N)``, whose set-valued ``$N`` the Evaluator probes.  *values*
+        receives the ``(name, kind, subplan)`` entries.  Correlated forms
+        stay; a form written twice is planned once."""
+        planned: dict[str, Expr] = {}
+
+        def replace_forms(e: Expr) -> Expr:
+            if not has_subquery(e):
+                return e
+            form = match_subquery_form(e)
+            if form is None or self._correlated(form[2], env):
+                return map_children(e, replace_forms)
+            key = expr_key(e)
+            if key not in planned:
+                kind, negated, node = form
+                subplan = self._plan_uncorrelated(node, kind, env)
+                name = f"${self._mark_counter}"
+                self._mark_counter += 1
+                values.append((name, "not exists" if kind == "exists"
+                               and negated else kind, subplan))
+                planned[key] = Parameter(name=name) if kind != "in" else \
+                    InList(replace_forms(node.operand),
+                           [Parameter(name=name)], negated=negated)
+            return planned[key]
+
+        return map_children(select, replace_forms)
+
+    def _correlated(self, node: Any, env: dict[str, RelSchema]) -> bool:
+        """Does the body of subquery form *node* read the outer query?  A
+        body whose names cannot be resolved statically counts as correlated:
+        :meth:`_decorrelate` refuses it."""
+        try:
+            return bool(self._outer_refs(node.query, env, []))
+        except _Unanalyzable:
+            return True
+
+    def _plan_uncorrelated(self, node: Any, kind: str,
+                           env: dict[str, RelSchema]) -> PhysicalPlan:
+        """The body of an uncorrelated form, planned as written."""
+        subplan = self.plan_body(node.query, env)
+        width = len(subplan.output_columns)
+        if kind != "exists" and width != 1:
+            raise SQLBindError(
+                f"sub-select returns {width} columns - expected 1")
+        return subplan
 
     def _residual_filter(self, root: Operator, residual: list[Expr],
                          binding_columns: dict[str, list[str]],
                          env: dict[str, RelSchema], est: float
                          ) -> tuple[Operator, float]:
-        """*root* filtered by the *residual* conjuncts, their subquery forms
-        planned first."""
+        """*root* filtered by the *residual* conjuncts, their (correlated)
+        subquery forms planned first."""
         if not residual:
             return root, est
-        root, residual, est = self._plan_subquery_predicates(
-            root, residual, binding_columns, env, est)
-        if residual:
-            est = max(1.0, est * 0.5 ** len(residual))
-            root = ResidualFilter(root, residual, est_rows=est)
-        return root, est
-
-    def _plan_subquery_predicates(self, root: Operator, residual: list[Expr],
-                                  binding_columns: dict[str, list[str]],
-                                  env: dict[str, RelSchema], est: float
-                                  ) -> tuple[Operator, list[Expr], float]:
         kept: list[Expr] = []
         for conj in residual:
-            if not has_subquery(conj):
-                kept.append(conj)
-                continue
             form = match_subquery_form(conj)
-            if form is not None and not (form[0] == "in"
-                                         and has_subquery(form[2].operand)):
+            if form is not None and form[0] != "scalar" and not (
+                    form[0] == "in" and has_subquery(form[2].operand)):
                 kind, negated, node = form
-                subplan, probe_exprs = self._decorrelate(
-                    node, kind, env, binding_columns)
+                subplan, probe = self._decorrelate(node, kind, env,
+                                                   binding_columns)
                 est = max(1.0, est * 0.5)
-                if negated:
-                    root = AntiJoin(root, subplan, probe_exprs,
-                                    null_aware=kind == "in", est_rows=est)
-                else:
-                    root = SemiJoin(root, subplan, probe_exprs,
-                                    source=kind.upper(), est_rows=est)
+                root = MarkJoin(root, subplan, probe, source=kind.upper(),
+                                negated=negated, est_rows=est)
                 continue
-            rewrite, factories = self._subquery_rewriter(env, binding_columns)
-            rewritten = rewrite(conj)
-            for make in factories:
-                root = make(root)
-            kept.append(rewritten)
-        return root, kept, est
+            if has_subquery(conj):
+                rewrite, factories = self._mark_rewriter(env, binding_columns)
+                conj = rewrite(conj)
+                for make in factories:
+                    root = make(root)
+            kept.append(conj)
+        if kept:
+            est = max(1.0, est * 0.5 ** len(kept))
+            root = ResidualFilter(root, kept, est_rows=est)
+        return root, est
 
     def _plan_clause_subqueries(self, root: Operator, select: Select,
                                 item_names: list[list[str]],
                                 binding_columns: dict[str, list[str]],
-                                env: dict[str, RelSchema],
-                                values: list) -> tuple[Operator, Select]:
-        """Plan the subquery forms of the clauses evaluated above the
-        residual filter: *root* grows the MarkJoins, *values* the InitPlan
-        entries, and the returned Select reads their columns and
-        placeholders.  A rewritten select item keeps its output name."""
-        rewrite, factories = self._subquery_rewriter(env, binding_columns,
-                                                     values)
+                                env: dict[str, RelSchema]
+                                ) -> tuple[Operator, Select]:
+        """Plan the correlated subquery forms of the clauses evaluated above
+        the residual filter: *root* grows their MarkJoins, and the returned
+        Select reads the mark columns.  A rewritten select item keeps its
+        output name."""
+        rewrite, factories = self._mark_rewriter(env, binding_columns)
         items = []
         for item, names in zip(select.items, item_names):
             expr = rewrite(item.expr)
@@ -1473,28 +1518,24 @@ class Planner:
             root = make(root)
         return root, select
 
-    def _subquery_rewriter(self, env: dict[str, RelSchema],
-                           binding_columns: dict[str, list[str]],
-                           values: list | None = None):
+    def _mark_rewriter(self, env: dict[str, RelSchema],
+                       binding_columns: dict[str, list[str]]):
         """``(rewrite, factories)``: *rewrite* returns an expression with
-        each subquery form replaced by the column or placeholder carrying
-        its result (an expression without one comes back as is), and
+        each (correlated) subquery form replaced by the ``__mark_N`` column
+        of a MarkJoin (an expression without one comes back as is), and
         appends to *factories* one function per column, wrapping the
-        current root in the MarkJoin / ScalarSubqueryScan producing it.
-        With *values* (``(name, kind, subplan)`` entries of an InitPlan),
-        uncorrelated forms become placeholders; without, columns.  A form
-        written twice is planned once."""
+        current root in that MarkJoin.  A form written twice is planned
+        once."""
         factories: list = []
-        planned: dict = {}
+        planned: dict[str, Expr] = {}
 
         def replace_forms(e: Expr) -> Expr:
             form = match_subquery_form(e)
-            if form is None and not isinstance(e, ScalarSubquery):
+            if form is None:
                 return map_children(e, replace_forms)
-            # Only clauses share forms (a GROUP BY key in the select list).
-            key = id(e) if values is None else expr_key(e)
+            key = expr_key(e)
             if key not in planned:
-                planned[key] = plan_form(*(form or ("scalar", False, e)))
+                planned[key] = plan_form(*form)
             return planned[key]
 
         def plan_form(kind: str, negated: bool, node: Any) -> Expr:
@@ -1502,38 +1543,17 @@ class Planner:
                 node = replace(node, operand=replace_forms(node.operand))
             subplan, probe = self._decorrelate(node, kind, env,
                                                binding_columns)
-            correlated = len(probe) > (kind == "in")
-            n = self._mark_counter
-            self._mark_counter += 1
-            if values is not None and not correlated:
-                name = f"${n}"
-                values.append((name, "not exists" if kind == "exists"
-                               and negated else kind, subplan))
-                if kind == "in":
-                    return InList(node.operand, [Parameter(name=name)],
-                                  negated=negated)
-                return Parameter(name=name)
-            if kind == "scalar":
-                name = f"__scalar_{n}"
-                factories.append(
-                    lambda root: ScalarSubqueryScan(
-                        root, subplan, scalar_name=name,
-                        est_rows=_est_or_default(root.est_rows)))
-                return ColumnRef(name=name)
             if any(contains_aggregate(p) or has_window(p) for p in probe):
                 raise _unplannable(
                     "a correlated subquery cannot compare an aggregate or "
                     "window value")
-            name = f"__mark_{n}"
-            if kind == "in":
-                mode = "anti-null" if negated else "semi"
-            else:
-                mode = "anti" if negated else "semi"
-            source = ("NOT " if negated else "") + kind.upper()
+            name = f"__mark_{self._mark_counter}"
+            self._mark_counter += 1
             factories.append(
                 lambda root: MarkJoin(
-                    root, subplan, probe, mark_name=name, mode=mode,
-                    source=source, est_rows=_est_or_default(root.est_rows)))
+                    root, subplan, probe, source=kind.upper(),
+                    negated=negated, mark_name=name,
+                    est_rows=_est_or_default(root.est_rows)))
             return ColumnRef(name=name)
 
         def rewrite(expr: Expr) -> Expr:
@@ -1571,12 +1591,11 @@ class Planner:
                     f"subquery")
 
         if not outer_refs:
-            subplan = self.plan_body(body, env)
-            width = len(subplan.output_columns)
-            if kind in ("in", "scalar") and width != 1:
-                raise SQLBindError(
-                    f"sub-select returns {width} columns - expected 1")
-            return subplan, [node.operand] if kind == "in" else []
+            # plan_select binds such a form as a value first; a subquery
+            # join over it is what the verifier's subquery.correlated
+            # rule rejects.
+            return (self._plan_uncorrelated(node, kind, env),
+                    [node.operand] if kind == "in" else [])
 
         if kind == "scalar":
             raise _unplannable("correlated scalar subqueries are not "

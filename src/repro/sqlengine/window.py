@@ -124,10 +124,6 @@ class WindowLayout:
         """Rows per partition, aligned with :attr:`starts`."""
         return np.diff(np.append(self.starts, self.n))
 
-    def part_start_rows(self) -> np.ndarray:
-        """Per sorted row, the offset of its partition's first row."""
-        return np.repeat(self.starts, self.counts())
-
     def slices(self, parts: int) -> list[tuple[int, int]]:
         """Split the sorted domain into at most *parts* contiguous slices
         whose boundaries coincide with partition starts (kernels are pure

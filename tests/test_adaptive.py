@@ -213,7 +213,10 @@ class TestAdaptiveShortCircuits:
         db.register("o", {"id": [1, 2, 3], "v": [1.0, 2.0, 3.0]},
                     primary_key="id")
         db.register("p", {"id": [2, 3, 4]})
-        sql = "SELECT id FROM o WHERE v > 100.0 AND id IN (SELECT id FROM p)"
+        # Correlated: an uncorrelated IN is an InitPlan value, run before
+        # the outer input exists.
+        sql = ("SELECT id FROM o WHERE v > 100.0 AND EXISTS "
+               "(SELECT 1 FROM p WHERE p.id = o.id)")
         stats = RuntimeStats()
         chunk = db.execute_chunk(sql, ADAPTIVE, stats=stats)
         assert chunk.nrows == 0
@@ -230,6 +233,10 @@ class TestAdaptiveShortCircuits:
             "AND id NOT IN (SELECT id FROM p)",
             "SELECT id FROM o WHERE v > 100.0 "
             "AND (id IN (SELECT id FROM p) OR id = 1)",
+            "SELECT id FROM o WHERE v > 100.0 "
+            "AND NOT EXISTS (SELECT 1 FROM p WHERE p.id = o.id)",
+            "SELECT id FROM o WHERE v > 100.0 "
+            "AND (EXISTS (SELECT 1 FROM p WHERE p.id = o.id) OR id = 1)",
         ):
             assert normalized(db.execute_chunk(sql, ADAPTIVE)) == \
                 normalized(db.execute_chunk(sql, STATIC)), sql

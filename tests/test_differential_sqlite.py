@@ -688,3 +688,26 @@ def test_like_matches_sqlite(like_corpus, table, pattern, negated):
     op = "NOT LIKE" if negated else "LIKE"
     assert_same_results(db, conn, f"SELECT id FROM {table} WHERE s {op} {pattern}",
                         context=f"like[{table}]")
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic over a column whose every value is NULL
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("expr", [
+    "v + 1.0", "-v", "v * k", "k - v", "v / 2", "v % 2", "v + v",
+    "-(v * k) + 1",
+])
+def test_arithmetic_over_all_null_column_is_null(expr):
+    # An all-NULL column stays an object array (nothing tells its type);
+    # arithmetic over it is NULL, as in sqlite, not a TypeError.
+    db = connect()
+    db.register("n", {"id": np.arange(3, dtype=np.int64),
+                      "v": np.array([None, None, None], dtype=object),
+                      "k": np.array([1, 2, 3], dtype=np.int64)})
+    conn = load_sqlite(db)
+    for sql in (f"SELECT id, {expr} AS a FROM n",
+                f"SELECT id FROM n WHERE {expr} IS NULL",
+                f"SELECT SUM({expr}) AS s, COUNT({expr}) AS c FROM n"):
+        assert_same_results(db, conn, sql, context=sql)
+    conn.close()

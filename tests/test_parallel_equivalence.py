@@ -43,8 +43,9 @@ QUERIES = [
     # TopK: per-morsel candidate selection must match a full stable sort.
     "SELECT id, val FROM data ORDER BY val DESC, id LIMIT 37",
     "SELECT id, val FROM data WHERE grp <> 3 ORDER BY val, id DESC LIMIT 61",
-    # Decorrelated subqueries: morsel-parallel semi/anti probes, mark joins
-    # and scalar subquery broadcasts must agree with serial.
+    # Subqueries: uncorrelated IN / NOT IN / scalar values probed by each
+    # morsel of a filter, correlated forms as morsel-parallel MarkJoins
+    # (filtering or marking), must agree with serial.
     "SELECT id FROM data WHERE grp IN (SELECT grp FROM dims WHERE w > 0) "
     "ORDER BY id",
     "SELECT id FROM data WHERE grp NOT IN (SELECT grp FROM dims WHERE w = 1)",
@@ -56,6 +57,8 @@ QUERIES = [
     "OR val < 0.01",
     "SELECT id FROM data WHERE val > (SELECT AVG(val) FROM data) "
     "ORDER BY id LIMIT 40",
+    "SELECT d.id FROM data AS d WHERE d.grp IN (SELECT m.grp FROM dims AS m "
+    "WHERE m.w = 2 AND m.grp = d.grp) OR d.val < 0.01 ORDER BY d.id",
 ]
 
 

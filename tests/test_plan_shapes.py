@@ -440,22 +440,27 @@ class TestSpillPlanShape:
 
 
 class TestSubqueryPlanShape:
-    """Goldens for the decorrelated subquery nodes (SemiJoin / AntiJoin /
-    MarkJoin / ScalarSubqueryScan) and their residual-path fallbacks."""
+    """Goldens for the two subquery operators: an uncorrelated form is a
+    value ``$N`` the InitPlan binds, placed like any other predicate; a
+    correlated one is a MarkJoin (EXPLAIN ``SemiJoin`` / ``AntiJoin`` when
+    it filters a whole conjunct)."""
 
-    def test_in_subquery_plans_semi_join(self, db):
+    def test_in_subquery_plans_init_plan_value(self, db):
         plan = db.explain_plan(
             "SELECT a FROM t WHERE b IN (SELECT b FROM u WHERE w > 5)")
         lines = [ln.strip().split()[0] for ln in plan.splitlines()]
-        assert lines == ["Project", "SemiJoin", "Scan", "Project", "Filter",
-                        "Scan"]
-        assert "SemiJoin IN on [b]" in plan
+        assert lines == ["InitPlan", "Project", "Filter", "Scan", "Project",
+                         "Filter", "Scan"]
+        assert "InitPlan $0 = IN" in plan
+        # Pushed down to the scan like any single-table predicate.
+        assert "Filter b IN ($0)" in plan
         assert "Filter(residual)" not in plan
 
-    def test_not_in_plans_null_aware_anti_join(self, db):
+    def test_not_in_plans_init_plan_value(self, db):
         plan = db.explain_plan(
             "SELECT a FROM t WHERE b NOT IN (SELECT b FROM u)")
-        assert "AntiJoin NOT IN (null-aware) on [b]" in plan
+        assert "Filter b NOT IN ($0)" in plan
+        assert "Join" not in plan
 
     def test_correlated_exists_plans_semi_join(self, db):
         plan = db.explain_plan(
@@ -476,17 +481,24 @@ class TestSubqueryPlanShape:
             "SELECT a FROM t WHERE c IN (SELECT w FROM u WHERE u.b = t.b)")
         assert "SemiJoin IN on [c, t.b]" in plan
 
-    def test_subquery_under_or_plans_mark_join(self, db):
+    def test_subquery_under_or_plans_init_plan_value(self, db):
         plan = db.explain_plan(
             "SELECT a FROM t WHERE b IN (SELECT b FROM u) OR a > 3")
-        assert "MarkJoin __mark_0 = IN on [b]" in plan
+        assert "Filter (b IN ($0) OR (a > 3))" in plan
+        assert "MarkJoin" not in plan
+
+    def test_correlated_subquery_under_or_plans_mark_join(self, db):
+        plan = db.explain_plan(
+            "SELECT a FROM t WHERE b IN (SELECT b FROM u WHERE u.w = t.c) "
+            "OR a > 3")
+        assert "MarkJoin __mark_0 = IN on [b, t.c]" in plan
         assert "Filter(residual) (__mark_0 OR (a > 3))" in plan
 
-    def test_scalar_subquery_plans_scan_node(self, db):
+    def test_scalar_subquery_plans_init_plan_value(self, db):
         plan = db.explain_plan(
             "SELECT a FROM t WHERE c > (SELECT SUM(w) FROM u)")
-        assert "ScalarSubqueryScan __scalar_0" in plan
-        assert "Filter(residual) (c > __scalar_0)" in plan
+        assert "InitPlan $0 = SCALAR" in plan
+        assert "Filter (c > $0)" in plan
 
     def test_correlated_window_subquery_refused(self, db):
         # Hoisting the correlation equality out of the WHERE would change a
@@ -515,7 +527,8 @@ class TestSubqueryPlanShape:
 
     def test_semi_join_inner_plan_rendered_as_child(self, db):
         plan = db.explain_plan(
-            "SELECT a FROM t WHERE a IN (SELECT k FROM big WHERE v > 50.0)")
+            "SELECT a FROM t WHERE EXISTS "
+            "(SELECT 1 FROM big WHERE big.k = t.a AND v > 50.0)")
         lines = plan.splitlines()
         semi_depth = next(ln for ln in lines if "SemiJoin" in ln)
         inner_scan = next(ln for ln in lines if "Scan big" in ln)

@@ -74,6 +74,13 @@ def subplan(cols=("w",), table="u"):
     return p.PhysicalPlan(scan(table, cols), list(cols))
 
 
+def exists_mark(child=None, inner=None, **kw):
+    """A correlated ``EXISTS (SELECT .. FROM u WHERE u.b = t.b)`` join."""
+    return p.MarkJoin(child or scan(), subplan=inner or subplan(("b",)),
+                      probe_exprs=[ColumnRef("b", "t")], source="EXISTS",
+                      **kw)
+
+
 def expect(invariant, root, out_cols, db=None, config=None, env=None):
     plan = p.PhysicalPlan(root, list(out_cols))
     with pytest.raises(PlanInvariantError) as exc_info:
@@ -220,8 +227,7 @@ class TestJoins:
         # A planner-generated mark column (numeric) paired against a string
         # key can only be a rewrite bug; user cross-kind equalities stay
         # legal (runtime promotes), so only internal columns are strict.
-        marked = p.MarkJoin(scan(), subplan=subplan(), probe_exprs=[],
-                            mark_name="__mark_0", mode="semi")
+        marked = exists_mark(mark_name="__mark_0")
         expect("join.keys",
                p.HashJoin(marked, scan("u", ("b", "w")), "u",
                           [(ColumnRef("__mark_0"), ColumnRef("b", "u"))]),
@@ -253,28 +259,22 @@ class TestSubqueryOperators:
 
     def test_probe_arity_exceeds_subplan(self, db):
         expect("subquery.probe-arity",
-               p.SemiJoin(scan(), subplan=subplan(("w",)),
+               p.MarkJoin(scan(), subplan=subplan(("w",)),
                           probe_exprs=[ColumnRef("a"), ColumnRef("c")]),
                ["a", "b", "c"], db)
 
-    def test_scalar_subquery_not_single_column(self, db):
-        expect("subquery.scalar-arity",
-               p.ScalarSubqueryScan(scan(), subplan=subplan(("b", "w")),
-                                    scalar_name="__scalar_0"),
-               ["a", "b", "c", "__scalar_0"], db)
-
-    def test_null_aware_anti_join_without_probes(self, db):
-        expect("subquery.null-aware-probe",
-               p.AntiJoin(scan(), subplan=subplan(("w",)),
-                          probe_exprs=[], null_aware=True),
+    @pytest.mark.parametrize("source,probes", [
+        ("IN", [ColumnRef("c")]),  # the IN operand alone
+        ("EXISTS", []),
+        ("ANY", [ColumnRef("c"), ColumnRef("b")]),
+    ], ids=["in-without-key", "exists-without-key", "unknown-source"])
+    def test_subquery_join_must_be_correlated(self, db, source, probes):
+        # An uncorrelated form is an InitPlan value: a subquery join over
+        # one is a planner that skipped the rewrite.
+        expect("subquery.correlated",
+               p.MarkJoin(scan(), subplan=subplan(("w", "b")),
+                          probe_exprs=probes, source=source, negated=True),
                ["a", "b", "c"], db)
-
-    def test_null_aware_mark_join_without_probes(self, db):
-        expect("subquery.null-aware-probe",
-               p.MarkJoin(scan(), subplan=subplan(("w",)),
-                          probe_exprs=[], mark_name="__mark_0",
-                          mode="anti-null"),
-               ["a", "b", "c", "__mark_0"], db)
 
     def test_init_plan_value_not_single_column(self, db):
         expect("subquery.scalar-arity",
@@ -293,8 +293,8 @@ class TestSubqueryOperators:
                ["v"], db)
 
     def test_semi_join_passes(self, db):
-        accept(p.SemiJoin(scan(), subplan=subplan(("w",)),
-                          probe_exprs=[ColumnRef("a")]),
+        accept(p.MarkJoin(scan(), subplan=subplan(("w", "b")),
+                          probe_exprs=[ColumnRef("a"), ColumnRef("b", "t")]),
                ["a", "b", "c"], db)
 
 
@@ -302,33 +302,13 @@ class TestMarkColumns:
     def test_bad_mark_prefix(self, db):
         # A mark column outside the __mark_ namespace would leak into
         # SELECT * output (star expansion skips only that prefix).
-        expect("mark.name",
-               p.MarkJoin(scan(), subplan=subplan(("w",)),
-                          probe_exprs=[], mark_name="mymark", mode="semi"),
+        expect("mark.name", exists_mark(mark_name="mymark"),
                ["a", "b", "c", "mymark"], db)
 
-    def test_bad_scalar_prefix(self, db):
-        expect("mark.name",
-               p.ScalarSubqueryScan(scan(), subplan=subplan(("w",)),
-                                    scalar_name="result"),
-               ["a", "b", "c", "result"], db)
-
     def test_duplicate_mark_name(self, db):
-        inner = p.MarkJoin(scan(), subplan=subplan(("w",)),
-                           probe_exprs=[], mark_name="__mark_0",
-                           mode="semi")
-        expect("mark.unique",
-               p.MarkJoin(inner, subplan=subplan(("b",)),
-                          probe_exprs=[], mark_name="__mark_0",
-                          mode="semi"),
+        inner = exists_mark(mark_name="__mark_0")
+        expect("mark.unique", exists_mark(inner, mark_name="__mark_0"),
                ["a", "b", "c", "__mark_0", "__mark_0"], db)
-
-    def test_unknown_mark_mode(self, db):
-        expect("mark.mode",
-               p.MarkJoin(scan(), subplan=subplan(("w",)),
-                          probe_exprs=[], mark_name="__mark_0",
-                          mode="weird"),
-               ["a", "b", "c", "__mark_0"], db)
 
     def test_mark_reference_out_of_scope(self, db):
         expect("mark.scope",
@@ -338,13 +318,12 @@ class TestMarkColumns:
     def test_subplan_mark_counter_is_scoped(self, db):
         # __mark_0 inside a subplan does not collide with the outer tree's
         # __mark_0: nested plans restart the mark namespace.
-        inner_mark = p.MarkJoin(scan("u", ("w",)), subplan=subplan(("b",)),
-                                probe_exprs=[], mark_name="__mark_0",
-                                mode="semi")
+        inner_mark = p.MarkJoin(scan("u", ("b", "w")), subplan=subplan(("w",)),
+                                probe_exprs=[ColumnRef("w", "u")],
+                                source="EXISTS", mark_name="__mark_0")
         inner = p.PhysicalPlan(
-            p.Project(inner_mark, sel((ColumnRef("w"), None))), ["w"])
-        accept(p.MarkJoin(scan(), subplan=inner, probe_exprs=[],
-                          mark_name="__mark_0", mode="semi"),
+            p.Project(inner_mark, sel((ColumnRef("b"), None))), ["b"])
+        accept(exists_mark(inner=inner, mark_name="__mark_0"),
                ["a", "b", "c", "__mark_0"], db)
 
 

@@ -386,8 +386,10 @@ def test_worker_side_query_error_keeps_its_type(merge_env):
 REJECTED = {
     "distinct": "SELECT DISTINCT city FROM events",
     "count_distinct": "SELECT COUNT(DISTINCT city) AS n FROM events",
-    "subquery_predicate": ("SELECT COUNT(*) AS n FROM events WHERE bucket IN "
-                           "(SELECT bucket FROM events WHERE score > 30)"),
+    # A correlated subquery is a MarkJoin, which no shard worker runs.
+    "subquery_predicate": ("SELECT COUNT(*) AS n FROM events e WHERE EXISTS "
+                           "(SELECT 1 FROM events f WHERE f.ev_id = e.bucket "
+                           "AND f.score > 30)"),
     "window_function": ("SELECT ev_id, SUM(amount) OVER "
                         "(PARTITION BY city) AS w FROM events"),
     "topk_without_limit": "SELECT ev_id FROM events ORDER BY score",
@@ -488,6 +490,11 @@ NEW_SHAPES = {
         "SELECT ev_id FROM events WHERE bucket IN (SELECT bucket FROM events "
         "GROUP BY bucket HAVING COUNT(*) > 310) AND ev_id < 40 "
         "ORDER BY ev_id"),
+    # The InitPlan binds the subquery's value set before the Exchange, and
+    # the workers probe it as a bound parameter.
+    "uncorrelated_in_subquery": (
+        "SELECT COUNT(*) AS n FROM events WHERE bucket IN "
+        "(SELECT bucket FROM events WHERE score > 30)"),
 }
 
 

@@ -6,7 +6,10 @@ forms (scalar, IN, NOT IN, EXISTS, NOT EXISTS), each uncorrelated and
 equality-correlated, over NULL-laden tables; the uncorrelated forms also
 over an empty outer table.  Each cell either returns sqlite3's rows or —
 only for a shape the planner does not unnest (a correlated scalar
-subquery) — raises a typed error at plan time.
+subquery) — raises a typed error at plan time.  Each cell's plan has the
+shape correlation decides, whatever the clause: an uncorrelated form is a
+value an InitPlan binds, with no subquery join; a correlated one is a
+MarkJoin with at least one correlation key.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import pytest
 from repro import connect
 from repro.bench.differential import assert_same_results, load_sqlite
 from repro.errors import UnsupportedFeatureError
+from repro.sqlengine import plan as p
+from repro.sqlengine.parser import parse
+from repro.sqlengine.planner import Planner
 
 # {f} is the form; {t} the outer table.  Predicate forms are read through
 # COALESCE(.., 0) on the sqlite side only: the engine's booleans are
@@ -86,6 +92,18 @@ def dbs():
     conn.close()
 
 
+def _operators(sql: str, db) -> list:
+    """Every operator of *sql*'s plan, subplans included."""
+    root = Planner(db.catalog, db.config).plan_body(
+        parse(sql).body, {}, final=True).root
+    ops, stack = [], [root]
+    while stack:
+        op = stack.pop()
+        ops.append(op)
+        stack.extend(op.children())
+    return ops
+
+
 @pytest.mark.parametrize("position,form,correlation,outer", CELLS,
                          ids=["-".join(c) for c in CELLS])
 def test_matches_sqlite(dbs, position, form, correlation, outer):
@@ -97,6 +115,15 @@ def test_matches_sqlite(dbs, position, form, correlation, outer):
         with pytest.raises(UnsupportedFeatureError, match="correlated scalar"):
             db.explain_plan(sql)
         return
+    ops = _operators(sql, db)
+    joins = [op for op in ops if isinstance(op, p.MarkJoin)]
+    if correlated:
+        assert joins, sql
+        assert all(len(op.probe_exprs) > (op.source == "IN")
+                   for op in joins), sql
+    else:
+        assert any(isinstance(op, p.InitPlan) for op in ops), sql
+        assert not joins, sql
     assert_same_results(db, conn, sql, context=sql,
                         oracle_sql=_sql(position, form, correlated, outer,
                                         oracle=True))

@@ -6,12 +6,28 @@ DataFrame/array operation appends TondIR rules.  The resulting program is
 deliberately *unoptimized* — one rule per API call, exactly the
 "Grizzly-simulated" baseline of the paper — and is then improved by the
 optimizer passes (:mod:`..tondir.optimize`).
+
+The pandas/NumPy surface is declared once.  Each supported call is one
+emitter method ``_<kind>__<method>`` (the ``ast.NodeVisitor.visit_<Class>``
+idiom), where the kind names the receiver: ``module`` (``np.*`` / ``pd.*``),
+``frame``, ``array`` (a dense array, which also takes every ``frame``
+call), ``series``, ``groupby``, ``sgb`` (a SeriesGroupBy), ``str`` and
+``rolling``.  The emitter's signature after the receiver is what the call
+accepts, with its defaults; a parameter annotated with types takes values of
+those types, any other parameter a constant.  :func:`surface` lists it all,
+and a call outside it (unknown method, unknown keyword, missing or extra
+argument, a symbolic value where a constant belongs) raises one
+:class:`TranslationError` naming the kind, the method and what the kind
+supports.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 import itertools
+import typing
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,16 +35,16 @@ from ...errors import TranslationError
 from ..anf import to_anf
 from ..tondir.ir import (
     Agg, AssignAtom, BinOp, Const, ExistsAtom, Ext, FilterAtom,
-    Head, If, OuterAtom, Program, RelAtom, Rule, SortSpec, Term, Var, Win,
+    Head, If, OuterAtom, Program, RelAtom, Rule, SortSpec, Term, Var, Win, rename_term,
 )
-from .einsum_planner import _Emitter, lower_dense, lower_sparse
+from .einsum_planner import _Emitter, lower_dense, lower_sparse, optimize_path, parse_spec
 from .symbols import (
     ColumnInfo, SymConstArray, SymDtAccessor, SymFrame, SymGroupBy,
     SymRollingWindow, SymScalar, SymScalarRel, SymSeries, SymSeriesGroupBy,
     SymStrAccessor, sanitize,
 )
 
-__all__ = ["Translator", "TableInfo"]
+__all__ = ["Translator", "TableInfo", "surface"]
 
 _MODULES = {"np", "numpy", "pd", "pandas"}
 
@@ -47,6 +63,18 @@ _WIN_AGGS = {"sum": "sum", "mean": "avg", "min": "min", "max": "max",
              "count": "count", "size": "count"}
 _RANK_METHODS = {"min": "rank", "dense": "dense_rank", "first": "row_number"}
 _RUNNING_FRAME = ("rows", "unbounded_preceding", 0, "current", 0)
+_CASTS = {"int": ("cast_int", "int"), "int64": ("cast_int", "int"),
+          "float": ("cast_float", "float"), "float64": ("cast_float", "float"),
+          "str": ("cast_str", "str")}
+# merge(how=...) -> how the key columns join: one shared variable ("inner")
+# or an OuterAtom of that kind.
+_MERGE_HOWS = {"inner": "inner", "cross": "inner", "left": "left",
+               "right": "right", "outer": "full"}
+_DT_FIELDS = ("year", "month", "day")
+
+# Python values a call argument may carry as a constant (lists of them and
+# constant dicts too, see _is_constant).
+_CONSTANTS = (bool, int, float, str, type(None))
 
 
 class TableInfo:
@@ -75,6 +103,17 @@ class _ModuleRef:
         self.name = name
 
 
+# What ``_as_series`` turns into a Series.
+_Column = SymSeries | SymFrame
+
+
+def _reduction(helper, method: str):
+    """The emitter ``(self, receiver)`` of the reduction pandas calls *method*."""
+    def emit(self, receiver):
+        return helper(self, receiver, method)
+    return emit
+
+
 class Translator:
     """Translates one decorated function into a TondIR Program."""
 
@@ -96,7 +135,6 @@ class Translator:
         self.env: dict[str, object] = {}
         self._rel_counter = itertools.count(1)
         self._var_counter = itertools.count(1)
-        self._sink: str | None = None
         self._emitter = _Emitter(new_rel=self.new_rel, emit=self.emit)
 
     # ------------------------------------------------------------------
@@ -181,7 +219,7 @@ class Translator:
             series = self._as_series(value)
             return self._project_series_frame(series, name)
         if isinstance(value, SymScalar):
-            value = SymSeries(frame=frame, term=self._const_term(value), dtype=value.dtype)
+            value = SymSeries(frame=frame, term=Const(value.value), dtype=value.dtype)
         if isinstance(value, SymSeries) and value.frame.rel == frame.rel:
             return self._with_computed_column(frame, name, value)
         if isinstance(value, (SymSeries, SymFrame)):
@@ -222,10 +260,7 @@ class Translator:
             if col.var in left_vars:
                 renames[col.var] = self.fresh_var(col.var)
                 right_atom.vars[pos] = renames[col.var]
-        term = series.term
-        from ..tondir.ir import rename_term
-
-        term = rename_term(term, renames)
+        term = rename_term(series.term, renames)
         out_var = self._unique_var(name, left_id.vars)
         body = [left_id.atom(), right_atom, AssignAtom(out_var, term)]
         existing = [c for c in left_id.cols if c.name != name and c.var != "__uid"]
@@ -248,7 +283,9 @@ class Translator:
 
     def _project_series_frame(self, series: SymSeries, name: str) -> SymFrame:
         rel = self.new_rel()
-        out_var = self._unique_var(name, [])
+        # The frame's variables are bound in the body: reusing one as the
+        # output would read as an equality filter.
+        out_var = self._unique_var(name, series.frame.vars)
         body = [series.frame.atom()] + list(series.extra_atoms) + [AssignAtom(out_var, series.term)]
         self.emit(Rule(Head(rel, [out_var]), body))
         return SymFrame(rel=rel, cols=[ColumnInfo(name=name, var=out_var, dtype=series.dtype)])
@@ -270,11 +307,7 @@ class Translator:
         if isinstance(node, (ast.List, ast.Tuple)):
             # Constant elements flatten to python values; symbolic elements
             # (e.g. the frames of a pd.concat list) stay symbolic.
-            out = []
-            for e in node.elts:
-                value = self.eval_expr(e)
-                out.append(value.value if isinstance(value, SymScalar) else value)
-            return out
+            return [self._argument(e) for e in node.elts]
         if isinstance(node, ast.Dict):
             return {
                 self._const_value(k): self._const_value(v)
@@ -296,31 +329,23 @@ class Translator:
             return node
         raise TranslationError(f"unsupported expression: {ast.dump(node)}")
 
-    _SYMBOLIC_TYPES = (SymFrame, SymSeries, SymGroupBy, SymSeriesGroupBy,
-                       SymScalarRel, SymStrAccessor, SymDtAccessor,
-                       SymRollingWindow, SymConstArray)
+    def _argument(self, node: ast.expr):
+        """A call argument: a constant as its Python value, else symbolic."""
+        value = self.eval_expr(node)
+        return value.value if isinstance(value, SymScalar) else value
 
     def _key_list(self, value, what: str) -> list[str]:
-        """Normalize a column-key argument (one name or a list of names),
-        rejecting symbolic elements with a clear error — lists may carry
-        symbolic values for pd.concat, so consumers must validate."""
-        keys = [value.value] if isinstance(value, SymScalar) else list(value)
+        """Normalize a column-key argument (one name or a list of names)."""
+        keys = list(value) if isinstance(value, list) else [value]
         if not all(isinstance(k, str) for k in keys):
             raise TranslationError(f"{what} expects column-name strings")
         return keys
 
     def _const_value(self, node: ast.expr):
-        value = self.eval_expr(node)
-        if isinstance(value, SymScalar):
-            return value.value
-        if isinstance(value, (list, dict)):
-            # Lists may carry symbolic elements (pd.concat operands); a
-            # constant consumer must still reject those cleanly.
-            items = value.values() if isinstance(value, dict) else value
-            if any(isinstance(v, self._SYMBOLIC_TYPES) for v in items):
-                raise TranslationError("expected a constant")
-            return value
-        raise TranslationError("expected a constant")
+        value = self._argument(node)
+        if not _is_constant(value):
+            raise TranslationError("expected a constant")
+        return value
 
     # -- unary ----------------------------------------------------------------
     def _eval_unary(self, node: ast.UnaryOp):
@@ -336,13 +361,13 @@ class Translator:
         raise TranslationError(f"unsupported unary operator {node.op!r}")
 
     def _negate_mask(self, series: SymSeries) -> SymSeries:
-        exists = getattr(series, "exists_atoms", None) or []
+        exists = series.exists_atoms
         if exists:
             if len(exists) != 1 or not _is_true(series.term):
                 raise TranslationError("cannot negate a combined mask containing isin")
             flipped = ExistsAtom(body=exists[0].body, negated=not exists[0].negated)
             out = series.with_term(Const(True))
-            out.exists_atoms = [flipped]  # type: ignore[attr-defined]
+            out.exists_atoms = [flipped]
             return out
         return series.with_term(Ext("not", (series.term,)), dtype="bool")
 
@@ -363,10 +388,9 @@ class Translator:
                 return SymDtAccessor(base)
             raise TranslationError(f"unsupported Series attribute {attr!r}")
         if isinstance(base, SymDtAccessor):
-            field = {"year": "year", "month": "month", "day": "day"}.get(attr)
-            if field is None:
+            if attr not in _DT_FIELDS:
                 raise TranslationError(f"unsupported .dt field {attr!r}")
-            return base.series.with_term(Ext(field, (base.series.term,)), dtype="int")
+            return _unary(base.series, attr, "int")
         raise TranslationError(f"unsupported attribute access {attr!r} on {type(base).__name__}")
 
     def _frame_col_series(self, frame: SymFrame, name: str) -> SymSeries:
@@ -388,8 +412,7 @@ class Translator:
             if isinstance(key, SymSeries):
                 filtered = self._filter_frame(base.frame, key)
                 # Rebase the series term onto the filtered frame (same vars).
-                out = SymSeries(frame=filtered, term=base.term, name=base.name, dtype=base.dtype)
-                return out
+                return SymSeries(frame=filtered, term=base.term, name=base.name, dtype=base.dtype)
         if isinstance(base, SymGroupBy):
             if isinstance(key, SymScalar) and isinstance(key.value, str):
                 return SymSeriesGroupBy(base, key.value)
@@ -427,9 +450,7 @@ class Translator:
         if mask.frame.rel != frame.rel:
             raise TranslationError("filter mask must derive from the same DataFrame")
         rel = self.new_rel()
-        body: list = [frame.atom()] + list(mask.extra_atoms)
-        for exists in getattr(mask, "exists_atoms", None) or []:
-            body.append(exists)
+        body: list = [frame.atom()] + list(mask.extra_atoms) + list(mask.exists_atoms)
         if not _is_true(mask.term):
             body.append(FilterAtom(mask.term))
         self.emit(Rule(Head(rel, list(frame.vars)), body))
@@ -439,9 +460,6 @@ class Translator:
                         ordering=list(frame.ordering) if frame.ordering else None)
 
     # -- binary / compare / bool ----------------------------------------------------
-    def _const_term(self, scalar: SymScalar) -> Term:
-        return Const(scalar.value)
-
     def _as_series(self, value) -> SymSeries:
         if isinstance(value, SymSeries):
             return value
@@ -458,13 +476,14 @@ class Translator:
     def _coerce_operand(self, value, reference: SymSeries | None):
         """Turn an operand into (term, extra_atoms, dtype)."""
         if isinstance(value, SymScalar):
-            const = value.value
+            value = value.value
+        if isinstance(value, _CONSTANTS):
             if (
                 reference is not None and reference.dtype == "date"
-                and isinstance(const, str)
+                and isinstance(value, str)
             ):
-                const = np.datetime64(const, "D")
-            return Const(const), [], _py_dtype(const)
+                value = np.datetime64(value, "D")
+            return Const(value), [], _py_dtype(value)
         if isinstance(value, SymScalarRel):
             return Var(value.var), [value.atom()], value.dtype
         if isinstance(value, SymSeries):
@@ -503,9 +522,7 @@ class Translator:
         if frame is None:
             raise TranslationError("binary operation needs at least one Series")
         dtype = "float" if op == "/" else ("float" if "float" in (ld, rd) else ld or rd)
-        out = SymSeries(frame=frame, term=BinOp(op, lt, rt), dtype=dtype)
-        out.extra_atoms = lx + rx
-        return out
+        return SymSeries(frame=frame, term=BinOp(op, lt, rt), dtype=dtype, extra_atoms=lx + rx)
 
     def _scalar_rel_binop(self, op: str, left, right) -> SymScalarRel:
         body: list = []
@@ -555,9 +572,8 @@ class Translator:
             raise TranslationError("comparison needs at least one Series")
         lt, lx, _ = self._coerce_operand(left, series_ref)
         rt, rx, _ = self._coerce_operand(right, series_ref)
-        out = SymSeries(frame=series_ref.frame, term=BinOp(op, lt, rt), dtype="bool")
-        out.extra_atoms = lx + rx
-        return out
+        return SymSeries(frame=series_ref.frame, term=BinOp(op, lt, rt), dtype="bool",
+                         extra_atoms=lx + rx)
 
     def _eval_boolop(self, node: ast.BoolOp):
         op = "and" if isinstance(node.op, ast.And) else "or"
@@ -573,10 +589,9 @@ class Translator:
         for s in series:
             if s.frame.rel != frame.rel:
                 raise TranslationError("cannot combine masks from different DataFrames")
-            s_exists = getattr(s, "exists_atoms", None) or []
-            if s_exists and op == "or":
+            if s.exists_atoms and op == "or":
                 raise TranslationError("isin masks cannot be OR-combined")
-            exists.extend(s_exists)
+            exists.extend(s.exists_atoms)
             if not _is_true(s.term):
                 terms.append(s.term)
             extra.extend(s.extra_atoms)
@@ -585,112 +600,94 @@ class Translator:
             term = terms[0]
             for t in terms[1:]:
                 term = BinOp(op, term, t)
-        out = SymSeries(frame=frame, term=term, dtype="bool")
-        out.extra_atoms = extra
-        if exists:
-            out.exists_atoms = exists  # type: ignore[attr-defined]
-        return out
+        return SymSeries(frame=frame, term=term, dtype="bool", extra_atoms=extra,
+                         exists_atoms=exists)
 
     # ------------------------------------------------------------------
-    # Calls
+    # Calls: one lookup in the declared surface (_SURFACE, built below)
     # ------------------------------------------------------------------
     def _eval_call(self, node: ast.Call):
         func = node.func
-        kwargs = {kw.arg: kw.value for kw in node.keywords}
         if isinstance(func, ast.Name):
-            if func.id == "len":
-                target = self.eval_expr(node.args[0])
-                return self._scalar_agg(self._count_series(target), "count")
-            raise TranslationError(f"unsupported function {func.id!r}")
+            if func.id != "len" or len(node.args) != 1 or node.keywords:
+                raise TranslationError(f"unsupported function {func.id!r}")
+            target = self.eval_expr(node.args[0])
+            return self._scalar_agg(self._count_series(target), "count")
         if not isinstance(func, ast.Attribute):
             raise TranslationError("unsupported call form")
 
         base = self.eval_expr(func.value)
         method = func.attr
-        if isinstance(base, _ModuleRef):
-            return self._module_call(base, method, node.args, kwargs)
-        if isinstance(base, SymFrame):
-            return self._frame_call(base, method, node.args, kwargs)
-        if isinstance(base, SymSeries):
-            return self._series_call(base, method, node.args, kwargs)
-        if isinstance(base, SymGroupBy):
-            return self._groupby_call(base, method, node.args, kwargs)
-        if isinstance(base, SymSeriesGroupBy):
-            return self._series_groupby_call(base, method, node.args, kwargs)
-        if isinstance(base, SymStrAccessor):
-            return self._str_call(base, method, node.args, kwargs)
-        if isinstance(base, SymRollingWindow):
-            return self._rolling_call(base, method, node.args, kwargs)
-        if isinstance(base, SymScalarRel):
-            raise TranslationError(f"unsupported method {method!r} on a scalar")
-        raise TranslationError(f"unsupported method {method!r} on {type(base).__name__}")
+        kind = _receiver_kind(base)
+        if kind is None:
+            what = base.name if isinstance(base, _ModuleRef) else type(base).__name__
+            raise TranslationError(f"unsupported method {method!r} on {what}")
+        call = _DISPATCH[kind].get(method)
+        if call is None:
+            raise _call_error(kind, method, "unsupported method")
+        args = [self._argument(a) for a in node.args]
+        kwargs = {kw.arg: self._argument(kw.value) for kw in node.keywords}
+        mismatch = call.mismatch(args, kwargs)
+        if mismatch:
+            raise _call_error(kind, method, mismatch)
+        try:
+            return call.emit(self, base, *args, **kwargs)
+        except TypeError:
+            # Python's own call binds the arguments; the signature names
+            # what is wrong when that binding, not the emitter, failed.
+            try:
+                call.signature.bind(self, base, *args, **kwargs)
+            except TypeError as exc:
+                raise _call_error(kind, method, str(exc)) from None
+            raise
 
     def _count_series(self, target) -> SymSeries:
         if isinstance(target, SymFrame):
-            col = target.cols[0]
-            return self._frame_col_series(target, col.name)
+            return self._frame_col_series(target, target.cols[0].name)
         return self._as_series(target)
 
-    # -- numpy / pandas module functions ----------------------------------------
-    def _module_call(self, ref: _ModuleRef, method: str, args, kwargs):
-        name = ref.name.split(".")[-1] if "." in ref.name else method
-        # Either np.einsum(...) parsed as module 'np' + method 'einsum', or
-        # the attribute itself resolved to 'np.einsum'.
-        if "." in ref.name and ref.name.split(".")[-1] != method:
-            raise TranslationError(f"unsupported module call {ref.name}.{method}")
-        if method == "einsum":
-            return self._einsum(args, kwargs)
-        if method == "array":
-            values = self.eval_expr(args[0])
-            return SymConstArray(values=values)
-        if method == "sqrt":
-            series = self._as_series(self.eval_expr(args[0]))
-            return series.with_term(Ext("sqrt", (series.term,)), dtype="float")
-        if method == "abs":
-            series = self._as_series(self.eval_expr(args[0]))
-            return series.with_term(Ext("abs", (series.term,)), dtype=series.dtype)
-        if method == "where":
-            cond = self._as_series(self.eval_expr(args[0]))
-            then = self.eval_expr(args[1])
-            other = self.eval_expr(args[2])
-            tt, tx, td = self._coerce_operand(then, cond if isinstance(then, SymSeries) else None)
-            ot, ox, _ = self._coerce_operand(other, cond if isinstance(other, SymSeries) else None)
-            out = cond.with_term(If(cond.term, tt, ot), dtype=td)
-            out.extra_atoms = cond.extra_atoms + tx + ox
-            return out
-        if method == "DataFrame":
-            if args:
-                raise TranslationError("only empty pd.DataFrame() construction is supported")
-            return SymFrame(rel="", cols=[])
-        if method == "concat":
-            operands = self.eval_expr(args[0]) if args else None
-            if not isinstance(operands, list) or not operands or not all(
-                isinstance(f, SymFrame) for f in operands
-            ):
-                raise TranslationError("pd.concat expects a list of DataFrames")
-            return self._concat(operands)
-        if method == "dot":
-            return self._einsum_spec("ij,jk->ik", [self.eval_expr(a) for a in args])
-        raise TranslationError(f"unsupported module function {method!r}")
+    # -- module: np.* / pd.* ---------------------------------------------------
+    def _module__einsum(self, module, subscripts: str, *operands: object):
+        return self._einsum_spec(subscripts, list(operands))
 
-    def _einsum(self, args, kwargs):
-        spec_sym = self.eval_expr(args[0])
-        if not isinstance(spec_sym, SymScalar) or not isinstance(spec_sym.value, str):
-            raise TranslationError("einsum spec must be a string literal")
-        operands = [self.eval_expr(a) for a in args[1:]]
-        return self._einsum_spec(spec_sym.value, operands)
+    def _module__array(self, module, object):
+        return SymConstArray(values=object)
+
+    def _module__sqrt(self, module, x: _Column):
+        return _unary(self._as_series(x), "sqrt", "float")
+
+    def _module__abs(self, module, x: _Column):
+        return _unary(self._as_series(x), "abs")
+
+    def _module__where(self, module, condition: _Column, x: object, y: object):
+        cond = self._as_series(condition)
+        tt, tx, td = self._coerce_operand(x, cond if isinstance(x, SymSeries) else None)
+        ot, ox, _ = self._coerce_operand(y, cond if isinstance(y, SymSeries) else None)
+        out = cond.with_term(If(cond.term, tt, ot), dtype=td)
+        out.extra_atoms = cond.extra_atoms + tx + ox
+        return out
+
+    def _module__DataFrame(self, module):
+        return SymFrame(rel="", cols=[])
+
+    def _module__concat(self, module, objs: list):
+        if not objs or not all(isinstance(f, SymFrame) for f in objs):
+            raise TranslationError("pd.concat expects a list of DataFrames")
+        return self._concat(objs)
+
+    def _module__dot(self, module, a: object, b: object):
+        return self._einsum_spec("ij,jk->ik", [a, b])
 
     def _einsum_spec(self, spec: str, operands: list):
+        # A constant operand scales the other one (einsum_planner).
+        operands = [SymScalar(op) if isinstance(op, _CONSTANTS) else op for op in operands]
         if self.layout == "sparse":
             return lower_sparse(self._emitter, spec, operands)
-        from .einsum_planner import optimize_path, parse_spec
-
         inputs, output = parse_spec(spec)
         if len(inputs) > 2:
-            steps = optimize_path(inputs, output)
-            ops = list(operands)
+            ops = operands
             result = None
-            for a, b, pair_spec in steps:
+            for a, b, pair_spec in optimize_path(inputs, output):
                 pair_ops = [ops[a], ops[b]] if a != b else [ops[a]]
                 result = lower_dense(self._emitter, pair_spec, pair_ops)
                 ops = [op for k, op in enumerate(ops) if k not in (a, b)]
@@ -706,25 +703,13 @@ class Translator:
         Columns align by name like the runtime ``concat`` (missing columns
         become NULL); a frame sharing no column with the others is rejected.
         """
-        columns: list[str] = list(frames[0].column_names)
-        seen = set(columns)
-        for f in frames[1:]:
-            for name in f.column_names:
-                if name not in seen:
-                    seen.add(name)
-                    columns.append(name)
+        columns = list(dict.fromkeys(name for f in frames for name in f.column_names))
         # Same overlap rule as the eager dataframe concat: a frame sharing
         # no column with the rest is rejected (empty frames are allowed).
-        if len(frames) > 1:
-            for i, f in enumerate(frames):
-                others: set = set()
-                for j, g in enumerate(frames):
-                    if j != i:
-                        others.update(g.column_names)
-                if f.column_names and others and not (set(f.column_names) & others):
-                    raise TranslationError(
-                        "pd.concat frames must share at least one column"
-                    )
+        for i, f in enumerate(frames):
+            others = {name for j, g in enumerate(frames) if j != i for name in g.column_names}
+            if f.column_names and others and not set(f.column_names) & others:
+                raise TranslationError("pd.concat frames must share at least one column")
         rel = self.new_rel()
         out_cols: list[ColumnInfo] = []
         for name in columns:
@@ -745,93 +730,57 @@ class Translator:
             self.emit(Rule(Head(rel, head_vars), body))
         return SymFrame(rel=rel, cols=out_cols, kind=frames[0].kind)
 
-    # -- DataFrame methods ---------------------------------------------------------
-    def _frame_call(self, frame: SymFrame, method: str, args, kwargs):
-        if method == "merge":
-            return self._merge(frame, args, kwargs)
-        if method == "groupby":
-            keys = self._key_list(self.eval_expr(args[0]), "groupby")
-            as_index = True
-            if "as_index" in kwargs:
-                as_index = bool(self._const_value(kwargs["as_index"]))
-            return SymGroupBy(frame=frame, keys=keys, as_index=as_index)
-        if method == "sort_values":
-            return self._sort_values(frame, args, kwargs)
-        if method == "head":
-            n = int(self._const_value(args[0])) if args else 5
-            return self._head(frame, n)
-        if method == "nlargest":
-            n = int(self._const_value(args[0]))
-            keys = self._key_list(self.eval_expr(args[1]), "nlargest")
-            sorted_frame = self._emit_sort(frame, keys, [False] * len(keys), limit=n)
-            return sorted_frame
-        if method == "drop":
-            return self._drop(frame, args, kwargs)
-        if method == "rename":
-            mapping = self._const_value(kwargs["columns"]) if "columns" in kwargs else self._const_value(args[0])
-            cols = [c.renamed(mapping.get(c.name, c.name)) for c in frame.cols]
-            return SymFrame(rel=frame.rel, cols=cols, kind=frame.kind,
-                            index_cols=list(frame.index_cols), hidden_id=frame.hidden_id,
-                            ordering=list(frame.ordering) if frame.ordering else None)
-        if method == "reset_index":
-            return SymFrame(rel=frame.rel, cols=[c.renamed(c.name) for c in frame.cols],
-                            kind=frame.kind, index_cols=[], hidden_id=frame.hidden_id,
-                            ordering=list(frame.ordering) if frame.ordering else None)
-        if method == "drop_duplicates":
-            subset = None
-            if args:
-                val = self.eval_expr(args[0])
-                subset = [val.value] if isinstance(val, SymScalar) else list(val)
-            if "subset" in kwargs:
-                val = self.eval_expr(kwargs["subset"])
-                subset = [val.value] if isinstance(val, SymScalar) else list(val)
-            target = self._project(frame, subset) if subset else frame
-            rel = self.new_rel()
-            self.emit(Rule(Head(rel, list(target.vars), distinct=True), [target.atom()]))
-            return SymFrame(rel=rel, cols=[c.renamed(c.name) for c in target.cols], kind=frame.kind)
-        if method == "to_numpy":
-            return self._to_numpy(frame)
-        if method == "copy":
-            return frame
-        if method == "pivot_table":
-            return self._pivot_table(frame, args, kwargs)
-        if method == "aggregate" or method == "agg":
-            return self._frame_aggregate(frame, args, kwargs)
-        if method == "apply":
-            return self._frame_apply(frame, args, kwargs)
-        if method == "count":
-            series = self._frame_col_series(frame, frame.cols[0].name)
-            return self._scalar_agg(series, "count")
-        if method == "fillna":
-            value = self._const_value(args[0])
-            cols = []
-            rel = self.new_rel()
-            body: list = [frame.atom()]
-            out_vars = []
-            for c in frame.cols:
-                out = self.fresh_var(c.var)
-                body.append(AssignAtom(out, Ext("coalesce", (Var(c.var), Const(value)))))
-                out_vars.append(out)
-                cols.append(ColumnInfo(name=c.name, var=out, dtype=c.dtype))
-            self.emit(Rule(Head(rel, out_vars), body))
-            return SymFrame(rel=rel, cols=cols, kind=frame.kind)
-        if method in ("sum", "all", "round", "nonzero", "compress", "transpose") and frame.kind == "array":
-            return self._array_call(frame, method, args, kwargs)
-        raise TranslationError(f"unsupported DataFrame method {method!r}")
+    # -- frame: DataFrame methods ----------------------------------------------
+    def _frame__groupby(self, frame, by, as_index=True) -> SymGroupBy:
+        return SymGroupBy(frame=frame, keys=self._key_list(by, "groupby"),
+                          as_index=bool(as_index))
 
-    def _sort_values(self, frame: SymFrame, args, kwargs) -> SymFrame:
-        by_node = kwargs.get("by") or (args[0] if args else None)
-        if by_node is None:
-            raise TranslationError("sort_values requires by=")
-        keys = self._key_list(self.eval_expr(by_node), "sort_values")
-        ascending: list[bool] = [True] * len(keys)
-        if "ascending" in kwargs:
-            asc = self.eval_expr(kwargs["ascending"])
-            if isinstance(asc, SymScalar):
-                ascending = [bool(asc.value)] * len(keys)
-            else:
-                ascending = [bool(a) for a in asc]
+    def _frame__sort_values(self, frame, by, ascending=True) -> SymFrame:
+        keys = self._key_list(by, "sort_values")
+        if isinstance(ascending, list):
+            ascending = [bool(a) for a in ascending]
+        else:
+            ascending = [bool(ascending)] * len(keys)
+        if len(ascending) != len(keys):
+            raise TranslationError("sort_values: ascending must match the sort keys")
         return self._emit_sort(frame, keys, ascending, limit=None)
+
+    def _frame__nlargest(self, frame, n, columns) -> SymFrame:
+        keys = self._key_list(columns, "nlargest")
+        return self._emit_sort(frame, keys, [False] * len(keys), limit=int(n))
+
+    def _frame__rename(self, frame, columns: dict) -> SymFrame:
+        return replace(frame, cols=[c.renamed(columns.get(c.name, c.name)) for c in frame.cols])
+
+    def _frame__reset_index(self, frame) -> SymFrame:
+        return replace(frame, cols=[c.renamed(c.name) for c in frame.cols], index_cols=[])
+
+    def _frame__drop_duplicates(self, frame, subset=None) -> SymFrame:
+        target = self._project(frame, self._key_list(subset, "drop_duplicates")) if subset else frame
+        rel = self.new_rel()
+        self.emit(Rule(Head(rel, list(target.vars), distinct=True), [target.atom()]))
+        return SymFrame(rel=rel, cols=[c.renamed(c.name) for c in target.cols], kind=frame.kind)
+
+    def _frame__copy(self, frame) -> SymFrame:
+        return frame
+
+    def _frame__count(self, frame) -> SymScalarRel:
+        return self._scalar_agg(self._count_series(frame), "count")
+
+    def _frame__fillna(self, frame, value) -> SymFrame:
+        return self._map_columns(frame, lambda v: Ext("coalesce", (v, Const(value))), frame.kind)
+
+    def _map_columns(self, frame: SymFrame, term_of, kind: str) -> SymFrame:
+        """One rule computing ``term_of(column)`` for every column."""
+        rel = self.new_rel()
+        body: list = [frame.atom()]
+        cols = []
+        for c in frame.cols:
+            out = self.fresh_var(c.var)
+            body.append(AssignAtom(out, term_of(Var(c.var))))
+            cols.append(ColumnInfo(name=c.name, var=out, dtype=c.dtype))
+        self.emit(Rule(Head(rel, [c.var for c in cols]), body))
+        return SymFrame(rel=rel, cols=cols, kind=kind)
 
     def _emit_sort(self, frame: SymFrame, keys: list[str], ascending: list[bool], limit) -> SymFrame:
         rel = self.new_rel()
@@ -842,9 +791,10 @@ class Translator:
                         kind=frame.kind, index_cols=list(frame.index_cols),
                         hidden_id=frame.hidden_id, ordering=list(key_pairs))
 
-    def _head(self, frame: SymFrame, n: int) -> SymFrame:
+    def _frame__head(self, frame, n=5) -> SymFrame:
         # Peephole: head() directly after sort_values folds into its rule so
         # ORDER BY + LIMIT stay in one CTE (Section III-E "Sort and Limit").
+        n = int(n)
         defining = self.rules[-1] if self.rules else None
         if (
             defining is not None
@@ -861,12 +811,12 @@ class Translator:
         return SymFrame(rel=rel, cols=[c.renamed(c.name) for c in frame.cols], kind=frame.kind,
                         ordering=keys or None)
 
-    def _drop(self, frame: SymFrame, args, kwargs) -> SymFrame:
-        names_node = kwargs.get("columns") or (args[0] if args else None)
-        if names_node is None:
-            raise TranslationError("drop requires columns")
-        names = self.eval_expr(names_node)
-        names = [names.value] if isinstance(names, SymScalar) else list(names)
+    def _frame__drop(self, frame, labels=None, axis=0, columns=None) -> SymFrame:
+        if columns is None:
+            if axis not in (1, "columns"):
+                raise TranslationError("drop removes columns only: pass axis=1 or columns=")
+            columns = labels
+        names = self._key_list(columns, "drop")
         dropped = [c for c in frame.cols if c.name in names]
         kept = [c.renamed(c.name) for c in frame.cols if c.name not in names]
         # Keep a dropped unique id column alive under a hidden name so a
@@ -880,7 +830,7 @@ class Translator:
         self.emit(Rule(Head(rel, [c.var for c in out_cols]), [frame.atom()]))
         return SymFrame(rel=rel, cols=out_cols, kind=frame.kind)
 
-    def _to_numpy(self, frame: SymFrame) -> SymFrame:
+    def _frame__to_numpy(self, frame) -> SymFrame:
         """Frame -> dense array (ID, c0..cn); reuses a unique id when known."""
         id_col = next(
             (c for c in frame.cols if c.unique and c.dtype == "int"), None
@@ -911,14 +861,11 @@ class Translator:
         cols += [ColumnInfo(name=v, var=v, dtype="float") for v in out_vars]
         return SymFrame(rel=rel, cols=cols, kind="array")
 
-    def _pivot_table(self, frame: SymFrame, args, kwargs):
-        index = self._const_value(kwargs["index"])
-        columns = self._const_value(kwargs["columns"])
-        values = self._const_value(kwargs["values"])
-        aggfunc = self._const_value(kwargs.get("aggfunc", ast.Constant("sum")))
+    def _frame__pivot_table(self, frame, index, columns, values, aggfunc="sum") -> SymFrame:
         distinct_values = self.pivot_values.get(columns)
         if distinct_values is None and self.pivot_probe is not None:
-            base_rel = self._pivot_base_relation(frame, columns)
+            # The base table providing the column, if its domain can be probed.
+            base_rel = next((t.name for t in self.tables.values() if columns in t.columns), None)
             if base_rel is not None:
                 distinct_values = self.pivot_probe(base_rel, columns)
         if distinct_values is None:
@@ -951,39 +898,17 @@ class Translator:
         self.emit(Rule(Head(rel, [idx_col.var] + out_vars, group=[idx_col.var]), body))
         return SymFrame(rel=rel, cols=out_cols, index_cols=[index])
 
-    def _pivot_base_relation(self, frame: SymFrame, column: str) -> str | None:
-        """Base table providing *column*, if its domain can be probed."""
-        for info in self.tables.values():
-            if column in info.columns:
-                return info.name
-        return None
+    def _frame__agg(self, frame, func) -> SymFrame:
+        agg_func = _lookup(_AGG_FUNCS, func, "frame aggregate")
+        return self._map_columns(frame, lambda v: Agg(agg_func, v), "frame")
 
-    def _frame_aggregate(self, frame: SymFrame, args, kwargs):
-        spec = self.eval_expr(args[0])
-        if isinstance(spec, SymScalar):
-            func = _AGG_FUNCS[spec.value]
-            rel = self.new_rel()
-            body: list = [frame.atom()]
-            out_vars = []
-            cols = []
-            for c in frame.cols:
-                out = self.fresh_var(c.var)
-                body.append(AssignAtom(out, Agg(func, Var(c.var))))
-                out_vars.append(out)
-                cols.append(ColumnInfo(name=c.name, var=out, dtype=c.dtype))
-            self.emit(Rule(Head(rel, out_vars), body))
-            return SymFrame(rel=rel, cols=cols)
-        raise TranslationError("frame aggregate supports a single function name")
+    _frame__aggregate = _frame__agg
 
-    def _frame_apply(self, frame: SymFrame, args, kwargs):
-        lam = args[0]
-        axis = self._const_value(kwargs["axis"]) if "axis" in kwargs else (
-            self._const_value(args[1]) if len(args) > 1 else 0
-        )
-        if not isinstance(lam, ast.Lambda) or axis != 1:
+    def _frame__apply(self, frame, func: ast.Lambda, axis=0) -> SymSeries:
+        if axis != 1:
             raise TranslationError("apply supports lambda with axis=1 only")
-        row_param = lam.args.args[0].arg
-        term = self._lambda_term(lam.body, row_param, frame)
+        row_param = func.args.args[0].arg
+        term = self._lambda_term(func.body, row_param, frame)
         return SymSeries(frame=frame, term=term, dtype="unknown")
 
     def _lambda_term(self, node: ast.expr, row: str, frame: SymFrame) -> Term:
@@ -1013,77 +938,9 @@ class Translator:
             return Ext("neg", (self._lambda_term(node.operand, row, frame),))
         raise TranslationError(f"unsupported lambda expression: {ast.dump(node)}")
 
-    # -- dense array methods --------------------------------------------------------
-    def _array_call(self, frame: SymFrame, method: str, args, kwargs):
-        if method == "sum":
-            axis = None
-            if "axis" in kwargs:
-                axis = self._const_value(kwargs["axis"])
-            elif args:
-                axis = self._const_value(args[0])
-            spec = {None: "ij->", 0: "ij->j", 1: "ij->i"}[axis]
-            if frame.width == 1 and axis in (None, 0):
-                spec = "i->"
-            return self._einsum_spec(spec, [frame])
-        if method == "round":
-            digits = int(self._const_value(args[0])) if args else 0
-            values = frame.value_cols()
-            rel = self.new_rel()
-            body: list = [frame.atom()]
-            out_vars = []
-            for c in values:
-                out = self.fresh_var(c.var)
-                body.append(AssignAtom(out, Ext("round", (Var(c.var), Const(digits)))))
-                out_vars.append(out)
-            self.emit(Rule(Head(rel, ["ID"] + out_vars), body))
-            cols = [ColumnInfo(name="ID", var="ID", dtype="int", unique=True)]
-            cols += [ColumnInfo(name=v, var=v, dtype="float") for v in out_vars]
-            return SymFrame(rel=rel, cols=cols, kind="array")
-        if method == "all":
-            # all(v) == (min over the boolean-as-int values) for 0/1 data.
-            values = frame.value_cols()
-            rel = self.new_rel()
-            arg = values[0].var
-            self.emit(Rule(Head(rel, ["v"]), [frame.atom(), AssignAtom("v", Agg("min", Var(arg)))]))
-            return SymScalarRel(rel=rel, var="v", dtype="float")
-        if method == "nonzero":
-            values = frame.value_cols()
-            rel = self.new_rel()
-            body = [frame.atom(), FilterAtom(BinOp("<>", Var(values[0].var), Const(0)))]
-            self.emit(Rule(Head(rel, ["ID"]), body))
-            return SymFrame(rel=rel, cols=[ColumnInfo(name="ID", var="ID", dtype="int", unique=True)],
-                            kind="array")
-        if method == "compress":
-            mask = self._const_value(args[0])
-            axis = self._const_value(kwargs["axis"]) if "axis" in kwargs else 1
-            if axis != 1:
-                raise TranslationError("compress supports axis=1 only")
-            values = frame.value_cols()
-            kept = [c for keep, c in zip(mask, values) if keep]
-            rel = self.new_rel()
-            self.emit(Rule(Head(rel, ["ID"] + [c.var for c in kept]), [frame.atom()]))
-            cols = [ColumnInfo(name="ID", var="ID", dtype="int", unique=True)]
-            cols += [c.renamed(c.name) for c in kept]
-            return SymFrame(rel=rel, cols=cols, kind="array")
-        if method == "transpose":
-            return self._einsum_spec("ij->ji", [frame])
-        raise TranslationError(f"unsupported array method {method!r}")
-
-    # -- merge --------------------------------------------------------------
-    def _merge(self, left: SymFrame, args, kwargs) -> SymFrame:
-        right = self.eval_expr(args[0])
-        if not isinstance(right, SymFrame):
-            raise TranslationError("merge target must be a DataFrame")
-        how = "inner"
-        if "how" in kwargs:
-            how = self._const_value(kwargs["how"])
-        on = left_on = right_on = None
-        if "on" in kwargs:
-            on = self._const_value(kwargs["on"])
-        if "left_on" in kwargs:
-            left_on = self._const_value(kwargs["left_on"])
-        if "right_on" in kwargs:
-            right_on = self._const_value(kwargs["right_on"])
+    def _frame__merge(self, left, right: SymFrame, how="inner", on=None, left_on=None,
+                      right_on=None, suffixes=("_x", "_y")) -> SymFrame:
+        join = _lookup(_MERGE_HOWS, how, "merge how")
         if on is not None:
             left_on = right_on = on
         if how == "cross":
@@ -1095,13 +952,13 @@ class Translator:
                 if not common:
                     raise TranslationError("no common columns to merge on")
                 left_on = right_on = common
-            left_keys = [left_on] if isinstance(left_on, str) else list(left_on)
-            right_keys = [right_on] if isinstance(right_on, str) else list(right_on)
+            left_keys = self._key_list(left_on, "merge")
+            right_keys = self._key_list(right_on, "merge")
 
         from ...dataframe.merge import resolve_merged_columns
 
         left_pairs, right_pairs = resolve_merged_columns(
-            left.column_names, right.column_names, left_keys, right_keys, ("_x", "_y")
+            left.column_names, right.column_names, left_keys, right_keys, suffixes
         )
 
         # Variable naming: join keys share a variable; everything else is
@@ -1127,7 +984,7 @@ class Translator:
         pairs_for_outer: list[tuple[str, str]] = []
         key_copies: list[AssignAtom] = []
         for pos, col in enumerate(right.cols):
-            if col.name in key_var and how in ("inner", "cross"):
+            if col.name in key_var and join == "inner":
                 shared = key_var[col.name]
                 right_atom.vars[pos] = shared
                 if col.name in right_pair_map:
@@ -1156,9 +1013,8 @@ class Translator:
             right_out.append(ColumnInfo(name=out_name, var=var, dtype=col.dtype, unique=col.unique))
 
         body: list = [left_atom, right_atom] + key_copies
-        if how in ("left", "right", "outer"):
-            kind = {"left": "left", "right": "right", "outer": "full"}[how]
-            body.append(OuterAtom(kind=kind, left_rel=0, right_rel=1, pairs=pairs_for_outer))
+        if join != "inner":
+            body.append(OuterAtom(kind=join, left_rel=0, right_rel=1, pairs=pairs_for_outer))
         out_cols += right_out
 
         # Key uniqueness: joining N:1 against a unique right key preserves
@@ -1166,118 +1022,190 @@ class Translator:
         right_key_unique = all(right.col(rk).unique for rk in right_keys) if right_keys else False
         left_key_unique = all(left.col(lk).unique for lk in left_keys) if left_keys else False
         for c in out_cols:
-            if c.unique:
-                from_left = any(c.var == left_atom.vars[i] for i in range(len(left.cols)))
-                if from_left and not right_key_unique:
-                    c.unique = False
-                if not from_left and not left_key_unique:
-                    c.unique = False
+            c.unique = c.unique and (right_key_unique if c.var in left_atom.vars else left_key_unique)
 
         rel = self.new_rel()
         self.emit(Rule(Head(rel, [c.var for c in out_cols]), body))
         return SymFrame(rel=rel, cols=out_cols)
 
-    # -- Series methods --------------------------------------------------------
-    def _series_call(self, series: SymSeries, method: str, args, kwargs):
-        if method in ("sum", "mean", "min", "max", "count", "nunique", "std", "var"):
-            return self._scalar_agg(series, _AGG_FUNCS[method])
-        if method == "unique":
-            rel = self.new_rel()
-            var = self._unique_var(series.name or "value", [])
-            body = [series.frame.atom()] + list(series.extra_atoms) + [AssignAtom(var, series.term)]
-            self.emit(Rule(Head(rel, [var], distinct=True), body))
-            return SymFrame(rel=rel, cols=[ColumnInfo(name=series.name or "value", var=var,
-                                                      dtype=series.dtype, unique=True)])
-        if method == "isin":
-            return self._isin(series, args)
-        if method == "between":
-            low = self.eval_expr(args[0])
-            high = self.eval_expr(args[1])
-            lt, lx, _ = self._coerce_operand(low, series)
-            ht, hx, _ = self._coerce_operand(high, series)
-            term = BinOp("and", BinOp(">=", series.term, lt), BinOp("<=", series.term, ht))
-            out = series.with_term(term, dtype="bool")
-            out.extra_atoms = series.extra_atoms + lx + hx
-            return out
-        if method == "round":
-            digits = int(self._const_value(args[0])) if args else 0
-            return series.with_term(Ext("round", (series.term, Const(digits))), dtype="float")
-        if method == "abs":
-            return series.with_term(Ext("abs", (series.term,)))
-        if method == "fillna":
-            value = self._const_value(args[0])
-            return series.with_term(Ext("coalesce", (series.term, Const(value))))
-        if method == "astype":
-            target = self._const_value(args[0])
-            cast = {"int": "cast_int", "int64": "cast_int", "float": "cast_float",
-                    "float64": "cast_float", "str": "cast_str"}.get(str(target))
-            if cast is None:
-                raise TranslationError(f"unsupported astype target {target!r}")
-            return series.with_term(Ext(cast, (series.term,)),
-                                    dtype={"cast_int": "int", "cast_float": "float", "cast_str": "str"}[cast])
-        if method == "isna" or method == "isnull":
-            return series.with_term(Ext("isnull", (series.term,)), dtype="bool")
-        if method == "notna" or method == "notnull":
-            return series.with_term(Ext("notnull", (series.term,)), dtype="bool")
-        if method == "reset_index":
-            return series
-        if method == "to_numpy":
-            frame = self._project_series_frame(series, series.name or "c0")
-            return self._to_numpy(frame)
-        if method == "head":
-            frame = self._project_series_frame(series, series.name or "value")
-            return self._head(frame, int(self._const_value(args[0])) if args else 5)
-        if method == "value_counts":
-            # GROUP BY value + COUNT(*), sorted by descending frequency.
-            name = series.name or "value"
-            rel = self.new_rel()
-            key_var = self._unique_var(name, [])
-            count_var = self._unique_var("count", [key_var])
-            body = [series.frame.atom()] + list(series.extra_atoms)
-            body.append(AssignAtom(key_var, series.term))
-            body.append(AssignAtom(count_var, Agg("count", None)))
-            self.emit(Rule(Head(rel, [key_var, count_var], group=[key_var],
-                                sort=SortSpec([(count_var, False)])), body))
-            cols = [ColumnInfo(name=name, var=key_var, dtype=series.dtype, unique=True),
-                    ColumnInfo(name="count", var=count_var, dtype="int")]
-            return SymFrame(rel=rel, cols=cols, index_cols=[name],
-                            ordering=[(count_var, False)])
-        if method in ("nlargest", "nsmallest"):
-            n = int(self._const_value(args[0]))
-            frame = self._project_series_frame(series, series.name or "value")
-            ascending = method == "nsmallest"
-            return self._emit_sort(frame, [frame.cols[0].name], [ascending], limit=n)
-        if method == "shift":
-            periods = int(self._const_value(args[0])) if args else 1
-            fill = self._const_value(kwargs["fill_value"]) if "fill_value" in kwargs else None
-            return self._series_shift(series, periods, fill)
-        if method == "rank":
-            how = self._const_value(kwargs["method"]) if "method" in kwargs else "min"
-            ascending = bool(self._const_value(kwargs["ascending"])) if "ascending" in kwargs else True
-            func = _RANK_METHODS.get(how)
-            if func is None:
-                raise TranslationError(f"unsupported rank method {how!r}")
-            win = Win(func, (), (), ((series.term, ascending),))
-            return series.with_term(win, dtype="int")
-        if method == "cumsum":
-            frame2, order = self._positional_order(series.frame)
-            win = Win("sum", (series.term,), (), order, _RUNNING_FRAME)
-            out = SymSeries(frame=frame2, term=win, name=series.name, dtype=series.dtype)
-            return out
-        if method == "rolling":
-            window = int(self._const_value(args[0]) if args
-                         else self._const_value(kwargs["window"]))
-            if window <= 0:
-                raise TranslationError("rolling window must be positive")
-            min_periods = window
-            if "min_periods" in kwargs:
-                min_periods = int(self._const_value(kwargs["min_periods"]))
-            if len(args) > 1:
-                min_periods = int(self._const_value(args[1]))
-            return SymRollingWindow(series=series, window=window,
-                                    min_periods=min_periods)
-        raise TranslationError(f"unsupported Series method {method!r}")
+    # -- array: dense array methods (an array also takes every frame call) ------
+    def _array__sum(self, array, axis=None):
+        spec = {None: "ij->", 0: "ij->j", 1: "ij->i"}.get(axis)
+        if spec is None:
+            raise TranslationError(f"array sum supports axis None, 0 or 1, not {axis!r}")
+        if array.width == 1 and axis in (None, 0):
+            spec = "i->"
+        return self._einsum_spec(spec, [array])
 
+    def _array__round(self, array, decimals=0) -> SymFrame:
+        values = array.value_cols()
+        rel = self.new_rel()
+        body: list = [array.atom()]
+        out_vars = []
+        for c in values:
+            out = self.fresh_var(c.var)
+            body.append(AssignAtom(out, Ext("round", (Var(c.var), Const(int(decimals))))))
+            out_vars.append(out)
+        self.emit(Rule(Head(rel, ["ID"] + out_vars), body))
+        cols = [ColumnInfo(name="ID", var="ID", dtype="int", unique=True)]
+        cols += [ColumnInfo(name=v, var=v, dtype="float") for v in out_vars]
+        return SymFrame(rel=rel, cols=cols, kind="array")
+
+    def _array__all(self, array) -> SymScalarRel:
+        # all(v) == (min over the boolean-as-int values) for 0/1 data.
+        values = array.value_cols()
+        rel = self.new_rel()
+        arg = values[0].var
+        self.emit(Rule(Head(rel, ["v"]), [array.atom(), AssignAtom("v", Agg("min", Var(arg)))]))
+        return SymScalarRel(rel=rel, var="v", dtype="float")
+
+    def _array__nonzero(self, array) -> SymFrame:
+        values = array.value_cols()
+        rel = self.new_rel()
+        body = [array.atom(), FilterAtom(BinOp("<>", Var(values[0].var), Const(0)))]
+        self.emit(Rule(Head(rel, ["ID"]), body))
+        return SymFrame(rel=rel, cols=[ColumnInfo(name="ID", var="ID", dtype="int", unique=True)],
+                        kind="array")
+
+    def _array__compress(self, array, condition, axis=None) -> SymFrame:
+        if axis != 1:
+            raise TranslationError("compress supports axis=1 only")
+        kept = [c for keep, c in zip(condition, array.value_cols()) if keep]
+        rel = self.new_rel()
+        self.emit(Rule(Head(rel, ["ID"] + [c.var for c in kept]), [array.atom()]))
+        cols = [ColumnInfo(name="ID", var="ID", dtype="int", unique=True)]
+        cols += [c.renamed(c.name) for c in kept]
+        return SymFrame(rel=rel, cols=cols, kind="array")
+
+    def _array__transpose(self, array):
+        return self._einsum_spec("ij->ji", [array])
+
+    # -- series: Series methods -------------------------------------------------
+    def _series_reduce(self, series: SymSeries, method: str) -> SymScalarRel:
+        return self._scalar_agg(series, _AGG_FUNCS[method])
+
+    _series__sum = _reduction(_series_reduce, "sum")
+    _series__mean = _reduction(_series_reduce, "mean")
+    _series__min = _reduction(_series_reduce, "min")
+    _series__max = _reduction(_series_reduce, "max")
+    _series__count = _reduction(_series_reduce, "count")
+    _series__nunique = _reduction(_series_reduce, "nunique")
+    _series__std = _reduction(_series_reduce, "std")
+    _series__var = _reduction(_series_reduce, "var")
+
+    def _series__unique(self, series) -> SymFrame:
+        name = series.name or "value"
+        rel = self.new_rel()
+        var = self._unique_var(name, series.frame.vars)
+        body = [series.frame.atom()] + list(series.extra_atoms) + [AssignAtom(var, series.term)]
+        self.emit(Rule(Head(rel, [var], distinct=True), body))
+        return SymFrame(rel=rel, cols=[ColumnInfo(name=name, var=var,
+                                                  dtype=series.dtype, unique=True)])
+
+    def _series__isin(self, series, values: list | SymSeries | SymFrame) -> SymSeries:
+        if isinstance(values, list):
+            return series.with_term(Ext("in_list", (series.term, Const(tuple(values)))), dtype="bool")
+        target = self._as_series(values)
+        # Freshen the inner relation's variables so they cannot capture
+        # (and silently correlate with) same-named outer variables.
+        inner_atom = RelAtom(target.frame.rel, [self.fresh_var(v) for v in target.frame.vars])
+        inner_term = rename_term(target.term, dict(zip(target.frame.vars, inner_atom.vars)))
+        inner = [inner_atom, FilterAtom(BinOp("=", inner_term, series.term))]
+        out = series.with_term(Const(True), dtype="bool")
+        out.exists_atoms = [ExistsAtom(body=inner, negated=False)]
+        return out
+
+    def _series__between(self, series, low: object, high: object) -> SymSeries:
+        lt, lx, _ = self._coerce_operand(low, series)
+        ht, hx, _ = self._coerce_operand(high, series)
+        term = BinOp("and", BinOp(">=", series.term, lt), BinOp("<=", series.term, ht))
+        out = series.with_term(term, dtype="bool")
+        out.extra_atoms = series.extra_atoms + lx + hx
+        return out
+
+    def _series__round(self, series, decimals=0) -> SymSeries:
+        return series.with_term(Ext("round", (series.term, Const(int(decimals)))), dtype="float")
+
+    def _series__abs(self, series) -> SymSeries:
+        return _unary(series, "abs")
+
+    def _series__isna(self, series) -> SymSeries:
+        return _unary(series, "isnull", "bool")
+
+    def _series__notna(self, series) -> SymSeries:
+        return _unary(series, "notnull", "bool")
+
+    _series__isnull = _series__isna
+    _series__notnull = _series__notna
+
+    def _series__fillna(self, series, value) -> SymSeries:
+        return series.with_term(Ext("coalesce", (series.term, Const(value))))
+
+    def _series__astype(self, series, dtype) -> SymSeries:
+        cast, out_dtype = _lookup(_CASTS, str(dtype), "astype target")
+        return series.with_term(Ext(cast, (series.term,)), dtype=out_dtype)
+
+    def _series__reset_index(self, series) -> SymSeries:
+        return series
+
+    def _series__to_numpy(self, series) -> SymFrame:
+        return self._frame__to_numpy(self._project_series_frame(series, series.name or "c0"))
+
+    def _series__head(self, series, n=5) -> SymFrame:
+        return self._frame__head(self._project_series_frame(series, series.name or "value"), n)
+
+    def _series__value_counts(self, series) -> SymFrame:
+        # GROUP BY value + COUNT(*), sorted by descending frequency.
+        name = series.name or "value"
+        rel = self.new_rel()
+        key_var = self._unique_var(name, series.frame.vars)
+        count_var = self._unique_var("count", series.frame.vars + [key_var])
+        body = [series.frame.atom()] + list(series.extra_atoms)
+        body.append(AssignAtom(key_var, series.term))
+        body.append(AssignAtom(count_var, Agg("count", None)))
+        self.emit(Rule(Head(rel, [key_var, count_var], group=[key_var],
+                            sort=SortSpec([(count_var, False)])), body))
+        cols = [ColumnInfo(name=name, var=key_var, dtype=series.dtype, unique=True),
+                ColumnInfo(name="count", var=count_var, dtype="int")]
+        return SymFrame(rel=rel, cols=cols, index_cols=[name],
+                        ordering=[(count_var, False)])
+
+    def _series__nlargest(self, series, n) -> SymFrame:
+        return self._series_top(series, n, ascending=False)
+
+    def _series__nsmallest(self, series, n) -> SymFrame:
+        return self._series_top(series, n, ascending=True)
+
+    def _series_top(self, series: SymSeries, n, ascending: bool) -> SymFrame:
+        frame = self._project_series_frame(series, series.name or "value")
+        return self._emit_sort(frame, [frame.cols[0].name], [ascending], limit=int(n))
+
+    def _series__shift(self, series, periods=1, fill_value=None) -> SymSeries:
+        return self._shifted(series, (), periods, fill_value)
+
+    def _series__rank(self, series, method="min", ascending=True) -> SymSeries:
+        return self._ranked(series, (), method, ascending)
+
+    def _series__cumsum(self, series) -> SymSeries:
+        return self._running_sum(series, ())
+
+    def _series__rolling(self, series, window, min_periods=None) -> SymRollingWindow:
+        window = int(window)
+        if window <= 0:
+            raise TranslationError("rolling window must be positive")
+        min_periods = window if min_periods is None else int(min_periods)
+        return SymRollingWindow(series=series, window=window, min_periods=min_periods)
+
+    def _scalar_agg(self, series: SymSeries, func: str) -> SymScalarRel:
+        rel = self.new_rel()
+        var = f"s_{next(self._var_counter)}"
+        agg = Agg("count", None) if func == "size" else Agg(func, series.term)
+        body = [series.frame.atom()] + list(series.extra_atoms) + [AssignAtom(var, agg)]
+        self.emit(Rule(Head(rel, [var]), body))
+        dtype = "int" if func in ("count", "count_distinct") else ("float" if func == "avg" else series.dtype)
+        return SymScalarRel(rel=rel, var=var, dtype=dtype)
+
+    # -- row-preserving windows, shared by Series, SeriesGroupBy and GroupBy ----
     def _positional_order(self, frame: SymFrame) -> tuple[SymFrame, tuple]:
         """An ORDER BY for positional window ops (shift/cumsum/rolling).
 
@@ -1290,20 +1218,33 @@ class Translator:
         uid_frame = self._ensure_uid_frame(frame)
         return uid_frame, ((Var("__uid"), True),)
 
-    def _series_shift(self, series: SymSeries, periods: int, fill) -> SymSeries:
-        frame2, order = self._positional_order(series.frame)
-        func = "lag" if periods >= 0 else "lead"
-        win_args: tuple = (series.term, Const(abs(periods)))
-        dtype = series.dtype
-        if fill is not None:
-            win_args += (Const(fill),)
-        win = Win(func, win_args, (), order)
-        return SymSeries(frame=frame2, term=win, name=series.name, dtype=dtype)
+    def _shifted(self, series: SymSeries, partition: tuple, periods, fill_value) -> SymSeries:
+        frame, order = self._positional_order(series.frame)
+        periods = int(periods)
+        fill = () if fill_value is None else (Const(fill_value),)
+        win = Win("lag" if periods >= 0 else "lead", (series.term, Const(abs(periods))) + fill,
+                  partition, order)
+        return SymSeries(frame=frame, term=win, name=series.name, dtype=series.dtype)
 
-    def _rolling_call(self, rolling: "SymRollingWindow", method: str, args, kwargs):
-        func = _WIN_AGGS.get(method)
-        if func is None or method == "size":
-            raise TranslationError(f"unsupported rolling aggregate {method!r}")
+    def _ranked(self, series: SymSeries, partition: tuple, method, ascending) -> SymSeries:
+        win = Win(_lookup(_RANK_METHODS, method, "rank method"), (), partition,
+                  ((series.term, bool(ascending)),))
+        return series.with_term(win, dtype="int")
+
+    def _running_sum(self, series: SymSeries, partition: tuple) -> SymSeries:
+        frame, order = self._positional_order(series.frame)
+        win = Win("sum", (series.term,), partition, order, _RUNNING_FRAME)
+        return SymSeries(frame=frame, term=win, name=series.name, dtype=series.dtype)
+
+    def _transformed(self, series: SymSeries, partition: tuple, func) -> SymSeries:
+        """``transform(func)``: the group aggregate broadcast back to rows."""
+        win_func = _lookup(_WIN_AGGS, func, "transform aggregate")
+        return series.with_term(Win(win_func, (series.term,), partition, ()),
+                                dtype="float" if win_func == "avg" else None)
+
+    # -- rolling: series.rolling(...) aggregates --------------------------------
+    def _rolling_reduce(self, rolling: SymRollingWindow, method: str) -> SymSeries:
+        func = _WIN_AGGS[method]
         series = rolling.series
         n = rolling.window
         frame2, order = self._positional_order(series.frame)
@@ -1318,132 +1259,67 @@ class Translator:
         dtype = "float" if func == "avg" else series.dtype
         return SymSeries(frame=frame2, term=term, name=series.name, dtype=dtype)
 
-    def _scalar_agg(self, series: SymSeries, func: str) -> SymScalarRel:
-        rel = self.new_rel()
-        var = f"s_{next(self._var_counter)}"
-        if func == "count_distinct":
-            agg = Agg("count_distinct", series.term)
-        elif func == "size":
-            agg = Agg("count", None)
-        else:
-            agg = Agg(func, series.term)
-        body = [series.frame.atom()] + list(series.extra_atoms) + [AssignAtom(var, agg)]
-        self.emit(Rule(Head(rel, [var]), body))
-        dtype = "int" if func in ("count", "count_distinct") else ("float" if func == "avg" else series.dtype)
-        return SymScalarRel(rel=rel, var=var, dtype=dtype)
+    _rolling__sum = _reduction(_rolling_reduce, "sum")
+    _rolling__mean = _reduction(_rolling_reduce, "mean")
+    _rolling__min = _reduction(_rolling_reduce, "min")
+    _rolling__max = _reduction(_rolling_reduce, "max")
+    _rolling__count = _reduction(_rolling_reduce, "count")
 
-    def _isin(self, series: SymSeries, args) -> SymSeries:
-        target = self.eval_expr(args[0])
-        if isinstance(target, list):
-            out = series.with_term(Ext("in_list", (series.term, Const(tuple(target)))), dtype="bool")
-            return out
-        if isinstance(target, SymFrame):
-            target = self._as_series(target)
-        if isinstance(target, SymSeries):
-            from ..tondir.ir import rename_term
+    # -- groupby: DataFrameGroupBy methods --------------------------------------
+    def _groupby__size(self, gb) -> SymFrame:
+        return self._emit_groupby(gb, [("size", None, "size")])
 
-            other_frame = target.frame
-            # Freshen the inner relation's variables so they cannot capture
-            # (and silently correlate with) same-named outer variables.
-            inner_atom = RelAtom(other_frame.rel, [self.fresh_var(v) for v in other_frame.vars])
-            renames = dict(zip(other_frame.vars, inner_atom.vars))
-            inner_term = rename_term(target.term, renames)
-            inner = [
-                inner_atom,
-                FilterAtom(BinOp("=", inner_term, series.term)),
-            ]
-            exists = ExistsAtom(body=inner, negated=False)
-        else:
-            raise TranslationError("unsupported isin target")
-        out = series.with_term(Const(True), dtype="bool")
-        out.exists_atoms = [exists]  # type: ignore[attr-defined]
-        return out
-
-    # -- GroupBy -----------------------------------------------------------------
-    def _groupby_call(self, gb: SymGroupBy, method: str, args, kwargs):
-        if method in ("sum", "mean", "min", "max", "count", "nunique", "first"):
-            items = [(c.name, c.name, method) for c in gb.frame.cols if c.name not in gb.keys]
-            return self._emit_groupby(gb, items)
-        if method == "size":
-            return self._emit_groupby(gb, [("size", None, "size")])
-        if method in ("agg", "aggregate"):
-            items: list[tuple[str, str | None, str]] = []
-            if args:
-                spec = self.eval_expr(args[0])
-                if isinstance(spec, dict):
-                    for src, func in spec.items():
-                        if isinstance(func, list):
-                            for f in func:
-                                items.append((f"{src}_{f}", src, f))
-                        else:
-                            items.append((src, src, func))
-                elif isinstance(spec, SymScalar):
-                    for c in gb.frame.cols:
-                        if c.name not in gb.keys:
-                            items.append((c.name, c.name, spec.value))
+    def _groupby__agg(self, gb, spec=None, **named) -> SymFrame:
+        items: list[tuple[str, str | None, str]] = []
+        if isinstance(spec, dict):
+            for src, func in spec.items():
+                if isinstance(func, list):
+                    for f in func:
+                        items.append((f"{src}_{f}", src, f))
                 else:
-                    raise TranslationError("unsupported agg spec")
-            for out_name, kw in kwargs.items():
-                pair = self.eval_expr(kw)
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise TranslationError("named agg expects (column, func) tuples")
-                items.append((out_name, pair[0], pair[1]))
-            return self._emit_groupby(gb, items)
-        if method == "transform":
-            func = self._const_value(args[0])
-            return self._groupby_transform(gb, func)
-        if method == "cumsum":
-            return self._groupby_window_frame(gb, "sum", running=True)
-        if method == "rank":
-            how = self._const_value(kwargs["method"]) if "method" in kwargs else "min"
-            ascending = bool(self._const_value(kwargs["ascending"])) if "ascending" in kwargs else True
-            return self._groupby_window_frame(gb, self._rank_func(how),
-                                              rank_ascending=ascending)
-        raise TranslationError(f"unsupported GroupBy method {method!r}")
+                    items.append((src, src, func))
+        elif isinstance(spec, str):
+            for c in gb.frame.cols:
+                if c.name not in gb.keys:
+                    items.append((c.name, c.name, spec))
+        elif spec is not None:
+            raise TranslationError("unsupported agg spec")
+        for out_name, pair in named.items():
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise TranslationError("named agg expects (column, func) tuples")
+            items.append((out_name, pair[0], pair[1]))
+        return self._emit_groupby(gb, items)
 
-    @staticmethod
-    def _rank_func(how) -> str:
-        func = _RANK_METHODS.get(how)
-        if func is None:
-            raise TranslationError(f"unsupported rank method {how!r}")
-        return func
+    _groupby__aggregate = _groupby__agg
+    _groupby__sum = _reduction(_groupby__agg, "sum")
+    _groupby__mean = _reduction(_groupby__agg, "mean")
+    _groupby__min = _reduction(_groupby__agg, "min")
+    _groupby__max = _reduction(_groupby__agg, "max")
+    _groupby__count = _reduction(_groupby__agg, "count")
+    _groupby__nunique = _reduction(_groupby__agg, "nunique")
+    _groupby__first = _reduction(_groupby__agg, "first")
+
+    def _groupby__transform(self, gb, func) -> SymFrame:
+        partition = self._groupby_partition(gb)
+        return self._groupby_windows(gb, lambda s: self._transformed(s, partition, func))
+
+    def _groupby__cumsum(self, gb) -> SymFrame:
+        frame, _ = self._positional_order(gb.frame)
+        gb = SymGroupBy(frame=frame, keys=gb.keys, as_index=gb.as_index)
+        partition = self._groupby_partition(gb)
+        return self._groupby_windows(gb, lambda s: self._running_sum(s, partition))
+
+    def _groupby__rank(self, gb, method="min", ascending=True) -> SymFrame:
+        partition = self._groupby_partition(gb)
+        return self._groupby_windows(
+            gb, lambda s: self._ranked(s, partition, method, ascending))
 
     def _groupby_partition(self, gb: SymGroupBy) -> tuple:
         return tuple(Var(gb.frame.col(k).var) for k in gb.keys)
 
-    def _groupby_transform(self, gb: SymGroupBy, func) -> SymFrame:
-        """``groupby(...).transform(agg)``: per-group aggregates broadcast
-        back to member rows — one window term per value column."""
-        win_func = _WIN_AGGS.get(func)
-        if win_func is None:
-            raise TranslationError(f"unsupported transform aggregate {func!r}")
-        return self._emit_groupby_windows(
-            gb, lambda col: Win(win_func, (Var(col.var),), self._groupby_partition(gb), ()),
-            dtype="float" if win_func == "avg" else None,
-        )
-
-    def _groupby_window_frame(self, gb: SymGroupBy, func: str,
-                              running: bool = False,
-                              rank_ascending: bool | None = None) -> SymFrame:
-        """Row-preserving per-group windows over every value column
-        (``cumsum`` orders by the positional uid; ``rank`` by the column)."""
-        partition = self._groupby_partition(gb)
-        if running:
-            frame2, order = self._positional_order(gb.frame)
-            gb = SymGroupBy(frame=frame2, keys=gb.keys, as_index=gb.as_index)
-            partition = self._groupby_partition(gb)
-
-            def make(col):
-                return Win(func, (Var(col.var),), partition, order, _RUNNING_FRAME)
-        else:
-            def make(col):
-                return Win(func, (), partition, ((Var(col.var), rank_ascending),))
-        return self._emit_groupby_windows(
-            gb, make, dtype="int" if rank_ascending is not None else None
-        )
-
-    def _emit_groupby_windows(self, gb: SymGroupBy, make_term,
-                              dtype: str | None = None) -> SymFrame:
+    def _groupby_windows(self, gb: SymGroupBy, window) -> SymFrame:
+        """Row-preserving per-group windows: ``window`` (one of the Series
+        helpers above) applied to every value column."""
         frame = gb.frame
         rel = self.new_rel()
         body: list = [frame.atom()]
@@ -1452,59 +1328,11 @@ class Translator:
             if c.name in gb.keys or c.var == "__uid":
                 continue
             out = self.fresh_var(c.var)
-            body.append(AssignAtom(out, make_term(c)))
-            out_cols.append(ColumnInfo(name=c.name, var=out,
-                                       dtype=dtype or c.dtype))
+            result = window(self._frame_col_series(frame, c.name))
+            body.append(AssignAtom(out, result.term))
+            out_cols.append(ColumnInfo(name=c.name, var=out, dtype=result.dtype))
         self.emit(Rule(Head(rel, [c.var for c in out_cols]), body))
         return SymFrame(rel=rel, cols=out_cols, kind=frame.kind)
-
-    def _series_groupby_call(self, sgb: SymSeriesGroupBy, method: str, args, kwargs):
-        if method in ("sum", "mean", "min", "max", "count", "nunique", "size"):
-            src = None if method == "size" else sgb.column
-            out = self._emit_groupby(sgb.groupby, [(sgb.column if src else "size", src, method)])
-            return out
-        if method in ("agg", "aggregate"):
-            spec = self.eval_expr(args[0])
-            if isinstance(spec, SymScalar):
-                return self._emit_groupby(sgb.groupby, [(sgb.column, sgb.column, spec.value)])
-            raise TranslationError("unsupported series agg spec")
-        if method == "transform":
-            func = _WIN_AGGS.get(self._const_value(args[0]))
-            if func is None:
-                raise TranslationError("unsupported transform aggregate")
-            gb = sgb.groupby
-            col = gb.frame.col(sgb.column)
-            win = Win(func, (Var(col.var),), self._groupby_partition(gb), ())
-            return SymSeries(frame=gb.frame, term=win, name=sgb.column,
-                             dtype="float" if func == "avg" else col.dtype)
-        if method == "rank":
-            how = self._const_value(kwargs["method"]) if "method" in kwargs else "min"
-            ascending = bool(self._const_value(kwargs["ascending"])) if "ascending" in kwargs else True
-            gb = sgb.groupby
-            col = gb.frame.col(sgb.column)
-            win = Win(self._rank_func(how), (), self._groupby_partition(gb),
-                      ((Var(col.var), ascending),))
-            return SymSeries(frame=gb.frame, term=win, name=sgb.column, dtype="int")
-        if method == "cumsum":
-            gb = sgb.groupby
-            frame2, order = self._positional_order(gb.frame)
-            col = frame2.col(sgb.column)
-            partition = tuple(Var(frame2.col(k).var) for k in gb.keys)
-            win = Win("sum", (Var(col.var),), partition, order, _RUNNING_FRAME)
-            return SymSeries(frame=frame2, term=win, name=sgb.column, dtype=col.dtype)
-        if method == "shift":
-            periods = int(self._const_value(args[0])) if args else 1
-            fill = self._const_value(kwargs["fill_value"]) if "fill_value" in kwargs else None
-            gb = sgb.groupby
-            frame2, order = self._positional_order(gb.frame)
-            col = frame2.col(sgb.column)
-            partition = tuple(Var(frame2.col(k).var) for k in gb.keys)
-            win_args: tuple = (Var(col.var), Const(abs(periods)))
-            if fill is not None:
-                win_args += (Const(fill),)
-            win = Win("lag" if periods >= 0 else "lead", win_args, partition, order)
-            return SymSeries(frame=frame2, term=win, name=sgb.column, dtype=col.dtype)
-        raise TranslationError(f"unsupported SeriesGroupBy method {method!r}")
 
     def _emit_groupby(self, gb: SymGroupBy, items: list[tuple[str, str | None, str]]) -> SymFrame:
         frame = gb.frame
@@ -1516,12 +1344,7 @@ class Translator:
         for out_name, src, func in items:
             func_ir = _AGG_FUNCS.get(func, func)
             var = self._unique_var(out_name, frame.vars + out_vars)
-            if func_ir == "size":
-                agg = Agg("count", None)
-            elif func_ir == "count_distinct":
-                agg = Agg("count_distinct", Var(frame.col(src).var))
-            else:
-                agg = Agg(func_ir, Var(frame.col(src).var))
+            agg = Agg("count", None) if func_ir == "size" else Agg(func_ir, Var(frame.col(src).var))
             body.append(AssignAtom(var, agg))
             out_vars.append(var)
             dtype = "int" if func_ir in ("count", "count_distinct", "size") else (
@@ -1534,33 +1357,69 @@ class Translator:
         return SymFrame(rel=rel, cols=out_cols,
                         index_cols=list(gb.keys) if gb.as_index else [])
 
-    # -- str accessor ---------------------------------------------------------
-    def _str_call(self, acc: SymStrAccessor, method: str, args, kwargs):
-        series = acc.series
-        if method in ("contains", "startswith", "endswith"):
-            pattern = self._const_value(args[0])
-            ext = {"contains": "contains", "startswith": "startswith", "endswith": "endswith"}[method]
-            return series.with_term(Ext(ext, (series.term, Const(pattern))), dtype="bool")
-        if method == "like":
-            pattern = self._const_value(args[0])
-            return series.with_term(BinOp("like", series.term, Const(pattern)), dtype="bool")
-        if method == "slice":
-            start = int(self._const_value(args[0])) if args else 0
-            stop = self._const_value(args[1]) if len(args) > 1 else None
-            length = (stop - start) if stop is not None else 10**6
-            return series.with_term(
-                Ext("substr", (series.term, Const(start + 1), Const(length))), dtype="str"
-            )
-        if method == "upper":
-            return series.with_term(Ext("upper", (series.term,)), dtype="str")
-        if method == "lower":
-            return series.with_term(Ext("lower", (series.term,)), dtype="str")
-        if method == "len":
-            return series.with_term(Ext("length", (series.term,)), dtype="int")
-        if method == "strftime":
-            fmt = self._const_value(args[0])
-            return series.with_term(Ext("strftime", (series.term, Const(fmt))), dtype="str")
-        raise TranslationError(f"unsupported .str method {method!r}")
+    # -- sgb: SeriesGroupBy methods (the GroupBy / Series twins' helpers) --------
+    def _sgb__agg(self, sgb, func: str) -> SymFrame:
+        return self._emit_groupby(sgb.groupby, [(sgb.column, sgb.column, func)])
+
+    _sgb__aggregate = _sgb__agg
+    _sgb__sum = _reduction(_sgb__agg, "sum")
+    _sgb__mean = _reduction(_sgb__agg, "mean")
+    _sgb__min = _reduction(_sgb__agg, "min")
+    _sgb__max = _reduction(_sgb__agg, "max")
+    _sgb__count = _reduction(_sgb__agg, "count")
+    _sgb__nunique = _reduction(_sgb__agg, "nunique")
+
+    def _sgb__size(self, sgb) -> SymFrame:
+        return self._groupby__size(sgb.groupby)
+
+    def _sgb_column(self, sgb: SymSeriesGroupBy) -> tuple[SymSeries, tuple]:
+        """The grouped column as a Series, and the groups' partition."""
+        gb = sgb.groupby
+        return self._frame_col_series(gb.frame, sgb.column), self._groupby_partition(gb)
+
+    def _sgb__transform(self, sgb, func) -> SymSeries:
+        return self._transformed(*self._sgb_column(sgb), func)
+
+    def _sgb__rank(self, sgb, method="min", ascending=True) -> SymSeries:
+        return self._ranked(*self._sgb_column(sgb), method, ascending)
+
+    def _sgb__cumsum(self, sgb) -> SymSeries:
+        return self._running_sum(*self._sgb_column(sgb))
+
+    def _sgb__shift(self, sgb, periods=1, fill_value=None) -> SymSeries:
+        return self._shifted(*self._sgb_column(sgb), periods, fill_value)
+
+    # -- str: the .str accessor ---------------------------------------------------
+    def _str__contains(self, acc, pat) -> SymSeries:
+        return acc.series.with_term(Ext("contains", (acc.series.term, Const(pat))), dtype="bool")
+
+    def _str__startswith(self, acc, prefix) -> SymSeries:
+        return acc.series.with_term(Ext("startswith", (acc.series.term, Const(prefix))), dtype="bool")
+
+    def _str__endswith(self, acc, suffix) -> SymSeries:
+        return acc.series.with_term(Ext("endswith", (acc.series.term, Const(suffix))), dtype="bool")
+
+    def _str__like(self, acc, pattern) -> SymSeries:
+        return acc.series.with_term(BinOp("like", acc.series.term, Const(pattern)), dtype="bool")
+
+    def _str__slice(self, acc, start=None, stop=None) -> SymSeries:
+        start = int(start or 0)
+        length = (stop - start) if stop is not None else 10**6
+        return acc.series.with_term(
+            Ext("substr", (acc.series.term, Const(start + 1), Const(length))), dtype="str"
+        )
+
+    def _str__upper(self, acc) -> SymSeries:
+        return _unary(acc.series, "upper", "str")
+
+    def _str__lower(self, acc) -> SymSeries:
+        return _unary(acc.series, "lower", "str")
+
+    def _str__len(self, acc) -> SymSeries:
+        return _unary(acc.series, "length", "int")
+
+    def _str__strftime(self, acc, fmt) -> SymSeries:
+        return acc.series.with_term(Ext("strftime", (acc.series.term, Const(fmt))), dtype="str")
 
     # ------------------------------------------------------------------
     # Finalization
@@ -1648,6 +1507,114 @@ class Translator:
             self.emit(Rule(Head(rel, ["value"]), [AssignAtom("value", Const(result.value))]))
             return rel
         raise TranslationError(f"cannot return {type(result).__name__} from a @pytond function")
+
+
+# ----------------------------------------------------------------------
+# The declared surface
+# ----------------------------------------------------------------------
+_KINDS = ("module", "frame", "array", "series", "groupby", "sgb", "str", "rolling")
+_RECEIVER_KINDS = {_ModuleRef: "module", SymSeries: "series", SymGroupBy: "groupby",
+                   SymSeriesGroupBy: "sgb", SymStrAccessor: "str",
+                   SymRollingWindow: "rolling"}
+
+
+class _Call:
+    """One supported call: its emitter, the emitter's signature (read once),
+    and what each parameter after the receiver takes — a value of its
+    annotated types, or a constant when it has no annotation."""
+
+    def __init__(self, emit):
+        self.emit = emit
+        self.signature = inspect.signature(emit)
+        params = list(self.signature.parameters.values())[2:]  # after self, receiver
+        hints = typing.get_type_hints(emit)
+        self.takes = {p.name: (hints.get(p.name), _type_names(hints.get(p.name)))
+                      for p in params}
+        self.positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+        self.rest = next((p.name for p in params if p.kind is p.VAR_POSITIONAL), None)
+        self.named = next((p.name for p in params if p.kind is p.VAR_KEYWORD), None)
+        self.params = str(self.signature.replace(
+            parameters=[p.replace(annotation=p.empty) for p in params],
+            return_annotation=inspect.Signature.empty))
+
+    def mismatch(self, args: list, kwargs: dict) -> str | None:
+        """Why an argument does not fit its parameter, or None.  An argument
+        with no parameter is left to the call itself to refuse."""
+        names = self.positional + [self.rest] * (len(args) - len(self.positional))
+        for name, value in itertools.chain(zip(names, args), kwargs.items()):
+            if name not in self.takes:
+                name = self.named
+                if name is None:
+                    continue
+            expected, label = self.takes[name]
+            if not (isinstance(value, expected) if expected else _is_constant(value)):
+                return f"argument {name!r} must be {label}, not {type(value).__name__}"
+        return None
+
+
+def _type_names(expected) -> str:
+    if expected is None:
+        return "a constant"
+    return " or ".join(t.__name__ for t in typing.get_args(expected) or (expected,))
+
+
+def _declare_surface(cls) -> dict[str, dict[str, _Call]]:
+    """Each receiver kind's calls, read off the ``_<kind>__<method>`` emitters."""
+    declared: dict[str, dict[str, _Call]] = {kind: {} for kind in _KINDS}
+    for name, emit in vars(cls).items():
+        kind, sep, method = name[1:].partition("__")
+        if name.startswith("_") and sep and method and kind in declared:
+            declared[kind][method] = _Call(emit)
+    return declared
+
+
+_SURFACE = _declare_surface(Translator)
+# What each receiver kind dispatches to: an array also takes every frame call.
+_DISPATCH = {**_SURFACE, "array": {**_SURFACE["frame"], **_SURFACE["array"]}}
+
+
+def surface() -> dict[str, dict[str, str]]:
+    """The translator's pandas/NumPy surface: kind -> method -> parameters.
+
+    This is the listing an unsupported call's error prints, and the one
+    ``docs/TONDIR.md`` "Translator surface" documents.  An ``array`` also
+    takes every ``frame`` call.
+    """
+    return {kind: {m: calls[m].params for m in sorted(calls)}
+            for kind, calls in _SURFACE.items()}
+
+
+def _receiver_kind(base) -> str | None:
+    if isinstance(base, SymFrame):
+        return "array" if base.kind == "array" else "frame"
+    if isinstance(base, _ModuleRef) and "." in base.name:
+        return None
+    return _RECEIVER_KINDS.get(type(base))
+
+
+def _call_error(kind: str, method: str, reason: str) -> TranslationError:
+    calls = _DISPATCH[kind]
+    supported = ", ".join(f"{m}{calls[m].params}" for m in sorted(calls))
+    return TranslationError(f"{kind}.{method}: {reason}; {kind} supports {supported}")
+
+
+def _lookup(table: dict, key, what: str):
+    """``table[key]``, or a TranslationError naming *what* and the choices."""
+    value = table.get(key) if isinstance(key, str) else None
+    if value is None:
+        raise TranslationError(f"unsupported {what} {key!r}; supported: {', '.join(table)}")
+    return value
+
+
+def _is_constant(value) -> bool:
+    if isinstance(value, list):
+        return all(_is_constant(v) for v in value)
+    return isinstance(value, (dict,) + _CONSTANTS)
+
+
+def _unary(series: SymSeries, ext: str, dtype: str | None = None) -> SymSeries:
+    """``ext(series)``: the one-argument Ext wrappers (abs, isna, upper, ...)."""
+    return series.with_term(Ext(ext, (series.term,)), dtype=dtype)
 
 
 def _py_dtype(value) -> str:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..tondir.ir import RelAtom, Term
+from ..tondir.ir import ExistsAtom, RelAtom, Term
 
 __all__ = [
     "ColumnInfo", "SymFrame", "SymSeries", "SymScalar", "SymScalarRel",
@@ -98,11 +98,15 @@ class SymSeries:
     dtype: str = "unknown"
     # Extra one-row relations (scalar aggregates) the term depends on.
     extra_atoms: list[RelAtom] = field(default_factory=list)
+    # Semi/anti-join conditions of an ``isin`` mask (its term is then True);
+    # a filter by the mask adds them to its rule body.
+    exists_atoms: list[ExistsAtom] = field(default_factory=list)
 
     def with_term(self, term: Term, dtype: str | None = None) -> "SymSeries":
         return SymSeries(
             frame=self.frame, term=term, name=self.name,
             dtype=dtype or self.dtype, extra_atoms=list(self.extra_atoms),
+            exists_atoms=list(self.exists_atoms),
         )
 
 

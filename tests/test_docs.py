@@ -2,11 +2,14 @@
 
 Runs the same checks as ``python tools/check_docs.py`` — intra-repo
 markdown links resolve, and every ``src/repro/sqlengine/`` module has a
-module docstring — so doc rot fails tier-1 locally, not just in CI.
+module docstring — so doc rot fails tier-1 locally, not just in CI.  Also
+checks that TONDIR.md's "Translator surface" table is the translator's
+own listing.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 
@@ -36,3 +39,17 @@ def test_checker_detects_broken_link(tmp_path, monkeypatch):
     monkeypatch.setattr(check_docs, "DOC_GLOBS", ["*.md"])
     problems = check_docs.check_links()
     assert len(problems) == 1 and "missing/file.md" in problems[0]
+
+
+def test_translator_surface_section_is_the_dispatch_listing():
+    from repro.core.translate.engine import surface
+
+    text = (REPO / "docs/TONDIR.md").read_text()
+    section = text.split("## Translator surface", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            documented[cells[0].strip("`")] = re.findall(r"`([^`]+)`", cells[2])
+    assert documented == {kind: [f"{m}{p}" for m, p in calls.items()]
+                          for kind, calls in surface().items()}

@@ -8,8 +8,8 @@ against a *virtual* repo path, so path-scoped rules (ENG001 only in
 import resolution, ENG008 only in ``sqlengine/`` and ``storage/``, ENG009
 only in ``server/``, ENG010 everywhere but ``sqlengine/sqlast.py``, ENG011
 only in ``sqlengine/``, ENG012 everywhere but ``core/tondir/ir.py``, ENG013
-only in the operator modules of ``sqlengine/``) see the same inputs they do
-in production.
+only in the operator modules of ``sqlengine/``, ENG014 only in
+``core/translate/``) see the same inputs they do in production.
 """
 
 from __future__ import annotations
@@ -378,6 +378,70 @@ class TestChunkArraysInOperators:
         assert entries == {
             "src/repro/sqlengine/setops.py:ENG013:execute_set_op",
             "src/repro/sqlengine/plan.py:ENG013:Distinct.execute"}
+
+
+class TestMethodLadderInTranslator:
+    TRANSLATE = REPO / "src/repro/core/translate/engine.py"
+    # The parent tree's shape: one ladder of literal method tests per
+    # receiver type, each branch calling that method's code.
+    LADDER = ("class Translator:\n"
+              "    def _frame_call(self, frame, method, args):\n"
+              "        if method == 'merge':\n"
+              "            return self._merge(frame, args)\n"
+              "        if method == 'aggregate' or method == 'agg':\n"
+              "            return self._frame_aggregate(frame, args)\n"
+              "        if method in ('sum', 'all'):\n"
+              "            return self._array_call(frame, method, args)\n"
+              "        raise TranslationError(method)\n")
+
+    def test_ladder_in_translate_package(self):
+        for module in ("engine", "einsum_planner", "symbols"):
+            path = REPO / f"src/repro/core/translate/{module}.py"
+            (finding,) = lint(self.LADDER, path)
+            assert finding.rule == "ENG014"
+            assert finding.symbol == "Translator._frame_call"
+
+    def test_elif_chain_counts(self):
+        src = ("def field_of(attr):\n"
+               "    if attr == 'year':\n"
+               "        return 1\n"
+               "    elif attr == 'month':\n"
+               "        return 2\n"
+               "    elif attr in ['day']:\n"
+               "        return 3\n")
+        (finding,) = lint(src, self.TRANSLATE)
+        assert finding.rule == "ENG014" and finding.symbol == "field_of"
+
+    def test_short_combined_and_other_ladders_are_fine(self):
+        two = self.LADDER.replace("if method in ('sum', 'all')", "if frame")
+        # einsum_planner's shape: each branch tests several names at once.
+        combined = ("def lower(idx, output):\n"
+                    "    if idx == 'i' and output == '':\n        return 1\n"
+                    "    if idx == 'ij' and output == '':\n        return 2\n"
+                    "    if idx == 'ij' and output == 'i':\n        return 3\n")
+        names = ("def f(a, b, c):\n"
+                 "    if a == 'x':\n        return 1\n"
+                 "    if b == 'y':\n        return 2\n"
+                 "    if c == 'z':\n        return 3\n")
+        non_literal = self.LADDER.replace("'merge'", "other").replace(
+            "method in ('sum', 'all')", "method in names")
+        for src in (two, combined, names, non_literal):
+            assert lint(src, self.TRANSLATE) == []
+        # A nested function is its own scope: two branches in each.
+        nested = ("def outer(m):\n"
+                  "    if m == 'a':\n        return 1\n"
+                  "    def inner(m):\n"
+                  "        if m == 'b':\n            return 2\n"
+                  "        if m == 'c':\n            return 3\n"
+                  "    if m == 'd':\n        return inner(m)\n")
+        assert lint(nested, self.TRANSLATE) == []
+        # Outside the translator a literal dispatch is not its business.
+        assert lint(self.LADDER, CORE) == []
+        assert lint(self.LADDER, ENGINE) == []
+
+    def test_no_allowlist_entry(self):
+        assert not any(":ENG014:" in entry
+                       for entry in lint_engine.load_allowlist())
 
 
 class TestRunner:

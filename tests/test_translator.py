@@ -5,6 +5,8 @@ construct and checks that in-database execution matches the eager Python
 baseline on the same data.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -398,3 +400,181 @@ class TestErrorsAndLevels:
         o0 = f.tondir("O0", db=db)
         o4 = f.tondir("O4", db=db)
         assert len(o0.rules) > len(o4.rules)
+
+
+# -- series output variables ----------------------------------------------------
+# A Series projected out of its frame gets its own output variable.  Reusing
+# the column's name, which the frame's atom binds in the same rule body, reads
+# as an equality: ``SELECT price FROM sales WHERE price = ROUND(price, 1)``.
+
+@pytond()
+def _rounded(sales):
+    return sales.price.round(1)
+
+
+@pytond()
+def _rounded_unique(sales):
+    return sales.price.round(0).unique()
+
+
+@pytond()
+def _rounded_counts(sales):
+    return sales.price.round(0).value_counts()
+
+
+@pytond()
+def _rounded_head(sales):
+    return sales.price.round(1).head(3)
+
+
+@pytest.fixture()
+def fractional_env():
+    # No price sits halfway between two roundings: Python and SQL agree.
+    data = {
+        "sales": {
+            "sid": np.arange(1, 11, dtype=np.int64),
+            "product": np.array(list("abcab" "cabca"), dtype=object),
+            "qty": np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3], dtype=np.int64),
+            "price": np.array([1.234, 2.0, 3.141, 4.4, 5.0, 6.667, 7.0, 8.049,
+                               9.999, 10.0]),
+            "disc": np.array([0.1, np.nan, 0.2, 0.05, np.nan, 0.0, 0.1, np.nan,
+                              0.3, 0.2]),
+        },
+        "products": {
+            "product": np.array(["a", "b", "c"], dtype=object),
+            "qty": np.array([10, 20, 30], dtype=np.int64),
+        },
+    }
+    db = connect()
+    db.register("sales", data["sales"], primary_key="sid")
+    db.register("products", data["products"], primary_key="product")
+    return db, {k: rpd.DataFrame(v) for k, v in data.items()}
+
+
+def _null_rows(result) -> list[tuple]:
+    """``rows(result)`` with NaN as None, so missing values compare equal."""
+    return [tuple(None if v != v else v for v in row) for row in rows(result)]
+
+
+def _python_rows(result) -> list[tuple]:
+    """A Python result (Series, ndarray or DataFrame) as row tuples."""
+    if isinstance(result, (np.ndarray, rpd.Series)):
+        return _null_rows({"v": np.asarray(result)})
+    return _null_rows(result.reset_index(drop=True))
+
+
+@pytest.mark.parametrize("fn, python_rows", [
+    (_rounded, _python_rows),
+    (_rounded_unique, _python_rows),
+    (_rounded_counts, lambda s: _null_rows({"k": s.index.values, "n": s.values})),
+    (_rounded_head, _python_rows),
+])
+def test_series_output_is_not_an_equality_filter(fractional_env, fn, python_rows):
+    db, frames = fractional_env
+    want = sorted(python_rows(fn(frames["sales"])))
+    for backend in ("native", "sqlite"):
+        assert sorted(_null_rows(fn.run(db, backend))) == want, backend
+
+
+# -- argument binding -----------------------------------------------------------
+# Each call binds its arguments with the emitter's signature: keywords mean
+# what they mean in Python, and anything outside the signature is refused at
+# translate time instead of being dropped.
+
+@pytond()
+def _head_n(sales):
+    return sales.sort_values(by='qty').head(n=3)
+
+
+@pytond()
+def _round_decimals(sales):
+    return sales.price.round(decimals=1)
+
+
+@pytond()
+def _fillna_value(sales):
+    return sales.disc.fillna(value=0.0)
+
+
+@pytond()
+def _nlargest_keywords(sales):
+    return sales.nlargest(n=3, columns='price')
+
+
+@pytond()
+def _merge_suffixes(sales, products):
+    return sales.merge(products, on='product', suffixes=('_l', '_r')).sort_values('sid')
+
+
+@pytest.mark.parametrize("fn", [_head_n, _round_decimals, _fillna_value,
+                                _nlargest_keywords, _merge_suffixes])
+def test_keyword_arguments_bind_like_python(fractional_env, fn):
+    db, frames = fractional_env
+    py = fn(*[frames[name] for name in inspect.signature(fn.python).parameters])
+    got = fn.run(db, "native")
+    assert _null_rows(got) == _python_rows(py)
+    if isinstance(py, rpd.DataFrame):
+        assert list(got.to_dict()) == list(py.columns)
+
+
+@pytond()
+def _unknown_keyword_kind(sales):
+    return sales.sort_values('qty', kind='stable')
+
+
+@pytond()
+def _unknown_keyword_keep(sales):
+    return sales.drop_duplicates(keep='last')
+
+
+@pytond()
+def _unknown_keyword_case(sales):
+    return sales[sales.product.str.contains('a', case=False)]
+
+
+@pytond()
+def _missing_argument(sales):
+    return sales[sales.qty.between(1)]
+
+
+@pytond()
+def _extra_argument(sales):
+    return sales.head(3, 4)
+
+
+@pytond()
+def _unsupported_aggregate(sales):
+    return sales.agg('median')
+
+
+@pytond()
+def _symbol_for_a_constant(sales):
+    n = sales.qty.max()
+    return sales.head(n)
+
+
+@pytest.mark.parametrize("fn, where, why", [
+    (_unknown_keyword_kind, "frame.sort_values", "'kind'"),
+    (_unknown_keyword_keep, "frame.drop_duplicates", "'keep'"),
+    (_unknown_keyword_case, "str.contains", "'case'"),
+    (_missing_argument, "series.between", "'high'"),
+    (_extra_argument, "frame.head", "too many positional arguments"),
+    (_unsupported_aggregate, "'median'", "supported: sum, mean"),
+    (_symbol_for_a_constant, "frame.head", "must be a constant"),
+])
+def test_unsupported_arguments_fail_at_translate_time(fractional_env, fn, where, why):
+    db, _ = fractional_env
+    with pytest.raises(TranslationError) as err:
+        fn.tondir("O0", db=db)
+    assert where in str(err.value) and why in str(err.value)
+
+
+def test_unsupported_method_lists_the_kind_surface(env):
+    db, _ = env
+
+    @pytond()
+    def f(sales):
+        return sales.qty.str.zfill(3)
+    with pytest.raises(TranslationError, match=r"str\.zfill: unsupported method; str supports "
+                                                r"contains\(pat\), endswith\(suffix\)"):
+        f.sql("native", db=db)

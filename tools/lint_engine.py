@@ -95,6 +95,15 @@ ENG013 chunk-arrays-in-operators
     gathered; any ``.arrays`` read there is flagged.  The places that need
     every column (set operations, ``Distinct``) are allowlisted.
 
+ENG014 method-ladder-in-translator
+    The translator declares its pandas/NumPy surface once: one emitter
+    ``_<kind>__<method>`` per supported call, found by its name
+    (``core/translate/engine.py``).  Under ``src/repro/core/translate/``, a
+    function with three or more ``if`` / ``elif`` branches that each test
+    the same name against string literals (``name == "lit"``,
+    ``name in ("a", "b")``, or an ``or`` of those) is a hand-written
+    dispatch ladder growing back beside that declaration.
+
 Findings are identified as ``path:RULE:symbol`` (symbol = nearest
 enclosing ``Class.function``, or ``<module>``); adding that line to
 ``tools/lint_engine_allow.txt`` suppresses the finding.  Run:
@@ -144,6 +153,10 @@ CHUNK_READER_MODULES = frozenset(
 # The module that declares TondIR's shape, and its term classes (ENG012).
 TONDIR_IR_MODULE = "src/repro/core/tondir/ir.py"
 TONDIR_TERM_CLASSES = frozenset("Var Const BinOp If Agg Ext Win".split())
+# The package that declares the translator's surface (ENG014), and how many
+# literal-test branches on one name make a ladder.
+TRANSLATE_PACKAGE = "src/repro/core/translate/"
+LADDER_BRANCHES = 3
 
 
 class Finding:
@@ -189,6 +202,38 @@ def _calls_in(node: ast.AST):
             yield sub
 
 
+def _own_nodes(func):
+    """The nodes of a function body, not descending into nested scopes."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_str(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _literal_test_name(test: ast.expr) -> str | None:
+    """The name an ``if`` test compares with string literals, if any."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
+        names = {_literal_test_name(v) for v in test.values}
+        return names.pop() if len(names) == 1 else None
+    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.left, ast.Name)):
+        return None
+    op, right = test.ops[0], test.comparators[0]
+    if isinstance(op, ast.Eq) and _is_str(right):
+        return test.left.id
+    if isinstance(op, ast.In) and isinstance(right, (ast.Tuple, ast.List, ast.Set)) \
+            and right.elts and all(_is_str(e) for e in right.elts):
+        return test.left.id
+    return None
+
+
 class _Linter(ast.NodeVisitor):
     def __init__(self, path: Path, findings: list[Finding]):
         self.path = path
@@ -214,6 +259,7 @@ class _Linter(ast.NodeVisitor):
     def _visit_func(self, node) -> None:
         self._check_mutable_defaults(node)
         self._check_term_walk(node)
+        self._check_method_ladder(node)
         self.stack.append(node.name)
         self.generic_visit(node)
         self.stack.pop()
@@ -351,6 +397,24 @@ class _Linter(ast.NodeVisitor):
                 f"recursive isinstance ladder over TondIR terms "
                 f"({', '.join(sorted(tested))}) — use the traversals "
                 f"core/tondir/ir.py derives from its declaration"))
+
+    # -- ENG014 -----------------------------------------------------------
+    def _check_method_ladder(self, node) -> None:
+        if not self.rel.startswith(TRANSLATE_PACKAGE):
+            return
+        branches: dict[str, int] = {}
+        for sub in _own_nodes(node):
+            name = _literal_test_name(sub.test) if isinstance(sub, ast.If) else None
+            if name is not None:
+                branches[name] = branches.get(name, 0) + 1
+        for name, count in branches.items():
+            if count >= LADDER_BRANCHES:
+                self.findings.append(Finding(
+                    "ENG014", self.path, node.lineno,
+                    _symbol_of(self.stack + [node.name]),
+                    f"{count} branches test {name!r} against string literals "
+                    f"— declare each call as a _<kind>__<method> emitter "
+                    f"instead of a dispatch ladder"))
 
     # -- ENG008, ENG013 ---------------------------------------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:

@@ -75,6 +75,7 @@ _DT_FIELDS = ("year", "month", "day")
 # Python values a call argument may carry as a constant (lists of them and
 # constant dicts too, see _is_constant).
 _CONSTANTS = (bool, int, float, str, type(None))
+_CONSTANT_TYPES = (dict,) + _CONSTANTS
 
 
 class TableInfo:
@@ -1542,11 +1543,10 @@ class _Call:
         with no parameter is left to the call itself to refuse."""
         names = self.positional + [self.rest] * (len(args) - len(self.positional))
         for name, value in itertools.chain(zip(names, args), kwargs.items()):
-            if name not in self.takes:
-                name = self.named
-                if name is None:
-                    continue
-            expected, label = self.takes[name]
+            takes = self.takes.get(name) or self.takes.get(self.named)
+            if takes is None:
+                continue
+            expected, label = takes
             if not (isinstance(value, expected) if expected else _is_constant(value)):
                 return f"argument {name!r} must be {label}, not {type(value).__name__}"
         return None
@@ -1608,8 +1608,8 @@ def _lookup(table: dict, key, what: str):
 
 def _is_constant(value) -> bool:
     if isinstance(value, list):
-        return all(_is_constant(v) for v in value)
-    return isinstance(value, (dict,) + _CONSTANTS)
+        return all(map(_is_constant, value))
+    return isinstance(value, _CONSTANT_TYPES)
 
 
 def _unary(series: SymSeries, ext: str, dtype: str | None = None) -> SymSeries:

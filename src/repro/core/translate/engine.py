@@ -671,10 +671,10 @@ class Translator:
     def _module__DataFrame(self, module):
         return SymFrame(rel="", cols=[])
 
-    def _module__concat(self, module, objs: list):
-        if not objs or not all(isinstance(f, SymFrame) for f in objs):
+    def _module__concat(self, module, frames: list):
+        if not frames or not all(isinstance(f, SymFrame) for f in frames):
             raise TranslationError("pd.concat expects a list of DataFrames")
-        return self._concat(objs)
+        return self._concat(frames)
 
     def _module__dot(self, module, a: object, b: object):
         return self._einsum_spec("ij,jk->ik", [a, b])
@@ -746,9 +746,9 @@ class Translator:
             raise TranslationError("sort_values: ascending must match the sort keys")
         return self._emit_sort(frame, keys, ascending, limit=None)
 
-    def _frame__nlargest(self, frame, n, columns) -> SymFrame:
+    def _frame__nlargest(self, frame, n: int, columns) -> SymFrame:
         keys = self._key_list(columns, "nlargest")
-        return self._emit_sort(frame, keys, [False] * len(keys), limit=int(n))
+        return self._emit_sort(frame, keys, [False] * len(keys), limit=n)
 
     def _frame__rename(self, frame, columns: dict) -> SymFrame:
         return replace(frame, cols=[c.renamed(columns.get(c.name, c.name)) for c in frame.cols])
@@ -792,10 +792,9 @@ class Translator:
                         kind=frame.kind, index_cols=list(frame.index_cols),
                         hidden_id=frame.hidden_id, ordering=list(key_pairs))
 
-    def _frame__head(self, frame, n=5) -> SymFrame:
+    def _frame__head(self, frame, n: int = 5) -> SymFrame:
         # Peephole: head() directly after sort_values folds into its rule so
         # ORDER BY + LIMIT stay in one CTE (Section III-E "Sort and Limit").
-        n = int(n)
         defining = self.rules[-1] if self.rules else None
         if (
             defining is not None
@@ -1038,14 +1037,14 @@ class Translator:
             spec = "i->"
         return self._einsum_spec(spec, [array])
 
-    def _array__round(self, array, decimals=0) -> SymFrame:
+    def _array__round(self, array, decimals: int = 0) -> SymFrame:
         values = array.value_cols()
         rel = self.new_rel()
         body: list = [array.atom()]
         out_vars = []
         for c in values:
             out = self.fresh_var(c.var)
-            body.append(AssignAtom(out, Ext("round", (Var(c.var), Const(int(decimals))))))
+            body.append(AssignAtom(out, Ext("round", (Var(c.var), Const(decimals)))))
             out_vars.append(out)
         self.emit(Rule(Head(rel, ["ID"] + out_vars), body))
         cols = [ColumnInfo(name="ID", var="ID", dtype="int", unique=True)]
@@ -1068,7 +1067,7 @@ class Translator:
         return SymFrame(rel=rel, cols=[ColumnInfo(name="ID", var="ID", dtype="int", unique=True)],
                         kind="array")
 
-    def _array__compress(self, array, condition, axis=None) -> SymFrame:
+    def _array__compress(self, array, condition: list, axis=None) -> SymFrame:
         if axis != 1:
             raise TranslationError("compress supports axis=1 only")
         kept = [c for keep, c in zip(condition, array.value_cols()) if keep]
@@ -1124,8 +1123,8 @@ class Translator:
         out.extra_atoms = series.extra_atoms + lx + hx
         return out
 
-    def _series__round(self, series, decimals=0) -> SymSeries:
-        return series.with_term(Ext("round", (series.term, Const(int(decimals)))), dtype="float")
+    def _series__round(self, series, decimals: int = 0) -> SymSeries:
+        return series.with_term(Ext("round", (series.term, Const(decimals))), dtype="float")
 
     def _series__abs(self, series) -> SymSeries:
         return _unary(series, "abs")
@@ -1152,7 +1151,7 @@ class Translator:
     def _series__to_numpy(self, series) -> SymFrame:
         return self._frame__to_numpy(self._project_series_frame(series, series.name or "c0"))
 
-    def _series__head(self, series, n=5) -> SymFrame:
+    def _series__head(self, series, n: int = 5) -> SymFrame:
         return self._frame__head(self._project_series_frame(series, series.name or "value"), n)
 
     def _series__value_counts(self, series) -> SymFrame:
@@ -1171,17 +1170,17 @@ class Translator:
         return SymFrame(rel=rel, cols=cols, index_cols=[name],
                         ordering=[(count_var, False)])
 
-    def _series__nlargest(self, series, n) -> SymFrame:
+    def _series__nlargest(self, series, n: int) -> SymFrame:
         return self._series_top(series, n, ascending=False)
 
-    def _series__nsmallest(self, series, n) -> SymFrame:
+    def _series__nsmallest(self, series, n: int) -> SymFrame:
         return self._series_top(series, n, ascending=True)
 
     def _series_top(self, series: SymSeries, n, ascending: bool) -> SymFrame:
         frame = self._project_series_frame(series, series.name or "value")
-        return self._emit_sort(frame, [frame.cols[0].name], [ascending], limit=int(n))
+        return self._emit_sort(frame, [frame.cols[0].name], [ascending], limit=n)
 
-    def _series__shift(self, series, periods=1, fill_value=None) -> SymSeries:
+    def _series__shift(self, series, periods: int = 1, fill_value=None) -> SymSeries:
         return self._shifted(series, (), periods, fill_value)
 
     def _series__rank(self, series, method="min", ascending=True) -> SymSeries:
@@ -1190,11 +1189,10 @@ class Translator:
     def _series__cumsum(self, series) -> SymSeries:
         return self._running_sum(series, ())
 
-    def _series__rolling(self, series, window, min_periods=None) -> SymRollingWindow:
-        window = int(window)
+    def _series__rolling(self, series, window: int, min_periods: int | None = None) -> SymRollingWindow:
         if window <= 0:
             raise TranslationError("rolling window must be positive")
-        min_periods = window if min_periods is None else int(min_periods)
+        min_periods = window if min_periods is None else min_periods
         return SymRollingWindow(series=series, window=window, min_periods=min_periods)
 
     def _scalar_agg(self, series: SymSeries, func: str) -> SymScalarRel:
@@ -1221,7 +1219,6 @@ class Translator:
 
     def _shifted(self, series: SymSeries, partition: tuple, periods, fill_value) -> SymSeries:
         frame, order = self._positional_order(series.frame)
-        periods = int(periods)
         fill = () if fill_value is None else (Const(fill_value),)
         win = Win("lag" if periods >= 0 else "lead", (series.term, Const(abs(periods))) + fill,
                   partition, order)
@@ -1387,7 +1384,7 @@ class Translator:
     def _sgb__cumsum(self, sgb) -> SymSeries:
         return self._running_sum(*self._sgb_column(sgb))
 
-    def _sgb__shift(self, sgb, periods=1, fill_value=None) -> SymSeries:
+    def _sgb__shift(self, sgb, periods: int = 1, fill_value=None) -> SymSeries:
         return self._shifted(*self._sgb_column(sgb), periods, fill_value)
 
     # -- str: the .str accessor ---------------------------------------------------
@@ -1403,8 +1400,8 @@ class Translator:
     def _str__like(self, acc, pattern) -> SymSeries:
         return acc.series.with_term(BinOp("like", acc.series.term, Const(pattern)), dtype="bool")
 
-    def _str__slice(self, acc, start=None, stop=None) -> SymSeries:
-        start = int(start or 0)
+    def _str__slice(self, acc, start: int | None = None, stop: int | None = None) -> SymSeries:
+        start = start or 0
         length = (stop - start) if stop is not None else 10**6
         return acc.series.with_term(
             Ext("substr", (acc.series.term, Const(start + 1), Const(length))), dtype="str"
@@ -1555,7 +1552,8 @@ class _Call:
 def _type_names(expected) -> str:
     if expected is None:
         return "a constant"
-    return " or ".join(t.__name__ for t in typing.get_args(expected) or (expected,))
+    return " or ".join("None" if t is type(None) else t.__name__
+                       for t in typing.get_args(expected) or (expected,))
 
 
 def _declare_surface(cls) -> dict[str, dict[str, _Call]]:

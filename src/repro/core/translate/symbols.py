@@ -8,6 +8,7 @@ Section III-B) lives on :class:`ColumnInfo` / :class:`SymFrame`.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,8 +24,10 @@ __all__ = [
 _IDENT = re.compile(r"[^0-9a-zA-Z_]")
 
 
+@functools.lru_cache(maxsize=4096)
 def sanitize(name: str) -> str:
-    """Make a pandas column name usable as a TondIR variable."""
+    """Make a pandas column name usable as a TondIR variable (cached: a
+    translation asks for the same few column names thousands of times)."""
     out = _IDENT.sub("_", str(name))
     if not out or out[0].isdigit():
         out = "c_" + out

@@ -553,6 +553,16 @@ def _symbol_for_a_constant(sales):
     return sales.head(n)
 
 
+@pytond()
+def _none_for_an_integer(sales):
+    return sales.price.round(decimals=None)
+
+
+@pytond()
+def _string_for_an_integer(sales):
+    return sales[sales.product.str.slice(0, 'x') == 'a']
+
+
 @pytest.mark.parametrize("fn, where, why", [
     (_unknown_keyword_kind, "frame.sort_values", "'kind'"),
     (_unknown_keyword_keep, "frame.drop_duplicates", "'keep'"),
@@ -560,7 +570,9 @@ def _symbol_for_a_constant(sales):
     (_missing_argument, "series.between", "'high'"),
     (_extra_argument, "frame.head", "too many positional arguments"),
     (_unsupported_aggregate, "'median'", "supported: sum, mean"),
-    (_symbol_for_a_constant, "frame.head", "must be a constant"),
+    (_symbol_for_a_constant, "frame.head", "'n' must be int, not SymScalarRel"),
+    (_none_for_an_integer, "series.round", "'decimals' must be int, not NoneType"),
+    (_string_for_an_integer, "str.slice", "'stop' must be int or None, not str"),
 ])
 def test_unsupported_arguments_fail_at_translate_time(fractional_env, fn, where, why):
     db, _ = fractional_env

@@ -1189,11 +1189,12 @@ class Translator:
     def _series__cumsum(self, series) -> SymSeries:
         return self._running_sum(series, ())
 
-    def _series__rolling(self, series, window: int, min_periods: int | None = None) -> SymRollingWindow:
+    def _series__rolling(self, series, window: int,
+                         min_periods: int | None = None) -> SymRollingWindow:
         if window <= 0:
             raise TranslationError("rolling window must be positive")
-        min_periods = window if min_periods is None else min_periods
-        return SymRollingWindow(series=series, window=window, min_periods=min_periods)
+        return SymRollingWindow(series=series, window=window,
+                                min_periods=window if min_periods is None else min_periods)
 
     def _scalar_agg(self, series: SymSeries, func: str) -> SymScalarRel:
         rel = self.new_rel()
